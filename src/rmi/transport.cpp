@@ -11,6 +11,29 @@
 
 namespace mage::rmi {
 
+ErrorKind error_kind(std::string_view error) {
+  if (error.starts_with("rmi call")) return ErrorKind::Transport;
+  if (error.starts_with("access denied")) return ErrorKind::AccessDenied;
+  if (error.starts_with("capacity exceeded")) {
+    return ErrorKind::CapacityExceeded;
+  }
+  return ErrorKind::Remote;
+}
+
+void throw_error(const std::string& error) {
+  switch (error_kind(error)) {
+    case ErrorKind::Transport:
+      throw common::TransportError(error);
+    case ErrorKind::AccessDenied:
+      throw common::AccessDeniedError(error);
+    case ErrorKind::CapacityExceeded:
+      throw common::CapacityError(error);
+    case ErrorKind::Remote:
+      break;
+  }
+  throw common::RemoteInvocationError(error);
+}
+
 Transport* Replier::fire() {
   if (transport_ == nullptr) {
     throw common::MageError(
@@ -321,38 +344,33 @@ serial::BufferChain Transport::call_sync(common::NodeId dest,
                                          common::VerbId verb,
                                          serial::BufferChain body,
                                          CallOptions options) {
-  if (network_.is_sharded()) {
-    // Blocking here would spin one shard's queue while the reply depends
-    // on other shards making progress — a deadlock by construction.
-    throw common::MageError(
-        "call_sync is driver-mode only: on a sharded network use the "
-        "asynchronous call() and complete from the callback");
-  }
+  // Checked before issuing: the callback below captures this frame.
+  require_driver_mode(verb);
   std::optional<CallResult> result;
   call(
       dest, verb, std::move(body),
       [&result](CallResult r) { result = std::move(r); }, options);
-  const bool completed =
-      sim_.run_until([&result] { return result.has_value(); });
-  if (!completed) {
-    throw common::TransportError("simulation drained while waiting for '" +
-                                 common::verb_name(verb) + "' reply");
-  }
-  if (!result->ok) {
-    // Distinguish error families by marker prefix: the wire carries only a
-    // string, so the remote side tags policy rejections.
-    if (result->error.rfind("rmi call", 0) == 0) {
-      throw common::TransportError(result->error);
-    }
-    if (result->error.rfind("access denied", 0) == 0) {
-      throw common::AccessDeniedError(result->error);
-    }
-    if (result->error.rfind("capacity exceeded", 0) == 0) {
-      throw common::CapacityError(result->error);
-    }
-    throw common::RemoteInvocationError(result->error);
-  }
+  block_until([&result] { return result.has_value(); }, verb);
+  if (!result->ok) throw_error(result->error);
   return std::move(result->body);
+}
+
+void Transport::block_until(const std::function<bool()>& done,
+                            common::VerbId awaited) {
+  require_driver_mode(awaited);
+  if (!sim_.run_until(done)) {
+    throw common::TransportError("simulation drained while waiting for a '" +
+                                 common::verb_name(awaited) + "' reply");
+  }
+}
+
+void Transport::require_driver_mode(common::VerbId awaited) const {
+  if (network_.is_sharded()) {
+    throw common::MageError(
+        "blocking on a '" + common::verb_name(awaited) +
+        "' reply is driver-mode only: on a sharded network use the "
+        "asynchronous API and complete from the callback");
+  }
 }
 
 void Transport::on_message(net::Message msg) {

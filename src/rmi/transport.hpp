@@ -65,6 +65,18 @@ struct CallResult {
   }
 };
 
+// Error families of a failed call.  The wire carries only a string, so the
+// family is a marker prefix: the transport tags its own give-ups "rmi call",
+// and servers tag policy rejections "access denied" / "capacity exceeded".
+enum class ErrorKind { Transport, AccessDenied, CapacityExceeded, Remote };
+
+// The one place that parses those prefixes.
+[[nodiscard]] ErrorKind error_kind(std::string_view error);
+
+// Throws the typed exception for `error`: TransportError, AccessDeniedError,
+// CapacityError, or RemoteInvocationError for everything else.
+[[noreturn]] void throw_error(const std::string& error);
+
 class Transport;
 
 // Handle a service uses to answer one request.  Move-only and strictly
@@ -227,9 +239,14 @@ class Transport {
     return reply_cache_capacity_;
   }
 
-  // Synchronous call usable only from driver code (runs the event loop
-  // until the reply arrives).  Throws RemoteInvocationError on remote
-  // error, TransportError when retries are exhausted.
+  // Runs the event loop until `done` holds: the one way driver code blocks
+  // on the network.  Driver mode only (throws MageError on a sharded
+  // network); throws TransportError if the simulation drains first.  The
+  // errors name the `awaited` reply's verb.
+  void block_until(const std::function<bool()>& done, common::VerbId awaited);
+
+  // Synchronous call usable only from driver code (blocks until the reply
+  // arrives).  A failed call throws via throw_error.
   serial::BufferChain call_sync(common::NodeId dest, common::VerbId verb,
                                 serial::BufferChain body,
                                 CallOptions options = {});
@@ -253,6 +270,11 @@ class Transport {
     bool done = false;
     sim::EventId retry_timer;  // outstanding timer, cancelled on completion
   };
+
+  // Throws unless on the driver engine: blocking here would spin one
+  // shard's queue while the reply depends on other shards making progress,
+  // a deadlock by construction.
+  void require_driver_mode(common::VerbId awaited) const;
 
   void on_message(net::Message msg);
   // The envelope is consumed (its body moved out) by the handlers.

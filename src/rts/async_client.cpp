@@ -8,27 +8,28 @@ namespace mage::rts {
 
 namespace proto_verbs = proto::verbs;
 
-// Chase/retry pacing for operations addressed to a moving object — the
-// same budget MageClient uses, so the two facades converge identically.
+// Chase/retry pacing for operations addressed to a moving object.
 constexpr int kMaxChaseAttempts = 12;
 constexpr common::SimDuration kChaseBackoffUs = 10'000;
 
-// One in-flight invoke/move: the chase state machine, shared by the
-// channel callbacks and the relocation events that advance it.
-struct AsyncClient::ChaseOp {
-  enum class Kind { Invoke, InvokeOneway, Move };
+// Lock waits can be long (the queue drains one holder at a time), so a
+// lock gets a generous same-id retransmission budget; duplicates are
+// suppressed server-side.
+constexpr int kLockTransmissions = 64;
 
-  Kind kind = Kind::Invoke;
+// One in-flight chase: the state machine shared by the channel callbacks
+// and the relocation events that advance it.
+struct AsyncClient::ChaseOp {
+  ChaseKind kind = ChaseKind::Invoke;
   common::ComponentName name;
-  std::string method;       // Invoke/InvokeOneway
-  serial::Buffer args;      // Invoke/InvokeOneway
-  common::NodeId to;        // Move
+  common::VerbId verb;
+  serial::BufferChain request;  // encoded once, re-sent verbatim per hop
+  common::NodeId to;            // Move
   common::NodeId at = common::kNoNode;
   int attempts = 0;
-
-  MagePromise<serial::Buffer> result;  // Invoke
-  MagePromise<Unit> ack;               // InvokeOneway
-  MagePromise<common::NodeId> moved;   // Move
+  // Exactly one of these runs, once: it completes the caller's future.
+  common::UniqueFunction<void(Chased&)> on_done;
+  common::UniqueFunction<void(std::string)> on_error;
 };
 
 AsyncClient::AsyncClient(MageServer& server)
@@ -38,11 +39,7 @@ AsyncClient::AsyncClient(MageServer& server, rmi::CallPolicy policy)
     : server_(server),
       transport_(server.transport()),
       sim_(transport_.network().node_sim(transport_.self())),
-      policy_(policy),
-      async_invokes_(sim_.stats().counter_handle("rts.async_invokes")),
-      async_redirects_(sim_.stats().counter_handle("rts.async_redirects")),
-      async_relocates_(sim_.stats().counter_handle("rts.async_relocates")),
-      async_moves_(sim_.stats().counter_handle("rts.async_moves")) {
+      policy_(policy) {
   rebuild_stack();
 }
 
@@ -72,6 +69,11 @@ void AsyncClient::set_policy(rmi::CallPolicy policy) {
   rebuild_stack();
 }
 
+void AsyncClient::count(std::int64_t*& slot, const char* key) {
+  if (slot == nullptr) slot = sim_.stats().counter_handle(key);
+  ++*slot;
+}
+
 // --- epoch fences -----------------------------------------------------------
 
 void AsyncClient::note_epoch(const common::ComponentName& name,
@@ -89,9 +91,11 @@ std::uint64_t AsyncClient::known_epoch(
 bool AsyncClient::accept_hint(const common::ComponentName& name,
                               common::NodeId hint, std::uint64_t hint_epoch) {
   if (common::is_no_node(hint)) return false;
-  // Same fence as MageClient::accept_hint: unfenced hints (epoch 0) are
-  // chased; fenced hints older than confirmed knowledge are rejected — a
-  // stale chain can never send this client back to a dead ex-home.
+  // Unfenced hints (epoch 0) come from servers without epoch knowledge;
+  // they are chased.  Fenced hints must be at least as recent as what this
+  // client has already confirmed — an older hint points into a placement
+  // history segment we know is obsolete (e.g. a forwarding loop left
+  // behind by a crashed-and-restarted ex-home).
   if (hint_epoch != 0 && hint_epoch < known_epoch(name)) {
     sim_.stats().add("rts.stale_hints_rejected");
     return false;
@@ -144,31 +148,31 @@ MageFuture<common::NodeId> AsyncClient::directory_fallback(
   return promise.future();
 }
 
-MageFuture<common::NodeId> AsyncClient::unfenced_walk(
-    const common::ComponentName& name, common::NodeId start) {
+MageFuture<common::NodeId> AsyncClient::walk(const common::ComponentName& name,
+                                             common::NodeId start,
+                                             std::uint64_t min_epoch) {
   proto::LookupRequest request;
   request.name = name;
-  request.min_epoch = 0;
+  request.min_epoch = min_epoch;
   MagePromise<common::NodeId> promise;
   ++outstanding_;
-  sim_.stats().add("rts.unfenced_walks");
   channel().call(start, proto_verbs::kLookup, request.encode(),
                  [this, name, promise](rmi::CallResult result) {
                    --outstanding_;
-                   if (result.ok) {
-                     const auto reply = proto::LookupReply::decode(result.body);
-                     if (reply.status == proto::Status::Ok) {
-                       note_epoch(name, reply.epoch);
-                       server_.registry().update_forward(name, reply.host,
-                                                         reply.epoch);
-                       promise.set_value(reply.host);
-                       return;
-                     }
-                     promise.set_error("unfenced walk for '" + name +
+                   if (!result.ok) {
+                     promise.set_error(std::move(result.error));
+                     return;
+                   }
+                   const auto reply = proto::LookupReply::decode(result.body);
+                   if (reply.status != proto::Status::Ok) {
+                     promise.set_error("lookup walk for '" + name +
                                        "' dead-ended: " + reply.error);
                      return;
                    }
-                   promise.set_error(result.error);
+                   note_epoch(name, reply.epoch);
+                   server_.registry().update_forward(name, reply.host,
+                                                     reply.epoch);
+                   promise.set_value(reply.host);
                  });
   return promise.future();
 }
@@ -186,7 +190,9 @@ MageFuture<common::NodeId> AsyncClient::locate(
   common::NodeId start = common::kNoNode;
   if (auto fwd = server_.registry().forward(name)) {
     // Private objects move only through their owner, so the forwarding
-    // address is authoritative; shared ones verify by walking the chain.
+    // address is authoritative ("if the object is private, cloc always
+    // accurately represents the bound object's current location", Section
+    // 3.5); shared ones verify by walking the chain.
     if (!shared) {
       MagePromise<common::NodeId> promise;
       promise.set_value(*fwd);
@@ -200,116 +206,200 @@ MageFuture<common::NodeId> AsyncClient::locate(
     return directory_fallback(name);
   }
 
-  proto::LookupRequest request;
-  request.name = name;
-  request.min_epoch = known_epoch(name);
   MagePromise<common::NodeId> promise;
-  ++outstanding_;
-  channel().call(
-      start, proto_verbs::kLookup, request.encode(),
-      [this, name, start, promise](rmi::CallResult result) {
-        --outstanding_;
-        if (result.ok) {
-          const auto reply = proto::LookupReply::decode(result.body);
-          if (reply.status == proto::Status::Ok) {
-            note_epoch(name, reply.epoch);
-            server_.registry().update_forward(name, reply.host, reply.epoch);
-            promise.set_value(reply.host);
-            return;
-          }
-        }
+  const auto found = [promise](common::NodeId host) {
+    promise.set_value(host);
+  };
+  const auto failed = [promise](const std::string& error) {
+    promise.set_error(error);
+  };
+  walk(name, start, known_epoch(name))
+      .then(found)
+      .on_error([this, name, start, found, failed](const std::string& error) {
         // Chain start unreachable or the walk dead-ended; the replicated
-        // directory (when configured) may still know the placement, and an
-        // unfenced walk is the final fallback — a fenced walk refuses any
-        // chain entry older than this client's own fence, which can strand
-        // a client whose fence outran every reachable entry (e.g. after a
-        // partition bounced between nodes several times).
-        directory_fallback(name)
-            .then([promise](common::NodeId host) mutable {
-              promise.set_value(host);
-            })
-            .on_error([this, name, start, promise](const std::string&) {
-              unfenced_walk(name, start)
-                  .then([promise](common::NodeId host) mutable {
-                    promise.set_value(host);
-                  })
-                  .on_error([promise](const std::string& error) mutable {
-                    promise.set_error(error);
-                  });
+        // directory (when configured) may still know the placement.  After
+        // a dead-end an unfenced walk is the final fallback (see walk());
+        // an unreachable start gets no second walk, which would fail the
+        // same way.
+        directory_fallback(name).then(found).on_error(
+            [this, name, start, found, failed,
+             error](const std::string&) {
+              if (rmi::error_kind(error) == rmi::ErrorKind::Transport) {
+                failed(error);
+                return;
+              }
+              sim_.stats().add("rts.unfenced_walks");
+              walk(name, start, 0).then(found).on_error(failed);
             });
       });
   return promise.future();
 }
 
+MageFuture<common::NodeId> AsyncClient::find(
+    const common::ComponentName& name) {
+  MagePromise<common::NodeId> promise;
+  find_attempt(name, promise, 1);
+  return promise.future();
+}
+
+void AsyncClient::find_attempt(const common::ComponentName& name,
+                               const MagePromise<common::NodeId>& promise,
+                               int attempt) {
+  locate(name)
+      .then([promise](common::NodeId host) { promise.set_value(host); })
+      .on_error([this, name, promise, attempt](const std::string& error) {
+        if (rmi::error_kind(error) == rmi::ErrorKind::Transport) {
+          promise.set_error(error);
+          return;
+        }
+        if (attempt >= kMaxChaseAttempts) {
+          promise.set_error("lookup failed after " +
+                            std::to_string(kMaxChaseAttempts) +
+                            " attempts: " + error);
+          return;
+        }
+        // The object may be mid-flight between namespaces; back off and
+        // retry ("these protocols must recover from message loss and
+        // account for contention over shared components", Section 4.3).
+        // A waking event: the retry may complete the find inline.
+        sim_.schedule_after(kChaseBackoffUs, [this, name, promise, attempt] {
+          find_attempt(name, promise, attempt + 1);
+        });
+      });
+}
+
 // --- the chase --------------------------------------------------------------
 
-void AsyncClient::start_chase(const std::shared_ptr<ChaseOp>& op) {
-  op->at = believed_host(op->name);
+template <typename R, typename Take>
+MageFuture<R> AsyncClient::chase_into(Chase request, Take take) {
+  // The caller's promise is completed straight from the chase — no
+  // intermediate future per op.
+  MagePromise<R> promise;
+  auto op = std::make_shared<ChaseOp>();
+  op->on_done = [promise, take = std::move(take)](Chased& done) mutable {
+    promise.set_value(take(done));
+  };
+  op->on_error = [promise](std::string error) {
+    promise.set_error(std::move(error));
+  };
+  start_chase(op, std::move(request));
+  return promise.future();
+}
+
+MageFuture<AsyncClient::Chased> AsyncClient::chase(Chase request) {
+  return chase_into<Chased>(std::move(request),
+                            [](Chased& done) { return std::move(done); });
+}
+
+void AsyncClient::start_chase(const std::shared_ptr<ChaseOp>& op,
+                              Chase request) {
+  op->kind = request.kind;
+  op->name = std::move(request.name);
+  switch (op->kind) {
+    case ChaseKind::Invoke:
+    case ChaseKind::InvokeOneway:
+      op->verb = op->kind == ChaseKind::Invoke ? proto_verbs::kInvoke
+                                               : proto_verbs::kInvokeOneway;
+      op->request = proto::InvokeRequest{op->name, std::move(request.method),
+                                         std::move(request.args)}
+                        .encode();
+      break;
+    case ChaseKind::Move:
+      op->verb = proto_verbs::kMove;
+      op->to = request.to;
+      op->request = proto::MoveRequest{op->name, request.to}.encode();
+      break;
+    case ChaseKind::Lock:
+      op->verb = proto_verbs::kLock;
+      op->request =
+          proto::LockRequest{op->name, request.target, request.activity}
+              .encode();
+      break;
+  }
+  op->at = common::is_no_node(request.start) ? believed_host(op->name)
+                                             : request.start;
   if (common::is_no_node(op->at)) {
     relocate_and_resume(op, "no local knowledge of '" + op->name + "'");
-    return;
+  } else {
+    send_op(op);
   }
-  send_op(op);
 }
 
 void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op) {
   ++outstanding_;
+  rmi::Transport::Callback done = [this, op](rmi::CallResult result) {
+    --outstanding_;
+    on_reply(op, std::move(result));
+  };
   switch (op->kind) {
-    case ChaseOp::Kind::Invoke: {
-      proto::InvokeRequest request{op->name, op->method, op->args};
-      channel().call(op->at, proto_verbs::kInvoke, request.encode(),
-                     [this, op](rmi::CallResult result) {
-                       --outstanding_;
-                       on_invoke_reply(op, std::move(result));
-                     });
+    case ChaseKind::Invoke:
+    case ChaseKind::Move:
+      channel().call(op->at, op->verb, op->request, std::move(done));
       return;
-    }
-    case ChaseOp::Kind::InvokeOneway: {
-      proto::InvokeRequest request{op->name, op->method, op->args};
+    case ChaseKind::InvokeOneway:
       // Direct channel unconditionally: one-way verbs are never
       // channel-retried (a duplicate would re-run the agent method).
-      direct_->call(op->at, proto_verbs::kInvokeOneway, request.encode(),
-                    [this, op](rmi::CallResult result) {
-                      --outstanding_;
-                      on_invoke_reply(op, std::move(result));
-                    });
+      direct_->call(op->at, op->verb, op->request, std::move(done));
       return;
-    }
-    case ChaseOp::Kind::Move: {
-      proto::MoveRequest request;
-      request.name = op->name;
-      request.to = op->to;
-      channel().call(op->at, proto_verbs::kMove, request.encode(),
-                     [this, op](rmi::CallResult result) {
-                       --outstanding_;
-                       on_move_reply(op, std::move(result));
-                     });
+    case ChaseKind::Lock: {
+      rmi::CallOptions options = policy_.attempt_options();
+      options.max_attempts = kLockTransmissions;
+      transport_.call(op->at, op->verb, op->request, std::move(done),
+                      options);
       return;
     }
   }
 }
 
-void AsyncClient::on_invoke_reply(const std::shared_ptr<ChaseOp>& op,
-                                  rmi::CallResult result) {
+void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
+                           rmi::CallResult result) {
   if (!result.ok) {
-    relocate_and_resume(op, std::move(result.error));
+    // A move converges: if it actually completed, the retry at the stale
+    // host is answered with a Moved hint and the chase ends at the target.
+    // Any other verb may already have run, and a re-send under a fresh id
+    // could run it twice.  Remote rejections fail every kind.
+    if (op->kind == ChaseKind::Move &&
+        rmi::error_kind(result.error) == rmi::ErrorKind::Transport) {
+      relocate_and_resume(op, std::move(result.error));
+    } else {
+      fail_op(op, std::move(result.error));
+    }
     return;
   }
-  auto reply = proto::InvokeReply::decode(result.body);
+  Chased ok;
+  switch (op->kind) {
+    case ChaseKind::Invoke:
+    case ChaseKind::InvokeOneway: {
+      auto reply = proto::InvokeReply::decode(result.body);
+      ok.result = std::move(reply.result);
+      on_status(op, reply, std::move(ok));
+      return;
+    }
+    case ChaseKind::Move:
+      on_status(op, proto::SimpleReply::decode(result.body), std::move(ok));
+      return;
+    case ChaseKind::Lock: {
+      const auto reply = proto::LockReply::decode(result.body);
+      ok.lock_id = reply.lock_id;
+      ok.lock_kind = reply.kind;
+      on_status(op, reply, std::move(ok));
+      return;
+    }
+  }
+}
+
+template <typename ProtoReply>
+void AsyncClient::on_status(const std::shared_ptr<ChaseOp>& op,
+                            const ProtoReply& reply, Chased ok) {
   switch (reply.status) {
     case proto::Status::Ok:
-      ++*async_invokes_;
-      if (op->kind == ChaseOp::Kind::InvokeOneway) {
-        op->ack.set_value(Unit{});
-      } else {
-        op->result.set_value(std::move(reply.result));
-      }
+      complete(op, std::move(ok), reply.hint_epoch);
       return;
     case proto::Status::Moved:
       if (accept_hint(op->name, reply.hint, reply.hint_epoch)) {
-        ++*async_redirects_;
+        count(async_redirects_, "rts.async_redirects");
         if (++op->attempts >= kMaxChaseAttempts) {
-          fail_op(op, "redirect chain exceeded the chase budget");
+          give_up(op, "redirect chain exceeded the chase budget");
           return;
         }
         op->at = reply.hint;
@@ -328,67 +418,38 @@ void AsyncClient::on_invoke_reply(const std::shared_ptr<ChaseOp>& op,
   }
 }
 
-void AsyncClient::on_move_reply(const std::shared_ptr<ChaseOp>& op,
-                                rmi::CallResult result) {
-  if (!result.ok) {
-    // Idempotent from here: if the move actually completed, the retry at
-    // the stale host is answered with a Moved hint and the chase converges
-    // at the target (where to == self is a no-op).
-    relocate_and_resume(op, std::move(result.error));
-    return;
+void AsyncClient::complete(const std::shared_ptr<ChaseOp>& op, Chased ok,
+                           std::uint64_t epoch) {
+  ok.host = op->at;
+  if (op->kind == ChaseKind::Move) {
+    // The source's Ok carries the new placement epoch; record it so stale
+    // chains left behind by the old placement are fenced off.
+    note_epoch(op->name, epoch);
+    server_.registry().update_forward(op->name, op->to, epoch);
+    if (directory_client_ != nullptr) {
+      // Asynchronous announce (fire-and-forget): readers that race it are
+      // protected by the epoch fence.
+      directory_client_->announce(
+          proto::PlacementRecord{op->name, std::string{}, op->to,
+                                 server_.directory().contains(op->name) &&
+                                     server_.directory()
+                                         .info(op->name)
+                                         .is_public,
+                                 epoch},
+          [](bool) {});
+    }
+    ok.host = op->to;
   }
-  auto reply = proto::SimpleReply::decode(result.body);
-  switch (reply.status) {
-    case proto::Status::Ok:
-      ++*async_moves_;
-      // The source's Ok carries the new placement epoch; record it so
-      // stale chains left behind by the old placement are fenced off.
-      note_epoch(op->name, reply.hint_epoch);
-      server_.registry().update_forward(op->name, op->to, reply.hint_epoch);
-      if (directory_client_ != nullptr) {
-        // Asynchronous announce (fire-and-forget): readers that race it
-        // are protected by the epoch fence, exactly like the sync path.
-        directory_client_->announce(
-            proto::PlacementRecord{op->name, std::string{}, op->to,
-                                   server_.directory().contains(op->name) &&
-                                       server_.directory()
-                                           .info(op->name)
-                                           .is_public,
-                                   reply.hint_epoch},
-            [](bool) {});
-      }
-      op->moved.set_value(op->to);
-      return;
-    case proto::Status::Moved:
-      if (accept_hint(op->name, reply.hint, reply.hint_epoch)) {
-        ++*async_redirects_;
-        if (++op->attempts >= kMaxChaseAttempts) {
-          fail_op(op, "redirect chain exceeded the chase budget");
-          return;
-        }
-        op->at = reply.hint;
-        send_op(op);
-        return;
-      }
-      relocate_and_resume(op, "stale Moved hint rejected");
-      return;
-    case proto::Status::NotFound:
-      relocate_and_resume(op, "object is mid-flight or unknown at " +
-                                  std::to_string(op->at.value()));
-      return;
-    case proto::Status::Error:
-      fail_op(op, reply.error);
-      return;
-  }
+  op->on_done(ok);
 }
 
 void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
                                       std::string why) {
   if (++op->attempts >= kMaxChaseAttempts) {
-    fail_op(op, why);
+    give_up(op, why);
     return;
   }
-  ++*async_relocates_;
+  count(async_relocates_, "rts.async_relocates");
   // The object may be mid-flight between namespaces; back off, re-locate
   // from fresh knowledge, then resume the chase.
   sim_.schedule_after(
@@ -407,64 +468,63 @@ void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
       sim::Wake::No);
 }
 
-void AsyncClient::fail_op(const std::shared_ptr<ChaseOp>& op,
+void AsyncClient::give_up(const std::shared_ptr<ChaseOp>& op,
                           const std::string& why) {
-  const char* what = op->kind == ChaseOp::Kind::Move ? "move" : "invoke";
-  const std::string message = std::string(what) + " of '" + op->name +
-                              "' did not converge after " +
-                              std::to_string(op->attempts) +
-                              " attempts: " + why;
-  // Failure can surface from a channel/backoff timer event; wake so an
-  // enclosing run_until re-checks its predicate.
-  sim_.wake();
-  switch (op->kind) {
-    case ChaseOp::Kind::Invoke:
-      op->result.set_error(message);
-      return;
-    case ChaseOp::Kind::InvokeOneway:
-      op->ack.set_error(message);
-      return;
-    case ChaseOp::Kind::Move:
-      op->moved.set_error(message);
-      return;
-  }
+  fail_op(op, "'" + common::verb_name(op->verb) + "' for '" + op->name +
+                  "' did not converge after " +
+                  std::to_string(op->attempts) + " attempts: " + why);
 }
 
-// --- public operations ------------------------------------------------------
+void AsyncClient::fail_op(const std::shared_ptr<ChaseOp>& op,
+                          std::string error) {
+  // Failure can surface from a backoff timer event; wake so an enclosing
+  // run_until re-checks its predicate.
+  sim_.wake();
+  op->on_error(std::move(error));
+}
+
+// --- the typed ops ----------------------------------------------------------
 
 MageFuture<serial::Buffer> AsyncClient::invoke_raw(
     const common::ComponentName& name, const std::string& method,
     serial::Buffer args) {
-  auto op = std::make_shared<ChaseOp>();
-  op->kind = ChaseOp::Kind::Invoke;
-  op->name = name;
-  op->method = method;
-  op->args = std::move(args);
-  start_chase(op);
-  return op->result.future();
+  Chase op;
+  op.name = name;
+  op.method = method;
+  op.args = std::move(args);
+  return chase_into<serial::Buffer>(std::move(op), [this](Chased& done) {
+    count(async_invokes_, "rts.async_invokes");
+    return std::move(done.result);
+  });
 }
 
 MageFuture<Unit> AsyncClient::invoke_oneway_raw(
     const common::ComponentName& name, const std::string& method,
     serial::Buffer args) {
-  auto op = std::make_shared<ChaseOp>();
-  op->kind = ChaseOp::Kind::InvokeOneway;
-  op->name = name;
-  op->method = method;
-  op->args = std::move(args);
-  start_chase(op);
-  return op->ack.future();
+  Chase op;
+  op.kind = ChaseKind::InvokeOneway;
+  op.name = name;
+  op.method = method;
+  op.args = std::move(args);
+  return chase_into<Unit>(std::move(op), [this](Chased&) {
+    count(async_invokes_, "rts.async_invokes");
+    return Unit{};
+  });
 }
 
 MageFuture<common::NodeId> AsyncClient::move(const common::ComponentName& name,
                                              common::NodeId to) {
-  auto op = std::make_shared<ChaseOp>();
-  op->kind = ChaseOp::Kind::Move;
-  op->name = name;
-  op->to = to;
-  start_chase(op);
-  return op->moved.future();
+  Chase op;
+  op.kind = ChaseKind::Move;
+  op.name = name;
+  op.to = to;
+  return chase_into<common::NodeId>(std::move(op), [this](Chased& done) {
+    count(async_moves_, "rts.async_moves");
+    return done.host;
+  });
 }
+
+// --- probes -----------------------------------------------------------------
 
 MageFuture<double> AsyncClient::load_of(common::NodeId node) {
   MagePromise<double> promise;

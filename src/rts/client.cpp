@@ -2,16 +2,15 @@
 
 #include <utility>
 
-#include "common/log.hpp"
-#include "rts/director.hpp"
-
 namespace mage::rts {
 
 namespace proto_verbs = proto::verbs;
 
-// Chase/retry policy for operations addressed to a moving object.
-constexpr int kMaxChaseAttempts = 12;
-constexpr common::SimDuration kChaseBackoffUs = 10'000;
+// fetch_result polls its host until the one-way execution has parked a
+// result: this many tries, this far apart.  (A poll at one host, not a
+// chase.)
+constexpr int kFetchResultPolls = 12;
+constexpr common::SimDuration kFetchResultPollUs = 10'000;
 
 MageClient::MageClient(rmi::Transport& transport, MageServer& local_server,
                        Directory& directory, const ClassWorld& world,
@@ -20,37 +19,11 @@ MageClient::MageClient(rmi::Transport& transport, MageServer& local_server,
       local_server_(local_server),
       directory_(directory),
       world_(world),
-      activity_(activity) {}
+      activity_(activity),
+      async_(local_server) {}
 
 const net::CostModel& MageClient::model() const {
   return transport_.network().cost_model();
-}
-
-void MageClient::note_epoch(const common::ComponentName& name,
-                            std::uint64_t epoch) {
-  auto& known = known_epochs_[name];
-  if (epoch > known) known = epoch;
-}
-
-std::uint64_t MageClient::known_epoch(const common::ComponentName& name) const {
-  const auto it = known_epochs_.find(name);
-  return it == known_epochs_.end() ? 0 : it->second;
-}
-
-bool MageClient::accept_hint(const common::ComponentName& name,
-                             common::NodeId hint, std::uint64_t hint_epoch) {
-  if (common::is_no_node(hint)) return false;
-  // Unfenced hints (epoch 0) come from servers without epoch knowledge;
-  // they are chased as before.  Fenced hints must be at least as recent as
-  // what this client has already confirmed — an older hint points into a
-  // placement history segment we know is obsolete (e.g. a forwarding loop
-  // left behind by a crashed-and-restarted ex-home).
-  if (hint_epoch != 0 && hint_epoch < known_epoch(name)) {
-    simulation().stats().add("rts.stale_hints_rejected");
-    return false;
-  }
-  note_epoch(name, hint_epoch);
-  return true;
 }
 
 void MageClient::charge(common::SimDuration d) {
@@ -68,10 +41,6 @@ MageObject& MageClient::create_component(const common::ComponentName& name,
   local_server_.registry().bind(name, std::move(object));
   directory_.announce(ComponentInfo{name, class_name, self(), is_public});
   note_epoch(name, 1);
-  if (directory_client_ != nullptr) {
-    directory_client_->announce_sync(
-        proto::PlacementRecord{name, class_name, self(), is_public, 1});
-  }
   return ref;
 }
 
@@ -90,129 +59,32 @@ bool MageClient::is_shared(const common::ComponentName& name) const {
 
 // --- registry -----------------------------------------------------------------
 
-std::optional<common::NodeId> MageClient::try_find(
-    const common::ComponentName& name) {
+common::NodeId MageClient::find(const common::ComponentName& name) {
   // Local MAGE registry consult: a direct in-JVM call, not an RMI.
   charge(model().registry_consult_us);
-  if (has_local(name)) return self();
-
-  common::NodeId start = common::kNoNode;
-  if (auto fwd = local_server_.registry().forward(name)) {
-    // Private objects are moved only by their owning activity, so the
-    // local forwarding address is authoritative — no network round trip
-    // ("if the object is private, cloc always accurately represents the
-    // bound object's current location", Section 3.5).  Shared objects may
-    // have been moved by anyone; verify by walking the chain.
-    if (!is_shared(name)) return *fwd;
-    start = *fwd;
-  } else if (directory_.contains(name)) {
-    start = directory_.info(name).home;
-  }
-  if (common::is_no_node(start) || start == self()) {
-    // No local object and no lead to follow from static knowledge; the
-    // replicated directory (when configured) may still know the placement.
-    return directory_find(name);
-  }
-
-  proto::LookupRequest request;
-  request.name = name;
-  request.min_epoch = known_epoch(name);
-  try {
-    auto reply = proto::LookupReply::decode(
-        transport_.call_sync(start, proto_verbs::kLookup, request.encode()));
-    if (reply.status == proto::Status::Ok) {
-      note_epoch(name, reply.epoch);
-      local_server_.registry().update_forward(name, reply.host, reply.epoch);
-      return reply.host;
+  auto located = wait(async_.find(name), proto_verbs::kLookup);
+  if (located.has_error()) {
+    if (rmi::error_kind(located.error()) == rmi::ErrorKind::Transport) {
+      rmi::throw_error(located.error());
     }
-  } catch (const common::TransportError&) {
-    // The chain's first hop is unreachable (crashed or partitioned).  With
-    // a replicated directory we can fail over; without one this is fatal,
-    // exactly as before.
-    if (directory_client_ == nullptr) throw;
+    throw common::NotFoundError(name, located.error());
   }
-  return directory_find(name);
-}
-
-std::optional<common::NodeId> MageClient::directory_find(
-    const common::ComponentName& name) {
-  if (directory_client_ == nullptr) return std::nullopt;
-  auto resolved = directory_client_->resolve_sync(name);
-  if (!resolved) return std::nullopt;
-  if (resolved->epoch < known_epoch(name)) {
-    // The quorum lags our own confirmed knowledge (e.g. an announce is
-    // still in flight); treat as not-yet-found and let the caller retry.
-    return std::nullopt;
-  }
-  note_epoch(name, resolved->epoch);
-  local_server_.registry().update_forward(name, resolved->host,
-                                          resolved->epoch);
-  return resolved->host == self() ? self() : resolved->host;
-}
-
-common::NodeId MageClient::find(const common::ComponentName& name) {
-  for (int attempt = 0; attempt < kMaxChaseAttempts; ++attempt) {
-    if (auto host = try_find(name)) return *host;
-    // The object may be mid-flight between namespaces; back off and retry
-    // ("these protocols must recover from message loss and account for
-    // contention over shared components", Section 4.3).
-    charge(kChaseBackoffUs);
-  }
-  throw common::NotFoundError(name, "lookup failed after " +
-                                        std::to_string(kMaxChaseAttempts) +
-                                        " attempts");
+  return located.value();
 }
 
 // --- class & object movement ------------------------------------------------------
 
 common::NodeId MageClient::move(const common::ComponentName& name,
                                 common::NodeId to, common::NodeId hint) {
-  common::NodeId at = common::is_no_node(hint) ? find(name) : hint;
-  for (int attempt = 0; attempt < kMaxChaseAttempts; ++attempt) {
-    proto::MoveRequest request;
-    request.name = name;
-    request.to = to;
-    proto::SimpleReply reply;
-    try {
-      reply = proto::SimpleReply::decode(
-          transport_.call_sync(at, proto_verbs::kMove, request.encode()));
-    } catch (const common::TransportError&) {
-      // The move is idempotent from here: if it actually completed, the
-      // retry at the stale host is answered with a Moved hint and the
-      // chase converges at the target (where to == self is a no-op).
-      charge(kChaseBackoffUs);
-      at = find(name);
-      continue;
-    }
-    switch (reply.status) {
-      case proto::Status::Ok:
-        // The source's Ok carries the new placement epoch; record it so
-        // stale chains left behind by the old placement are fenced off.
-        note_epoch(name, reply.hint_epoch);
-        local_server_.registry().update_forward(name, to, reply.hint_epoch);
-        if (directory_client_ != nullptr) {
-          directory_client_->announce_sync(proto::PlacementRecord{
-              name, std::string{}, to, is_shared(name), reply.hint_epoch});
-        }
-        return to;
-      case proto::Status::Moved:
-        if (accept_hint(name, reply.hint, reply.hint_epoch)) {
-          at = reply.hint;
-          continue;
-        }
-        charge(kChaseBackoffUs);
-        at = find(name);
-        continue;
-      case proto::Status::NotFound:
-        charge(kChaseBackoffUs);
-        at = find(name);
-        continue;
-      case proto::Status::Error:
-        throw common::MageError("move of '" + name + "' failed: " +
-                                reply.error);
-    }
-  }
-  throw common::MageError("move of '" + name + "' did not converge");
+  AsyncClient::Chase op;
+  op.kind = AsyncClient::ChaseKind::Move;
+  op.name = name;
+  op.to = to;
+  op.start = common::is_no_node(hint) ? find(name) : hint;
+  return get<common::MageError>(async_.chase(std::move(op)),
+                                proto_verbs::kMove,
+                                "move of '" + name + "' failed: ")
+      .host;
 }
 
 void MageClient::ensure_class_at(common::NodeId target,
@@ -337,45 +209,23 @@ serial::Buffer MageClient::invoke_raw(common::NodeId& cloc,
                                       const std::string& method,
                                       serial::Buffer args) {
   if (common::is_no_node(cloc)) cloc = find(name);
-  proto::InvokeRequest request;
-  request.name = name;
-  request.method = method;
-  request.args = std::move(args);
-
-  for (int attempt = 0; attempt < kMaxChaseAttempts; ++attempt) {
-    if (cloc == self() && has_local(name)) {
-      // LPC fast path: same namespace, no marshalling, no wire.
-      charge(model().local_invoke_us);
-      MageObject& object = local_server_.registry().local(name);
-      const MethodEntry& entry =
-          world_.method(object.class_name(), request.method);
-      charge(entry.cost_us);
-      simulation().stats().add("rts.local_invocations");
-      return entry.fn(object, request.args);
-    }
-    auto reply = proto::InvokeReply::decode(
-        transport_.call_sync(cloc, proto_verbs::kInvoke, request.encode()));
-    switch (reply.status) {
-      case proto::Status::Ok:
-        return std::move(reply.result);
-      case proto::Status::Moved:
-        if (accept_hint(name, reply.hint, reply.hint_epoch)) {
-          cloc = reply.hint;
-          continue;
-        }
-        charge(kChaseBackoffUs);
-        cloc = find(name);
-        continue;
-      case proto::Status::NotFound:
-        charge(kChaseBackoffUs);
-        cloc = find(name);
-        continue;
-      case proto::Status::Error:
-        throw common::RemoteInvocationError(reply.error);
-    }
+  if (cloc == self() && has_local(name)) {
+    // LPC fast path: same namespace, no marshalling, no wire.
+    charge(model().local_invoke_us);
+    MageObject& object = local_server_.registry().local(name);
+    const MethodEntry& entry = world_.method(object.class_name(), method);
+    charge(entry.cost_us);
+    simulation().stats().add("rts.local_invocations");
+    return entry.fn(object, args);
   }
-  throw common::RemoteInvocationError("invocation of '" + name + "." +
-                                      method + "' did not converge");
+  AsyncClient::Chase op;
+  op.name = name;
+  op.start = cloc;
+  op.method = method;
+  op.args = std::move(args);
+  auto done = get(async_.chase(std::move(op)), proto_verbs::kInvoke);
+  cloc = done.host;
+  return std::move(done.result);
 }
 
 void MageClient::invoke_oneway_raw(common::NodeId& cloc,
@@ -383,47 +233,26 @@ void MageClient::invoke_oneway_raw(common::NodeId& cloc,
                                    const std::string& method,
                                    serial::Buffer args) {
   if (common::is_no_node(cloc)) cloc = find(name);
-  proto::InvokeRequest request;
-  request.name = name;
-  request.method = method;
-  request.args = std::move(args);
-
-  for (int attempt = 0; attempt < kMaxChaseAttempts; ++attempt) {
-    auto reply = proto::InvokeReply::decode(transport_.call_sync(
-        cloc, proto_verbs::kInvokeOneway, request.encode()));
-    switch (reply.status) {
-      case proto::Status::Ok:
-        return;  // acknowledged; execution continues remotely
-      case proto::Status::Moved:
-        if (accept_hint(name, reply.hint, reply.hint_epoch)) {
-          cloc = reply.hint;
-          continue;
-        }
-        charge(kChaseBackoffUs);
-        cloc = find(name);
-        continue;
-      case proto::Status::NotFound:
-        charge(kChaseBackoffUs);
-        cloc = find(name);
-        continue;
-      case proto::Status::Error:
-        throw common::RemoteInvocationError(reply.error);
-    }
-  }
-  throw common::RemoteInvocationError("one-way invocation of '" + name + "." +
-                                      method + "' did not converge");
+  AsyncClient::Chase op;
+  op.kind = AsyncClient::ChaseKind::InvokeOneway;
+  op.name = name;
+  op.start = cloc;
+  op.method = method;
+  op.args = std::move(args);
+  // Acknowledged; execution continues remotely.
+  cloc = get(async_.chase(std::move(op)), proto_verbs::kInvokeOneway).host;
 }
 
 serial::Buffer MageClient::fetch_result_raw(
     common::NodeId& cloc, const common::ComponentName& name) {
   if (common::is_no_node(cloc)) cloc = find(name);
   proto::FetchResultRequest request{name};
-  for (int attempt = 0; attempt < kMaxChaseAttempts; ++attempt) {
+  for (int poll = 0; poll < kFetchResultPolls; ++poll) {
     auto reply = proto::InvokeReply::decode(transport_.call_sync(
         cloc, proto_verbs::kFetchResult, request.encode()));
     if (reply.status == proto::Status::Ok) return std::move(reply.result);
     // The one-way execution may not have finished yet; wait and retry.
-    charge(kChaseBackoffUs);
+    charge(kFetchResultPollUs);
   }
   throw common::RemoteInvocationError("no parked result for '" + name + "'");
 }
@@ -539,39 +368,16 @@ void MageClient::static_put_raw(const std::string& class_name,
 
 LockHandle MageClient::lock(const common::ComponentName& name,
                             common::NodeId target) {
-  common::NodeId at = find(name);
-  // Lock waits can be long (the queue drains one holder at a time); allow
-  // generous retransmission budget — duplicates are suppressed server-side.
-  rmi::CallOptions options;
-  options.max_attempts = 64;
-
-  for (int attempt = 0; attempt < kMaxChaseAttempts; ++attempt) {
-    proto::LockRequest request;
-    request.name = name;
-    request.target = target;
-    request.activity = activity_.value();
-    auto reply = proto::LockReply::decode(transport_.call_sync(
-        at, proto_verbs::kLock, request.encode(), options));
-    switch (reply.status) {
-      case proto::Status::Ok:
-        return LockHandle{name, at, reply.lock_id, reply.kind};
-      case proto::Status::Moved:
-        if (accept_hint(name, reply.hint, reply.hint_epoch)) {
-          at = reply.hint;
-          continue;
-        }
-        charge(kChaseBackoffUs);
-        at = find(name);
-        continue;
-      case proto::Status::NotFound:
-        charge(kChaseBackoffUs);
-        at = find(name);
-        continue;
-      case proto::Status::Error:
-        throw common::LockError("lock('" + name + "') failed: " + reply.error);
-    }
-  }
-  throw common::LockError("lock('" + name + "') did not converge");
+  AsyncClient::Chase op;
+  op.kind = AsyncClient::ChaseKind::Lock;
+  op.name = name;
+  op.start = find(name);
+  op.target = target;
+  op.activity = activity_.value();
+  const auto granted =
+      get<common::LockError>(async_.chase(std::move(op)), proto_verbs::kLock,
+                             "lock('" + name + "') failed: ");
+  return LockHandle{name, granted.host, granted.lock_id, granted.lock_kind};
 }
 
 void MageClient::unlock(const LockHandle& handle) {

@@ -8,29 +8,30 @@
 // data".
 //
 // Operations addressed to "wherever the object currently is" (invoke, move,
-// lock) chase the object: they try the best-known host, follow Moved hints
-// along forwarding chains, fall back to a full registry find, and retry
-// with backoff while an object is mid-flight.  This is what lets mobility
-// attributes that assume static placement keep working on mobile
-// components (Section 3.6).
+// lock) are a blocking wrapper over AsyncClient's chase: issue the async op
+// from the best-known host (the attribute's cached cloc, or a move's hint),
+// then run the event loop until its future completes.  The chase follows
+// Moved hints along forwarding chains and re-locates while an object is
+// mid-flight, which is what lets mobility attributes that assume static
+// placement keep working on mobile components (Section 3.6).  What stays
+// here is what is not a chase: local registry consults, the LPC fast path,
+// and the single-host verbs.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "rmi/transport.hpp"
+#include "rts/async_client.hpp"
 #include "rts/directory.hpp"
 #include "rts/protocol.hpp"
 #include "rts/server.hpp"
 #include "serial/traits.hpp"
 
 namespace mage::rts {
-
-class DirectoryClient;
 
 // Proof of a granted stay/move lock; needed to unlock.
 struct LockHandle {
@@ -51,26 +52,15 @@ class MageClient {
   [[nodiscard]] MageServer& local_server() { return local_server_; }
   [[nodiscard]] Directory& directory() { return directory_; }
 
-  // Opt-in high-availability naming: when set, the client announces new
-  // components to the replicated director quorum and falls back to it when
-  // the static directory's lead (or a forwarding chain) dead-ends — e.g.
-  // when the original home node is crashed.  Null by default (pure
-  // static-directory behavior).  Not owned.
-  void set_directory_client(DirectoryClient* dclient) {
-    directory_client_ = dclient;
+  // Epoch-fence bookkeeping, kept by the chase (see AsyncClient::
+  // note_epoch).
+  void note_epoch(const common::ComponentName& name, std::uint64_t epoch) {
+    async_.note_epoch(name, epoch);
   }
-  [[nodiscard]] DirectoryClient* directory_client() const {
-    return directory_client_;
-  }
-
-  // Epoch-fence bookkeeping: the highest placement epoch this client has
-  // confirmed for `name` (0 = none).  note_epoch records authoritative
-  // knowledge (a directory resolution, a completed move); Moved hints with
-  // an older epoch are rejected instead of chased — a stale chain can
-  // never send this client back to a dead ex-home.
-  void note_epoch(const common::ComponentName& name, std::uint64_t epoch);
   [[nodiscard]] std::uint64_t known_epoch(
-      const common::ComponentName& name) const;
+      const common::ComponentName& name) const {
+    return async_.known_epoch(name);
+  }
   [[nodiscard]] sim::Simulation& simulation() {
     return transport_.network().node_sim(transport_.self());
   }
@@ -93,7 +83,8 @@ class MageClient {
 
   // Resolves the component's current namespace.  Consults the local MAGE
   // registry first (cheap, direct), then walks forwarding chains from the
-  // best-known starting point.  Throws NotFoundError.
+  // best-known starting point (AsyncClient::find).  Throws NotFoundError,
+  // or TransportError when the chain's start is unreachable.
   common::NodeId find(const common::ComponentName& name);
 
   [[nodiscard]] bool is_shared(const common::ComponentName& name) const;
@@ -264,29 +255,40 @@ class MageClient {
  private:
   [[nodiscard]] const net::CostModel& model() const;
 
-  // One full lookup starting from best-known knowledge; nullopt if the
-  // chase dead-ends (caller may back off and retry).
-  std::optional<common::NodeId> try_find(const common::ComponentName& name);
+  // Runs the driver's event loop until `future` completes (the wait is
+  // skipped when it already has).  `awaited` names the op in errors.
+  template <typename R>
+  MageFuture<R> wait(MageFuture<R> future, common::VerbId awaited) {
+    if (!future.completed()) {
+      transport_.block_until([&future] { return future.completed(); },
+                             awaited);
+    }
+    return future;
+  }
 
-  // Replicated-directory fallback for try_find; nullopt when no
-  // DirectoryClient is configured or the quorum has no (fresh) record.
-  std::optional<common::NodeId> directory_find(
-      const common::ComponentName& name);
-
-  // Applies the epoch fence to a Moved hint: true = chase it (and the
-  // epoch knowledge was recorded), false = stale hint rejected (counted in
-  // "rts.stale_hints_rejected"; caller re-finds instead).
-  bool accept_hint(const common::ComponentName& name, common::NodeId hint,
-                   std::uint64_t hint_epoch);
+  // wait(), then the value.  A failure throws via rmi::throw_error, except
+  // that a plain remote error becomes Error(context + error): the type each
+  // op has always thrown (RemoteInvocationError, MageError, LockError).
+  template <typename Error = common::RemoteInvocationError, typename R>
+  R get(MageFuture<R> future, common::VerbId awaited,
+        const std::string& context = {}) {
+    future = wait(std::move(future), awaited);
+    if (future.has_error()) {
+      if (rmi::error_kind(future.error()) == rmi::ErrorKind::Remote) {
+        throw Error(context + future.error());
+      }
+      rmi::throw_error(future.error());
+    }
+    return std::move(future.value());
+  }
 
   rmi::Transport& transport_;
   MageServer& local_server_;
   Directory& directory_;
   const ClassWorld& world_;
   common::ActivityId activity_;
-  DirectoryClient* directory_client_ = nullptr;
-  // Highest confirmed placement epoch per name (see note_epoch).
-  std::map<common::ComponentName, std::uint64_t> known_epochs_;
+  // The chase every located op rides, on this client's node.
+  AsyncClient async_;
   // (target, class) pairs this client knows are cached remotely — lets a
   // cold push ship the image in one optimistic round trip while warm
   // pushes degrade to a small revalidation call.

@@ -15,7 +15,7 @@
 //     the highest epoch wins no matter the arrival order);
 //   * reads (dir.resolve) are answered by ANY member from its local copy.
 //     A follower's copy may trail the leader by an in-flight replication,
-//     which the reader's own epoch fence detects (MageClient ignores
+//     which the reader's own epoch fence detects (AsyncClient ignores
 //     resolutions older than what it has already confirmed).
 //
 // A non-leader answers an announce with Moved + its leader hint, which
@@ -86,7 +86,7 @@ class Director {
 };
 
 // Client-side view of the quorum: resolve/announce with leader-chasing
-// failover.  One per node that needs HA naming (wired into MageClient via
+// failover.  One per node that needs HA naming (wired into AsyncClient via
 // set_directory_client, or used directly by benches/tests).
 class DirectoryClient {
  public:

@@ -193,6 +193,46 @@ TEST(AsyncClientTest, ChaseRetriesPastStaleMovedHintUntilChainCatchesUp) {
   EXPECT_EQ(cluster.counter("rts.async_invokes"), 1);
 }
 
+// --- remote rejections fail at once ----------------------------------------
+
+TEST(AsyncClientTest, AccessDeniedInvokeFailsOnceWithTheDenial) {
+  Cluster cluster(2);
+  cluster.bind_counter("obj", /*home=*/1);
+  cluster.servers[1]->access().deny_node(Operation::Invoke, cluster.ids[0]);
+
+  AsyncClient client(*cluster.servers[0]);
+  auto invoked = client.invoke<std::int64_t>("obj", "increment");
+  ASSERT_TRUE(cluster.sim.run_until([&] { return invoked.completed(); }));
+
+  // A rejection is the server's final word: no re-locate, no re-send.
+  ASSERT_TRUE(invoked.has_error());
+  EXPECT_EQ(invoked.error().rfind("access denied", 0), 0u) << invoked.error();
+  EXPECT_EQ(cluster.counter("rts.access_denials"), 1);
+  EXPECT_EQ(cluster.counter("rts.async_relocates"), 0);
+}
+
+TEST(AsyncClientTest, StatusErrorSurfacesTheServersText) {
+  Cluster cluster(2);
+  ClassBuilder<testing::Grumpy>(cluster.world, "Grumpy")
+      .method("refuse", &testing::Grumpy::refuse);
+  ComponentInfo info;
+  info.name = "grumpy";
+  info.class_name = "Grumpy";
+  info.home = cluster.ids[1];
+  cluster.directory.announce(info);
+  cluster.servers[1]->class_cache().install("Grumpy");
+  cluster.servers[1]->registry().bind("grumpy",
+                                      cluster.world.instantiate("Grumpy"));
+
+  AsyncClient client(*cluster.servers[0]);
+  auto invoked = client.invoke<std::int64_t>("grumpy", "refuse");
+  ASSERT_TRUE(cluster.sim.run_until([&] { return invoked.completed(); }));
+
+  ASSERT_TRUE(invoked.has_error());
+  EXPECT_EQ(invoked.error(), "grumpy object refuses");
+  EXPECT_EQ(cluster.counter("rts.invocations"), 1);
+}
+
 // --- one-way verbs are never channel-retried -------------------------------
 
 TEST(AsyncClientTest, OnewayIgnoresRetryAndHedgePolicy) {

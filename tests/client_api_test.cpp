@@ -125,6 +125,27 @@ TEST_F(ClientApiFixture, HandleSurvivesAttributeDestruction) {
   EXPECT_EQ(handle.name(), "obj");
 }
 
+// The AsyncClientTest.ChaseRetriesPastStaleMovedHintUntilChainCatchesUp
+// scenario through the blocking client: n4's fence (epoch 3) outran the
+// static home's forwarding entry (n2 @ epoch 2), so the fenced lookup at
+// n1 dead-ends and only the chase's unfenced walk reaches the binding.
+TEST(ClientChase, FindWalksPastAFenceThatOutranTheChain) {
+  auto system = make_logic_system(4);
+  const common::NodeId n1{1}, n2{2}, n3{3}, n4{4};
+  system->client(n1).create_component("obj", "Counter", /*is_public=*/true);
+  system->client(n1).move("obj", n2);
+  system->client(n2).move("obj", n3);
+  const std::uint64_t fresh_epoch = system->client(n2).known_epoch("obj");
+  ASSERT_EQ(fresh_epoch, 3u);
+
+  auto& chaser = system->client(n4);
+  chaser.note_epoch("obj", fresh_epoch);
+  common::NodeId cloc = common::kNoNode;
+  EXPECT_EQ(chaser.invoke<std::int64_t>(cloc, "obj", "increment"), 1);
+  EXPECT_EQ(cloc, n3);
+  EXPECT_GE(system->stats().counter("rts.unfenced_walks"), 1);
+}
+
 TEST_F(ClientApiFixture, DefaultHandleIsInvalid) {
   core::RemoteHandle handle;
   EXPECT_FALSE(handle.valid());
