@@ -1,6 +1,8 @@
 #include "sim/sharded.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -10,6 +12,20 @@
 
 namespace mage::sim {
 namespace {
+
+using Clock = std::chrono::steady_clock;
+
+std::int64_t elapsed_ns(Clock::time_point from, Clock::time_point to) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(to - from)
+      .count();
+}
+
+// One worker's share of the run profile, written only by that worker.
+// Padded so workers never write one cache line.
+struct alignas(64) WorkerSlot {
+  ShardedSim::WorkerLoad load;
+  std::int64_t steals = 0;
+};
 
 // SplitMix64: spreads one master seed into decorrelated per-shard seeds.
 std::uint64_t splitmix64(std::uint64_t x) {
@@ -48,16 +64,7 @@ class ParkingBarrier {
   template <typename Completion>
   void arrive_and_wait(Completion&& completion) {
     const std::uint32_t gen = generation_.load(std::memory_order_acquire);
-    // acq_rel: each arriver's release publishes its round writes into the
-    // release sequence on arrived_; the last arriver's acquire therefore
-    // sees every party's writes before running the completion.
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == parties_) {
-      completion();
-      arrived_.store(0, std::memory_order_relaxed);
-      generation_.fetch_add(1, std::memory_order_release);
-      generation_.notify_all();
-      return;
-    }
+    if (arrive(completion)) return;
     for (int i = 0; i < spin_limit_; ++i) {
       if (generation_.load(std::memory_order_acquire) != gen) return;
       cpu_relax();
@@ -71,6 +78,24 @@ class ParkingBarrier {
         generation_.wait(gen, std::memory_order_acquire);
       }
     }
+  }
+
+  // Counts one arrival without waiting: the last arriver runs `completion`
+  // and releases the round (and gets true).  Alone, it stands in for a
+  // party that will never arrive.
+  template <typename Completion>
+  bool arrive(Completion&& completion) {
+    // acq_rel: each arriver's release publishes its round writes into the
+    // release sequence on arrived_; the last arriver's acquire therefore
+    // sees every party's writes before running the completion.
+    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 != parties_) {
+      return false;
+    }
+    completion();
+    arrived_.store(0, std::memory_order_relaxed);
+    generation_.fetch_add(1, std::memory_order_release);
+    generation_.notify_all();
+    return true;
   }
 
  private:
@@ -92,7 +117,9 @@ ShardedSim::ShardedSim(std::size_t shard_count, std::uint64_t seed,
       seed_(seed),
       la_(shard_count * shard_count, lookahead),
       min_in_la_(shard_count, lookahead),
-      window_ends_(shard_count, 0) {
+      window_ends_(shard_count, 0),
+      slots_(shard_count),
+      steal_order_(shard_count) {
   if (shard_count == 0) {
     throw common::MageError("sharded simulation needs at least one shard");
   }
@@ -106,6 +133,7 @@ ShardedSim::ShardedSim(std::size_t shard_count, std::uint64_t seed,
   for (std::size_t i = 0; i < shard_count; ++i) {
     shards_.push_back(std::make_unique<Simulation>(splitmix64(seed + i)));
   }
+  std::iota(steal_order_.begin(), steal_order_.end(), std::size_t{0});
 }
 
 void ShardedSim::set_pair_lookahead(std::size_t from, std::size_t to,
@@ -189,6 +217,17 @@ void ShardedSim::drain_shard(std::size_t s) {
   }
 }
 
+bool ShardedSim::run_shard(std::size_t s) {
+  drain_shard(s);
+  Simulation& sim = *shards_[s];
+  const std::int64_t before = sim.events_run();
+  const bool woke = sim.run_window(window_ends_[s]);
+  ShardSlot& slot = slots_[s];
+  slot.last_events = sim.events_run() - before;
+  slot.load.events += slot.last_events;
+  return woke;
+}
+
 void ShardedSim::control(const std::function<bool()>& done,
                          common::SimTime deadline) {
   if (failed_.load(std::memory_order_relaxed)) {
@@ -266,6 +305,15 @@ void ShardedSim::control(const std::function<bool()>& done,
       }
       window_ends_[s] = end;
     }
+    // Open the round's claims and rank the steal order by last window's
+    // work.
+    ++round_;
+    std::sort(steal_order_.begin(), steal_order_.end(),
+              [this](std::size_t a, std::size_t b) {
+                const std::int64_t ea = slots_[a].last_events;
+                const std::int64_t eb = slots_[b].last_events;
+                return ea != eb ? ea > eb : a < b;
+              });
     ++windows_;
   } catch (...) {
     std::lock_guard<std::mutex> lock(error_mutex_);
@@ -280,6 +328,7 @@ bool ShardedSim::run_until(const std::function<bool()>& done, int threads,
   if (running_.load(std::memory_order_relaxed)) {
     throw common::MageError("ShardedSim::run_until is not reentrant");
   }
+  profile_ = RunProfile{};
   if (done && done()) return true;
 
   const std::size_t shard_total = shards_.size();
@@ -308,48 +357,97 @@ bool ShardedSim::run_until(const std::function<bool()>& done, int threads,
   any_woke_.store(false, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
+  for (ShardSlot& slot : slots_) slot.load = ShardLoad{};
+  std::vector<WorkerSlot> worker_slots(workers);
 
   const unsigned hw = std::thread::hardware_concurrency();
   ParkingBarrier barrier(workers, hw != 0 && workers > hw);
+  const auto control_step = [&]() noexcept { control(done, deadline); };
+  const auto fail = [this](std::exception_ptr error) {
+    {
+      std::lock_guard<std::mutex> lock(error_mutex_);
+      if (!first_error_) first_error_ = std::move(error);
+    }
+    failed_.store(true, std::memory_order_relaxed);
+  };
 
   // One barrier per round: control (frontier, predicate, side swap, window
-  // bounds) runs as the barrier's completion, then every worker drains its
-  // shards' freshly swapped mailbox sides and runs its windows.  The drain
+  // bounds, steal order) runs as the barrier's completion, then every
+  // worker claims, drains and runs shards — its home block first, then any
+  // other worker's shard still unclaimed, both heaviest first.  The drain
   // races nothing — posts during the round target the other side.
   auto worker = [&](std::size_t w) {
-    const std::size_t begin = w * shard_total / workers;
-    const std::size_t end = (w + 1) * shard_total / workers;
+    const std::size_t home_begin = w * shard_total / workers;
+    const std::size_t home_end = (w + 1) * shard_total / workers;
+    WorkerSlot& me = worker_slots[w];
+    // `mark` is the end of the last interval charged: each clock read
+    // closes one interval and opens the next.
+    Clock::time_point mark = Clock::now();
+    bool woke = false;
+    const auto run = [&](std::size_t s) {
+      woke = run_shard(s) || woke;
+      const Clock::time_point t = Clock::now();
+      slots_[s].load.busy_ns += elapsed_ns(mark, t);
+      mark = t;
+    };
     while (true) {
-      barrier.arrive_and_wait([&]() noexcept { control(done, deadline); });
+      barrier.arrive_and_wait(control_step);
+      const Clock::time_point released = Clock::now();
+      me.load.wait_ns += elapsed_ns(mark, released);
+      mark = released;
       if (stop_) return;
-      bool woke = false;
+      woke = false;
       try {
-        for (std::size_t s = begin; s < end; ++s) {
-          drain_shard(s);
-          woke = shards_[s]->run_window(window_ends_[s]) || woke;
+        for (std::size_t s : steal_order_) {
+          if (s >= home_begin && s < home_end && claim(s)) run(s);
+        }
+        // Every home shard is claimed now, so any claim here is a steal.
+        for (std::size_t s : steal_order_) {
+          if (claim(s)) {
+            run(s);
+            ++me.steals;
+          }
         }
       } catch (...) {
-        {
-          std::lock_guard<std::mutex> lock(error_mutex_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        failed_.store(true, std::memory_order_relaxed);
+        fail(std::current_exception());
       }
+      me.load.busy_ns += elapsed_ns(released, mark);
       if (woke) any_woke_.store(true, std::memory_order_relaxed);
     }
   };
 
+  std::vector<std::thread> pool;
+  pool.reserve(workers - 1);
   running_.store(true, std::memory_order_release);
-  if (workers == 1) {
-    worker(0);
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers - 1);
-    for (std::size_t w = 1; w < workers; ++w) pool.emplace_back(worker, w);
-    worker(0);
-    for (auto& t : pool) t.join();
+  bool spawned = true;
+  for (std::size_t w = 1; w < workers && spawned; ++w) {
+    try {
+      pool.emplace_back(worker, w);
+    } catch (const std::exception& e) {
+      // std::system_error (no thread left) or std::bad_alloc.  The workers
+      // already started wait at the first barrier for parties that will
+      // never come.  Fail the run and arrive in place of every missing
+      // party, this thread included: the control step then stops the run,
+      // and the started workers return to be joined.
+      fail(std::make_exception_ptr(common::MageError(
+          "ShardedSim::run_until could not start worker thread " +
+          std::to_string(w) + " of " + std::to_string(workers) + ": " +
+          e.what())));
+      for (std::size_t missing = w; missing <= workers; ++missing) {
+        (void)barrier.arrive(control_step);
+      }
+      spawned = false;
+    }
   }
+  if (spawned) worker(0);
+  for (auto& t : pool) t.join();
   running_.store(false, std::memory_order_release);
+
+  for (const ShardSlot& slot : slots_) profile_.shards.push_back(slot.load);
+  for (const WorkerSlot& slot : worker_slots) {
+    profile_.workers.push_back(slot.load);
+    profile_.steals += slot.steals;
+  }
 
   if (first_error_) std::rethrow_exception(first_error_);
   return success_;

@@ -31,11 +31,12 @@
 // is what makes clustering chatty node pairs profitable.
 //
 // Cross-shard sends travel through per-link mailboxes, double-buffered by
-// round: during a round the source shard's worker appends to the write
-// side of mailbox (from, to), while the destination shard's worker drains
-// the read side (everything posted last round).  The sides swap inside the
-// round barrier, so no mailbox is ever touched by two threads — the one
-// barrier per round is the only synchronization.  (The previous design
+// round: during a round the worker running the source shard appends to
+// the write side of mailbox (from, to), while the worker running the
+// destination shard drains the read side (everything posted last round).
+// The sides swap inside the round barrier, so no mailbox is touched by two
+// threads in one round — the one barrier per round is the only
+// synchronization.  (The previous design
 // needed two full barriers per round to separate the drain and run phases;
 // double-buffering removes that ordering requirement and halves the
 // barrier cost.)  The barrier itself is a centralized sense-reversing
@@ -43,9 +44,22 @@
 // oversubscribed runs (more workers than hardware threads) park almost
 // immediately instead of burning each other's quantum.
 //
+// Work balancing: each worker has a fixed *home* block of shards, which it
+// runs first every round, heaviest first — balanced runs keep every shard
+// on one core.  A worker whose home shards are done then steals the other
+// workers' still-unclaimed shards, heaviest first.  "Heaviest" is the
+// number of events the shard executed in its previous window (a
+// deterministic signal); control() sorts that steal order inside the
+// barrier.  A claim is one atomic exchange of the shard's round stamp, so
+// exactly one worker runs each shard per round.  Load that migrates with
+// MAGE objects onto a few hot nodes therefore spreads over all workers
+// instead of stalling every round on the one worker whose block holds
+// them.
+//
 // Determinism: the window sequence is a pure function of event timestamps,
-// so it does not depend on the worker count.  Within a window each shard
-// executes its own queue sequentially; equal-time events are ordered by
+// so it does not depend on the worker count, nor on which worker claimed
+// which shard.  Within a window each shard executes its own queue
+// sequentially; equal-time events are ordered by
 // the EventQueue tie key (deliveries carry their source node id), so the
 // events of every NODE fire in an identical order at any thread count AND
 // under any node:shard mapping — a property tests/sharded_sim_test.cpp
@@ -53,11 +67,13 @@
 // order digest on every run.
 //
 // Threading contract (audited; see docs/ARCHITECTURE.md):
-//   * shard state (queue, clock, RNG, stats) is touched only by the worker
-//     that owns the shard while running, and only by the driver thread
-//     while stopped;
-//   * post() may be called only from the source shard's worker (or from
-//     the driver while stopped);
+//   * shard state (queue, clock, RNG, stats) is touched, in a round, only
+//     by the one worker that claimed the shard that round, and only by the
+//     driver thread while stopped.  Successive rounds may run a shard on
+//     different workers; the round barrier orders one claimant's writes
+//     before the next claimant's reads;
+//   * post() may be called only from the worker running the source shard
+//     (or from the driver while stopped);
 //   * the driver predicate runs at round barriers with all workers
 //     parked, so it may read anything the shards wrote — but state it
 //     reads that is written from multiple shards' callbacks must be
@@ -176,6 +192,26 @@ class ShardedSim {
   // double-buffered-mailbox redesign).
   [[nodiscard]] std::int64_t windows() const { return windows_; }
 
+  // Where the last run's time went.  Wall-clock values live here, never in
+  // the shards' StatsRegistry, so counter dumps and digests stay
+  // deterministic; of these fields only ShardLoad::events is a function of
+  // the seed alone.
+  struct ShardLoad {
+    std::int64_t events = 0;   // events executed
+    std::int64_t busy_ns = 0;  // draining its mailboxes and running windows
+  };
+  struct WorkerLoad {
+    std::int64_t busy_ns = 0;  // from barrier release to its round's end
+    std::int64_t wait_ns = 0;  // inside the barrier, control step included
+  };
+  struct RunProfile {
+    std::vector<ShardLoad> shards;
+    std::vector<WorkerLoad> workers;
+    std::int64_t steals = 0;  // shard windows run off their home worker
+  };
+  // Driver-only; reset by each run_until.
+  [[nodiscard]] const RunProfile& last_run() const { return profile_; }
+
  private:
   struct Posted {
     common::SimTime at;
@@ -210,15 +246,36 @@ class ShardedSim {
     return inbound_[side * shards_.size() + to];
   }
 
+  // Per-shard scheduling state.  `claimed` holds the last round whose
+  // claim on the shard succeeded; the other fields are written by that
+  // round's claimant and read in control() inside the barrier.  Padded:
+  // every worker's steal pass reads the stamps.
+  struct alignas(64) ShardSlot {
+    std::atomic<std::uint64_t> claimed{0};
+    std::int64_t last_events = 0;  // events of its last window: steal rank
+    ShardLoad load;
+  };
+
+  // True for exactly one caller per shard per round.
+  bool claim(std::size_t s) {
+    std::atomic<std::uint64_t>& stamp = slots_[s].claimed;
+    return stamp.load(std::memory_order_relaxed) != round_ &&
+           stamp.exchange(round_, std::memory_order_relaxed) != round_;
+  }
+
   // Drains the read side of every inbound mailbox of shard `s` into its
-  // queue.  Runs on the shard's worker during the round, racing nothing:
+  // queue.  Runs on the shard's claimant during the round, racing nothing:
   // posts target the write side.
   void drain_shard(std::size_t s);
+
+  // Drains and runs shard `s`'s window; returns whether a waking event ran.
+  bool run_shard(std::size_t s);
 
   // The control step, run by exactly one thread inside the round barrier
   // (all workers parked): folds wake marks, evaluates the predicate,
   // computes the next window (frontier + per-shard bounds, swapping the
-  // mailbox sides) or decides to stop.
+  // mailbox sides, opening a new claim round and ranking the steal order)
+  // or decides to stop.
   void control(const std::function<bool()>& done, common::SimTime deadline);
 
   std::vector<std::unique_ptr<Simulation>> shards_;
@@ -239,6 +296,10 @@ class ShardedSim {
   // ordering.
   common::SimTime frontier_ = 0;
   std::vector<common::SimTime> window_ends_;  // per shard
+  std::vector<ShardSlot> slots_;              // per shard
+  // Shards by descending last-window events: every worker's claim order.
+  std::vector<std::size_t> steal_order_;
+  std::uint64_t round_ = 0;     // claim stamp; never reset, so never stale
   std::size_t write_side_ = 0;  // mailbox side posts go to this round
   bool stop_ = false;
   bool success_ = false;
@@ -248,6 +309,7 @@ class ShardedSim {
   std::atomic<bool> failed_{false};
   std::exception_ptr first_error_;
   std::mutex error_mutex_;
+  RunProfile profile_;
 };
 
 }  // namespace mage::sim

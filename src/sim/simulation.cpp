@@ -32,6 +32,7 @@ bool Simulation::step_event() {
   bool wake = false;
   auto action = queue_.pop(at, wake);
   now_ = at;
+  ++events_run_;
   action();
   if (wake) woken_ = true;
   return true;

@@ -92,6 +92,11 @@ class Simulation {
   // and re-checks the driver predicate at the window barrier.
   bool run_window(common::SimTime end);
 
+  // Events executed over this shard's lifetime.  The sharded driver diffs
+  // it around run_window to rank shards by their last window's work — a
+  // deterministic load signal, unlike wall time.
+  [[nodiscard]] std::int64_t events_run() const { return events_run_; }
+
   // --- wake-contract checking ----------------------------------------------
 
   // When enabled, run_until additionally evaluates its predicate after
@@ -123,6 +128,7 @@ class Simulation {
   common::Rng rng_;
   common::StatsRegistry stats_;
   bool woken_ = false;
+  std::int64_t events_run_ = 0;
 #ifdef NDEBUG
   bool wake_contract_checks_ = false;
 #else

@@ -45,11 +45,17 @@ net::CostModel lan_model() {
 // One delivery observed by a node: (caller, seq, shard-local sim time).
 using Observation = std::tuple<std::uint32_t, std::uint64_t, common::SimTime>;
 
-// Runs a small all-to-all echo mesh on the sharded engine and returns each
-// node's full observation log (order + timestamps).
-std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
-                                               int threads,
-                                               std::uint64_t seed) {
+struct MeshRun {
+  std::vector<std::vector<Observation>> observed;  // per node id
+  sim::ShardedSim::RunProfile profile;
+};
+
+// Runs a small echo mesh on the sharded engine, one shard per node, and
+// returns each node's full observation log (order + timestamps) and the
+// run profile.  Every node calls the first `targets` nodes (every other
+// node when `targets` is 0).
+MeshRun run_echo_mesh(int nodes, int calls_per_link, int threads,
+                      std::uint64_t seed, int targets = 0) {
   const net::CostModel model = lan_model();
   sim::ShardedSim ssim(static_cast<std::size_t>(nodes), seed,
                        net::Network::min_link_latency(model));
@@ -88,8 +94,9 @@ std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
   };
   std::vector<std::int64_t> completed(static_cast<std::size_t>(nodes) + 1, 0);
   std::vector<Pipe> pipes;
+  const int destinations = targets == 0 ? nodes : targets;
   for (int i = 0; i < nodes; ++i) {
-    for (int j = 0; j < nodes; ++j) {
+    for (int j = 0; j < destinations; ++j) {
       if (i != j) {
         pipes.push_back(
             Pipe{transports[i].get(), ids[j], 0, &completed[ids[i].value()]});
@@ -114,7 +121,7 @@ std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
   }
 
   const std::int64_t total =
-      static_cast<std::int64_t>(nodes) * (nodes - 1) * calls_per_link;
+      static_cast<std::int64_t>(pipes.size()) * calls_per_link;
   const bool done = ssim.run_until(
       [&] {
         std::int64_t sum = 0;
@@ -123,7 +130,13 @@ std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
       },
       threads);
   EXPECT_TRUE(done);
-  return observed;
+  return MeshRun{std::move(observed), ssim.last_run()};
+}
+
+std::vector<std::vector<Observation>> run_mesh(int nodes, int calls_per_link,
+                                               int threads,
+                                               std::uint64_t seed) {
+  return run_echo_mesh(nodes, calls_per_link, threads, seed).observed;
 }
 
 TEST(ShardedSim, SameSeedSameOrderAtAnyThreadCount) {
@@ -536,6 +549,77 @@ TEST(ShardedAffinity, MappingClustersHeavyEdgesWithinCapacity) {
   EXPECT_THROW(net::affinity_mapping(8, 0, {}), common::MageError);
   EXPECT_THROW(net::affinity_mapping(2, 2, {{0, 5, 1.0}}),
                common::MageError);
+}
+
+// --- work stealing across workers ------------------------------------------
+//
+// The skewed mesh: 16 nodes on 16 shards, and every call targets nodes 0
+// and 1 — the two hot shards sit in worker 0's home block at 2, 4 and 8
+// workers, the load MAGE creates when hot objects gather on a few nodes.
+// Idle workers steal the hot shards; which worker runs a shard must change
+// nothing a node observes.
+
+constexpr int kSkewNodes = 16;
+constexpr int kSkewTargets = 2;
+constexpr int kSkewCalls = 40;
+
+MeshRun run_skewed_mesh(int threads, std::uint64_t seed) {
+  return run_echo_mesh(kSkewNodes, kSkewCalls, threads, seed, kSkewTargets);
+}
+
+std::vector<std::int64_t> shard_events(const MeshRun& run) {
+  std::vector<std::int64_t> events;
+  for (const auto& shard : run.profile.shards) events.push_back(shard.events);
+  return events;
+}
+
+TEST(ShardedSteal, SkewedMeshIdenticalAtAnyWorkerCount) {
+  for (const std::uint64_t seed : {3ull, 5ull, 8ull}) {
+    const MeshRun one = run_skewed_mesh(1, seed);
+    // Every node's calls reach both hot nodes (each skips itself).
+    EXPECT_EQ(one.observed[1].size(), 15u * kSkewCalls);
+    EXPECT_EQ(one.observed[2].size(), 15u * kSkewCalls);
+    EXPECT_TRUE(one.observed[3].empty());
+    for (const int threads : {2, 4, 8}) {
+      const MeshRun many = run_skewed_mesh(threads, seed);
+      EXPECT_EQ(one.observed, many.observed)
+          << "seed " << seed << ", " << threads << " workers";
+    }
+  }
+}
+
+TEST(ShardedSteal, PerShardEventCountsIndependentOfWorkers) {
+  const MeshRun one = run_skewed_mesh(1, 13);
+  const std::vector<std::int64_t> events = shard_events(one);
+  ASSERT_EQ(events.size(), static_cast<std::size_t>(kSkewNodes));
+  // The skew is real: the two hot shards outwork every other shard.
+  for (std::size_t s = 2; s < events.size(); ++s) {
+    EXPECT_GT(events[0], events[s]) << "shard " << s;
+    EXPECT_GT(events[1], events[s]) << "shard " << s;
+  }
+  for (const int threads : {2, 4, 8}) {
+    EXPECT_EQ(events, shard_events(run_skewed_mesh(threads, 13)))
+        << threads << " workers";
+  }
+}
+
+TEST(ShardedSteal, OnlyMultipleWorkersSteal) {
+  const MeshRun one = run_skewed_mesh(1, 21);
+  EXPECT_EQ(one.profile.steals, 0);
+  ASSERT_EQ(one.profile.workers.size(), 1u);
+  EXPECT_GT(one.profile.workers[0].busy_ns, 0);
+
+  const MeshRun four = run_skewed_mesh(4, 21);
+  EXPECT_GE(four.profile.steals, 1);
+  ASSERT_EQ(four.profile.workers.size(), 4u);
+  std::int64_t shard_busy = 0;
+  for (const auto& shard : four.profile.shards) shard_busy += shard.busy_ns;
+  std::int64_t worker_busy = 0;
+  for (const auto& worker : four.profile.workers) {
+    worker_busy += worker.busy_ns;
+  }
+  // Workers are busy exactly while they run shards.
+  EXPECT_EQ(shard_busy, worker_busy);
 }
 
 }  // namespace
