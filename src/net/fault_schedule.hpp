@@ -1,24 +1,19 @@
 // Scheduled fault injection: a time-ordered program of fault events the
 // Network applies while a simulation runs.
 //
-// Ad-hoc fault mutation (`set_loss_rate`, `set_partitioned`, ...) is
-// driver-only and frozen while sharded workers run — a worker observing a
-// half-applied fault config would break both the threading contract and
-// determinism.  A FaultSchedule closes that gap: the driver builds the
+// Ad-hoc fault mutation (`set_loss_rate`, `set_partitioned`, ...) writes
+// every shard's copy of the fault state, so it is frozen while ShardedSim
+// workers run.  A FaultSchedule closes that gap: the driver builds the
 // whole fault program up front (loss-rate ramps, loss bursts, per-link
-// partitions and heals, node crash/restart), installs it with
-// `Network::set_fault_schedule`, and the network applies due entries
-// atomically —
-//
-//   * driver mode: at each entry's exact simulated time, as an ordinary
-//     (non-waking) event on the driver simulation;
-//   * sharded mode: at ShardedSim window boundaries, inside the barrier
-//     with every worker parked.  An entry takes effect at the first window
-//     whose start time (the conservative frontier) is >= the entry's
-//     nominal time.  Window boundaries are a pure function of event
-//     timestamps, so the quantization — and therefore every loss decision,
-//     drop, and retransmission downstream of it — is bit-identical at any
-//     worker-thread count.  One seed replays the whole chaos run.
+// partitions and heals, node crash/restart) and installs it with
+// `Network::set_fault_schedule`.  Each entry becomes one non-waking
+// applier event at its exact simulated time on every shard, and each
+// applier writes only its own shard's copy, which only that shard's
+// senders read.  An entry therefore takes effect at the same instant for
+// every sender, whatever shard it lives on — so every loss decision, drop
+// and retransmission downstream of it is bit-identical at any worker
+// count and under any node:shard mapping, one Simulation included.  One
+// seed replays the whole chaos run.
 //
 // Entries at equal times apply in insertion order (stable sort).  The
 // builder is value-semantic: build once, install on a network (or several

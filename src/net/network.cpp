@@ -18,13 +18,17 @@ std::pair<common::NodeId, common::NodeId> ordered_pair(common::NodeId a,
 }  // namespace
 
 Network::Network(sim::Simulation& sim, CostModel model)
-    : driver_sim_(&sim), model_(model) {
+    : shards_{&sim}, seed_(sim.seed()), model_(model), faults_(1) {
   faults_applied_ = sim.stats().counter_handle("net.faults_applied");
 }
 
 Network::Network(sim::ShardedSim& sharded, CostModel model,
                  std::vector<std::size_t> node_to_shard)
-    : sharded_(&sharded), model_(model), shard_map_(std::move(node_to_shard)) {
+    : sharded_(&sharded),
+      seed_(sharded.seed()),
+      model_(model),
+      shard_map_(std::move(node_to_shard)),
+      faults_(sharded.shard_count()) {
   if (min_link_latency(model_) < sharded.lookahead()) {
     throw common::MageError(
         "cost model's minimum cross-node delay (" +
@@ -32,6 +36,9 @@ Network::Network(sim::ShardedSim& sharded, CostModel model,
         "us) does not cover the sharded lookahead (" +
         std::to_string(sharded.lookahead()) +
         "us): a message could arrive inside the conservative window");
+  }
+  for (std::size_t s = 0; s < sharded.shard_count(); ++s) {
+    shards_.push_back(&sharded.shard(s));
   }
   if (shard_map_.empty()) {
     // Identity mapping: node i on shard i, the historical 1:1 layout.
@@ -48,30 +55,20 @@ Network::Network(sim::ShardedSim& sharded, CostModel model,
       }
     }
   }
-  // Faults apply at window boundaries (one thread, all workers parked);
-  // shard 0's registry is the conventional home for driver-side counters.
   faults_applied_ = sharded.shard(0).stats().counter_handle(
       "net.faults_applied");
 }
 
 Network::~Network() {
   // Schedule appliers capture `this`; leaving them behind would dangle.
-  // Sharded: uninstall the boundary hook — but only if it is still OURS
-  // (a newer Network on the same ShardedSim may have installed its own).
-  // Driver: cancel every not-yet-fired applier event.  Never mid-run in
-  // practice (the network outlives its runs), but stay noexcept.
-  if (hook_installed_ && !sharded_->running() &&
-      sharded_->boundary_hook_owner() == this) {
-    sharded_->set_boundary_hook(nullptr);
-  }
   cancel_fault_appliers();
 }
 
 void Network::cancel_fault_appliers() {
-  if (driver_sim_ != nullptr) {
-    for (sim::EventId id : fault_applier_events_) driver_sim_->cancel(id);
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    for (sim::EventId id : faults_[s].appliers) shards_[s]->cancel(id);
+    faults_[s].appliers.clear();
   }
-  fault_applier_events_.clear();
 }
 
 void Network::require_config_window(const char* what) const {
@@ -88,31 +85,32 @@ void Network::require_fault_window(const char* what) const {
     throw common::MageError(
         std::string(what) +
         " is frozen while sharded workers run: install a net::FaultSchedule "
-        "(Network::set_fault_schedule) before the run — its entries are "
-        "applied atomically at window boundaries, so faults can change "
-        "mid-run without breaking the threading contract or determinism");
+        "(Network::set_fault_schedule) before the run — each entry applies "
+        "at its exact time on every shard, so faults can change mid-run "
+        "without breaking the threading contract or determinism");
   }
 }
 
 common::NodeId Network::add_node(std::string label) {
   require_config_window("add_node");
-  if (sharded_ != nullptr && nodes_.size() >= shard_map_.size()) {
-    throw common::MageError("sharded network is full: the node:shard "
-                            "mapping covers " +
-                            std::to_string(shard_map_.size()) +
-                            " nodes, cannot add node '" + label + "'");
+  if (nodes_.size() == shard_map_.size()) {
+    if (sharded_ != nullptr) {
+      throw common::MageError("sharded network is full: the node:shard "
+                              "mapping covers " +
+                              std::to_string(shard_map_.size()) +
+                              " nodes, cannot add node '" + label + "'");
+    }
+    shard_map_.push_back(0);  // one Simulation: every node on shard 0
   }
   const common::NodeId id{static_cast<std::uint32_t>(nodes_.size() + 1)};
   NodeState state;
   state.label = std::move(label);
+  // Per-node loss stream, a function of the engine seed and the node id
+  // only — NOT of the shard — so chaos drop patterns survive remapping.
+  state.loss_rng = common::Rng(seed_ ^ (0x9E3779B97F4A7C15ull * id.value()));
   nodes_.push_back(std::move(state));
+  for (NodeState& node : nodes_) node.warm_to.resize(nodes_.size() + 1);
   NodeState& stored = nodes_.back();
-  if (sharded_ != nullptr) {
-    // Per-node loss stream, a function of the run seed and the node id
-    // only — NOT of the shard — so chaos drop patterns survive remapping.
-    stored.loss_rng =
-        common::Rng(sharded_->seed() ^ (0x9E3779B97F4A7C15ull * id.value()));
-  }
   auto& stats = node_sim(id).stats();
   stored.messages_sent = stats.counter_handle("net.messages_sent");
   stored.bytes_sent = stats.counter_handle("net.bytes_sent");
@@ -137,34 +135,9 @@ const Network::NodeState& Network::state(common::NodeId node) const {
   return nodes_[node.value() - 1];
 }
 
-sim::Simulation& Network::simulation() {
-  if (driver_sim_ == nullptr) {
-    throw common::MageError(
-        "Network::simulation() is driver-mode only: a sharded network has "
-        "one simulation context per node (use node_sim)");
-  }
-  return *driver_sim_;
-}
-
-sim::Simulation& Network::node_sim(common::NodeId node) {
-  if (driver_sim_ != nullptr) return *driver_sim_;
-  assert(node.value() >= 1 && node.value() <= shard_map_.size());
-  return sharded_->shard(shard_map_[node.value() - 1]);
-}
-
-std::size_t Network::shard_of(common::NodeId node) const {
-  if (sharded_ == nullptr) {
-    throw common::MageError(
-        "Network::shard_of is sharded-mode only: driver mode has no shards");
-  }
-  assert(node.value() >= 1 && node.value() <= shard_map_.size());
-  return shard_map_[node.value() - 1];
-}
-
 void Network::refresh_pair_lookaheads() {
   require_config_window("refresh_pair_lookaheads");
-  if (sharded_ == nullptr) return;
-  const std::size_t shard_total = sharded_->shard_count();
+  const std::size_t shard_total = shards_.size();
   const common::SimDuration base = min_link_latency(model_);
   // Tightest delay per directed shard pair: base + the smallest extra
   // latency among that pair's links (unconfigured links have extra 0, and
@@ -201,7 +174,6 @@ void Network::refresh_pair_lookaheads() {
 }
 
 void Network::validate_pair_lookaheads() const {
-  if (sharded_ == nullptr) return;
   const common::SimDuration base = min_link_latency(model_);
   for (std::uint32_t a = 1; a <= nodes_.size(); ++a) {
     for (std::uint32_t b = 1; b <= nodes_.size(); ++b) {
@@ -251,76 +223,55 @@ std::vector<common::NodeId> Network::node_ids() const {
 
 void Network::send(Message msg) {
   NodeState& from = state(msg.from);
-  sim::Simulation& sender_sim = node_sim(msg.from);
+  const std::size_t shard = shard_of(msg.from);
+  const std::size_t to_shard = shard_of(msg.to);
+  sim::Simulation& sender_sim = *shards_[shard];
+  // The sender's shard copy: its appliers keep it current to this instant.
+  const FaultState& faults = faults_[shard];
 
   ++*from.messages_sent;
   *from.bytes_sent += static_cast<std::int64_t>(msg.wire_size());
 
   const common::SimTime sent_at = sender_sim.now();
   const bool loopback = msg.from == msg.to;
-  // Loss draws: the shared driver RNG in driver mode, the sender's own
-  // stream in sharded mode (a per-node function of the seed, so drop
-  // patterns survive node:shard remapping — a shard stream would braid
-  // co-located senders' draws together).
-  common::Rng& loss_rng =
-      sharded_ != nullptr ? from.loss_rng : sender_sim.rng();
-
-  if (!loopback && (from.down || state(msg.to).down)) {
+  const auto drop = [&](bool by_schedule) {
     ++*from.messages_dropped;
-    if (from.down_by_schedule || state(msg.to).down_by_schedule) {
-      ++*from.messages_dropped_by_schedule;
-    }
+    if (by_schedule) ++*from.messages_dropped_by_schedule;
     if (tracing_) {
       trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
                                   msg.wire_size(), true});
     }
-    return;
-  }
+  };
 
-  if (!loopback && partitions_.contains(ordered_pair(msg.from, msg.to))) {
-    ++*from.messages_dropped;
-    if (scheduled_partitions_.contains(ordered_pair(msg.from, msg.to))) {
-      ++*from.messages_dropped_by_schedule;
+  if (!loopback) {
+    if (faults.down.contains(msg.from) || faults.down.contains(msg.to)) {
+      drop(faults.scheduled_down.contains(msg.from) ||
+           faults.scheduled_down.contains(msg.to));
+      return;
     }
-    if (tracing_) {
-      trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
-                                  msg.wire_size(), true});
+    const Link pair = ordered_pair(msg.from, msg.to);
+    if (faults.partitions.contains(pair)) {
+      drop(faults.scheduled_partitions.contains(pair));
+      return;
     }
-    return;
-  }
-
-  if (!loopback && loss_rate_ > 0.0 && loss_rng.next_bool(loss_rate_)) {
-    ++*from.messages_dropped;
-    if (loss_from_schedule_) ++*from.messages_dropped_by_schedule;
-    MAGE_DEBUG() << "dropped " << msg.label() << " " << msg.from << " -> "
-                 << msg.to;
-    if (tracing_) {
-      trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
-                                  msg.wire_size(), true});
+    if (faults.loss_rate > 0.0 && from.loss_rng.next_bool(faults.loss_rate)) {
+      MAGE_DEBUG() << "dropped " << msg.label() << " " << msg.from << " -> "
+                   << msg.to;
+      drop(faults.loss_from_schedule);
+      return;
     }
-    return;
-  }
-
-  // Per-link loss, layered after the global draw.  The RNG is consulted
-  // only when this directed link has a nonzero rate, so runs without
-  // per-link faults replay the exact same random stream as before.
-  if (!loopback && !link_loss_.empty()) {
-    const auto link = std::make_pair(msg.from, msg.to);
-    const auto it = link_loss_.find(link);
-    if (it != link_loss_.end() && it->second > 0.0 &&
-        loss_rng.next_bool(it->second)) {
-      ++*from.messages_dropped;
+    // Per-link loss, layered after the global draw.  The RNG is consulted
+    // only when this directed link has a nonzero rate, so runs without
+    // per-link faults replay the exact same random stream as before.
+    const Link link{msg.from, msg.to};
+    if (const auto it = faults.link_loss.find(link);
+        it != faults.link_loss.end() && it->second > 0.0 &&
+        from.loss_rng.next_bool(it->second)) {
       ++*from.messages_dropped_by_link_loss;
       ++from.link_loss_drops_to[msg.to];
-      if (scheduled_link_loss_.contains(link)) {
-        ++*from.messages_dropped_by_schedule;
-      }
       MAGE_DEBUG() << "link-dropped " << msg.label() << " " << msg.from
                    << " -> " << msg.to;
-      if (tracing_) {
-        trace_.push_back(TraceEntry{sent_at, -1, msg.from, msg.to, msg.label(),
-                                    msg.wire_size(), true});
-      }
+      drop(faults.scheduled_link_loss.contains(link));
       return;
     }
   }
@@ -331,25 +282,16 @@ void Network::send(Message msg) {
   } else {
     delay = model_.propagation_us + model_.wire_time(msg.wire_size()) +
             model_.per_message_cpu_us;
-    auto link = std::make_pair(msg.from, msg.to);
-    if (auto it = extra_latency_.find(link); it != extra_latency_.end()) {
+    if (auto it = extra_latency_.find({msg.from, msg.to});
+        it != extra_latency_.end()) {
       delay += it->second;
     }
-    if (driver_sim_ != nullptr) {
-      // One-time connection setup per unordered pair: once either side has
-      // connected, the TCP connection is reused in both directions.
-      if (warm_connections_.insert(ordered_pair(msg.from, msg.to)).second) {
-        delay += model_.connection_setup_us;
-        ++*from.connections_opened;
-      }
-    } else {
-      // Sharded mode: warmth is per DIRECTED link (each direction pays
-      // setup once) so the state stays owned by the sending shard — the
-      // unordered pair would be written from two shards.
-      if (from.warm_to.insert(msg.to).second) {
-        delay += model_.connection_setup_us;
-        ++*from.connections_opened;
-      }
+    // One-time connection setup per directed link, unless the peer's own
+    // connection already warmed it (see the accept at delivery below).
+    if (auto warm = from.warm_to[msg.to.value()]; !warm) {
+      warm = true;
+      delay += model_.connection_setup_us;
+      ++*from.connections_opened;
     }
   }
 
@@ -369,8 +311,8 @@ void Network::send(Message msg) {
       // actually preserved that order.
       msg.wire_seq = ++from.next_wire_seq_to[msg.to];
       // Epoch stamp: which incarnation of this link the stamp belongs to.
-      // Crash/restart transitions bump it (see on_node_transition), telling
-      // the receiver the sender's counters may have started over.
+      // Crash/restart transitions bump it (see apply_fault), telling the
+      // receiver the sender's counters may have started over.
       msg.link_epoch = link_epoch(msg.from, msg.to);
     }
   }
@@ -390,6 +332,10 @@ void Network::send(Message msg) {
                                    "' has no message handler installed");
     }
     ++*node.messages_delivered;
+    // The receiver accepts the connection: its replies ride it free.
+    // Written once, not per delivery: the bitmaps of nodes on other shards
+    // may share its cache line.
+    if (auto warm = node.warm_to[msg.from.value()]; !warm) warm = true;
     if (fifo_checks_ && msg.wire_seq != 0) {
       // Receiver-owned monotonicity check (this runs on the destination's
       // shard).  Gaps are fine — drops consume no stamp — but any
@@ -417,14 +363,13 @@ void Network::send(Message msg) {
   // which mechanism (direct schedule below vs. mailbox drain) inserted
   // them — the keystone of the mapping-independence contract.
   const std::uint32_t tie = msg.from.value();
-  if (loopback || driver_sim_ != nullptr ||
-      shard_map_[msg.from.value() - 1] == shard_map_[msg.to.value() - 1]) {
-    // Same engine context (driver mode, loopback, or co-located nodes in
-    // sharded mode): schedule straight into the shared queue.  This is the
-    // affinity-mapping payoff — an intra-shard message costs no mailbox,
-    // no barrier wait, and does not constrain the lookahead matrix.  Its
-    // TIMING is identical to the cross-shard path above, so the mapping
-    // never changes when a message arrives, only what carries it.
+  if (to_shard == shard) {
+    // Sender and receiver share a shard (always, over one Simulation):
+    // schedule straight into its queue.  This is the affinity-mapping
+    // payoff — an intra-shard message costs no mailbox, no barrier wait,
+    // and does not constrain the lookahead matrix.  Its TIMING is
+    // identical to the cross-shard path below, so the mapping never
+    // changes when a message arrives, only what carries it.
     sender_sim.schedule_at(deliver_at, std::move(deliver), sim::Wake::No, tie);
   } else {
     // Cross-shard: into the shard-pair mailbox; the destination shard
@@ -432,33 +377,32 @@ void Network::send(Message msg) {
     // pair's lookahead entry (validate_pair_lookaheads enforces the matrix
     // never over-promises), so the event always lands outside the current
     // conservative window.
-    sharded_->post(shard_map_[msg.from.value() - 1],
-                   shard_map_[msg.to.value() - 1], deliver_at,
-                   std::move(deliver), sim::Wake::No, tie);
+    sharded_->post(shard, to_shard, deliver_at, std::move(deliver),
+                   sim::Wake::No, tie);
+  }
+}
+
+void Network::apply_everywhere(const FaultEvent& event) {
+  for (std::size_t s = 0; s < faults_.size(); ++s) {
+    apply_fault(s, event, /*scheduled=*/false);
   }
 }
 
 void Network::set_loss_rate(double p) {
   require_fault_window("set_loss_rate");
-  loss_rate_ = p;
-  loss_from_schedule_ = false;
+  apply_everywhere(FaultEvent{0, FaultKind::LossRate, p, {}, {}});
 }
 
 void Network::set_link_loss_rate(common::NodeId from, common::NodeId to,
                                  double p) {
   require_fault_window("set_link_loss_rate");
-  const auto link = std::make_pair(from, to);
-  if (p > 0.0) {
-    link_loss_[link] = p;
-  } else {
-    link_loss_.erase(link);
-  }
-  scheduled_link_loss_.erase(link);
+  apply_everywhere(FaultEvent{0, FaultKind::LinkLoss, p, from, to});
 }
 
 double Network::link_loss_rate(common::NodeId from, common::NodeId to) const {
-  const auto it = link_loss_.find({from, to});
-  return it == link_loss_.end() ? 0.0 : it->second;
+  const auto& link_loss = faults_[shard_of(from)].link_loss;
+  const auto it = link_loss.find({from, to});
+  return it == link_loss.end() ? 0.0 : it->second;
 }
 
 std::int64_t Network::link_loss_drops(common::NodeId from,
@@ -471,18 +415,14 @@ std::int64_t Network::link_loss_drops(common::NodeId from,
 void Network::set_partitioned(common::NodeId a, common::NodeId b,
                               bool partitioned) {
   require_fault_window("set_partitioned");
-  const auto link = ordered_pair(a, b);
-  if (partitioned) {
-    if (partitions_.insert(link).second) ++link_epochs_[link];
-  } else {
-    if (partitions_.erase(link) != 0) ++link_epochs_[link];
-  }
-  scheduled_partitions_.erase(link);
+  apply_everywhere(FaultEvent{
+      0, partitioned ? FaultKind::Partition : FaultKind::Heal, 0.0, a, b});
 }
 
 std::int64_t Network::link_epoch(common::NodeId a, common::NodeId b) const {
-  const auto it = link_epochs_.find(ordered_pair(a, b));
-  return it == link_epochs_.end() ? 0 : it->second;
+  const auto& epochs = faults_[shard_of(a)].link_epochs;
+  const auto it = epochs.find(ordered_pair(a, b));
+  return it == epochs.end() ? 0 : it->second;
 }
 
 void Network::set_fifo_checks(bool on) {
@@ -505,99 +445,120 @@ void Network::set_fault_schedule(FaultSchedule schedule) {
           "nodes before set_fault_schedule)");
     }
   }
-  // Replacing a schedule orphans its driver-mode appliers: cancel them.
+  // Replacing a schedule orphans its appliers: cancel them.
   cancel_fault_appliers();
   fault_events_ = schedule.sorted();
-  next_fault_ = 0;
-
-  if (sharded_ != nullptr) {
-    // Applied inside the window barrier, before the window runs: every
-    // worker parked, so shards never observe a half-applied config, and
-    // the boundary times are a pure function of event timestamps, so the
-    // effective application times are identical at any worker count.
-    sharded_->set_boundary_hook(
-        [this](common::SimTime window_start) { apply_due_faults(window_start); },
-        /*owner=*/this);
-    hook_installed_ = true;
-  } else {
-    // Driver mode: one (non-waking) event per entry at its exact time.
-    // The ids are kept so a replaced schedule or a destroyed network can
-    // cancel appliers that have not fired yet.
-    fault_applier_events_.reserve(fault_events_.size());
+  // One non-waking applier per entry per shard, at the entry's exact time:
+  // a shard applies each entry to its own copy of the fault state before
+  // any same-instant delivery (deliveries carry tie >= 1), so every sender
+  // sees a fault from the same instant on, whatever shard it lives on.
+  // Same-time entries apply in schedule order (insertion order breaks the
+  // tie).
+  for (std::size_t s = 0; s < shards_.size(); ++s) {
+    FaultState& faults = faults_[s];
+    faults.applied = 0;
+    faults.appliers.reserve(fault_events_.size());
     for (const FaultEvent& e : fault_events_) {
-      const common::SimTime at = std::max(e.at, driver_sim_->now());
-      fault_applier_events_.push_back(driver_sim_->schedule_at(
-          at, [this] { apply_due_faults(driver_sim_->now()); },
+      faults.appliers.push_back(shards_[s]->schedule_at(
+          std::max(e.at, shards_[s]->now()),
+          [this, s] {
+            FaultState& mine = faults_[s];
+            apply_fault(s, fault_events_[mine.applied++], /*scheduled=*/true);
+            if (s == 0) ++*faults_applied_;
+          },
           sim::Wake::No));
     }
   }
 }
 
-void Network::apply_due_faults(common::SimTime now) {
-  while (next_fault_ < fault_events_.size() &&
-         fault_events_[next_fault_].at <= now) {
-    apply_fault(fault_events_[next_fault_]);
-    ++next_fault_;
+std::size_t Network::pending_fault_events() const {
+  std::size_t pending = 0;
+  for (const FaultState& faults : faults_) {
+    pending = std::max(pending, fault_events_.size() - faults.applied);
   }
+  return pending;
 }
 
-void Network::apply_fault(const FaultEvent& event) {
+void Network::apply_fault(std::size_t shard, const FaultEvent& event,
+                          bool scheduled) {
+  FaultState& faults = faults_[shard];
+  // `scheduled` entries record their provenance; an ad-hoc mutation of the
+  // same fault clears it.
+  const auto mark = [scheduled](auto& provenance, const auto& key) {
+    if (scheduled) {
+      provenance.insert(key);
+    } else {
+      provenance.erase(key);
+    }
+  };
   switch (event.kind) {
     case FaultKind::LossRate:
-      loss_rate_ = event.loss_rate;
-      loss_from_schedule_ = true;
-      break;
+      faults.loss_rate = event.loss_rate;
+      faults.loss_from_schedule = scheduled;
+      return;
     case FaultKind::LinkLoss: {
-      const auto link = std::make_pair(event.a, event.b);
+      const Link link{event.a, event.b};
       if (event.loss_rate > 0.0) {
-        link_loss_[link] = event.loss_rate;
-        scheduled_link_loss_.insert(link);
+        faults.link_loss[link] = event.loss_rate;
+        mark(faults.scheduled_link_loss, link);
       } else {
-        link_loss_.erase(link);
-        scheduled_link_loss_.erase(link);
+        faults.link_loss.erase(link);
+        faults.scheduled_link_loss.erase(link);
       }
-      break;
+      return;
     }
     case FaultKind::Partition: {
-      const auto link = ordered_pair(event.a, event.b);
-      if (partitions_.insert(link).second) ++link_epochs_[link];
-      scheduled_partitions_.insert(link);
-      break;
+      const Link link = ordered_pair(event.a, event.b);
+      if (faults.partitions.insert(link).second) ++faults.link_epochs[link];
+      mark(faults.scheduled_partitions, link);
+      return;
     }
     case FaultKind::Heal: {
-      const auto link = ordered_pair(event.a, event.b);
-      if (partitions_.erase(link) != 0) ++link_epochs_[link];
-      scheduled_partitions_.erase(link);
-      break;
+      const Link link = ordered_pair(event.a, event.b);
+      if (faults.partitions.erase(link) != 0) ++faults.link_epochs[link];
+      faults.scheduled_partitions.erase(link);
+      return;
     }
-    case FaultKind::Crash: {
-      NodeState& node = state(event.a);
-      node.down = true;
-      node.down_by_schedule = true;
-      on_node_transition(event.a);
+    case FaultKind::Crash:
+    case FaultKind::Restart:
       break;
-    }
-    case FaultKind::Restart: {
-      NodeState& node = state(event.a);
-      node.down = false;
-      node.down_by_schedule = false;
-      on_node_transition(event.a);
-      break;
-    }
   }
-  ++*faults_applied_;
+  // Crash / restart.  The process loses its wire state: every link it
+  // touches becomes a new incarnation, and its own FIFO counters reset — a
+  // restarted sender starts stamping from 1 again, and the bumped epoch
+  // tells every receiver to reset its expectation rather than flag
+  // spurious fifo_violations.  No timing impact: none of this state feeds
+  // delay computation.
+  const common::NodeId node = event.a;
+  if (event.kind == FaultKind::Crash) {
+    faults.down.insert(node);
+    mark(faults.scheduled_down, node);
+  } else {
+    faults.down.erase(node);
+    faults.scheduled_down.erase(node);
+  }
+  for (std::uint32_t i = 1; i <= nodes_.size(); ++i) {
+    const common::NodeId other{i};
+    if (other != node) ++faults.link_epochs[ordered_pair(node, other)];
+  }
+  if (shard_of(node) == shard) {
+    NodeState& self = state(node);
+    self.next_wire_seq_to.clear();
+    self.last_wire_seq_from.clear();
+    self.last_wire_epoch_from.clear();
+  }
 }
 
 void Network::set_extra_latency(common::NodeId from, common::NodeId to,
                                 common::SimDuration extra) {
   require_config_window("set_extra_latency");
-  if (sharded_ != nullptr && extra < 0) {
+  if (shards_.size() > 1 && extra < 0) {
     // Negative "extra" would undercut the conservative lookahead the
     // construction-time check validated; ShardedSim::post would reject
     // the send mid-run anyway — fail at configuration time instead.
     throw common::MageError(
-        "negative extra link latency is not allowed on a sharded network "
-        "(it would undercut the conservative lookahead)");
+        "negative extra link latency is not allowed on a network with more "
+        "than one shard (it would undercut the conservative lookahead)");
   }
   extra_latency_[{from, to}] = extra;
 }
@@ -608,35 +569,15 @@ void Network::set_load(common::NodeId node, double load) {
 
 double Network::load(common::NodeId node) const { return state(node).load; }
 
-void Network::on_node_transition(common::NodeId node) {
-  // The crashed (or restarting) process loses its wire state: every link
-  // it touches becomes a new incarnation, and its own FIFO counters reset
-  // — a restarted sender starts stamping from 1 again, and the bumped
-  // epoch tells every receiver to reset its expectation rather than flag
-  // spurious fifo_violations.  No timing impact: none of this state feeds
-  // delay computation.  Runs only with faults frozen (driver / boundary
-  // hook), so touching foreign-node maps here is safe.
-  for (std::uint32_t i = 1; i <= nodes_.size(); ++i) {
-    const common::NodeId other{i};
-    if (other == node) continue;
-    ++link_epochs_[ordered_pair(node, other)];
-  }
-  NodeState& self = state(node);
-  self.next_wire_seq_to.clear();
-  self.last_wire_seq_from.clear();
-  self.last_wire_epoch_from.clear();
-}
-
 void Network::set_node_down(common::NodeId node, bool down) {
   require_fault_window("set_node_down");
-  if (state(node).down == down) return;
-  state(node).down = down;
-  state(node).down_by_schedule = false;
-  on_node_transition(node);
+  if (node_down(node) == down) return;
+  apply_everywhere(FaultEvent{
+      0, down ? FaultKind::Crash : FaultKind::Restart, 0.0, node, {}});
 }
 
 bool Network::node_down(common::NodeId node) const {
-  return state(node).down;
+  return faults_[shard_of(node)].down.contains(node);
 }
 
 void Network::set_domain(common::NodeId node, std::string domain) {
@@ -649,18 +590,17 @@ const std::string& Network::domain(common::NodeId node) const {
 }
 
 void Network::set_tracing(bool enabled) {
-  if (enabled && sharded_ != nullptr) {
+  if (enabled && shards_.size() > 1) {
     throw common::MageError(
-        "message tracing is driver-mode only: sharded workers would "
-        "interleave the trace stream");
+        "message tracing needs a one-shard network: workers running more "
+        "than one shard would interleave the trace stream");
   }
   tracing_ = enabled;
 }
 
 void Network::reset_connections() {
   require_config_window("reset_connections");
-  warm_connections_.clear();
-  for (auto& node : nodes_) node.warm_to.clear();
+  for (auto& node : nodes_) node.warm_to.assign(node.warm_to.size(), false);
 }
 
 }  // namespace mage::net

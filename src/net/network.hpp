@@ -11,40 +11,46 @@
 //   * fault injection: IID message loss, per-link partitions and node
 //     crashes, used by the at-most-once RMI tests ("protocols must recover
 //     from message loss", Section 4.3) — mutable ad-hoc while stopped, or
-//     mid-run through a scheduled net::FaultSchedule applied atomically at
-//     sharded window boundaries (see net/fault_schedule.hpp);
+//     mid-run through a scheduled net::FaultSchedule whose entries apply at
+//     their exact times on every shard (see net/fault_schedule.hpp);
 //   * tracing: optional per-message trace that benches turn into the
 //     paper's protocol figures;
 //   * a per-node load metric for load-directed mobility policies
 //     (the paper's `cloc.getLoad()`).
 //
-// Execution modes.  A Network runs over either
-//   * one driver sim::Simulation (the classic single-core mode: every node
-//     shares the queue, clock, RNG and stats registry), or
-//   * a sim::ShardedSim (multi-core mode): each node lives on the shard the
-//     node:shard mapping assigns it (identity — node i on shard i — by
-//     default; pass an affinity mapping to cluster chatty nodes, see
-//     net/affinity.hpp).  Delivery between co-located nodes is scheduled
-//     directly into the shared shard queue; cross-shard delivery is posted
-//     through the per-link mailboxes, and every cross-shard delay is >= the
+// Execution model.  Nodes live on shards — sim::Simulation contexts, each
+// with its own queue, clock, RNG and stats registry.  A Network over one
+// sim::Simulation is the one-shard case: every node on shard 0, no node
+// limit.  A Network over a sim::ShardedSim places node i on the shard the
+// node:shard mapping assigns it (identity — node i on shard i — by
+// default; pass an affinity mapping to cluster chatty nodes, see
+// net/affinity.hpp).  One set of rules covers every layout:
+//   * a message between nodes that share a shard is scheduled directly
+//     into that shard's queue; a cross-shard message is posted through the
+//     ShardedSim per-link mailboxes, and every cross-shard delay is >= the
 //     shard pair's lookahead matrix entry (refresh_pair_lookaheads derives
-//     the matrix from the cost model + per-link extra latency, so a WAN hop
-//     widens its shards' conservative windows).  Message TIMING is
-//     identical either way — the mapping changes which mechanism carries a
-//     message, never when it arrives — and deliveries carry their source
-//     node id as the event-queue tie key, so per-node event order is
-//     bit-identical under any mapping and any worker count.
-// The threading contract in sharded mode (enforced, not advisory): all
-// configuration — adding nodes, handlers, fault injection, tracing — is
-// driver-only and throws while workers run; per-node state (counters,
-// connection warmth, ordering floors, the loss RNG, the load metric) is
-// only ever touched from the owning node's shard.  See
-// docs/ARCHITECTURE.md.
+//     the matrix from the cost model + per-link extra latency).  Message
+//     TIMING is identical either way, and deliveries carry their source
+//     node id as the event-queue tie key;
+//   * connection warmth is per directed link and owned by the sender; a
+//     delivery warms the receiver's reverse direction (a TCP accept);
+//   * loss draws come from a per-node stream seeded from the engine seed
+//     and the node id;
+//   * each fault-schedule entry applies at its exact time on every shard,
+//     to that shard's own copy of the fault state.
+// So per-node event order is bit-identical under any mapping and any
+// worker count, one Simulation included.
+// The threading contract (enforced, not advisory): all configuration —
+// adding nodes, handlers, ad-hoc fault injection, tracing — throws while
+// ShardedSim workers run; per-node state (counters, connection warmth,
+// ordering floors, the loss stream, the load metric) is only ever touched
+// from the owning node's shard, and a shard reads only its own copy of the
+// fault state.  See docs/ARCHITECTURE.md.
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <map>
-#include <optional>
 #include <set>
 #include <string>
 #include <utility>
@@ -64,13 +70,13 @@ class Network {
  public:
   using Handler = std::function<void(Message)>;
 
-  // Driver mode: all nodes share `sim`.
+  // One shard: every node on `sim`, no node limit.
   Network(sim::Simulation& sim, CostModel model);
 
-  // Sharded mode.  `node_to_shard` maps node i (the i-th add_node, NodeId
-  // i+1) to its shard; at most node_to_shard.size() nodes may be added.
-  // Empty (the default) means the identity mapping — node i on shard i,
-  // capacity sharded.shard_count().  Build a clustering mapping with
+  // `node_to_shard` maps node i (the i-th add_node, NodeId i+1) to its
+  // shard; at most node_to_shard.size() nodes may be added.  Empty (the
+  // default) means the identity mapping — node i on shard i, capacity
+  // sharded.shard_count().  Build a clustering mapping with
   // net::affinity_mapping().  Requires the model's minimum cross-node
   // delay to cover the sharded base lookahead (checked at construction).
   Network(sim::ShardedSim& sharded, CostModel model,
@@ -79,7 +85,7 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Uninstalls this network's ShardedSim boundary hook, if one was set.
+  // Cancels this network's fault appliers that have not fired yet.
   ~Network();
 
   // --- topology -------------------------------------------------------
@@ -97,32 +103,32 @@ class Network {
 
   // Sends msg; delivery is scheduled on the simulation.  A message to the
   // sender's own node is delivered after local_invoke_us with no wire cost
-  // and is never dropped (loopback).  In sharded mode this must run on the
-  // sending node's shard (true by construction: sends originate from
-  // transports, whose events run on their own shard).
+  // and is never dropped (loopback).  Must run on the sending node's shard
+  // (true by construction: sends originate from transports, whose events
+  // run on their own shard).
   void send(Message msg);
 
   // --- fault injection --------------------------------------------------
   //
-  // The ad-hoc mutators below are driver-only and frozen while sharded
-  // workers run (they throw, pointing at FaultSchedule).  To change faults
-  // MID-RUN, install a FaultSchedule: the network applies its entries
-  // atomically — at each entry's exact time in driver mode, at window
-  // boundaries (workers parked) in sharded mode — so one seed replays the
-  // whole chaos run bit-identically at any worker count.
+  // The ad-hoc mutators below write every shard's copy of the fault state,
+  // so they are frozen while ShardedSim workers run (they throw, pointing
+  // at FaultSchedule).  To change faults MID-RUN, install a FaultSchedule:
+  // each entry applies at its exact time on every shard, so one seed
+  // replays the whole chaos run bit-identically at any worker count and
+  // under any node:shard mapping.
 
   // IID probability that a non-loopback message is dropped in flight.
   void set_loss_rate(double p);
 
   // IID loss probability for the DIRECTED link from -> to, layered on top
   // of the global rate (a message must survive both draws).  0 removes the
-  // per-link rate.
+  // per-link rate.  The reader sees the sender's shard copy.
   void set_link_loss_rate(common::NodeId from, common::NodeId to, double p);
   [[nodiscard]] double link_loss_rate(common::NodeId from,
                                       common::NodeId to) const;
 
   // Provenance: messages dropped by the per-link loss rate on the directed
-  // link from -> to.  Driver-only read (while stopped) in sharded mode.
+  // link from -> to.  Read from the driver while workers are stopped.
   [[nodiscard]] std::int64_t link_loss_drops(common::NodeId from,
                                              common::NodeId to) const;
 
@@ -132,27 +138,28 @@ class Network {
   // Crashes / restarts a node: while down, every message to or from it is
   // dropped (its hosted objects are lost to the federation until restart —
   // MAGE has no replication; callers see timeouts and forwarding chains
-  // pointing into the void).
+  // pointing into the void).  node_down reads the node's own shard copy.
   void set_node_down(common::NodeId node, bool down);
   [[nodiscard]] bool node_down(common::NodeId node) const;
 
-  // Installs `schedule` (replacing any previous one, applied or not).
-  // Driver-only while stopped; entries referencing unknown nodes throw.
-  // Applied-by-schedule faults are additionally accounted in the
-  // "net.faults_applied" counter (driver registry / shard 0) and drops
-  // they cause in the per-node "net.messages_dropped_by_schedule".
+  // Installs `schedule` (replacing any previous one, applied or not): one
+  // non-waking applier event per entry at its exact time (or now, if that
+  // has passed) on every shard.  Configuration, so frozen while workers
+  // run; entries referencing unknown nodes throw.  Each applied entry
+  // counts once in "net.faults_applied" (shard 0's registry), and drops
+  // the schedule's faults cause count in the per-node
+  // "net.messages_dropped_by_schedule".
   void set_fault_schedule(FaultSchedule schedule);
 
-  // Entries not yet applied (introspection for tests/benches).
-  [[nodiscard]] std::size_t pending_fault_events() const {
-    return fault_events_.size() - next_fault_;
-  }
+  // The most entries any shard still has to apply (introspection for
+  // tests/benches).
+  [[nodiscard]] std::size_t pending_fault_events() const;
 
   // Number of transitions applied to the (a, b) link, by schedule or
   // ad-hoc mutator — each cut and each heal bumps the epoch, as does each
   // crash and each restart of either endpoint (a restarted node's wire
-  // state is gone, so its links are new incarnations).  Driver-only read
-  // (while stopped) in sharded mode.
+  // state is gone, so its links are new incarnations).  Reads a's shard
+  // copy.
   [[nodiscard]] std::int64_t link_epoch(common::NodeId a,
                                         common::NodeId b) const;
 
@@ -161,7 +168,7 @@ class Network {
   // state) and verified monotonic at delivery (receiver-owned state);
   // violations bump the receiver's "net.fifo_violations" counter.  Off by
   // default (two map touches per message); the chaos harness turns it on
-  // to assert per-link FIFO holds across partition heals.  Driver-only.
+  // to assert per-link FIFO holds across partition heals.  Configuration.
   void set_fifo_checks(bool on);
   [[nodiscard]] bool fifo_checks() const { return fifo_checks_; }
 
@@ -171,9 +178,9 @@ class Network {
 
   // --- load metric --------------------------------------------------------
 
-  // Contract: in sharded mode, call from the driver while stopped or from
-  // the owning node's shard; reading another node's load mid-run is what
-  // the `mage.get_load` RMI verb is for.
+  // Contract: call from the driver while stopped or from the owning
+  // node's shard; reading another node's load mid-run is what the
+  // `mage.get_load` RMI verb is for.
   void set_load(common::NodeId node, double load);
   [[nodiscard]] double load(common::NodeId node) const;
 
@@ -189,8 +196,8 @@ class Network {
 
   [[nodiscard]] const CostModel& cost_model() const { return model_; }
 
-  // Driver mode only (the trace is a single ordered stream; sharded
-  // workers would interleave it): throws in sharded mode.
+  // The trace is a single ordered stream, so tracing throws on a network
+  // with more than one shard (their workers would interleave it).
   void set_tracing(bool enabled);
   [[nodiscard]] const std::vector<TraceEntry>& trace() const { return trace_; }
   void clear_trace() { trace_.clear(); }
@@ -199,19 +206,19 @@ class Network {
   // connection setup again (benches use this between "single" runs).
   void reset_connections();
 
-  // The driver simulation; throws in sharded mode (there is no single
-  // universe — use node_sim()).
-  [[nodiscard]] sim::Simulation& simulation();
+  // The simulation context a node's events run on: its shard.
+  [[nodiscard]] sim::Simulation& node_sim(common::NodeId node) {
+    return *shards_[shard_of(node)];
+  }
 
-  // The simulation context a node's events run on: the shared driver sim
-  // in driver mode, the node's shard in sharded mode.
-  [[nodiscard]] sim::Simulation& node_sim(common::NodeId node);
+  [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
 
-  [[nodiscard]] bool is_sharded() const { return sharded_ != nullptr; }
-  [[nodiscard]] sim::ShardedSim* sharded() { return sharded_; }
-
-  // The shard a node's events run on (sharded mode; throws in driver mode).
-  [[nodiscard]] std::size_t shard_of(common::NodeId node) const;
+  // The shard a node's events run on (0 for every node over one
+  // Simulation).
+  [[nodiscard]] std::size_t shard_of(common::NodeId node) const {
+    assert(node.value() >= 1 && node.value() <= shard_map_.size());
+    return shard_map_[node.value() - 1];
+  }
 
   // Recomputes the ShardedSim pair-lookahead matrix from the cost model,
   // the per-link extra latencies and the node:shard mapping: entry (p, q)
@@ -219,7 +226,7 @@ class Network {
   // can experience (min_link_latency + the smallest extra latency among
   // those directed links).  Call after configuring extra latencies and
   // before running; ends by validating the installed matrix (below).
-  // Driver-only; a no-op in driver mode.
+  // Configuration; with one shard there is no matrix and it does nothing.
   void refresh_pair_lookaheads();
 
   // Checks the installed matrix against this network: every entry must be
@@ -227,7 +234,7 @@ class Network {
   // able to deliver faster than its shard pair's entry claims — a matrix
   // that over-promises would make ShardedSim::post throw mid-window (or,
   // unchecked, corrupt the conservative bound).  Throws naming the
-  // offending link.  Driver-only; a no-op in driver mode.
+  // offending link.
   void validate_pair_lookaheads() const;
 
   // The minimum delay any cross-node message can experience under `model`
@@ -240,25 +247,22 @@ class Network {
   }
 
  private:
+  using Link = std::pair<common::NodeId, common::NodeId>;
+
   struct NodeState {
     std::string label;
     Handler handler;
     double load = 0.0;
     std::string domain;
-    bool down = false;
     // Per TCP ordering: no message on a directed link may be delivered
     // before one sent earlier on the same link.  Owned by the SENDER (only
     // sends on the (this, to) link ever touch floor[to]), which is what
     // lets sharded workers apply floors without touching foreign state.
     std::map<common::NodeId, common::SimTime> earliest_delivery_to;
-    // Sharded mode: directed warm links (each direction pays connection
-    // setup once).  Driver mode uses the shared unordered-pair set below,
-    // matching real TCP connection reuse in both directions.
-    std::set<common::NodeId> warm_to;
-    // Crash state: `down` is the effective flag; `down_by_schedule` records
-    // whether the current down state was installed by the fault schedule
-    // (provenance for the messages_dropped_by_schedule counter).
-    bool down_by_schedule = false;
+    // By peer id: the directed links this node may send on without
+    // connection setup — the ones it opened, plus the ones a delivery from
+    // that peer accepted.
+    std::vector<bool> warm_to;
     // Wire-FIFO self-check state (only touched when fifo_checks_ is on):
     // next_wire_seq_to is sender-owned, last_wire_seq_from receiver-owned —
     // same shard-ownership split as the ordering floors.
@@ -270,16 +274,14 @@ class Network {
     // Per-link loss provenance, sender-owned (plain ints, not registry
     // counters: the key space is dynamic).
     std::map<common::NodeId, std::int64_t> link_loss_drops_to;
-    // Sharded mode: loss draws come from this per-NODE stream (seeded from
-    // the ShardedSim seed + the node id at add_node) rather than the shard
-    // RNG, so a node's drop pattern is a function of its own send sequence
-    // — identical under any node:shard mapping, which a shared shard
-    // stream could not be once two senders co-locate.  Driver mode keeps
-    // drawing from the shared driver RNG.
+    // Loss draws come from this per-NODE stream (seeded from the engine
+    // seed + the node id at add_node), so a node's drop pattern is a
+    // function of its own send sequence — identical under any node:shard
+    // mapping, which a shared shard stream could not be once two senders
+    // co-locate.
     common::Rng loss_rng{0};
-    // Hot-path counters, resolved from the node's own stats registry at
-    // add_node (per-shard registries in sharded mode; all handles alias
-    // the same slots in driver mode).
+    // Hot-path counters, resolved from the node's own shard registry at
+    // add_node.
     std::int64_t* messages_sent = nullptr;
     std::int64_t* bytes_sent = nullptr;
     std::int64_t* messages_dropped = nullptr;
@@ -290,6 +292,31 @@ class Network {
     std::int64_t* fifo_violations = nullptr;
   };
 
+  // One shard's copy of the fault state.  The ad-hoc mutators write every
+  // copy while stopped; mid-run, a schedule entry's applier on shard s
+  // writes copy s only, and only shard s's senders read it.
+  struct FaultState {
+    double loss_rate = 0.0;
+    std::map<Link, double> link_loss;              // directed links
+    std::set<Link> partitions;                     // (lower, higher) id
+    std::set<common::NodeId> down;
+    // Link-transition count per (lower, higher) id pair: partition, heal,
+    // crash and restart each bump it.
+    std::map<Link, std::int64_t> link_epochs;
+    // Provenance: was the current loss rate / this link's loss / this
+    // partition / this crash installed by the schedule?  Drops they cause
+    // are double-counted into messages_dropped_by_schedule.
+    bool loss_from_schedule = false;
+    std::set<Link> scheduled_link_loss;
+    std::set<Link> scheduled_partitions;
+    std::set<common::NodeId> scheduled_down;
+    // Schedule entries applied here, and this shard's applier events
+    // (cancelled on schedule replacement and in the destructor: they
+    // capture `this`).
+    std::size_t applied = 0;
+    std::vector<sim::EventId> appliers;
+  };
+
   [[nodiscard]] NodeState& state(common::NodeId node);
   [[nodiscard]] const NodeState& state(common::NodeId node) const;
 
@@ -298,56 +325,29 @@ class Network {
   // Same freeze, but for the ad-hoc fault mutators: the error points at
   // FaultSchedule, the supported way to mutate faults mid-run.
   void require_fault_window(const char* what) const;
-
-  // Applies every schedule entry with at <= now, in order.  Driver mode:
-  // runs as ordinary simulation events.  Sharded mode: runs as the
-  // ShardedSim boundary hook, every worker parked.
-  void apply_due_faults(common::SimTime now);
-  void apply_fault(const FaultEvent& event);
-  // Crash/restart epoch discipline: every link incident to `node` becomes a
-  // new incarnation, and the node's own wire-FIFO state is forgotten (a
-  // fresh process restarts its sequence counters).
-  void on_node_transition(common::NodeId node);
-  // Cancels driver-mode applier events that have not fired yet.
+  // An ad-hoc mutation: applies `event` to every shard's copy.
+  void apply_everywhere(const FaultEvent& event);
+  // Applies `event` to shard `shard`'s copy; `scheduled` records its
+  // provenance.  A crash or restart also resets the node's own wire-FIFO
+  // state when `shard` is the node's shard, so that happens exactly once.
+  void apply_fault(std::size_t shard, const FaultEvent& event, bool scheduled);
+  // Cancels every shard's applier events that have not fired yet.
   void cancel_fault_appliers();
 
-  sim::Simulation* driver_sim_ = nullptr;
-  sim::ShardedSim* sharded_ = nullptr;
+  sim::ShardedSim* sharded_ = nullptr;  // null over one Simulation
+  std::vector<sim::Simulation*> shards_;
+  std::uint64_t seed_;  // the engine seed: per-node loss streams derive from it
   CostModel model_;
-  // Sharded mode: shard_map_[i] is node i+1's shard; its size is the node
-  // capacity.  Identity unless a mapping was passed at construction.
+  // shard_map_[i] is node i+1's shard.  Over a ShardedSim its size is the
+  // node capacity; over one Simulation it grows with add_node.
   std::vector<std::size_t> shard_map_;
   std::vector<NodeState> nodes_;
-  std::set<std::pair<common::NodeId, common::NodeId>> warm_connections_;
-  std::set<std::pair<common::NodeId, common::NodeId>> partitions_;
-  std::map<std::pair<common::NodeId, common::NodeId>, common::SimDuration>
-      extra_latency_;
-  double loss_rate_ = 0.0;
-  // Per-directed-link loss rates.  Mutated only from the driver while
-  // stopped or at window boundaries (workers parked); read from sender
-  // shards mid-run — same discipline as partitions_.
-  std::map<std::pair<common::NodeId, common::NodeId>, double> link_loss_;
+  std::map<Link, common::SimDuration> extra_latency_;
+  std::vector<FaultState> faults_;  // one copy per shard
+  std::vector<FaultEvent> fault_events_;  // the installed schedule, sorted
+  std::int64_t* faults_applied_ = nullptr;  // shard 0's registry
   bool tracing_ = false;
   std::vector<TraceEntry> trace_;
-
-  // --- scheduled fault state ------------------------------------------------
-  std::vector<FaultEvent> fault_events_;  // sorted; applied prefix < next_fault_
-  std::size_t next_fault_ = 0;
-  // Driver mode: pending applier events, cancelled on schedule replacement
-  // and in the destructor (they capture `this`).
-  std::vector<sim::EventId> fault_applier_events_;
-  bool hook_installed_ = false;
-  // Provenance: was the current loss rate / this partition / this crash
-  // installed by the schedule?  Drops they cause are double-counted into
-  // messages_dropped_by_schedule.
-  bool loss_from_schedule_ = false;
-  std::set<std::pair<common::NodeId, common::NodeId>> scheduled_partitions_;
-  // Directed links whose current per-link loss rate came from the schedule.
-  std::set<std::pair<common::NodeId, common::NodeId>> scheduled_link_loss_;
-  // Link-transition count per unordered link (partition/heal/crash/restart).
-  std::map<std::pair<common::NodeId, common::NodeId>, std::int64_t>
-      link_epochs_;
-  std::int64_t* faults_applied_ = nullptr;  // driver / shard-0 registry
   bool fifo_checks_ = false;
 };
 

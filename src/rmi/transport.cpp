@@ -345,7 +345,7 @@ serial::BufferChain Transport::call_sync(common::NodeId dest,
                                          serial::BufferChain body,
                                          CallOptions options) {
   // Checked before issuing: the callback below captures this frame.
-  require_driver_mode(verb);
+  require_one_shard(verb);
   std::optional<CallResult> result;
   call(
       dest, verb, std::move(body),
@@ -357,19 +357,21 @@ serial::BufferChain Transport::call_sync(common::NodeId dest,
 
 void Transport::block_until(const std::function<bool()>& done,
                             common::VerbId awaited) {
-  require_driver_mode(awaited);
+  require_one_shard(awaited);
   if (!sim_.run_until(done)) {
     throw common::TransportError("simulation drained while waiting for a '" +
                                  common::verb_name(awaited) + "' reply");
   }
 }
 
-void Transport::require_driver_mode(common::VerbId awaited) const {
-  if (network_.is_sharded()) {
+void Transport::require_one_shard(common::VerbId awaited) const {
+  if (network_.shard_count() > 1) {
     throw common::MageError(
         "blocking on a '" + common::verb_name(awaited) +
-        "' reply is driver-mode only: on a sharded network use the "
-        "asynchronous API and complete from the callback");
+        "' reply needs a one-shard network: this one has " +
+        std::to_string(network_.shard_count()) +
+        " shards, and the reply may depend on shards this thread would not "
+        "run — use the asynchronous API and complete from the callback");
   }
 }
 

@@ -240,9 +240,9 @@ class Transport {
   }
 
   // Runs the event loop until `done` holds: the one way driver code blocks
-  // on the network.  Driver mode only (throws MageError on a sharded
-  // network); throws TransportError if the simulation drains first.  The
-  // errors name the `awaited` reply's verb.
+  // on the network.  Needs a one-shard network (throws MageError on one
+  // with more than one shard); throws TransportError if the simulation
+  // drains first.  The errors name the `awaited` reply's verb.
   void block_until(const std::function<bool()>& done, common::VerbId awaited);
 
   // Synchronous call usable only from driver code (blocks until the reply
@@ -271,10 +271,10 @@ class Transport {
     sim::EventId retry_timer;  // outstanding timer, cancelled on completion
   };
 
-  // Throws unless on the driver engine: blocking here would spin one
-  // shard's queue while the reply depends on other shards making progress,
-  // a deadlock by construction.
-  void require_driver_mode(common::VerbId awaited) const;
+  // Throws when the network has more than one shard: blocking here would
+  // spin one shard's queue while the reply depends on other shards making
+  // progress, a deadlock by construction.
+  void require_one_shard(common::VerbId awaited) const;
 
   void on_message(net::Message msg);
   // The envelope is consumed (its body moved out) by the handlers.

@@ -3,8 +3,8 @@
 //
 // Every operation returns a MageFuture and delivers its completion on the
 // calling node's own shard, so application logic written as future chains
-// runs unchanged (and bit-identically) on the driver engine and on the
-// sharded engine at any worker count.  The blocking MageClient is a thin
+// runs unchanged (and bit-identically) on one Simulation and on a
+// ShardedSim at any worker count.  The blocking MageClient is a thin
 // wrapper: it issues the same operations and runs the driver's event loop
 // until their futures complete.
 //

@@ -1,5 +1,6 @@
 #include "rts/dist/rebalancer.hpp"
 
+#include <algorithm>
 #include <utility>
 
 namespace mage::rts::dist {
@@ -23,7 +24,9 @@ Rebalancer::Rebalancer(net::Network& net, AsyncClient& prober,
 sim::Simulation& Rebalancer::sim() { return mover_.simulation(); }
 
 void Rebalancer::start() {
-  sim().schedule_at(config_.start_at_us, [this] { tick(); }, sim::Wake::No);
+  // A rebalancer started mid-run ticks at once rather than in the past.
+  sim().schedule_at(std::max(config_.start_at_us, sim().now()),
+                    [this] { tick(); }, sim::Wake::No);
 }
 
 void Rebalancer::reschedule() {
@@ -32,6 +35,7 @@ void Rebalancer::reschedule() {
 }
 
 void Rebalancer::tick() {
+  sim().wake();  // ticks() is driver-visible
   ++ticks_done_;
   ++*tick_counter_;
   // Never stack rounds: a round still chasing probes through a fault

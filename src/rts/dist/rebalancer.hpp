@@ -16,9 +16,10 @@
 //     from the hottest one.  Work follows data: migrating the partition
 //     moves the apply/expand service cost to the idle node.
 //
-// Every tick is scheduled sim::Wake::No on the owning node's shard, and
-// every decision consumes only same-shard state and facade futures, so the
-// whole policy replays bit-identically at any worker count.
+// Every tick is scheduled sim::Wake::No on the owning node's shard and
+// wakes the simulation itself (ticks() is driver-visible), and every
+// decision consumes only same-shard state and facade futures, so the whole
+// policy replays bit-identically at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -63,7 +64,8 @@ class Rebalancer {
   Rebalancer(const Rebalancer&) = delete;
   Rebalancer& operator=(const Rebalancer&) = delete;
 
-  // Schedules the first tick.  Driver context, before the run starts.
+  // Schedules the first tick at config.start_at_us, or now if that has
+  // passed.  Driver context, while the run is stopped.
   void start();
 
   [[nodiscard]] std::int64_t moves_issued() const { return moves_issued_; }

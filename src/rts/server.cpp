@@ -23,8 +23,7 @@ MageServer::MageServer(rmi::Transport& transport, const ClassWorld& world,
 }
 
 sim::Simulation& MageServer::sim() {
-  // The node's own context: the shared driver sim in single-core mode,
-  // this node's shard in sharded mode (handlers run on that shard).
+  // The node's own context: the shard its handlers run on.
   return transport_.network().node_sim(transport_.self());
 }
 

@@ -279,10 +279,8 @@ void ShardedSim::control(const std::function<bool()>& done,
       return;
     }
     frontier_ = frontier;
-    // Boundary hook (fault schedules, window instrumentation): all workers
-    // are parked, so plain mutation of state the shards read mid-window is
-    // ordered by the barrier itself.  Runs before the window executes, so
-    // every event of [frontier, window_end) sees the updated state.
+    // Boundary hook (window instrumentation): all workers are parked, and
+    // it runs before the window executes.
     if (boundary_hook_) boundary_hook_(frontier);
     // Continue: swap the mailbox sides — last round's posts become the
     // coming round's drain side.  The swap happens ONLY on the continue

@@ -142,16 +142,15 @@ class ShardedSim {
   // Window-boundary hook: invoked inside the round barrier — every worker
   // parked — with the start time of the window about to run (the
   // conservative frontier), before any shard executes an event of that
-  // window.  This is the one place mid-run global mutation is safe: the
-  // barrier orders the hook's plain writes before every worker's reads, so
-  // shards never observe a half-applied change, and because the window
-  // sequence is a pure function of event timestamps the hook fires at
-  // identical virtual times at any worker count.  net::Network installs
-  // its FaultSchedule applier here.  The hook MUST be deterministic (no
-  // wall clock, no shared RNG) or the determinism contract is void.
-  // Driver-only; throws while workers run.  Pass nullptr to clear.
-  // `owner` tags the installer (opaque identity) so a layer tearing down
-  // can verify the installed hook is still its own before clearing.
+  // window.  It is instrumentation (bench_e2e times windows with it), not
+  // a way to change what the simulation computes: window boundaries depend
+  // on the node:shard mapping and the lookahead matrix, so state a hook
+  // mutated would reach shards at mapping-dependent times.  Mid-run changes
+  // that shards must observe go through ordinary events on every shard
+  // instead (net::FaultSchedule's appliers do).  Driver-only; throws while
+  // workers run.  Pass nullptr to clear.  `owner` tags the installer
+  // (opaque identity) so a layer tearing down can verify the installed hook
+  // is still its own before clearing.
   using BoundaryHook = std::function<void(common::SimTime window_start)>;
   void set_boundary_hook(BoundaryHook hook, const void* owner = nullptr);
   [[nodiscard]] const void* boundary_hook_owner() const {

@@ -1,7 +1,8 @@
 #include "sim/simulation.hpp"
 
-#include <cassert>
+#include <string>
 
+#include "common/error.hpp"
 #include "common/log.hpp"
 
 namespace mage::sim {
@@ -11,11 +12,16 @@ Simulation::Simulation(std::uint64_t seed)
       predicate_checks_(stats_.counter_handle("sim.predicate_checks")),
       wakeups_(stats_.counter_handle("sim.wakeups")),
       wake_contract_violations_(
-          stats_.counter_handle("sim.wake_contract_violations")) {}
+          stats_.counter_handle("sim.wake_contract_violations")),
+      seed_(seed) {}
 
 EventId Simulation::schedule_at(common::SimTime at, EventQueue::Action action,
                                 Wake wake, std::uint32_t tie) {
-  assert(at >= now_ && "cannot schedule into the past");
+  if (at < now_) [[unlikely]] {
+    throw common::MageError("cannot schedule an event into the past: at " +
+                            std::to_string(at) + "us, now " +
+                            std::to_string(now_) + "us");
+  }
   return queue_.schedule(at, std::move(action), wake == Wake::Yes, tie);
 }
 

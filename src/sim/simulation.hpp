@@ -41,10 +41,15 @@ class Simulation {
 
   [[nodiscard]] common::SimTime now() const { return now_; }
 
-  // `tie` orders same-instant events deterministically before insertion
-  // order (EventQueue tie key): the network stamps deliveries with their
-  // source node id so a node observes equal-time arrivals in source order
-  // regardless of the node:shard mapping or engine mode.  Ordinary events
+  // The construction seed.  rng() starts from it, and net::Network derives
+  // its per-node loss streams from it.
+  [[nodiscard]] std::uint64_t seed() const { return seed_; }
+
+  // Throws MageError when `at` is before now(): the clock never runs
+  // backwards.  `tie` orders same-instant events deterministically before
+  // insertion order (EventQueue tie key): the network stamps deliveries
+  // with their source node id so a node observes equal-time arrivals in
+  // source order regardless of the node:shard mapping.  Ordinary events
   // leave it 0 and run before any same-instant delivery.
   EventId schedule_at(common::SimTime at, EventQueue::Action action,
                       Wake wake = Wake::Yes, std::uint32_t tie = 0);
@@ -140,6 +145,7 @@ class Simulation {
   std::int64_t* predicate_checks_;
   std::int64_t* wakeups_;
   std::int64_t* wake_contract_violations_;
+  std::uint64_t seed_;
 };
 
 }  // namespace mage::sim

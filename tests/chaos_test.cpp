@@ -1,13 +1,15 @@
-// Deterministic chaos: scheduled fault injection on the sharded engine,
-// proven replayable from a single seed.
+// Deterministic chaos: scheduled fault injection, proven replayable from a
+// single seed.
 //
-// The property under test (ISSUE 5): with a net::FaultSchedule applied at
-// ShardedSim window boundaries, one seed yields a bit-identical run —
-// including every loss decision, drop, retransmission and re-delivery —
-// at ANY worker-thread count, while the RMI/rts guarantees (at-most-once,
-// per-link FIFO, no invoke lost once connectivity returns) hold
-// throughout.  The harness lives in tests/support/chaos_harness.hpp;
-// bench_storm --chaos re-runs the same machinery at bench scale.
+// The property under test: with a net::FaultSchedule whose entries apply
+// at their exact times on every shard, one seed yields a bit-identical run
+// — including every loss decision, drop, retransmission and re-delivery —
+// at ANY worker-thread count and under ANY engine layout (one Simulation,
+// one shard, a clustered mapping, the identity mapping), while the
+// RMI/rts guarantees (at-most-once, per-link FIFO, no invoke lost once
+// connectivity returns) hold throughout.  The harness lives in
+// tests/support/chaos_harness.hpp; bench_storm --chaos re-runs the same
+// machinery at bench scale.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -115,18 +117,51 @@ TEST(ChaosStorm, DifferentSeedsProduceDifferentChaos) {
   EXPECT_NE(a.node_digests, b.node_digests);
 }
 
-// The same workload + schedule on the single-queue driver engine: faults
-// apply at exact times instead of window boundaries, but every semantic
-// property must hold identically — single-threaded and sharded fault
-// behavior are equivalent where it matters.
-TEST(ChaosStorm, DriverEngineHoldsTheSameProperties) {
+// A layout chooses where the storm runs and must never change what it
+// computes.  Behind a 3 ms inter-site hop, one Simulation, a 1-shard
+// ShardedSim, a 2-shard site-clustered mapping and the identity mapping, at
+// 1 and 4 workers, replay each seed to the same digests, drops,
+// retransmissions and applied faults.  The hop makes the layouts' windows
+// differ, so a fault applied at a window boundary instead of its own time
+// would show here.
+TEST(ChaosStorm, EveryLayoutReplaysTheSameRun) {
+  struct Layout {
+    const char* name;
+    std::size_t shards;  // ChaosParams::shards
+    int threads;         // 0: one sim::Simulation
+  };
+  const Layout layouts[] = {
+      {"one Simulation", 0, 0},
+      {"1 shard", 1, 1},
+      {"1 shard", 1, 4},
+      {"2 shards, clustered", 2, 1},
+      {"2 shards, clustered", 2, 4},
+      {"identity mapping", 0, 1},
+      {"identity mapping", 0, 4},
+  };
   for (const std::uint64_t seed : kSeeds) {
-    const ChaosRun run = run_chaos_storm(seed, /*threads=*/0);
-    expect_chaos_invariants(run, seed, 0);
+    ChaosParams params;
+    params.sites = 2;
+    params.site_hop_us = 3'000;
+    std::vector<ChaosRun> runs;
+    for (const Layout& layout : layouts) {
+      params.shards = layout.shards;
+      runs.push_back(run_chaos_storm(seed, layout.threads, params));
+      expect_chaos_invariants(runs.back(), seed, layout.threads);
+    }
+    for (std::size_t i = 1; i < runs.size(); ++i) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + ": " + layouts[i].name +
+                   " at " + std::to_string(layouts[i].threads) +
+                   " workers vs one Simulation");
+      EXPECT_EQ(runs[i].node_digests, runs[0].node_digests);
+      EXPECT_EQ(runs[i].messages_dropped, runs[0].messages_dropped);
+      EXPECT_EQ(runs[i].retransmissions, runs[0].retransmissions);
+      EXPECT_EQ(runs[i].faults_applied, runs[0].faults_applied);
+    }
   }
 }
 
-TEST(FaultSchedule, DriverModeAppliesEntriesAtExactTimes) {
+TEST(FaultSchedule, AppliesEntriesAtExactTimes) {
   sim::Simulation sim(7);
   net::Network net(sim, chaos_model());
   const auto a = net.add_node("a");
@@ -177,61 +212,105 @@ TEST(FaultSchedule, ValidatesItsInputs) {
                common::MageError);
 }
 
-TEST(FaultSchedule, ReplacedScheduleCancelsItsDriverAppliers) {
-  sim::Simulation sim(7);
-  net::Network net(sim, chaos_model());
-  (void)net.add_node("a");
-  (void)net.add_node("b");
-  net::FaultSchedule first;
-  first.loss_rate(1'000, 0.5);
-  net.set_fault_schedule(std::move(first));
-  net::FaultSchedule second;
-  second.loss_rate(2'000, 0.25);
-  net.set_fault_schedule(std::move(second));
-  sim.run_for(5'000);
-  // Only the replacement applied; the first schedule's appliers were
-  // cancelled, not merely neutered.
-  EXPECT_EQ(sim.stats().counter("net.faults_applied"), 1);
-  EXPECT_EQ(net.pending_fault_events(), 0u);
-}
+// Appliers live on every shard and capture the network, so a replaced
+// schedule and a destroyed network must cancel all of them — on one
+// Simulation and on a 2-shard ShardedSim alike (ASan flags one left behind).
+struct EngineUnderTest {
+  std::unique_ptr<sim::Simulation> sim;
+  std::unique_ptr<sim::ShardedSim> ssim;
 
-TEST(FaultSchedule, NetworkTeardownCancelsDriverAppliers) {
-  sim::Simulation sim(7);
-  {
-    net::Network net(sim, chaos_model());
-    (void)net.add_node("a");
-    net::FaultSchedule schedule;
-    schedule.crash_for(1'000, common::NodeId{1}, 1'000);
-    net.set_fault_schedule(std::move(schedule));
+  explicit EngineUnderTest(std::size_t shards) {
+    if (shards == 0) {
+      sim = std::make_unique<sim::Simulation>(7);
+    } else {
+      ssim = std::make_unique<sim::ShardedSim>(
+          shards, 7, net::Network::min_link_latency(chaos_model()));
+    }
   }
-  // The appliers captured the destroyed network; they must be gone
-  // (use-after-free under ASan otherwise).
-  sim.run_until_idle();
-  SUCCEED();
+  std::unique_ptr<net::Network> network() {
+    return sim ? std::make_unique<net::Network>(*sim, chaos_model())
+               : std::make_unique<net::Network>(*ssim, chaos_model());
+  }
+  void run_for(common::SimDuration span) {
+    if (sim) {
+      sim->run_for(span);
+    } else {
+      (void)ssim->run_until(nullptr, 2, span);
+    }
+  }
+  std::int64_t counter(const char* key) {
+    return sim ? sim->stats().counter(key) : ssim->counter(key);
+  }
+};
+
+TEST(FaultSchedule, ReplacedScheduleCancelsItsAppliers) {
+  for (const std::size_t shards : {0u, 2u}) {
+    SCOPED_TRACE(shards == 0 ? "one Simulation" : "2 shards");
+    EngineUnderTest engine(shards);
+    auto net = engine.network();
+    (void)net->add_node("a");
+    (void)net->add_node("b");
+    net::FaultSchedule first;
+    first.loss_rate(1'000, 0.5);
+    net->set_fault_schedule(std::move(first));
+    net::FaultSchedule second;
+    second.loss_rate(2'000, 0.25);
+    net->set_fault_schedule(std::move(second));
+    engine.run_for(5'000);
+    // Only the replacement applied — once, though every shard applied it;
+    // the first schedule's appliers were cancelled, not merely neutered.
+    EXPECT_EQ(engine.counter("net.faults_applied"), 1);
+    EXPECT_EQ(net->pending_fault_events(), 0u);
+  }
 }
 
-TEST(FaultSchedule, TeardownLeavesANewerNetworksHookInstalled) {
+TEST(FaultSchedule, NetworkTeardownCancelsItsAppliers) {
+  for (const std::size_t shards : {0u, 2u}) {
+    SCOPED_TRACE(shards == 0 ? "one Simulation" : "2 shards");
+    EngineUnderTest engine(shards);
+    {
+      auto net = engine.network();
+      (void)net->add_node("a");
+      net::FaultSchedule schedule;
+      schedule.crash_for(1'000, common::NodeId{1}, 1'000);
+      net->set_fault_schedule(std::move(schedule));
+    }
+    // The appliers captured the destroyed network; they must be gone
+    // (use-after-free under ASan otherwise).
+    engine.run_for(5'000);
+    EXPECT_EQ(engine.counter("net.faults_applied"), 0);
+  }
+}
+
+// Each shard keeps its own copy of the fault state, and the readers answer
+// from the queried node's shard: mid-run, a shard whose clock has not yet
+// reached an entry still sees the state before it.  `net.faults_applied`
+// counts each entry once, on shard 0, and pending_fault_events() reports
+// the shard furthest behind.
+TEST(FaultSchedule, EachShardAppliesItsOwnCopy) {
   const net::CostModel model = chaos_model();
   sim::ShardedSim ssim(2, 7, net::Network::min_link_latency(model));
-  auto old_net = std::make_unique<net::Network>(ssim, model);
-  (void)old_net->add_node("a");
-  net::FaultSchedule s1;
-  s1.loss_rate(10, 0.1);
-  old_net->set_fault_schedule(std::move(s1));
+  net::Network net(ssim, model);
+  const auto a = net.add_node("a");  // shard 0
+  const auto b = net.add_node("b");  // shard 1
+  net::FaultSchedule schedule;
+  schedule.crash(1'000, b);
+  schedule.partition(1'000, a, b);
+  net.set_fault_schedule(std::move(schedule));
 
-  auto new_net = std::make_unique<net::Network>(ssim, model);
-  (void)new_net->add_node("a");
-  net::FaultSchedule s2;
-  s2.loss_rate(10, 0.2);
-  new_net->set_fault_schedule(std::move(s2));
+  // Step shard 0 alone past the entries: shard 1 has not applied them.
+  ssim.shard(0).run_until([] { return false; }, 1'500);
+  EXPECT_EQ(net.pending_fault_events(), 2u);
+  EXPECT_FALSE(net.node_down(b));          // b's own shard copy
+  EXPECT_EQ(net.link_epoch(a, b), 2);      // a's copy: crash + cut
+  EXPECT_EQ(net.link_epoch(b, a), 0);      // b's copy: nothing yet
+  EXPECT_EQ(ssim.shard(0).stats().counter("net.faults_applied"), 2);
 
-  // Destroying the old network must not disarm the hook the new one owns.
-  old_net.reset();
-  EXPECT_EQ(ssim.boundary_hook_owner(),
-            static_cast<const void*>(new_net.get()));
-  // And the new network's own teardown clears it.
-  new_net.reset();
-  EXPECT_EQ(ssim.boundary_hook_owner(), nullptr);
+  ssim.shard(1).run_until([] { return false; }, 1'500);
+  EXPECT_EQ(net.pending_fault_events(), 0u);
+  EXPECT_TRUE(net.node_down(b));
+  EXPECT_EQ(net.link_epoch(b, a), 2);
+  EXPECT_EQ(ssim.counter("net.faults_applied"), 2);  // once per entry
 }
 
 // Satellite fix: the ad-hoc fault mutators on a running sharded mesh must

@@ -136,7 +136,7 @@ TEST_F(FaultFixture, CleFindsObjectDespiteLossyChain) {
   EXPECT_EQ(h.location(), n3);
 }
 
-// --- scheduled faults (driver mode) ----------------------------------------
+// --- scheduled faults (one Simulation) -------------------------------------
 //
 // The same partition-then-heal and loss-burst programs the sharded chaos
 // harness (tests/chaos_test.cpp) replays at every worker count, here on

@@ -2,11 +2,13 @@
 // ordering, loss/partition injection, tracing, load.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "net/cost_model.hpp"
 #include "net/network.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 
 namespace mage::net {
@@ -80,19 +82,36 @@ TEST_F(NetFixture, ConnectionSetupChargedOncePerPair) {
   EXPECT_EQ(sim.stats().counter("net.connections_opened"), 1);
 }
 
+// Warmth is per directed link and sender-owned, but delivering the first
+// message warms the receiver's reverse direction (a TCP accept): the reply
+// rides the connection its request opened.  Same rule on one Simulation
+// and across two shards.
 TEST_F(NetFixture, ConnectionIsWarmInBothDirections) {
   CostModel m = CostModel::zero();
   m.propagation_us = 10;
   m.connection_setup_us = 1000;
-  auto net = make(m);
-  net->set_handler(b, [](Message) {});
-  net->set_handler(a, [](Message) {});
-  net->send(msg(a, b));
-  sim.run_until_idle();
-  const auto t0 = sim.now();
-  net->send(msg(b, a));  // reverse direction reuses the connection
-  sim.run_until_idle();
-  EXPECT_EQ(sim.now() - t0, 10);
+  sim::ShardedSim ssim(2, 1, Network::min_link_latency(m));
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "2 shards" : "one Simulation");
+    auto net = sharded ? std::make_unique<Network>(ssim, m)
+                       : std::make_unique<Network>(sim, m);
+    const auto x = net->add_node("x");  // shard 0
+    const auto y = net->add_node("y");  // shard 1 when sharded
+    common::SimTime replied_at = -1;
+    net->set_handler(y, [&net, x, y](Message) { net->send(msg(y, x)); });
+    net->set_handler(x, [&](Message) { replied_at = net->node_sim(x).now(); });
+    const common::SimTime t0 = net->node_sim(x).now();
+    net->send(msg(x, y));
+    if (sharded) {
+      ssim.run_until_idle(2);
+    } else {
+      sim.run_until_idle();
+    }
+    EXPECT_EQ(replied_at - t0, 1000 + 10 + 10);  // setup once, then warm
+    EXPECT_EQ(sharded ? ssim.counter("net.connections_opened")
+                      : sim.stats().counter("net.connections_opened"),
+              1);
+  }
 }
 
 TEST_F(NetFixture, ResetConnectionsRestoresColdCost) {

@@ -78,7 +78,7 @@ TEST_F(CrashFixture, NodeDownFlagQueryable) {
   EXPECT_TRUE(system->network().node_down(n1));
 }
 
-// --- scheduled crash/restart (driver mode) ---------------------------------
+// --- scheduled crash/restart (one Simulation) ------------------------------
 //
 // Mirrors the chaos harness's crash/restart program on the single-queue
 // engine: a call issued INTO the outage must ride its retransmissions

@@ -7,8 +7,9 @@
 //      function of event timestamps; mailbox drains happen in fixed source
 //      order at barriers);
 //   2. the threading contract is enforced, not advisory — configuration
-//      mutations while workers run, driver-blocking calls on shard
-//      threads, and zero-lookahead construction all throw.
+//      mutations while workers run, blocking calls and tracing on a
+//      network with more than one shard, and zero-lookahead construction
+//      all throw.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -202,35 +203,64 @@ TEST(ShardedSim, ConfigFrozenWhileWorkersRun) {
   EXPECT_NO_THROW(net.set_loss_rate(0.0));
 }
 
-TEST(ShardedSim, TracingIsDriverModeOnly) {
-  const net::CostModel model = lan_model();
-  sim::ShardedSim ssim(2, 7, net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
-  EXPECT_THROW(net.set_tracing(true), common::MageError);
+// Expects `action` to throw a MageError whose text contains `reason`.
+template <typename Action>
+void expect_refused(Action&& action, const std::string& reason) {
+  try {
+    action();
+    ADD_FAILURE() << "expected a MageError naming \"" << reason << "\"";
+  } catch (const common::MageError& e) {
+    EXPECT_NE(std::string(e.what()).find(reason), std::string::npos)
+        << e.what();
+  }
 }
 
-TEST(ShardedSim, CallSyncIsDriverModeOnly) {
+// Tracing needs one shard, not one engine: a 1-shard ShardedSim traces,
+// and a 2-shard one refuses, since its workers would interleave the trace.
+TEST(ShardedSim, TracingNeedsOneShard) {
   const net::CostModel model = lan_model();
+  {
+    sim::ShardedSim ssim(1, 7, net::Network::min_link_latency(model));
+    net::Network net(ssim, model, {0, 0});
+    const auto a = net.add_node("a");
+    const auto b = net.add_node("b");
+    net.set_handler(b, [](net::Message) {});
+    net.set_tracing(true);
+    net.send(net::Message{a, b, common::intern_verb("traced"),
+                          net::MsgKind::Request, {}, {}});
+    ssim.run_until_idle(2);
+    ASSERT_EQ(net.trace().size(), 1u);
+    EXPECT_EQ(net.trace()[0].verb, "traced");
+  }
   sim::ShardedSim ssim(2, 7, net::Network::min_link_latency(model));
   net::Network net(ssim, model);
-  const auto a = net.add_node("a");
-  const auto b = net.add_node("b");
-  rmi::Transport ta(net, a);
-  rmi::Transport tb(net, b);
-  tb.register_service("noop", [](common::NodeId, const serial::BufferChain&,
-                                 rmi::Replier replier) {
-    replier.ok({});
-  });
-  EXPECT_THROW((void)ta.call_sync(b, "noop", {}), common::MageError);
+  expect_refused([&net] { net.set_tracing(true); }, "more than one shard");
 }
 
-TEST(ShardedSim, SimulationAccessorIsDriverModeOnly) {
+// Blocking needs one shard too: call_sync runs the shard's loop inline on
+// a 1-shard ShardedSim, and refuses on 2 shards, where the reply may need
+// a shard the blocked thread never runs.
+TEST(ShardedSim, CallSyncNeedsOneShard) {
   const net::CostModel model = lan_model();
-  sim::ShardedSim ssim(2, 7, net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
-  EXPECT_THROW((void)net.simulation(), common::MageError);
-  const auto a = net.add_node("a");
-  EXPECT_EQ(&net.node_sim(a), &ssim.shard(0));
+  for (const std::size_t shards : {1u, 2u}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    sim::ShardedSim ssim(shards, 7, net::Network::min_link_latency(model));
+    net::Network net(ssim, model, {0, shards - 1});  // a, b on every shard
+    const auto a = net.add_node("a");
+    const auto b = net.add_node("b");
+    rmi::Transport ta(net, a);
+    rmi::Transport tb(net, b);
+    tb.register_service("noop", [](common::NodeId,
+                                   const serial::BufferChain&,
+                                   rmi::Replier replier) { replier.ok({}); });
+    if (shards == 1) {
+      EXPECT_NO_THROW((void)ta.call_sync(b, "noop", {}));
+      EXPECT_EQ(ssim.counter("rmi.calls"), 1);
+    } else {
+      expect_refused([&] { (void)ta.call_sync(b, "noop", {}); },
+                     "one-shard network");
+    }
+  }
 }
 
 TEST(ShardedSim, CounterAggregatesAcrossShards) {

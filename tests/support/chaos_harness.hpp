@@ -1,18 +1,20 @@
 // Seed-replayable chaos harness: random fault schedules over the storm
-// mesh, replayed bit-identically at any worker count.
+// mesh, replayed bit-identically under any engine layout.
 //
 // One 64-bit seed determines EVERYTHING about a chaos run: the fault
 // schedule (via its own Rng stream), the per-NODE loss RNG streams (each
-// seeded from the master seed and the node's id, so every IID loss
+// seeded from the engine seed and the node's id, so every IID loss
 // decision is a function of the node's own send sequence — surviving any
 // node:shard remapping), and therefore every drop, retransmission,
-// duplicate, and re-delivery.  `run_chaos_storm(seed, threads)` runs the
-// same all-to-all echo storm under the same generated schedule at any
-// worker count and returns per-node execution digests plus the full
-// counter picture, so tests can assert:
+// duplicate, and re-delivery.  `run_chaos_storm(seed, threads, params)`
+// runs the same all-to-all echo storm under the same generated schedule
+// and returns per-node execution digests plus the full counter picture,
+// so tests can assert:
 //
 //   (a) determinism  — digests (execution order + shard-local timestamps)
-//       identical at 1, 2, and 8 workers;
+//       identical at any worker count and under any layout: one
+//       sim::Simulation, a 1-shard ShardedSim, a site-clustered mapping,
+//       or the identity mapping;
 //   (b) at-most-once — every (caller, seq) invoke executed exactly once
 //       despite retransmissions (execution counters, not just reply
 //       dedup), with zero eviction-caused re-executions under an
@@ -22,15 +24,8 @@
 //   (d) liveness     — zero failed invokes: once connectivity is restored
 //       the retransmission machinery delivers everything.
 //
-// `threads == 0` runs the identical workload + schedule on the classic
-// single-queue driver engine (faults applied at exact times rather than
-// window boundaries): semantic properties (b)-(d) must hold there too,
-// which is how single-threaded and sharded fault behavior are asserted
-// equivalent.  (Digests are engine-local: the driver engine draws loss
-// from one shared RNG stream, the sharded engine from one stream per
-// node, so drop patterns — and thus timestamps — legitimately differ
-// between engines, never between worker counts or node:shard mappings of
-// the sharded engine.)
+// `threads == 0` runs the storm on one sim::Simulation (the one-shard
+// network); `threads >= 1` on a ShardedSim laid out by params.shards.
 #pragma once
 
 #include <cstdint>
@@ -73,6 +68,16 @@ struct ChaosParams {
   // no retransmission, so under loss their per-(caller, seq) execution
   // count is 0 or 1 — never 2 (at-most-once by construction).
   bool oneway_notes = false;
+  // Topology: the nodes form `sites` equal blocks of consecutive ids, and
+  // every link between two blocks pays `site_hop_us` of extra one-way
+  // latency (a WAN hop).
+  int sites = 1;
+  common::SimDuration site_hop_us = 0;
+  // ShardedSim layout (threads >= 1): 0 puts each node on its own shard
+  // (the identity mapping); k >= 1 builds k shards and places site s on
+  // shard s % k.  A layout chooses where the storm runs, never what it
+  // computes.
+  std::size_t shards = 0;
 };
 
 inline net::CostModel chaos_model() {
@@ -154,7 +159,7 @@ struct ChaosRun {
   std::int64_t messages_dropped = 0;
   std::int64_t messages_dropped_by_schedule = 0;
   std::int64_t fifo_violations = 0;
-  std::int64_t windows = 0;  // sharded engine only
+  std::int64_t windows = 0;  // ShardedSim runs only
   std::int64_t messages_sent = 0;
   std::int64_t batches_sent = 0;
   std::int64_t batched_invokes = 0;
@@ -200,21 +205,29 @@ inline std::uint64_t fold(std::uint64_t digest, std::uint64_t v) {
 }  // namespace chaos_detail
 
 // Runs the all-to-all echo storm under the schedule generated from `seed`.
-// threads >= 1: sharded engine with that many workers; threads == 0: the
-// single-queue driver engine (exact-time fault application).
+// threads >= 1: a ShardedSim (laid out by params.shards) with that many
+// workers; threads == 0: one sim::Simulation.  Both engines take `seed`,
+// so the per-node loss streams match.
 inline ChaosRun run_chaos_storm(std::uint64_t seed, int threads,
                                 const ChaosParams& params = {}) {
   const int n = params.nodes;
   const net::CostModel model = chaos_model();
+  const auto site_of = [&params, n](int node) {
+    return node * params.sites / n;
+  };
 
   std::unique_ptr<sim::ShardedSim> ssim;
   std::unique_ptr<sim::Simulation> dsim;
   std::unique_ptr<net::Network> net_ptr;
   if (threads >= 1) {
+    std::vector<std::size_t> mapping;  // empty: the identity mapping
+    for (int i = 0; params.shards > 0 && i < n; ++i) {
+      mapping.push_back(static_cast<std::size_t>(site_of(i)) % params.shards);
+    }
     ssim = std::make_unique<sim::ShardedSim>(
-        static_cast<std::size_t>(n), seed,
+        params.shards > 0 ? params.shards : static_cast<std::size_t>(n), seed,
         net::Network::min_link_latency(model));
-    net_ptr = std::make_unique<net::Network>(*ssim, model);
+    net_ptr = std::make_unique<net::Network>(*ssim, model, std::move(mapping));
   } else {
     dsim = std::make_unique<sim::Simulation>(seed);
     net_ptr = std::make_unique<net::Network>(*dsim, model);
@@ -226,6 +239,14 @@ inline ChaosRun run_chaos_storm(std::uint64_t seed, int threads,
   for (int i = 0; i < n; ++i) {
     ids.push_back(net.add_node("n" + std::to_string(i)));
   }
+  for (int i = 0; i < n; ++i) {
+    for (int j = 0; j < n; ++j) {
+      if (site_of(i) != site_of(j)) {
+        net.set_extra_latency(ids[i], ids[j], params.site_hop_us);
+      }
+    }
+  }
+  net.refresh_pair_lookaheads();
   for (int i = 0; i < n; ++i) {
     transports.push_back(std::make_unique<rmi::Transport>(
         net, ids[i], params.reply_cache_capacity));
@@ -374,40 +395,26 @@ inline ChaosRun run_chaos_storm(std::uint64_t seed, int threads,
   if (threads >= 1) {
     run.completed = ssim->run_until(done, threads, deadline);
     run.windows = ssim->windows();
-    run.retransmissions = ssim->counter("rmi.retransmissions");
-    run.duplicates_suppressed = ssim->counter("rmi.duplicates_suppressed");
-    run.reply_cache_evictions = ssim->counter("rmi.reply_cache_evictions");
-    run.evicted_reexecutions = ssim->counter("rmi.evicted_reexecutions");
-    run.faults_applied = ssim->counter("net.faults_applied");
-    run.messages_dropped = ssim->counter("net.messages_dropped");
-    run.messages_dropped_by_schedule =
-        ssim->counter("net.messages_dropped_by_schedule");
-    run.fifo_violations = ssim->counter("net.fifo_violations");
-    run.messages_sent = ssim->counter("net.messages_sent");
-    run.batches_sent = ssim->counter("rmi.batches_sent");
-    run.batched_invokes = ssim->counter("rmi.batched_invokes");
-    run.batch_singletons = ssim->counter("rmi.batch_singletons");
-    run.oneway_calls = ssim->counter("rmi.oneway_calls");
-    run.oneway_executions = ssim->counter("rmi.oneway_executions");
   } else {
     run.completed = dsim->run_until(done, deadline);
-    auto& stats = dsim->stats();
-    run.retransmissions = stats.counter("rmi.retransmissions");
-    run.duplicates_suppressed = stats.counter("rmi.duplicates_suppressed");
-    run.reply_cache_evictions = stats.counter("rmi.reply_cache_evictions");
-    run.evicted_reexecutions = stats.counter("rmi.evicted_reexecutions");
-    run.faults_applied = stats.counter("net.faults_applied");
-    run.messages_dropped = stats.counter("net.messages_dropped");
-    run.messages_dropped_by_schedule =
-        stats.counter("net.messages_dropped_by_schedule");
-    run.fifo_violations = stats.counter("net.fifo_violations");
-    run.messages_sent = stats.counter("net.messages_sent");
-    run.batches_sent = stats.counter("rmi.batches_sent");
-    run.batched_invokes = stats.counter("rmi.batched_invokes");
-    run.batch_singletons = stats.counter("rmi.batch_singletons");
-    run.oneway_calls = stats.counter("rmi.oneway_calls");
-    run.oneway_executions = stats.counter("rmi.oneway_executions");
   }
+  const auto counter = [&](const char* key) {
+    return ssim ? ssim->counter(key) : dsim->stats().counter(key);
+  };
+  run.retransmissions = counter("rmi.retransmissions");
+  run.duplicates_suppressed = counter("rmi.duplicates_suppressed");
+  run.reply_cache_evictions = counter("rmi.reply_cache_evictions");
+  run.evicted_reexecutions = counter("rmi.evicted_reexecutions");
+  run.faults_applied = counter("net.faults_applied");
+  run.messages_dropped = counter("net.messages_dropped");
+  run.messages_dropped_by_schedule = counter("net.messages_dropped_by_schedule");
+  run.fifo_violations = counter("net.fifo_violations");
+  run.messages_sent = counter("net.messages_sent");
+  run.batches_sent = counter("rmi.batches_sent");
+  run.batched_invokes = counter("rmi.batched_invokes");
+  run.batch_singletons = counter("rmi.batch_singletons");
+  run.oneway_calls = counter("rmi.oneway_calls");
+  run.oneway_executions = counter("rmi.oneway_executions");
   for (std::int64_t f : failed) run.failed_calls += f;
   run.pending_fault_events =
       static_cast<std::int64_t>(net.pending_fault_events());
