@@ -1,1077 +1,303 @@
-// N-node all-to-all RMI storm: the scale-out stressor for the messaging
-// spine (ROADMAP: "scale benches past 2 nodes", then "use real cores").
+// bench_storm: the storm scenarios, run by one runner at 1 and T workers,
+// recorded in one record shape.
 //
-// Topology: N fully meshed nodes, every ordered pair (src, dst) a live
-// link.  Each link issues kCallsPerLink echo calls with a windowed pipeline
-// (kWindow outstanding per link, the completion callback launches the next
-// call), so all N*(N-1) links stay saturated while pending tables and the
-// event queue stay bounded.
+//   usage: bench_storm [N] [--threads T] [--chaos] [--glb] [--wan]
 //
-// What the storm exercises that the 2-node hotpath bench cannot:
+// Every scenario is the all-to-all echo storm of storm::run_storm
+// (bench/support/storm_harness.hpp): one windowed pipeline of echo calls
+// per directed link, each completion launching the link's next call, so
+// every link stays saturated while pending tables and event queues stay
+// bounded.  The scenarios (N nodes, default 16):
 //
-//   * reply-cache ring eviction — transports run with a deliberately small
-//     cache (kCacheCapacity), so each node's at-most-once ring wraps many
-//     times under (N-1)*kCallsPerLink inbound requests; the run fails if
-//     no evictions occurred, and at-most-once must still hold (every call
-//     completes exactly once);
-//   * per-link ordering floors — each payload carries a per-link sequence
-//     number and every service asserts FIFO delivery per (src, dst) link
-//     (the simulated network's TCP in-order contract under interleaving
-//     from N-1 concurrent senders);
-//   * completion-wakeup scaling — one driver predicate ("all done") over a
-//     storm of hundreds of thousands of events; predicate checks are
-//     recorded so docs/PERF.md can track checks-per-event.
+//   storm   500 calls per link, 8 in flight, a 512-entry reply cache that
+//           each node's (N-1) x 500 inbound calls must wrap: at-most-once
+//           under eviction, per-link FIFO under N-1 interleaved senders.
+//           On the identity mapping, with one sim::Simulation as control.
+//   batch   the storm with per-link batching (flush quantum = the
+//           lookahead) and the adaptive reply cache, 32 calls in flight.
+//   chaos   (--chaos, N >= 4) the storm under a fixed fault schedule —
+//           two loss bursts, a partition/heal, rolling crashes of nodes
+//           0-2 — with an adequately sized reply cache, a 30 ms retry
+//           timeout, a director quorum on nodes 0-2 and a resolver on
+//           node 3.  Each entry applies at its exact time on every shard.
+//   wan64   (--wan) 8 sites of 8 nodes, all-to-all inside a site, site
+//   wan128  leaders linked across 20 ms WAN hops (8 sites of 16 nodes for
+//           wan128); on the affinity mapping (one site per shard), with
+//           the identity mapping as wan64's control.
 //
-// Two execution modes:
+// Each scenario runs its first layout at 1 and T workers (T = --threads,
+// default 1) — wan64 at every count of the ladder 1, 2, 4, ..., T, its
+// speedup curve — once per distinct effective count (workers above the
+// layout's shard count add nothing), and each control layout once, at
+// min(T, hardware threads) workers.  --glb adds the lifeline GLB workload
+// (bench/support/glb_harness.hpp: unbalanced tree expansion over a
+// migrating DistMap under loss + partition chaos) per seed at 1 and T
+// workers.  --chaos, --glb and --wan need --threads.
 //
-//   bench_storm [N]                the classic single-queue driver ladder
-//                                  (default 4/8/16; one N = CI smoke);
-//   bench_storm N --threads T      the sharded engine (sim::ShardedSim,
-//                                  one event-queue shard per node, per-link
-//                                  mailboxes, conservative lookahead) run
-//                                  at 1 worker and again at T workers on
-//                                  the same seed.  Records single- and
-//                                  multi-thread throughput + speedup, and
-//                                  FAILS unless both runs produce an
-//                                  identical per-node delivery order
-//                                  (FNV digest per receiving node) — the
-//                                  determinism contract at any thread
-//                                  count.
-//   ... --chaos                    additionally re-runs the sharded storm
-//                                  under a fixed net::FaultSchedule (loss
-//                                  bursts, a partition/heal, rolling node
-//                                  crashes/restarts, applied at window
-//                                  boundaries) at 1 and T workers: the
-//                                  degraded-mode scaling curve.  The chaos
-//                                  mesh also hosts the HA control plane —
-//                                  a 3-member director quorum (rts::
-//                                  Director + deterministic election) on
-//                                  nodes 0-2, every one of which crashes
-//                                  at some point, plus a resolver client
-//                                  on node 3 probing the quorum throughout
-//                                  — so the JSON records election and
-//                                  directory-failover latency in sim time
-//                                  under the same schedule.  FAILS unless
-//                                  the chaos runs are digest-identical
-//                                  across worker counts, every call
-//                                  completed (nothing lost after heal),
-//                                  every request executed exactly once
-//                                  (execution counters, adequately sized
-//                                  reply cache => zero eviction-caused
-//                                  re-executions), the wire-FIFO self-
-//                                  check saw zero violations, and the
-//                                  control plane demonstrably failed over
-//                                  (elections held, client failovers).
-//   ... --glb                      additionally runs the lifeline GLB
-//                                  workload (bench/support/glb_harness.hpp:
-//                                  unbalanced tree expansion over an
-//                                  rts::DistMap whose partitions all start
-//                                  on two nodes, per-node lifeline
-//                                  rebalancers stealing them apart, loss +
-//                                  partition chaos racing the migrations)
-//                                  per seed at 1 and 8 workers.  The JSON
-//                                  gains a "glb" block; FAILS unless every
-//                                  run drains exactly-once (per-key exec
-//                                  counters), digests are identical across
-//                                  worker counts, and at least one load-
-//                                  driven partition migration happened.
-//   ... --wan                      additionally runs the WAN scaling curves
-//                                  (64- and 128-node site-clustered meshes
-//                                  over CostModel::wan_site(), affinity
-//                                  node:shard mapping, per-pair lookahead
-//                                  matrix) across a worker ladder plus an
-//                                  identity-mapped control.  The JSON gains
-//                                  a "scaling" block; FAILS unless digests
-//                                  are identical across worker counts AND
-//                                  across mappings.
+// Exits 1 when a run breaks its scenario's contract: a call unanswered or
+// failed, a request not executed exactly once, a wire-FIFO violation or an
+// eviction-caused re-execution; out-of-order executions on a fault-free
+// scenario; a reply cache smaller than a node's inbound calls that never
+// evicted; an adaptive cache that never grew or evicted >= 1% of calls;
+// batching that coalesced < 2 invokes per frame; a fault schedule not
+// fully applied or a faulty run without scheduled drops and
+// retransmissions; a quorum with < 2 elections, no client failover, no
+// resolve served or none that succeeded.  It also exits 1 unless every
+// run of a scenario — every layout, every worker count — has the same
+// per-node digests, and (after writing the record) unless every GLB seed
+// drained exactly-once, deterministically, with a migration.
 //
-// Results are written to BENCH_storm.json.
+// Results go to BENCH_storm.json: a `scenarios` array with one record per
+// scenario, each carrying one record per run, plus the `glb` block;
+// ci/check_storm_scaling.py checks it.
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <functional>
+#include <iomanip>
 #include <iostream>
-#include <memory>
+#include <iterator>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "net/affinity.hpp"
-#include "net/cost_model.hpp"
-#include "net/network.hpp"
-#include "rmi/transport.hpp"
-#include "rts/director.hpp"
-#include "serial/writer.hpp"
-#include "sim/sharded.hpp"
-#include "sim/simulation.hpp"
 #include "support/glb_harness.hpp"
+#include "support/storm_harness.hpp"
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
+using mage::storm::Layout;
+using mage::storm::Record;
+using mage::storm::Scenario;
+using mage::storm::identity;
 
-constexpr int kCallsPerLink = 500;
-constexpr int kWindow = 8;
-// Small on purpose: (N-1)*kCallsPerLink inbound requests per node must
-// overflow the ring so eviction runs continuously.
-constexpr std::size_t kCacheCapacity = 512;
-
-// Cost model for the sharded runs: a fast LAN whose cross-node floor
-// (propagation + receive CPU = 550 simulated us) is the conservative
-// lookahead.  RMI CPU overheads are zeroed so the windowed pipelines pack
-// each lookahead window with hundreds of events per shard — the regime
-// where barrier cost amortizes and real cores pay off.
-mage::net::CostModel storm_model() {
-  mage::net::CostModel m = mage::net::CostModel::zero();
-  m.propagation_us = 500;
-  m.per_message_cpu_us = 50;
-  m.bytes_per_usec = 1250.0;  // 10 Gb/s
-  m.connection_setup_us = 500;
-  m.local_invoke_us = 1;
-  return m;
-}
-
-struct StormRun {
-  int nodes = 0;
-  int threads = 0;  // 0 = single-queue driver engine
-  std::int64_t calls = 0;
-  double wall_sec = 0;
-  double calls_per_sec = 0;
-  std::int64_t evictions = 0;
-  std::int64_t retransmissions = 0;
-  std::int64_t duplicates_suppressed = 0;
-  std::int64_t predicate_checks = 0;  // driver engine only
-  std::int64_t windows = 0;           // sharded engine only
-  std::int64_t order_violations = 0;
-  std::vector<std::uint64_t> node_digests;  // sharded engine only
-  // Chaos mode only:
-  std::int64_t faults_applied = 0;
-  std::int64_t messages_dropped_by_schedule = 0;
-  std::int64_t evicted_reexecutions = 0;
-  std::int64_t fifo_violations = 0;
-  bool exactly_once = true;
-  // Chaos mode HA control plane (directors on nodes 0-2):
-  std::int64_t elections_held = 0;
-  std::int64_t leader_changes = 0;
-  std::int64_t directory_failovers = 0;
-  std::int64_t directory_resolves = 0;
-  std::int64_t election_time_us = 0;  // summed candidacy->majority, sim us
-  std::int64_t failover_time_us = 0;  // summed failed-over call latency
-  // Batch mode only (zeros elsewhere):
-  std::int64_t messages_sent = 0;
-  std::int64_t batches_sent = 0;
-  std::int64_t batched_invokes = 0;
-  std::int64_t batch_singletons = 0;
-  std::int64_t reply_cache_grows = 0;
-  std::int64_t reply_cache_shrinks = 0;
-  std::int64_t reply_cache_capacity_highwater = 0;  // summed across nodes
-};
-
-// Every engine mode snapshots the SAME registry counters through the same
-// keys — driver mode reads the shared registry, sharded modes sum across
-// shard registries.  (The driver-mode run block used to fill only a
-// hand-picked subset and record messages_sent: 0 and zeroed batch/cache
-// stats, which read as "the driver engine sent nothing" in the JSON.)
-template <typename Counter>
-void snapshot_counters(StormRun& r, Counter&& counter) {
-  r.evictions = counter("rmi.reply_cache_evictions");
-  r.retransmissions = counter("rmi.retransmissions");
-  r.duplicates_suppressed = counter("rmi.duplicates_suppressed");
-  r.evicted_reexecutions = counter("rmi.evicted_reexecutions");
-  r.fifo_violations = counter("net.fifo_violations");
-  r.messages_sent = counter("net.messages_sent");
-  r.batches_sent = counter("rmi.batches_sent");
-  r.batched_invokes = counter("rmi.batched_invokes");
-  r.batch_singletons = counter("rmi.batch_singletons");
-  r.reply_cache_grows = counter("rmi.reply_cache_grows");
-  r.reply_cache_shrinks = counter("rmi.reply_cache_shrinks");
-  r.reply_cache_capacity_highwater =
-      counter("rmi.reply_cache_capacity_highwater");
-}
-
-// FNV-1a fold of one (caller, seq) delivery into a node's order digest.
-std::uint64_t fold_digest(std::uint64_t digest, std::uint64_t caller,
-                          std::uint64_t seq) {
-  constexpr std::uint64_t kPrime = 0x100000001B3ull;
-  digest = (digest ^ caller) * kPrime;
-  digest = (digest ^ seq) * kPrime;
-  return digest;
-}
-
-// One windowed pipeline per directed link; the callback chains the next
-// call so each link keeps kWindow requests in flight until drained.
-struct Link {
-  mage::rmi::Transport* transport;
-  mage::common::NodeId dst;
-  std::int64_t next_seq = 0;
-  std::int64_t total_calls = kCallsPerLink;
-  // Sharded mode: completions are counted per SOURCE node so each slot has
-  // exactly one writing shard; the driver predicate sums them at window
-  // barriers (all workers parked — no torn reads possible).
-  std::int64_t* completed = nullptr;
-  mage::rmi::CallOptions options{};
-};
-
-// Request bodies depend only on seq, so every link shares one immutable
-// table built before the timed region: launch() bumps a refcount per call
-// instead of running a Writer — the bench measures the RMI spine, not
-// payload construction.
-const mage::serial::Buffer& storm_body(std::int64_t seq) {
-  static const std::vector<mage::serial::Buffer> bodies = [] {
-    std::vector<mage::serial::Buffer> v;
-    v.reserve(kCallsPerLink);
-    for (int s = 0; s < kCallsPerLink; ++s) {
-      mage::serial::Writer w(8);
-      w.write_u64(static_cast<std::uint64_t>(s));
-      v.push_back(w.take());
-    }
-    return v;
-  }();
-  return bodies[static_cast<std::size_t>(seq)];
-}
-
-void launch(Link& link) {
-  if (link.next_seq >= link.total_calls) return;
-  // Interned once (thread-safe local-static init, first hit is driver-side
-  // setup): re-interning per call would contend the registry mutex across
-  // every worker and pollute the threaded measurement.
-  static const mage::common::VerbId echo =
-      mage::common::intern_verb("storm.echo");
-  link.transport->call(link.dst, echo,
-                       storm_body(link.next_seq++),
-                       [&link](mage::rmi::CallResult r) {
-                         if (!r.ok) {
-                           std::cerr << "storm call failed: " << r.error
-                                     << "\n";
-                           std::exit(1);
-                         }
-                         ++*link.completed;
-                         launch(link);
-                       },
-                       link.options);
-}
-
-// Per-receiver state, owned by that node's shard (or the driver).
-struct NodeWatch {
-  std::vector<std::int64_t> last_seq;  // per sender; FIFO check
-  std::uint64_t digest = 0xcbf29ce484222325ull;
-  std::int64_t order_violations = 0;
-  // Chaos mode: executions per (caller, seq) — the at-most-once witness.
-  std::vector<std::int8_t> exec_counts;
-};
-
-struct MeshOptions {
-  std::size_t cache_capacity = kCacheCapacity;
-  // Chaos mode: loss makes first arrivals overtake retransmitted
-  // predecessors, so app-level execution order is legitimately non-
-  // monotonic per link — the service-level seq check is replaced by the
-  // network's wire-FIFO self-check plus per-request execution counters.
-  bool chaos = false;
-  mage::rmi::CallOptions call_options{};
-  // Batch mode: coalesce each node's per-link invokes into one batch
-  // frame per flush quantum (0 = batching off), and let the at-most-once
-  // ring grow from `cache_capacity` under eviction pressure instead of
-  // churning — ROADMAP item 1's two levers, measured together.
-  mage::common::SimDuration flush_quantum_us = 0;
-  bool adaptive_cache = false;
-};
-
-// Wires up nodes/transports/services/links on `net`; shared by both
-// engines so the workload is byte-identical.
-struct StormMesh {
-  std::vector<mage::common::NodeId> ids;
-  std::vector<std::unique_ptr<mage::rmi::Transport>> transports;
-  std::vector<NodeWatch> watch;          // indexed by node value
-  std::vector<std::int64_t> completed;   // per source node
-  std::vector<Link> links;
-
-  StormMesh(mage::net::Network& net, int n, MeshOptions options = {}) {
-    using namespace mage;
-    for (int i = 0; i < n; ++i) {
-      ids.push_back(net.add_node("n" + std::to_string(i)));
-    }
-    for (int i = 0; i < n; ++i) {
-      transports.push_back(std::make_unique<rmi::Transport>(
-          net, ids[i], options.cache_capacity));
-      if (options.flush_quantum_us > 0) {
-        rmi::BatchOptions batch;
-        batch.enabled = true;
-        batch.flush_quantum_us = options.flush_quantum_us;
-        transports.back()->set_batching(batch);
-      }
-      if (options.adaptive_cache) {
-        rmi::AdaptiveCacheOptions adaptive;
-        adaptive.enabled = true;
-        adaptive.floor = options.cache_capacity;
-        adaptive.ceiling = rmi::Transport::kReplyCacheCapacity;
-        transports.back()->set_adaptive_reply_cache(adaptive);
-      }
-    }
-    watch.resize(static_cast<std::size_t>(n) + 1);
-    for (auto& w : watch) {
-      w.last_seq.assign(static_cast<std::size_t>(n) + 1, -1);
-      if (options.chaos) {
-        w.exec_counts.assign(
-            (static_cast<std::size_t>(n) + 1) * kCallsPerLink, 0);
-      }
-    }
-    completed.assign(static_cast<std::size_t>(n) + 1, 0);
-
-    const bool chaos = options.chaos;
-    const common::VerbId echo = common::intern_verb("storm.echo");
-    for (int i = 0; i < n; ++i) {
-      NodeWatch* w = &watch[ids[i].value()];
-      transports[i]->register_service(
-          echo, [w, chaos](common::NodeId caller,
-                           const serial::BufferChain& body,
-                           rmi::Replier replier) {
-            serial::ChainReader r(body);
-            const auto seq = static_cast<std::int64_t>(r.read_u64());
-            if (chaos) {
-              ++w->exec_counts[caller.value() * kCallsPerLink +
-                               static_cast<std::size_t>(seq)];
-            } else {
-              auto& last = w->last_seq[caller.value()];
-              if (seq <= last) ++w->order_violations;
-              last = seq;
-            }
-            w->digest = fold_digest(w->digest, caller.value(),
-                                    static_cast<std::uint64_t>(seq));
-            replier.ok(body);
-          });
-    }
-
-    links.reserve(static_cast<std::size_t>(n) * (n - 1));
-    for (int i = 0; i < n; ++i) {
-      for (int j = 0; j < n; ++j) {
-        if (i != j) {
-          links.push_back(Link{transports[i].get(), ids[j], 0, kCallsPerLink,
-                               &completed[ids[i].value()],
-                               options.call_options});
-        }
-      }
-    }
-  }
-
-  // True when every cross-link (caller, seq) executed exactly once.
-  [[nodiscard]] bool exactly_once() const {
-    const std::size_t n = ids.size();
-    for (std::size_t node = 1; node <= n; ++node) {
-      const auto& counts = watch[node].exec_counts;
-      for (std::size_t caller = 1; caller <= n; ++caller) {
-        if (caller == node) continue;
-        for (std::size_t seq = 0; seq < kCallsPerLink; ++seq) {
-          if (counts[caller * kCallsPerLink + seq] != 1) return false;
-        }
-      }
-    }
-    return true;
-  }
-
-  [[nodiscard]] std::int64_t total_completed() const {
-    std::int64_t sum = 0;
-    for (std::int64_t c : completed) sum += c;
-    return sum;
-  }
-};
-
-void check_invariants(const StormRun& r) {
-  if (r.order_violations != 0) {
-    std::cerr << "FAIL: " << r.order_violations
-              << " per-link ordering violations\n";
-    std::exit(1);
-  }
-  if (r.evictions == 0) {
-    std::cerr << "FAIL: reply-cache ring never evicted — storm too small "
-                 "for cache capacity\n";
-    std::exit(1);
-  }
-}
-
-void check_chaos_invariants(const StormRun& r) {
-  if (!r.exactly_once) {
-    std::cerr << "FAIL: some chaos request did not execute exactly once\n";
-    std::exit(1);
-  }
-  if (r.fifo_violations != 0) {
-    std::cerr << "FAIL: " << r.fifo_violations
-              << " wire-FIFO violations under chaos\n";
-    std::exit(1);
-  }
-  if (r.evicted_reexecutions != 0) {
-    std::cerr << "FAIL: " << r.evicted_reexecutions
-              << " eviction-caused re-executions despite an adequately "
-                 "sized reply cache\n";
-    std::exit(1);
-  }
-  if (r.faults_applied < 8 || r.messages_dropped_by_schedule == 0 ||
-      r.retransmissions == 0) {
-    std::cerr << "FAIL: chaos run was not chaotic (faults_applied="
-              << r.faults_applied << ", scheduled drops="
-              << r.messages_dropped_by_schedule << ", retransmissions="
-              << r.retransmissions << ")\n";
-    std::exit(1);
-  }
-  // HA control plane: rolling director crashes guarantee the sitting
-  // leader died at least once (>= 2 elections) and that the resolver's
-  // preferred member was dead for at least one probe (>= 1 failover).
-  if (r.elections_held < 2 || r.directory_failovers < 1 ||
-      r.directory_resolves < 1) {
-    std::cerr << "FAIL: chaos control plane did not fail over "
-                 "(elections_held="
-              << r.elections_held << ", directory_failovers="
-              << r.directory_failovers << ", directory_resolves="
-              << r.directory_resolves << ")\n";
-    std::exit(1);
-  }
-}
-
-// The fixed degraded-mode program: two loss bursts, a partition/heal of
-// the (n1, n2) link, and rolling crashes that take down EVERY director
-// (nodes 0-2) at some point — at most one at a time, so the quorum can
-// always re-form and the sitting leader is guaranteed to die at least
-// once.  Absolute times — the storm runs ~70-90 simulated ms at any mesh
-// size, and the generous retry budget below rides out every outage.
-mage::net::FaultSchedule chaos_schedule(
-    const std::vector<mage::common::NodeId>& ids) {
+// The fixed degraded-mode program over nodes 1-4 (0-based 0-3): two loss
+// bursts, a partition/heal of the (0, 1) link, and rolling crashes that
+// take down every director (nodes 0-2) once, one at a time, so the quorum
+// can always re-form and the sitting leader is sure to die.  The 30 ms x
+// 64 retry budget rides out every outage.
+mage::net::FaultSchedule chaos_schedule() {
+  using mage::common::NodeId;
   mage::net::FaultSchedule s;
-  s.crash_for(5'000, ids[0], 6'000);
+  s.crash_for(5'000, NodeId{1}, 6'000);
   s.loss_burst(5'000, 0.10, 10'000);
-  s.partition_for(8'000, ids[0], ids[1], 20'000);
-  s.crash_for(20'000, ids[2], 15'000);
-  s.crash_for(37'000, ids[1], 6'000);
+  s.partition_for(8'000, NodeId{1}, NodeId{2}, 20'000);
+  s.crash_for(20'000, NodeId{3}, 15'000);
+  s.crash_for(37'000, NodeId{2}, 6'000);
   s.loss_burst(40'000, 0.20, 10'000);
   return s;
 }
 
-constexpr mage::common::SimTime kChaosHorizonUs = 55'000;
-
-StormRun run_storm_chaos(int n, int threads) {
-  using namespace mage;
-  const net::CostModel model = storm_model();
-  sim::ShardedSim ssim(static_cast<std::size_t>(n), 2026,
-                       net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
-  MeshOptions options;
-  options.chaos = true;
-  // Adequately sized: every in-flight retransmission finds its entry, so
-  // at-most-once must hold exactly (asserted via execution counters).
-  options.cache_capacity = rmi::Transport::kReplyCacheCapacity;
-  options.call_options = rmi::CallOptions{/*retry_timeout_us=*/30'000,
-                                          /*max_attempts=*/64};
-  StormMesh mesh(net, n, options);
-
-  net.set_fifo_checks(true);
-  net.set_fault_schedule(chaos_schedule(mesh.ids));
-
-  // HA control plane under the same schedule: a 3-member director quorum
-  // on nodes 0-2 (each of which the schedule crashes once), pre-seeded
-  // with one placement record, and a resolver on node 3 probing it every
-  // 2 simulated ms for the whole chaos window.  The resolver's preferred
-  // member starts at node 0 — dead at 5ms — so the failover path is
-  // exercised deterministically.
-  const std::vector<mage::common::NodeId> directors_ids{
-      mesh.ids[0], mesh.ids[1], mesh.ids[2]};
-  std::vector<std::unique_ptr<rts::Director>> directors;
-  for (int i = 0; i < 3; ++i) {
-    directors.push_back(std::make_unique<rts::Director>(
-        *mesh.transports[static_cast<std::size_t>(i)], directors_ids));
-  }
-  for (auto& d : directors) {
-    d->seed(rts::proto::PlacementRecord{"storm.obj", "Echo", mesh.ids[3],
-                                        /*is_public=*/true, /*epoch=*/1});
-  }
-  for (auto& d : directors) d->start();
-
-  rts::DirectoryClient resolver(*mesh.transports[3], directors_ids);
-  auto& resolver_sim = net.node_sim(mesh.ids[3]);
-  bool resolver_done = false;
-  std::int64_t resolver_ok = 0;
-  std::function<void()> probe = [&] {
-    resolver.resolve(
-        "storm.obj",
-        [&](std::optional<rts::DirectoryClient::Resolution> r) {
-          if (r.has_value()) ++resolver_ok;
-          if (resolver_sim.now() >= kChaosHorizonUs) {
-            resolver_done = true;  // set inside a waking callback
-            return;
-          }
-          resolver_sim.schedule_after(2'000, probe, sim::Wake::No);
-        });
-  };
-  resolver_sim.schedule_at(1'000, [&probe] { probe(); }, sim::Wake::No);
-
-  // Horizon ticks keep virtual time advancing past the last schedule entry
-  // even if the storm drains early, so the whole program always applies.
-  for (common::SimTime t = 1'000; t <= kChaosHorizonUs; t += 1'000) {
-    net.node_sim(mesh.ids[0]).schedule_at(t, [] {}, sim::Wake::No);
-  }
-
-  StormRun result;
-  result.nodes = n;
-  result.threads = std::min(threads, n);
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const bool done = ssim.run_until(
-      [&] {
-        return mesh.total_completed() == total && resolver_done &&
-               net.pending_fault_events() == 0;
-      },
-      threads);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "chaos storm drained with " << mesh.total_completed() << "/"
-              << total << " calls completed\n";
-    std::exit(1);
-  }
-  if (resolver_ok == 0) {
-    std::cerr << "FAIL: no directory resolve ever succeeded under chaos\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return ssim.counter(key); });
-  result.windows = ssim.windows();
-  result.faults_applied = ssim.counter("net.faults_applied");
-  result.messages_dropped_by_schedule =
-      ssim.counter("net.messages_dropped_by_schedule");
-  result.exactly_once = mesh.exactly_once();
-  result.elections_held = ssim.counter("rts.elections_held");
-  result.leader_changes = ssim.counter("rts.leader_changes");
-  result.directory_failovers = ssim.counter("rmi.directory_failovers");
-  result.directory_resolves = ssim.counter("rts.dir_resolves");
-  result.election_time_us = ssim.counter("rts.election_time_us");
-  result.failover_time_us = ssim.counter("rmi.directory_failover_time_us");
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-  check_chaos_invariants(result);
-  return result;
-}
-
-StormRun run_storm(int n) {
-  using namespace mage;
-  sim::Simulation sim(2026);
-  net::Network net(sim, net::CostModel::zero());
-  StormMesh mesh(net, n);
-
-  StormRun result;
-  result.nodes = n;
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const auto checks_before = sim.stats().counter("sim.predicate_checks");
-  const bool done =
-      sim.run_until([&] { return mesh.total_completed() == total; });
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "storm drained with " << mesh.total_completed() << "/"
-              << total << " calls completed\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return sim.stats().counter(key); });
-  result.predicate_checks =
-      sim.stats().counter("sim.predicate_checks") - checks_before;
-  for (const auto& w : mesh.watch) result.order_violations += w.order_violations;
-  check_invariants(result);
-  return result;
-}
-
-StormRun run_storm_sharded(int n, int threads) {
-  using namespace mage;
-  const net::CostModel model = storm_model();
-  sim::ShardedSim ssim(static_cast<std::size_t>(n), 2026,
-                       net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
-  StormMesh mesh(net, n);
-
-  StormRun result;
-  result.nodes = n;
-  // Record the parallelism that actually existed: the engine clamps the
-  // worker pool to the shard count, and the scaling gate keys off this.
-  result.threads = std::min(threads, n);
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  const auto start = Clock::now();
-  // Pre-run, single-threaded: prime every link's window.
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const bool done = ssim.run_until(
-      [&] { return mesh.total_completed() == total; }, threads);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "sharded storm drained with " << mesh.total_completed()
-              << "/" << total << " calls completed\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return ssim.counter(key); });
-  result.windows = ssim.windows();
-  for (const auto& w : mesh.watch) {
-    result.order_violations += w.order_violations;
-  }
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-  check_invariants(result);
-  return result;
-}
-
-// ROADMAP item 1's acceptance run: the same sharded storm with (a) every
-// node's per-link invokes coalesced into one batch frame per lookahead
-// window (flush quantum == the conservative lookahead, so request batches
-// and their reply batches pipeline one window apart) and (b) the reply
-// cache growing adaptively from the deliberately small 512-entry floor
-// instead of churning 111k evictions.  Everything the clean storm asserts
-// (per-link FIFO, determinism across worker counts) must still hold.
-StormRun run_storm_batched(int n, int threads) {
-  using namespace mage;
-  const net::CostModel model = storm_model();
-  const common::SimDuration lookahead = net::Network::min_link_latency(model);
-  sim::ShardedSim ssim(static_cast<std::size_t>(n), 2026, lookahead);
-  net::Network net(ssim, model);
-  MeshOptions options;
-  options.flush_quantum_us = lookahead;
-  options.adaptive_cache = true;
-  StormMesh mesh(net, n, options);
-
-  StormRun result;
-  result.nodes = n;
-  result.threads = std::min(threads, n);
-  const std::int64_t total =
-      static_cast<std::int64_t>(n) * (n - 1) * kCallsPerLink;
-
-  // Batching is what makes deep pipelines affordable: kWindow outstanding
-  // invokes per link cost one envelope each unbatched, but a whole window's
-  // worth rides a single frame here — so the acceptance run drives the
-  // pipeline four windows deep and lets the coalescer amortize them.
-  constexpr int kBatchWindow = 4 * kWindow;
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kBatchWindow; ++w) launch(link);
-  }
-  const bool done = ssim.run_until(
-      [&] { return mesh.total_completed() == total; }, threads);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "batched storm drained with " << mesh.total_completed()
-              << "/" << total << " calls completed\n";
-    std::exit(1);
-  }
-
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  snapshot_counters(result,
-                    [&](const char* key) { return ssim.counter(key); });
-  result.windows = ssim.windows();
-  for (const auto& w : mesh.watch) {
-    result.order_violations += w.order_violations;
-  }
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-
-  if (result.order_violations != 0) {
-    std::cerr << "FAIL: " << result.order_violations
-              << " per-link ordering violations under batching\n";
-    std::exit(1);
-  }
-  if (result.batches_sent == 0 ||
-      result.batched_invokes < 2 * result.batches_sent) {
-    std::cerr << "FAIL: batching never coalesced (batches="
-              << result.batches_sent << ", batched invokes="
-              << result.batched_invokes << ")\n";
-    std::exit(1);
-  }
-  if (result.reply_cache_grows == 0) {
-    std::cerr << "FAIL: adaptive reply cache never grew from the "
-              << kCacheCapacity << "-entry floor\n";
-    std::exit(1);
-  }
-  // The headline: the workload that churned 111k evictions at a fixed
-  // 512-entry ring now stays under 1% of calls.
-  if (result.evictions * 100 >= result.calls) {
-    std::cerr << "FAIL: " << result.evictions << " evictions on "
-              << result.calls << " calls (>= 1%) despite adaptive sizing\n";
-    std::exit(1);
-  }
-  return result;
-}
-
-// --- WAN scaling curves (--wan) ---------------------------------------------
-//
-// The all-to-all storm is the sharded engine's WORST case: every link is
-// cross-shard, so the slowest link's lookahead throttles every window and
-// the speedup on few cores hovers near 1.  The WAN mesh is the geometry
-// the engine is FOR: `sites` clusters of LAN-co-located nodes (all-to-all
-// chatter inside each site), joined by ~20ms WAN hops that only the site
-// leaders cross.  An affinity mapping puts each site on one shard, so the
-// chatter becomes intra-shard direct schedules and the only cross-shard
-// traffic rides links whose per-pair lookahead is the WAN hop — windows
-// tens of milliseconds of virtual time wide, one barrier each.  The curve
-// records throughput at 1/2/4/8 workers plus an identity-mapped (one node
-// per shard) control run, whose per-node digests must match the clustered
-// runs bit for bit — the mapping-independence contract on real hardware.
-
-constexpr mage::common::SimDuration kWanHopUs = 20'000;
-
-mage::net::CostModel wan_model() { return mage::net::CostModel::wan_site(); }
-
-struct WanParams {
-  int nodes = 64;
-  int sites = 8;
-  int calls_per_link = 200;        // site-local links
-  int cross_calls_per_link = 100;  // leader <-> leader links
-  bool identity_mapping = false;   // one shard per node (control run)
+struct Entry {
+  std::string name;
+  Scenario scenario;
+  std::vector<Layout> layouts;  // the first runs the ladder; the rest: controls
+  bool every_rung = false;  // the whole ladder, not just 1 and T workers
 };
 
-struct WanRun {
-  int workers = 0;
-  bool oversubscribed = false;
-  double wall_sec = 0;
-  double calls_per_sec = 0;
-  std::int64_t calls = 0;
-  std::int64_t windows = 0;
-  std::int64_t messages_sent = 0;
-  std::int64_t order_violations = 0;
-  std::vector<std::uint64_t> node_digests;
-};
+std::vector<Entry> scenarios(int n, bool chaos, bool wan) {
+  std::vector<Entry> out;
+  Scenario storm;
+  storm.nodes = n;
+  storm.reply_cache_capacity = 512;  // (N-1) x 500 inbound calls wrap it
+  out.push_back({"storm", storm, {identity(storm), Layout{}}});
 
-// Site-clustered mesh over `net`: all-to-all echo pipelines inside each
-// site, leader-to-leader pipelines across sites, cross-site links carrying
-// kWanHopUs of extra latency.
-struct WanMesh {
-  std::vector<mage::common::NodeId> ids;
-  std::vector<std::unique_ptr<mage::rmi::Transport>> transports;
-  std::vector<NodeWatch> watch;
-  std::vector<std::int64_t> completed;
-  std::vector<Link> links;
-  std::int64_t total_calls = 0;
+  Scenario batch = storm;
+  batch.flush_quantum_us = mage::net::Network::min_link_latency(batch.model);
+  batch.adaptive_cache = true;
+  batch.window = 32;  // a window's worth of invokes rides one frame
+  out.push_back({"batch", batch, {identity(batch)}});
 
-  WanMesh(mage::net::Network& net, const WanParams& p) {
-    using namespace mage;
-    const int per_site = p.nodes / p.sites;
-    for (int i = 0; i < p.nodes; ++i) {
-      ids.push_back(net.add_node("s" + std::to_string(i / per_site) + "n" +
-                                 std::to_string(i % per_site)));
-    }
-    for (int a = 0; a < p.nodes; ++a) {
-      for (int b = 0; b < p.nodes; ++b) {
-        if (a != b && a / per_site != b / per_site) {
-          net.set_extra_latency(ids[a], ids[b], kWanHopUs);
-        }
-      }
-    }
-    for (int i = 0; i < p.nodes; ++i) {
-      transports.push_back(std::make_unique<rmi::Transport>(net, ids[i]));
-    }
-    watch.resize(static_cast<std::size_t>(p.nodes) + 1);
-    for (auto& w : watch) {
-      w.last_seq.assign(static_cast<std::size_t>(p.nodes) + 1, -1);
-    }
-    completed.assign(static_cast<std::size_t>(p.nodes) + 1, 0);
-
-    const common::VerbId echo = common::intern_verb("storm.echo");
-    for (int i = 0; i < p.nodes; ++i) {
-      NodeWatch* w = &watch[ids[i].value()];
-      transports[i]->register_service(
-          echo, [w](common::NodeId caller, const serial::BufferChain& body,
-                    rmi::Replier replier) {
-            serial::ChainReader r(body);
-            const auto seq = static_cast<std::int64_t>(r.read_u64());
-            auto& last = w->last_seq[caller.value()];
-            if (seq <= last) ++w->order_violations;
-            last = seq;
-            w->digest = fold_digest(w->digest, caller.value(),
-                                    static_cast<std::uint64_t>(seq));
-            replier.ok(body);
-          });
-    }
-
-    auto add_link = [&](int src, int dst, int calls) {
-      links.push_back(Link{transports[src].get(), ids[dst], 0, calls,
-                           &completed[ids[src].value()],
-                           rmi::CallOptions{}});
-      total_calls += calls;
-    };
-    for (int site = 0; site < p.sites; ++site) {
-      const int base = site * per_site;
-      for (int i = 0; i < per_site; ++i) {
-        for (int j = 0; j < per_site; ++j) {
-          if (i != j) add_link(base + i, base + j, p.calls_per_link);
-        }
-      }
-    }
-    for (int sa = 0; sa < p.sites; ++sa) {
-      for (int sb = 0; sb < p.sites; ++sb) {
-        if (sa != sb) {
-          add_link(sa * per_site, sb * per_site, p.cross_calls_per_link);
-        }
-      }
-    }
-  }
-};
-
-// The communication graph the workload above implies, for the affinity
-// clusterer: what the mapping layer would learn from traffic counters in a
-// real deployment, the bench simply knows.
-std::vector<mage::net::AffinityEdge> wan_affinity_edges(const WanParams& p) {
-  std::vector<mage::net::AffinityEdge> edges;
-  const int per_site = p.nodes / p.sites;
-  for (int site = 0; site < p.sites; ++site) {
-    const int base = site * per_site;
-    for (int i = 0; i < per_site; ++i) {
-      for (int j = i + 1; j < per_site; ++j) {
-        edges.push_back({static_cast<std::size_t>(base + i),
-                         static_cast<std::size_t>(base + j),
-                         2.0 * p.calls_per_link});
-      }
-    }
-  }
-  for (int sa = 0; sa < p.sites; ++sa) {
-    for (int sb = sa + 1; sb < p.sites; ++sb) {
-      edges.push_back({static_cast<std::size_t>(sa * per_site),
-                       static_cast<std::size_t>(sb * per_site),
-                       2.0 * p.cross_calls_per_link});
-    }
-  }
-  return edges;
-}
-
-WanRun run_storm_wan(const WanParams& p, int workers) {
-  using namespace mage;
-  const net::CostModel model = wan_model();
-  const std::size_t shards = p.identity_mapping
-                                 ? static_cast<std::size_t>(p.nodes)
-                                 : static_cast<std::size_t>(p.sites);
-  sim::ShardedSim ssim(shards, 2026, net::Network::min_link_latency(model));
-  std::vector<std::size_t> mapping;
-  if (!p.identity_mapping) {
-    mapping = net::affinity_mapping(static_cast<std::size_t>(p.nodes), shards,
-                                    wan_affinity_edges(p));
-  }
-  net::Network net(ssim, model, std::move(mapping));
-  WanMesh mesh(net, p);
-  // Derive the per-pair lookahead matrix from the topology: cross-site
-  // shard pairs get base + kWanHopUs, giving every shard a ~20ms window.
-  net.refresh_pair_lookaheads();
-
-  WanRun result;
-  result.workers = std::min<int>(workers, static_cast<int>(shards));
-  const unsigned hw = std::thread::hardware_concurrency();
-  result.oversubscribed = hw != 0 && static_cast<unsigned>(result.workers) > hw;
-
-  const auto start = Clock::now();
-  for (auto& link : mesh.links) {
-    for (int w = 0; w < kWindow; ++w) launch(link);
-  }
-  const std::int64_t total = mesh.total_calls;
-  const bool done = ssim.run_until(
-      [&] {
-        std::int64_t sum = 0;
-        for (std::int64_t c : mesh.completed) sum += c;
-        return sum == total;
-      },
-      workers);
-  result.wall_sec = std::chrono::duration<double>(Clock::now() - start).count();
-  if (!done) {
-    std::cerr << "wan storm drained before completing all calls\n";
-    std::exit(1);
-  }
-  result.calls = total;
-  result.calls_per_sec = static_cast<double>(total) / result.wall_sec;
-  result.windows = ssim.windows();
-  result.messages_sent = ssim.counter("net.messages_sent");
-  for (const auto& w : mesh.watch) {
-    result.order_violations += w.order_violations;
-  }
-  for (std::size_t i = 1; i < mesh.watch.size(); ++i) {
-    result.node_digests.push_back(mesh.watch[i].digest);
-  }
-  if (result.order_violations != 0) {
-    std::cerr << "FAIL: " << result.order_violations
-              << " per-link ordering violations on the WAN mesh\n";
-    std::exit(1);
-  }
-  return result;
-}
-
-// One scaling curve: the worker ladder on the affinity mapping, plus (for
-// the headline mesh) the identity-mapped control whose digests prove
-// mapping independence.
-struct WanCurve {
-  WanParams params;
-  std::vector<WanRun> points;
-  WanRun identity;            // only when run_identity
-  bool ran_identity = false;
-  double speedup = 0.0;       // best non-oversubscribed point vs 1 worker
-  bool deterministic = true;
-  bool mapping_independent = true;
-};
-
-WanCurve run_wan_curve(WanParams params, const std::vector<int>& ladder,
-                       bool run_identity) {
-  WanCurve curve;
-  curve.params = params;
-  for (const int w : ladder) {
-    curve.points.push_back(run_storm_wan(params, w));
-    const WanRun& r = curve.points.back();
-    std::cout << "wan " << params.nodes << " nodes / " << params.sites
-              << " sites, " << r.workers << " workers"
-              << (r.oversubscribed ? " (oversubscribed)" : "") << ": "
-              << static_cast<std::int64_t>(r.calls_per_sec)
-              << " calls/sec, " << r.windows << " windows\n";
-    if (r.node_digests != curve.points.front().node_digests) {
-      curve.deterministic = false;
-    }
-  }
-  const double base = curve.points.front().calls_per_sec;
-  for (const WanRun& r : curve.points) {
-    if (!r.oversubscribed) {
-      curve.speedup = std::max(curve.speedup, r.calls_per_sec / base);
-    }
-  }
-  if (run_identity) {
-    params.identity_mapping = true;
-    curve.identity = run_storm_wan(
-        params, std::min(8, static_cast<int>(
-                                std::max(1u, std::thread::hardware_concurrency()))));
-    curve.ran_identity = true;
-    curve.mapping_independent =
-        curve.identity.node_digests == curve.points.front().node_digests;
-    std::cout << "wan identity control: " << curve.identity.windows
-              << " windows (vs " << curve.points.front().windows
-              << " clustered); per-node digests "
-              << (curve.mapping_independent ? "identical" : "DIVERGED")
-              << "\n";
-    if (!curve.mapping_independent) {
-      std::cerr << "FAIL: per-node delivery order depends on the node:shard "
-                   "mapping\n";
-      std::exit(1);
-    }
-  }
-  if (!curve.deterministic) {
-    std::cerr << "FAIL: wan per-node digests differ across worker counts\n";
-    std::exit(1);
-  }
-  return curve;
-}
-
-void print_run(const StormRun& r, bool chaos = false) {
-  std::cout << r.nodes << " nodes";
-  if (r.threads > 0) std::cout << " x " << r.threads << " threads";
-  if (chaos) std::cout << " [chaos]";
-  std::cout << ": " << static_cast<std::int64_t>(r.calls_per_sec)
-            << " calls/sec (" << r.calls << " calls, " << r.wall_sec
-            << " s), " << r.evictions << " evictions, " << r.retransmissions
-            << " retransmissions, ";
-  if (r.threads > 0) {
-    std::cout << r.windows << " windows, ";
-  } else {
-    std::cout << r.predicate_checks << " predicate checks, ";
-  }
   if (chaos) {
-    std::cout << r.faults_applied << " faults applied, "
-              << r.messages_dropped_by_schedule << " scheduled drops, "
-              << r.elections_held << " elections ("
-              << r.election_time_us << " us), " << r.directory_failovers
-              << " directory failovers (" << r.failover_time_us << " us), "
-              << r.directory_resolves << " resolves\n";
-  } else {
-    std::cout << r.order_violations << " order violations\n";
+    Scenario c = storm;
+    // Adequately sized: every retransmission finds its cached reply.
+    c.reply_cache_capacity = mage::rmi::Transport::kReplyCacheCapacity;
+    c.call_options = mage::rmi::CallOptions{/*retry_timeout_us=*/30'000,
+                                            /*max_attempts=*/64};
+    c.faults = chaos_schedule();
+    c.directors = 3;
+    out.push_back({"chaos", c, {identity(c)}});
   }
+  if (wan) {
+    Scenario w;
+    w.model = mage::net::CostModel::wan_site();
+    w.nodes = 64;
+    w.sites = 8;
+    w.site_hop_us = 20'000;
+    w.calls_per_link = 200;
+    w.gateway_calls = 100;
+    out.push_back({"wan64", w, {Layout{8, /*affinity=*/true}, identity(w)},
+                   /*every_rung=*/true});
+    w.nodes = 128;  // double the per-shard work
+    w.calls_per_link = 50;
+    w.gateway_calls = 50;
+    out.push_back({"wan128", w, {Layout{8, /*affinity=*/true}}});
+  }
+  return out;
 }
 
-void write_json_run(std::ofstream& json, const StormRun& r,
-                    const char* indent) {
-  json << indent << "{\n"
-       << indent << "  \"nodes\": " << r.nodes << ",\n"
-       << indent << "  \"threads\": " << r.threads << ",\n"
-       << indent << "  \"calls\": " << r.calls << ",\n"
-       << indent << "  \"wall_sec\": " << r.wall_sec << ",\n"
-       << indent << "  \"calls_per_sec\": " << r.calls_per_sec << ",\n"
-       << indent << "  \"reply_cache_evictions\": " << r.evictions << ",\n"
-       << indent << "  \"retransmissions\": " << r.retransmissions << ",\n"
-       << indent << "  \"duplicates_suppressed\": " << r.duplicates_suppressed
-       << ",\n"
-       << indent << "  \"predicate_checks\": " << r.predicate_checks << ",\n"
-       << indent << "  \"windows\": " << r.windows << ",\n"
-       << indent << "  \"order_violations\": " << r.order_violations << ",\n"
-       << indent << "  \"faults_applied\": " << r.faults_applied << ",\n"
-       << indent << "  \"messages_dropped_by_schedule\": "
-       << r.messages_dropped_by_schedule << ",\n"
-       << indent << "  \"evicted_reexecutions\": " << r.evicted_reexecutions
-       << ",\n"
-       << indent << "  \"fifo_violations\": " << r.fifo_violations << ",\n"
-       << indent << "  \"messages_sent\": " << r.messages_sent << ",\n"
-       << indent << "  \"batches_sent\": " << r.batches_sent << ",\n"
-       << indent << "  \"batched_invokes\": " << r.batched_invokes << ",\n"
-       << indent << "  \"batch_singletons\": " << r.batch_singletons << ",\n"
-       << indent << "  \"reply_cache_grows\": " << r.reply_cache_grows
-       << ",\n"
-       << indent << "  \"reply_cache_shrinks\": " << r.reply_cache_shrinks
-       << ",\n"
-       << indent << "  \"reply_cache_capacity_highwater\": "
-       << r.reply_cache_capacity_highwater << ",\n"
-       << indent << "  \"failover\": {\n"
-       << indent << "    \"elections_held\": " << r.elections_held << ",\n"
-       << indent << "    \"leader_changes\": " << r.leader_changes << ",\n"
-       << indent << "    \"directory_failovers\": " << r.directory_failovers
-       << ",\n"
-       << indent << "    \"directory_resolves\": " << r.directory_resolves
-       << ",\n"
-       << indent << "    \"election_time_us\": " << r.election_time_us
-       << ",\n"
-       << indent << "    \"failover_time_us\": " << r.failover_time_us << "\n"
-       << indent << "  }\n"
-       << indent << "}";
+// The bench runs three layouts: one Simulation, identity(s) and affinity.
+std::string layout_name(Layout layout) {
+  if (layout.shards == 0) return "simulation";
+  return layout.affinity ? "affinity" : "identity";
 }
 
-}  // namespace
+// The most calls any one node receives.
+std::int64_t max_inbound(const Scenario& s) {
+  std::vector<std::int64_t> inbound(static_cast<std::size_t>(s.nodes), 0);
+  for (const mage::storm::Link& l : mage::storm::links(s)) {
+    inbound[static_cast<std::size_t>(l.dst)] += l.calls;
+  }
+  return *std::max_element(inbound.begin(), inbound.end());
+}
 
-namespace {
+// The first way run `r` broke scenario `s`'s contract; empty if it held.
+std::string violation(const Scenario& s, const Record& r) {
+  std::ostringstream why;
+  if (!r.completed) {
+    why << "drained before every call was answered";
+  } else if (r.failed_calls != 0) {
+    why << r.failed_calls << " calls failed";
+  } else if (!r.every_invoke_exactly_once()) {
+    why << "some request did not execute exactly once";
+  } else if (r.fifo_violations != 0) {
+    why << r.fifo_violations << " wire-FIFO violations";
+  } else if (r.evicted_reexecutions != 0) {
+    why << r.evicted_reexecutions << " eviction-caused re-executions";
+  } else if (s.faults.empty() && r.order_violations != 0) {
+    why << r.order_violations << " per-link ordering violations";
+  } else if (!s.adaptive_cache &&
+             max_inbound(s) >
+                 static_cast<std::int64_t>(s.reply_cache_capacity) &&
+             r.reply_cache_evictions == 0) {
+    why << "reply-cache ring never evicted";
+  } else if (s.adaptive_cache && r.reply_cache_grows == 0) {
+    why << "adaptive reply cache never grew from the "
+        << s.reply_cache_capacity << "-entry floor";
+  } else if (s.adaptive_cache && r.reply_cache_evictions * 100 >= r.calls) {
+    why << r.reply_cache_evictions << " evictions on " << r.calls
+        << " calls (>= 1%) despite adaptive sizing";
+  } else if (s.flush_quantum_us > 0 &&
+             (r.batches_sent == 0 ||
+              r.batched_invokes < 2 * r.batches_sent)) {
+    why << "batching never coalesced (batches=" << r.batches_sent
+        << ", batched invokes=" << r.batched_invokes << ")";
+  } else if (!s.faults.empty() &&
+             (r.faults_applied < static_cast<std::int64_t>(s.faults.size()) ||
+              r.messages_dropped_by_schedule == 0 ||
+              r.retransmissions == 0)) {
+    why << "not chaotic (faults applied=" << r.faults_applied << " of "
+        << s.faults.size() << ", scheduled drops="
+        << r.messages_dropped_by_schedule
+        << ", retransmissions=" << r.retransmissions << ")";
+  } else if (s.directors > 0 &&
+             (r.elections_held < 2 || r.directory_failovers < 1 ||
+              r.directory_resolves < 1 || r.resolutions == 0)) {
+    why << "control plane did not fail over (elections=" << r.elections_held
+        << ", directory failovers=" << r.directory_failovers
+        << ", resolves served=" << r.directory_resolves
+        << ", resolved=" << r.resolutions << ")";
+  }
+  return why.str();
+}
 
-// Strict positive-integer parse; exits with usage on anything else so a
-// CI typo cannot silently skip the threaded determinism/scaling check.
+struct Run {
+  Layout layout;
+  Record record;
+  bool oversubscribed = false;
+};
+
+struct Result {
+  Entry entry;
+  std::vector<Run> runs;
+};
+
 int parse_positive(const char* what, const char* arg) {
   char* end = nullptr;
   const long v = std::strtol(arg, &end, 10);
   if (end == arg || *end != '\0' || v < 1 || v > 1'000'000) {
     std::cerr << "bench_storm: bad " << what << " '" << arg
-              << "'\nusage: bench_storm [N] [--threads T]\n";
+              << "'\nusage: bench_storm [N] [--threads T] [--chaos] [--glb] "
+                 "[--wan]\n";
     std::exit(2);
   }
   return static_cast<int>(v);
 }
 
+void write_run(std::ostream& json, const Run& run) {
+  const Record& r = run.record;
+  std::ostringstream digest;
+  digest << "0x" << std::hex << std::setw(16) << std::setfill('0')
+         << r.digest();
+  json << "        {\n"
+       << "          \"layout\": \"" << layout_name(run.layout) << "\",\n"
+       << "          \"shards\": " << run.layout.shards << ",\n"
+       << "          \"workers\": " << r.workers << ",\n"
+       << "          \"oversubscribed\": "
+       << (run.oversubscribed ? "true" : "false") << ",\n"
+       << "          \"completed\": " << (r.completed ? "true" : "false")
+       << ",\n"
+       << "          \"exactly_once\": "
+       << (r.every_invoke_exactly_once() ? "true" : "false") << ",\n"
+       << "          \"digest\": \"" << digest.str() << "\",\n"
+       << "          \"wall_sec\": " << r.wall_sec << ",\n"
+       << "          \"calls_per_sec\": " << r.calls_per_sec << ",\n"
+       << "          \"windows\": " << r.windows << ",\n"
+       << "          \"failed_calls\": " << r.failed_calls << ",\n"
+       << "          \"order_violations\": " << r.order_violations << ",\n"
+       << "          \"pending_fault_events\": " << r.pending_fault_events
+       << ",\n"
+       << "          \"resolutions\": " << r.resolutions << ",\n"
+       << "          \"reply_cache_capacity_sum\": "
+       << r.reply_cache_capacity_sum << ",\n"
+       << "          \"counters\": {\n";
+  const std::size_t n = std::size(mage::storm::kCounters);
+  for (std::size_t i = 0; i < n; ++i) {
+    const auto& [key, field] = mage::storm::kCounters[i];
+    json << "            \"" << key << "\": " << r.*field
+         << (i + 1 < n ? ",\n" : "\n");
+  }
+  json << "          }\n        }";
+}
+
+void write_scenario(std::ostream& json, const Result& res) {
+  const Scenario& s = res.entry.scenario;
+  json << "    {\n"
+       << "      \"name\": \"" << res.entry.name << "\",\n"
+       << "      \"ladder_layout\": \""
+       << layout_name(res.entry.layouts.front()) << "\",\n"
+       << "      \"nodes\": " << s.nodes << ",\n"
+       << "      \"sites\": " << s.sites << ",\n"
+       << "      \"gateways\": " << s.gateways << ",\n"
+       << "      \"site_hop_us\": " << s.site_hop_us << ",\n"
+       << "      \"calls_per_link\": " << s.calls_per_link << ",\n"
+       << "      \"gateway_calls\": " << s.gateway_calls << ",\n"
+       << "      \"window\": " << s.window << ",\n"
+       << "      \"reply_cache_capacity\": " << s.reply_cache_capacity << ",\n"
+       << "      \"adaptive_cache\": " << (s.adaptive_cache ? "true" : "false")
+       << ",\n"
+       << "      \"flush_quantum_us\": " << s.flush_quantum_us << ",\n"
+       << "      \"oneway_notes\": " << (s.oneway_notes ? "true" : "false")
+       << ",\n"
+       << "      \"fault_entries\": " << s.faults.size() << ",\n"
+       << "      \"directors\": " << s.directors << ",\n"
+       << "      \"calls\": " << res.runs.front().record.calls << ",\n"
+       << "      \"runs\": [\n";
+  for (std::size_t i = 0; i < res.runs.size(); ++i) {
+    write_run(json, res.runs[i]);
+    json << (i + 1 < res.runs.size() ? ",\n" : "\n");
+  }
+  json << "      ]\n    }";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::vector<int> sizes{4, 8, 16};
+  int n = 16;
   int threads = 0;
   bool chaos = false;
   bool glb = false;
@@ -1090,114 +316,80 @@ int main(int argc, char** argv) {
     } else if (std::strcmp(argv[i], "--wan") == 0) {
       wan = true;
     } else {
-      sizes = {parse_positive("node count", argv[i])};
+      n = parse_positive("node count", argv[i]);
     }
   }
-  if (chaos && threads == 0) {
-    std::cerr << "bench_storm: --chaos needs --threads (it measures the "
-                 "sharded engine's degraded mode)\n";
+  if ((chaos || glb || wan) && threads == 0) {
+    std::cerr << "bench_storm: "
+              << (chaos ? "--chaos" : glb ? "--glb" : "--wan")
+              << " needs --threads (it compares 1 and T workers)\n";
     return 2;
   }
-  if (chaos && sizes.back() < 4) {
+  if (chaos && n < 4) {
     std::cerr << "bench_storm: --chaos needs >= 4 nodes (the schedule "
-                 "partitions one link and crashes a third node)\n";
+                 "crashes three directors and a resolver runs on a fourth)\n";
+    return 2;
+  }
+  if (n < 2) {
+    std::cerr << "bench_storm: the storm needs >= 2 nodes\n";
     return 2;
   }
 
-  std::vector<StormRun> runs;
-  StormRun single_sharded;
-  StormRun multi_sharded;
-  StormRun batch_single;
-  StormRun batch_multi;
-  StormRun chaos_single;
-  StormRun chaos_multi;
-  double speedup = 0.0;
-  double batch_speedup = 0.0;
-  double batch_vs_unbatched = 0.0;
-  double chaos_speedup = 0.0;
-  double degraded_vs_clean = 0.0;
+  const unsigned hw = std::thread::hardware_concurrency();
+  const int top = std::max(threads, 1);
+  std::vector<int> ladder;
+  for (int w = 1; w < top; w *= 2) ladder.push_back(w);
+  ladder.push_back(top);
+  const std::vector<int> ends{1, top};
 
-  if (threads > 0) {
-    const int n = sizes.back();
-    // Driver-engine run first, so the JSON records driver vs sharded-1 vs
-    // sharded-T on the same machine state.
-    runs.push_back(run_storm(n));
-    print_run(runs.back());
-    single_sharded = run_storm_sharded(n, 1);
-    print_run(single_sharded);
-    multi_sharded = run_storm_sharded(n, threads);
-    print_run(multi_sharded);
-    if (single_sharded.node_digests != multi_sharded.node_digests) {
-      std::cerr << "FAIL: per-node delivery order differs between 1 and "
-                << threads
-                << " worker threads — sharded determinism contract broken\n";
-      return 1;
-    }
-    speedup = multi_sharded.calls_per_sec / single_sharded.calls_per_sec;
-    std::cout << "speedup: " << speedup << "x with " << multi_sharded.threads
-              << " threads (" << std::thread::hardware_concurrency()
-              << " hardware cores); per-node order digests identical\n";
-    batch_single = run_storm_batched(n, 1);
-    print_run(batch_single);
-    batch_multi = run_storm_batched(n, threads);
-    print_run(batch_multi);
-    if (batch_single.node_digests != batch_multi.node_digests) {
-      std::cerr << "FAIL: batched per-node delivery order differs between 1 "
-                   "and "
-                << threads << " worker threads — batching broke the sharded "
-                              "determinism contract\n";
-      return 1;
-    }
-    batch_speedup = batch_multi.calls_per_sec / batch_single.calls_per_sec;
-    batch_vs_unbatched =
-        batch_multi.calls_per_sec / multi_sharded.calls_per_sec;
-    std::cout << "batch: " << batch_vs_unbatched
-              << "x of unbatched throughput ("
-              << static_cast<std::int64_t>(batch_multi.calls_per_sec)
-              << " calls/sec, "
-              << (batch_multi.batched_invokes /
-                  std::max<std::int64_t>(batch_multi.batches_sent, 1))
-              << " invokes/batch, " << batch_multi.evictions
-              << " evictions); digests identical\n";
-    if (chaos) {
-      chaos_single = run_storm_chaos(n, 1);
-      print_run(chaos_single, /*chaos=*/true);
-      chaos_multi = run_storm_chaos(n, threads);
-      print_run(chaos_multi, /*chaos=*/true);
-      if (chaos_single.node_digests != chaos_multi.node_digests) {
-        std::cerr << "FAIL: chaos per-node digests differ between 1 and "
-                  << threads
-                  << " workers — the fault schedule broke determinism\n";
-        return 1;
+  const int control = hw != 0 ? std::min(top, static_cast<int>(hw)) : top;
+
+  std::vector<Result> results;
+  for (Entry& entry : scenarios(n, chaos, wan)) {
+    Result& res = results.emplace_back(Result{std::move(entry), {}});
+    const Scenario& s = res.entry.scenario;
+    for (const Layout& layout : res.entry.layouts) {
+      const bool on_ladder = &layout == &res.entry.layouts.front();
+      const std::vector<int> counts =
+          !on_ladder ? std::vector<int>{control}
+                     : (res.entry.every_rung ? ladder : ends);
+      int last = 0;
+      for (const int w : counts) {
+        const int workers =
+            layout.shards == 0 ? 1
+                               : std::min(w, static_cast<int>(layout.shards));
+        if (workers == last) continue;
+        last = workers;
+        Run run{layout, mage::storm::run_storm(s, layout, workers),
+                hw != 0 && static_cast<unsigned>(workers) > hw};
+        const Record& r = run.record;
+        const std::string tag = res.entry.name + " " + layout_name(layout) +
+                                " x " + std::to_string(r.workers);
+        std::cout << tag << (run.oversubscribed ? " (oversubscribed)" : "")
+                  << ": " << static_cast<std::int64_t>(r.calls_per_sec)
+                  << " calls/sec (" << r.calls << " calls, " << r.wall_sec
+                  << " s), " << r.windows << " windows, "
+                  << r.messages_sent << " messages, "
+                  << r.reply_cache_evictions << " evictions, "
+                  << r.retransmissions << " retransmissions, "
+                  << r.faults_applied << " faults applied\n";
+        const std::string why = violation(s, r);
+        if (!why.empty()) {
+          std::cerr << "FAIL: " << tag << ": " << why << "\n";
+          return 1;
+        }
+        if (!res.runs.empty() &&
+            r.node_digests != res.runs.front().record.node_digests) {
+          std::cerr << "FAIL: " << tag
+                    << ": per-node digests differ from the first run's — "
+                       "the layout or worker count changed what ran\n";
+          return 1;
+        }
+        res.runs.push_back(std::move(run));
       }
-      chaos_speedup =
-          chaos_multi.calls_per_sec / chaos_single.calls_per_sec;
-      degraded_vs_clean =
-          chaos_multi.calls_per_sec / multi_sharded.calls_per_sec;
-      std::cout << "chaos: " << chaos_speedup << "x degraded-mode speedup; "
-                << degraded_vs_clean
-                << "x of clean throughput under faults; digests identical; "
-                   "every request executed exactly once\n";
     }
-  } else {
-    for (int n : sizes) {
-      runs.push_back(run_storm(n));
-      print_run(runs.back());
-    }
-  }
-
-  // --- WAN scaling curves (see the block comment above WanParams) -----------
-  std::vector<WanCurve> wan_curves;
-  if (wan) {
-    WanParams p64;  // 8 sites x 8 nodes, the headline mesh
-    wan_curves.push_back(
-        run_wan_curve(p64, {1, 2, 4, 8}, /*run_identity=*/true));
-    WanParams p128;  // 8 sites x 16 nodes: double the per-shard work
-    p128.nodes = 128;
-    p128.calls_per_link = 50;
-    p128.cross_calls_per_link = 50;
-    wan_curves.push_back(
-        run_wan_curve(p128, {1, 8}, /*run_identity=*/false));
+    std::cout << res.entry.name << ": per-node digests identical over "
+              << res.runs.size() << " runs\n";
   }
 
   // --- lifeline GLB over DistMap (chaos schedule always on) -----------------
@@ -1223,7 +415,7 @@ int main(int argc, char** argv) {
       auto t0 = Clock::now();
       result.single = mage::glb::run_glb(params, 1);
       auto t1 = Clock::now();
-      result.multi = mage::glb::run_glb(params, 8);
+      result.multi = mage::glb::run_glb(params, threads);
       auto t2 = Clock::now();
       result.single_sec = std::chrono::duration<double>(t1 - t0).count();
       result.multi_sec = std::chrono::duration<double>(t2 - t1).count();
@@ -1248,7 +440,8 @@ int main(int argc, char** argv) {
                 << result.single.lifeline_steals << " lifeline steals, "
                 << result.single.faults_applied << " faults, "
                 << result.single.requeues << " requeues; 1w "
-                << result.single_sec << "s, 8w " << result.multi_sec << "s; "
+                << result.single_sec << "s, " << threads << "w "
+                << result.multi_sec << "s; "
                 << (deterministic ? "digests identical" : "DIGESTS DIVERGED")
                 << ", "
                 << (exactly_once ? "exactly-once" : "EXACTLY-ONCE VIOLATED")
@@ -1264,94 +457,27 @@ int main(int argc, char** argv) {
   std::ofstream json("BENCH_storm.json");
   json << "{\n"
        << "  \"bench\": \"storm\",\n"
-       << "  \"calls_per_link\": " << kCallsPerLink << ",\n"
-       << "  \"window\": " << kWindow << ",\n"
-       << "  \"reply_cache_capacity\": " << kCacheCapacity << ",\n"
-       << "  \"hardware_threads\": " << std::thread::hardware_concurrency()
-       << ",\n";
-  json << "  \"runs\": [\n";
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    write_json_run(json, runs[i], "    ");
-    json << (i + 1 < runs.size() ? "," : "") << "\n";
+       << "  \"hardware_threads\": " << hw << ",\n"
+       << "  \"ladder\": [";
+  for (std::size_t i = 0; i < ladder.size(); ++i) {
+    json << (i ? ", " : "") << ladder[i];
+  }
+  json << "],\n  \"scenarios\": [\n";
+  for (std::size_t i = 0; i < results.size(); ++i) {
+    write_scenario(json, results[i]);
+    json << (i + 1 < results.size() ? ",\n" : "\n");
   }
   json << "  ]";
-  // The exit(1) paths above fire before any JSON is written, so these can
-  // only ever record true in a file that exists — but emit the ACTUAL
-  // comparison results anyway, so ci/check_storm_scaling.py gates on real
-  // data rather than a constant if those paths are ever reordered.
-  const char* threaded_deterministic =
-      single_sharded.node_digests == multi_sharded.node_digests ? "true"
-                                                                : "false";
-  // Annotation, not data-laundering: a worker count above the machine's
-  // hardware threads CANNOT speed up (the workers time-share one core and
-  // pay the barriers), so the gate reads this flag and the hardware_threads
-  // field instead of treating an oversubscribed ~1.0x as a regression.
-  const unsigned hw_threads = std::thread::hardware_concurrency();
-  const auto oversub = [hw_threads](int workers) {
-    return hw_threads != 0 && static_cast<unsigned>(workers) > hw_threads
-               ? "true"
-               : "false";
-  };
-  if (threads > 0) {
-    json << ",\n  \"threaded\": {\n"
-         << "    \"threads\": " << multi_sharded.threads << ",\n"
-         << "    \"oversubscribed\": " << oversub(multi_sharded.threads)
-         << ",\n"
-         << "    \"deterministic\": " << threaded_deterministic << ",\n"
-         << "    \"speedup\": " << speedup << ",\n"
-         << "    \"single\":\n";
-    write_json_run(json, single_sharded, "      ");
-    json << ",\n    \"multi\":\n";
-    write_json_run(json, multi_sharded, "      ");
-    json << "\n  }";
-    json << ",\n  \"batch\": {\n"
-         << "    \"threads\": " << batch_multi.threads << ",\n"
-         << "    \"oversubscribed\": " << oversub(batch_multi.threads)
-         << ",\n"
-         << "    \"deterministic\": "
-         << (batch_single.node_digests == batch_multi.node_digests
-                 ? "true"
-                 : "false")
-         << ",\n"
-         << "    \"speedup\": " << batch_speedup << ",\n"
-         << "    \"vs_unbatched\": " << batch_vs_unbatched << ",\n"
-         << "    \"flush_quantum_us\": "
-         << mage::net::Network::min_link_latency(storm_model()) << ",\n"
-         << "    \"single\":\n";
-    write_json_run(json, batch_single, "      ");
-    json << ",\n    \"multi\":\n";
-    write_json_run(json, batch_multi, "      ");
-    json << "\n  }";
-  }
-  if (chaos) {
-    json << ",\n  \"chaos\": {\n"
-         << "    \"threads\": " << chaos_multi.threads << ",\n"
-         << "    \"oversubscribed\": " << oversub(chaos_multi.threads)
-         << ",\n"
-         << "    \"deterministic\": "
-         << (chaos_single.node_digests == chaos_multi.node_digests
-                 ? "true"
-                 : "false")
-         << ",\n"
-         << "    \"exactly_once\": "
-         << (chaos_single.exactly_once && chaos_multi.exactly_once
-                 ? "true"
-                 : "false")
-         << ",\n"
-         << "    \"speedup\": " << chaos_speedup << ",\n"
-         << "    \"degraded_vs_clean\": " << degraded_vs_clean << ",\n"
-         << "    \"single\":\n";
-    write_json_run(json, chaos_single, "      ");
-    json << ",\n    \"multi\":\n";
-    write_json_run(json, chaos_multi, "      ");
-    json << "\n  }";
-  }
   if (glb) {
     mage::glb::GlbParams defaults;
     json << ",\n  \"glb\": {\n"
          << "    \"nodes\": " << defaults.nodes << ",\n"
          << "    \"partitions\": " << defaults.partitions << ",\n"
-         << "    \"threads\": 8,\n"
+         << "    \"threads\": " << threads << ",\n"
+         << "    \"oversubscribed\": "
+         << (hw != 0 && static_cast<unsigned>(threads) > hw ? "true"
+                                                            : "false")
+         << ",\n"
          << "    \"deterministic\": " << (glb_deterministic ? "true" : "false")
          << ",\n"
          << "    \"exactly_once\": " << (glb_exactly_once ? "true" : "false")
@@ -1382,47 +508,6 @@ int main(int argc, char** argv) {
            << "      }" << (i + 1 < glb_seeds.size() ? "," : "") << "\n";
     }
     json << "    ]\n  }";
-  }
-  if (wan) {
-    json << ",\n  \"scaling\": [\n";
-    for (std::size_t c = 0; c < wan_curves.size(); ++c) {
-      const WanCurve& curve = wan_curves[c];
-      json << "    {\n"
-           << "      \"nodes\": " << curve.params.nodes << ",\n"
-           << "      \"sites\": " << curve.params.sites << ",\n"
-           << "      \"wan_hop_us\": " << kWanHopUs << ",\n"
-           << "      \"mapping\": \"affinity\",\n"
-           << "      \"calls\": " << curve.points.front().calls << ",\n"
-           << "      \"deterministic\": "
-           << (curve.deterministic ? "true" : "false") << ",\n"
-           << "      \"mapping_independent\": "
-           << (curve.mapping_independent ? "true" : "false") << ",\n"
-           << "      \"speedup\": " << curve.speedup << ",\n"
-           << "      \"points\": [\n";
-      for (std::size_t i = 0; i < curve.points.size(); ++i) {
-        const WanRun& r = curve.points[i];
-        json << "        {\n"
-             << "          \"workers\": " << r.workers << ",\n"
-             << "          \"oversubscribed\": "
-             << (r.oversubscribed ? "true" : "false") << ",\n"
-             << "          \"wall_sec\": " << r.wall_sec << ",\n"
-             << "          \"calls_per_sec\": " << r.calls_per_sec << ",\n"
-             << "          \"windows\": " << r.windows << ",\n"
-             << "          \"messages_sent\": " << r.messages_sent << "\n"
-             << "        }" << (i + 1 < curve.points.size() ? "," : "")
-             << "\n";
-      }
-      json << "      ]";
-      if (curve.ran_identity) {
-        json << ",\n      \"identity\": {\n"
-             << "        \"workers\": " << curve.identity.workers << ",\n"
-             << "        \"windows\": " << curve.identity.windows << ",\n"
-             << "        \"calls_per_sec\": " << curve.identity.calls_per_sec
-             << "\n      }";
-      }
-      json << "\n    }" << (c + 1 < wan_curves.size() ? "," : "") << "\n";
-    }
-    json << "  ]";
   }
   json << "\n}\n";
   std::cout << "wrote BENCH_storm.json\n";

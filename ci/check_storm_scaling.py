@@ -1,57 +1,33 @@
 #!/usr/bin/env python3
-"""Multi-core storm scaling + chaos record check.
+"""Checks the storm record bench_storm writes (BENCH_storm.json).
 
-Reads the `threaded` block bench_storm writes when run with --threads and
-enforces (a) the determinism digest held and (b) the multi-thread speedup
-is commensurate with the cores actually available — the ISSUE-3 acceptance
-bar of >= 3x applies on an 8-core runner, scaled down on smaller ones and
-skipped on single-core machines where no parallel speedup is possible.
+The record's `scenarios` array holds one entry per storm scenario, each
+with one record per run (layout x worker count).  Every scenario gets the
+same checks:
 
-When bench_storm ran with --chaos it also writes a `chaos` block (the
-degraded-mode runs under a scheduled fault program); this script validates
-it: digest-identical across worker counts, every request executed exactly
-once, zero eviction-caused re-executions (the reply cache is adequately
-sized in chaos mode), zero wire-FIFO violations, and a genuinely chaotic
-run (faults applied, scheduled drops, retransmissions all nonzero).
+  * every run has the same digest (per-node execution digests folded), so
+    neither the layout nor the worker count changed what ran;
+  * every run completed with no failed call, every request executed
+    exactly once, no wire-FIFO violation, no eviction-caused re-execution,
+    and, on a fault-free scenario, no out-of-order execution;
+  * sharded runs recorded windows, every run recorded messages sent;
+  * the ladder layout's worker counts start at 1 and strictly increase to
+    a multi-worker run (a record made without --threads fails here).
 
-Chaos runs also host the HA control plane (ISSUE 6): a director quorum
-whose members the schedule crashes one at a time, probed by a resolver
-client.  Each chaos run must therefore carry a `failover` block proving
-the control plane actually failed over: elections held, client
-directory failovers, and successful resolves, all nonzero.
-Pass --require-chaos to fail when the block is missing.
+SCENARIOS adds each scenario's own thresholds.  Rate and speedup
+thresholds read `hardware_threads`.  The storm speedup is the ladder's
+top run over its 1-worker run, against the bar for the cores the top run
+could use.  A WAN speedup is the best run that was not oversubscribed
+(workers <= hardware threads) over the 1-worker run, so an oversubscribed
+point never counts for or against it.  The batch rate is the better of
+the 1-worker and top runs.  The rate and the speedups are the only
+failures BENCH_GATE_MODE=warn reports without failing.
 
-Threaded runs also emit a `batch` block (ROADMAP item 1: per-link invoke
-coalescing + adaptive reply-cache sizing).  This script validates it:
-digest-identical across worker counts, zero ordering violations, batching
-genuinely coalescing (>= 2 invokes per frame on average), the adaptive
-ring actually growing from its floor, and evictions held under 1% of
-calls (the workload that used to churn 111k evictions on 120k calls).
-The raw-throughput bar scales with the cores available, like the speedup
-ladder: 1M calls/sec needs real hardware parallelism; a 1-core container
-is held to the determinism and structural checks plus a lower floor.
-Pass --require-batch to fail when the block is missing.
-
-GLB runs (ISSUE 9: relocatable distributed collections) emit a `glb`
-block when bench_storm runs with --glb: three seeded lifeline
-global-load-balancing workloads over migrating DistMap partitions, each
-run chaotic at 1 and 8 workers.  This script validates it: digests (and
-every structural counter) identical across worker counts, every tree
-node expanded exactly once, at least one load-driven partition
-migration per seed, and the fault schedule genuinely applied.
-Pass --require-glb to fail when the block is missing.
-
-WAN runs (ISSUE 10: affinity mapping + per-pair lookahead) emit a
-`scaling` block when bench_storm runs with --wan: per-runner-class curves
-over the 64/128-node site-clustered WAN meshes.  This script validates
-each curve structurally (worker ladder starts at 1 and strictly
-increases, digests identical across worker counts AND across node:shard
-mappings, windows recorded, messages flowing) and — only when the runner
-actually has >= 4 hardware threads — requires a real > 1.0x speedup at
-some non-oversubscribed point.  Oversubscribed points (workers >
-hardware_threads) are annotated by the bench and never counted toward or
-against the speedup, so a 1-core container cannot record a fake
-regression.  Pass --require-speedup to fail when the block is missing.
+The `glb` block (bench_storm --glb: lifeline GLB over migrating DistMap
+partitions, three seeds at 1 and T workers) keeps its own shape and
+checks: digests and structural counters identical across worker counts,
+every tree node expanded exactly once, a migration and applied faults
+per seed.
 
 Usage: check_storm_scaling.py <BENCH_storm.json> [--require-chaos]
                               [--require-batch] [--require-glb]
@@ -85,62 +61,144 @@ def required_batch_rate(hardware_threads):
     return 400_000.0
 
 
-def gate_failure(message):
-    print(f"FAIL: {message}", file=sys.stderr)
-    if os.environ.get("BENCH_GATE_MODE") == "warn":
-        print("BENCH_GATE_MODE=warn: reporting only, not failing")
-        return 0
-    return 1
+# Per scenario: the --require flag that demands it (None: always
+# required), minimum counter values on every run, the batching bounds, and
+# the soft rate or speedup rule ("top" or "best", see the docstring).
+SCENARIOS = {
+    "storm": {"require": None, "speedup": "top"},
+    "batch": {
+        "require": "--require-batch",
+        "min": {"rmi.batches_sent": 1, "rmi.reply_cache_grows": 1},
+        "min_invokes_per_frame": 2,
+        "max_eviction_share": 0.01,
+        "rate": True,
+    },
+    "chaos": {
+        "require": "--require-chaos",
+        "min": {
+            "net.faults_applied": 8,
+            "net.messages_dropped_by_schedule": 1,
+            "rmi.retransmissions": 1,
+            "rts.elections_held": 1,
+            "rmi.directory_failovers": 1,
+            "rts.dir_resolves": 1,
+        },
+    },
+    "wan64": {"require": "--require-speedup", "speedup": "best"},
+    "wan128": {"require": "--require-speedup", "speedup": "best"},
+}
 
 
-def check_batch(data, require_batch):
-    batch = data.get("batch")
-    if not batch:
-        if require_batch:
-            print("no batch block in BENCH_storm.json — run with --threads",
-                  file=sys.stderr)
-            return 1
-        return 0
+def check_run(scenario, run):
+    """Hard failures of one run, as messages."""
+    tag = (f"{scenario['name']} {run.get('layout')} "
+           f"x{run.get('workers')}")
+    counters = run.get("counters", {})
     failures = []
-    if not batch.get("deterministic", False):
-        failures.append("batch digests diverged across worker counts")
-    for which in ("single", "multi"):
-        run = batch.get(which, {})
-        tag = f"batch {which}"
-        calls = run.get("calls", 0)
-        if run.get("order_violations", -1) != 0:
-            failures.append(f"{tag}: per-link ordering violations")
-        batches = run.get("batches_sent", 0)
-        invokes = run.get("batched_invokes", 0)
-        if batches <= 0 or invokes < 2 * batches:
+    if not run.get("completed", False):
+        failures.append(f"{tag}: drained before every call was answered")
+    if run.get("failed_calls", -1) != 0:
+        failures.append(f"{tag}: failed calls")
+    if not run.get("exactly_once", False):
+        failures.append(f"{tag}: some request did not execute exactly once")
+    if counters.get("net.fifo_violations", -1) != 0:
+        failures.append(f"{tag}: wire-FIFO violations")
+    if counters.get("rmi.evicted_reexecutions", -1) != 0:
+        failures.append(f"{tag}: eviction-caused re-executions")
+    if scenario.get("fault_entries", 0) == 0 and \
+            run.get("order_violations", -1) != 0:
+        failures.append(f"{tag}: per-link ordering violations")
+    if run.get("shards", 0) > 0 and run.get("windows", 0) < 1:
+        failures.append(f"{tag}: no windows recorded")
+    if counters.get("net.messages_sent", 0) < 1:
+        failures.append(f"{tag}: messages_sent is zero — the counter "
+                        "registry is not wired through")
+    rules = SCENARIOS.get(scenario["name"], {})
+    for key, least in rules.get("min", {}).items():
+        if counters.get(key, 0) < least:
+            failures.append(f"{tag}: {key} = {counters.get(key, 0)}, "
+                            f"needs >= {least}")
+    if "min_invokes_per_frame" in rules:
+        frames = counters.get("rmi.batches_sent", 0)
+        invokes = counters.get("rmi.batched_invokes", 0)
+        if invokes < rules["min_invokes_per_frame"] * frames:
             failures.append(f"{tag}: batching never coalesced "
-                            f"({invokes} invokes / {batches} frames)")
-        if run.get("reply_cache_grows", 0) < 1:
-            failures.append(f"{tag}: adaptive reply cache never grew")
-        evictions = run.get("reply_cache_evictions", calls)
-        if evictions * 100 >= calls:
+                            f"({invokes} invokes / {frames} frames)")
+    if "max_eviction_share" in rules:
+        calls = scenario.get("calls", 0)
+        evictions = counters.get("rmi.reply_cache_evictions", calls)
+        if evictions >= rules["max_eviction_share"] * calls:
             failures.append(f"{tag}: {evictions} evictions on {calls} calls "
-                            "(>= 1%) despite adaptive sizing")
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1
-    hw = data.get("hardware_threads", 1)
-    rate = max(batch["single"].get("calls_per_sec", 0.0),
-               batch["multi"].get("calls_per_sec", 0.0))
-    need = required_batch_rate(hw)
-    frames = batch["multi"]["batches_sent"]
-    per_frame = batch["multi"]["batched_invokes"] / max(frames, 1)
-    print(f"batch: {rate:,.0f} calls/sec "
-          f"({batch['vs_unbatched']:.2f}x of unbatched), "
-          f"{per_frame:.0f} invokes/frame, "
-          f"{batch['multi']['reply_cache_evictions']} evictions on "
-          f"{batch['multi']['calls']} calls; deterministic held "
-          f"(required rate on {hw} hardware threads: {need:,.0f})")
-    if rate < need:
-        return gate_failure(f"batch rate {rate:,.0f} calls/sec below "
-                            f"required {need:,.0f}")
-    return 0
+                            "despite adaptive sizing")
+    return failures
+
+
+def check_scenario(scenario, hw):
+    """(hard failures, soft failures, summary line) of one scenario."""
+    name = scenario["name"]
+    runs = scenario.get("runs", [])
+    if not runs:
+        return [f"{name}: no runs"], [], ""
+    failures = []
+    for run in runs:
+        failures += check_run(scenario, run)
+    digests = {run.get("digest") for run in runs}
+    if len(digests) != 1:
+        failures.append(f"{name}: digests diverged across layouts and "
+                        f"worker counts ({len(digests)} distinct)")
+    ladder = [r for r in runs if r.get("layout") == scenario.get(
+        "ladder_layout")]
+    workers = [r.get("workers", 0) for r in ladder]
+    if len(workers) < 2:
+        failures.append(f"{name}: worker ladder {workers} has no "
+                        "multi-worker run — run bench_storm with --threads")
+        return failures, [], ""
+    if workers[0] != 1 or workers != sorted(set(workers)):
+        failures.append(f"{name}: worker ladder {workers} must start at 1 "
+                        "and strictly increase")
+        return failures, [], ""
+    one, top = ladder[0], ladder[-1]
+    if one.get("calls_per_sec", 0) <= 0:
+        failures.append(f"{name}: no measured 1-worker ladder run")
+        return failures, [], ""
+
+    rules = SCENARIOS.get(name, {})
+    soft = []
+    speedup = top["calls_per_sec"] / one["calls_per_sec"]
+    note = f"{speedup:.2f}x at {top['workers']} workers"
+    if rules.get("speedup") == "top":
+        need = required_speedup(hw, top["workers"])
+        if need is None:
+            note += " (1 usable core: not enforced)"
+        elif speedup < need:
+            soft.append(f"{name}: speedup {speedup:.2f}x with "
+                        f"{top['workers']} workers below required "
+                        f"{need:.1f}x")
+        else:
+            note += f" (required {need:.1f}x)"
+    elif rules.get("speedup") == "best":
+        usable = [r for r in ladder if not r.get("oversubscribed", False)]
+        best = max(r["calls_per_sec"] for r in usable) / one["calls_per_sec"]
+        note = f"{best:.2f}x best non-oversubscribed speedup"
+        if hw >= 4 and len(usable) >= 2:
+            if best <= 1.0:
+                soft.append(f"{name}: speedup {best:.2f}x is not > 1.0x "
+                            f"despite {hw} hardware threads (non-"
+                            "oversubscribed ladder "
+                            f"{[r['workers'] for r in usable]})")
+        else:
+            note += (f" (not enforced: {hw} hardware threads, "
+                     f"{len(usable)} non-oversubscribed points)")
+    if rules.get("rate"):
+        rate = max(one["calls_per_sec"], top["calls_per_sec"])
+        need = required_batch_rate(hw)
+        note += f", {rate:,.0f} calls/sec (required {need:,.0f})"
+        if rate < need:
+            soft.append(f"{name}: rate {rate:,.0f} calls/sec below "
+                        f"required {need:,.0f}")
+    summary = (f"{name}: {len(runs)} runs, digests identical; ladder "
+               f"{workers} on {scenario.get('ladder_layout')}: " + note)
+    return failures, soft, summary
 
 
 def check_glb(data, require_glb):
@@ -186,160 +244,39 @@ def check_glb(data, require_glb):
     return 0
 
 
-def check_wan_scaling(data, require_speedup):
-    curves = data.get("scaling")
-    if not curves:
-        if require_speedup:
-            print("no scaling block in BENCH_storm.json — run with --wan",
-                  file=sys.stderr)
-            return 1
-        return 0
-    hw = data.get("hardware_threads", 1)
-    failures = []
-    soft_failures = []  # speedup shortfalls honor BENCH_GATE_MODE=warn
-    for curve in curves:
-        tag = f"wan {curve.get('nodes')}n/{curve.get('sites')}s"
-        if not curve.get("deterministic", False):
-            failures.append(f"{tag}: digests diverged across worker counts")
-        if not curve.get("mapping_independent", False):
-            failures.append(f"{tag}: per-node delivery order depends on the "
-                            "node:shard mapping")
-        points = curve.get("points", [])
-        if not points or points[0].get("workers") != 1:
-            failures.append(f"{tag}: ladder must start at 1 worker")
-        workers = [p.get("workers", 0) for p in points]
-        if workers != sorted(set(workers)):
-            failures.append(f"{tag}: worker ladder {workers} is not "
-                            "strictly increasing")
-        for p in points:
-            ptag = f"{tag} @{p.get('workers')}w"
-            if p.get("windows", 0) < 1:
-                failures.append(f"{ptag}: no windows recorded")
-            if p.get("messages_sent", 0) < 1:
-                failures.append(f"{ptag}: messages_sent is zero — the "
-                                "counter registry is not wired through")
-        usable = [p for p in points if not p.get("oversubscribed", False)]
-        speedup = curve.get("speedup", 0.0)
-        note = ""
-        if hw >= 4 and len(usable) >= 2:
-            if speedup <= 1.0:
-                soft_failures.append(
-                    f"{tag}: speedup {speedup:.2f}x is not > 1.0x despite "
-                    f"{hw} hardware threads (non-oversubscribed ladder "
-                    f"{[p['workers'] for p in usable]})")
-        else:
-            note = (f" (not enforced: {hw} hardware threads, "
-                    f"{len(usable)} non-oversubscribed points)")
-        print(f"{tag}: {speedup:.2f}x best speedup over "
-              f"{[p['workers'] for p in points]} workers, "
-              f"{points[0].get('windows')} windows at 1w; "
-              "deterministic + mapping-independent held" + note)
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1
-    if soft_failures:
-        rc = 0
-        for f in soft_failures:
-            rc |= gate_failure(f)
-        return rc
-    return 0
-
-
-def check_chaos(data, require_chaos):
-    chaos = data.get("chaos")
-    if not chaos:
-        if require_chaos:
-            print("no chaos block in BENCH_storm.json — run with --chaos",
-                  file=sys.stderr)
-            return 1
-        return 0
-    failures = []
-    if not chaos.get("deterministic", False):
-        failures.append("chaos digests diverged across worker counts")
-    if not chaos.get("exactly_once", False):
-        failures.append("some chaos request did not execute exactly once")
-    for which in ("single", "multi"):
-        run = chaos.get(which, {})
-        tag = f"chaos {which}"
-        if run.get("evicted_reexecutions", -1) != 0:
-            failures.append(f"{tag}: eviction-caused re-executions despite "
-                            "an adequately sized reply cache")
-        if run.get("fifo_violations", -1) != 0:
-            failures.append(f"{tag}: wire-FIFO violations")
-        if run.get("faults_applied", 0) < 8:
-            failures.append(f"{tag}: fault schedule did not fully apply")
-        if run.get("messages_dropped_by_schedule", 0) <= 0:
-            failures.append(f"{tag}: scheduled faults dropped nothing")
-        if run.get("retransmissions", 0) <= 0:
-            failures.append(f"{tag}: no retransmissions under chaos")
-        failover = run.get("failover")
-        if not failover:
-            failures.append(f"{tag}: no failover block — chaos runs must "
-                            "exercise the replicated directory")
-        else:
-            if failover.get("elections_held", 0) < 1:
-                failures.append(f"{tag}: no elections held")
-            if failover.get("directory_failovers", 0) < 1:
-                failures.append(f"{tag}: no directory failovers")
-            if failover.get("directory_resolves", 0) < 1:
-                failures.append(f"{tag}: no directory resolves")
-    if failures:
-        for f in failures:
-            print(f"FAIL: {f}", file=sys.stderr)
-        return 1
-    fo = chaos["multi"]["failover"]
-    print(f"chaos: {chaos['speedup']:.2f}x degraded-mode speedup, "
-          f"{chaos['degraded_vs_clean']:.2f}x of clean throughput, "
-          f"{chaos['multi']['faults_applied']} faults applied, "
-          f"{chaos['multi']['messages_dropped_by_schedule']} scheduled "
-          "drops; deterministic + exactly-once held; "
-          f"{fo['elections_held']} elections "
-          f"({fo['election_time_us']} sim-us), "
-          f"{fo['directory_failovers']} directory failovers "
-          f"({fo['failover_time_us']} sim-us)")
-    return 0
-
-
 def main():
     flags = {"--require-chaos", "--require-batch", "--require-glb",
              "--require-speedup"}
     args = [a for a in sys.argv[1:] if a not in flags]
-    require_chaos = "--require-chaos" in sys.argv[1:]
-    require_batch = "--require-batch" in sys.argv[1:]
-    require_glb = "--require-glb" in sys.argv[1:]
-    require_speedup = "--require-speedup" in sys.argv[1:]
+    given = flags & set(sys.argv[1:])
     with open(args[0]) as f:
         data = json.load(f)
-    threaded = data.get("threaded")
-    if not threaded:
-        print("no threaded block in BENCH_storm.json — run with --threads",
-              file=sys.stderr)
-        return 1
-    if not threaded.get("deterministic", False):
-        print("FAIL: per-node order digests diverged across thread counts",
-              file=sys.stderr)
-        return 1
-
-    if check_chaos(data, require_chaos) != 0:
-        return 1
-    if check_batch(data, require_batch) != 0:
-        return 1
-    if check_glb(data, require_glb) != 0:
-        return 1
-    if check_wan_scaling(data, require_speedup) != 0:
-        return 1
-
     hw = data.get("hardware_threads", 1)
-    workers = threaded["threads"]
-    speedup = threaded["speedup"]
-    need = required_speedup(hw, workers)
-    print(f"storm scaling: {speedup:.2f}x with {workers} workers on "
-          f"{hw} hardware threads"
-          + (f" (required: {need:.1f}x)" if need else " (1 core: not enforced)"))
-    if need is not None and speedup < need:
-        print(f"FAIL: speedup {speedup:.2f}x below required {need:.1f}x",
-              file=sys.stderr)
+    scenarios = {s.get("name"): s for s in data.get("scenarios", [])}
+
+    failures = []
+    soft = []
+    for name, rules in SCENARIOS.items():
+        if name not in scenarios and (rules["require"] is None or
+                                      rules["require"] in given):
+            failures.append(f"no {name} scenario in BENCH_storm.json"
+                            + (f" ({rules['require']})"
+                               if rules["require"] else ""))
+    for scenario in scenarios.values():
+        hard, gate, summary = check_scenario(scenario, hw)
+        failures += hard
+        soft += gate
+        if summary:
+            print(summary)
+    if failures:
+        for f in failures:
+            print(f"FAIL: {f}", file=sys.stderr)
+        return 1
+    if check_glb(data, "--require-glb" in given) != 0:
+        return 1
+    if soft:
+        for f in soft:
+            print(f"FAIL: {f}", file=sys.stderr)
         if os.environ.get("BENCH_GATE_MODE") == "warn":
             print("BENCH_GATE_MODE=warn: reporting only, not failing")
             return 0

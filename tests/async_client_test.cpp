@@ -379,7 +379,7 @@ AsyncChaosRun run_async_chaos(std::uint64_t seed, int threads) {
     g.retsum.assign(kChaosSessions, 0);
   }
 
-  using testing::chaos_detail::fold;
+  using storm::fold;
   std::function<void(int)> issue = [&](int g) {
     Gen& gen = gens[g];
     if (gen.issued >= kInvokesPerGen) return;

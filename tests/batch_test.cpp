@@ -575,18 +575,19 @@ TEST(AdaptiveReplyCache, ValidatesOptions) {
 
 // --- (5) chaos regressions: batched + one-way under faults ------------------
 
-using testing::ChaosParams;
-using testing::ChaosRun;
-using testing::run_chaos_storm;
+using storm::Layout;
+using storm::Record;
+using storm::identity;
+using storm::run_storm;
 
-ChaosParams batched_chaos_params() {
-  ChaosParams params;
-  params.batching = true;
-  params.oneway_notes = true;
-  return params;
+storm::Scenario batched_chaos(std::uint64_t seed) {
+  storm::Scenario scenario = testing::chaos_storm(seed);
+  scenario.flush_quantum_us = 250;
+  scenario.oneway_notes = true;
+  return scenario;
 }
 
-void expect_batched_chaos_invariants(const ChaosRun& run, std::uint64_t seed,
+void expect_batched_chaos_invariants(const Record& run, std::uint64_t seed,
                                      int threads) {
   SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
                std::to_string(threads));
@@ -606,11 +607,11 @@ void expect_batched_chaos_invariants(const ChaosRun& run, std::uint64_t seed,
 const std::uint64_t kBatchChaosSeeds[] = {0xA1, 0xB2C3, 0xDEADBEEF};
 
 TEST(BatchChaos, SeedReplaysBitIdenticallyAt1_2_8Workers) {
-  const ChaosParams params = batched_chaos_params();
   for (const std::uint64_t seed : kBatchChaosSeeds) {
-    const ChaosRun r1 = run_chaos_storm(seed, 1, params);
-    const ChaosRun r2 = run_chaos_storm(seed, 2, params);
-    const ChaosRun r8 = run_chaos_storm(seed, 8, params);
+    const storm::Scenario batched = batched_chaos(seed);
+    const Record r1 = run_storm(batched, identity(batched), 1);
+    const Record r2 = run_storm(batched, identity(batched), 2);
+    const Record r8 = run_storm(batched, identity(batched), 8);
     expect_batched_chaos_invariants(r1, seed, 1);
     expect_batched_chaos_invariants(r2, seed, 2);
     expect_batched_chaos_invariants(r8, seed, 8);
@@ -629,9 +630,9 @@ TEST(BatchChaos, DroppedBatchesReexecuteWithoutDuplicateSideEffects) {
   // whole.  Their requests retransmit (individually or re-coalesced) and
   // the execution counters prove each side effect landed exactly once —
   // a dropped batch re-executes as a unit with zero duplicates.
-  const ChaosParams params = batched_chaos_params();
   for (const std::uint64_t seed : kBatchChaosSeeds) {
-    const ChaosRun run = run_chaos_storm(seed, 2, params);
+    const storm::Scenario batched = batched_chaos(seed);
+    const Record run = run_storm(batched, identity(batched), 2);
     SCOPED_TRACE("seed " + std::to_string(seed));
     EXPECT_GT(run.retransmissions, 0) << "chaos never dropped anything";
     EXPECT_TRUE(run.every_invoke_exactly_once());
@@ -640,8 +641,7 @@ TEST(BatchChaos, DroppedBatchesReexecuteWithoutDuplicateSideEffects) {
 }
 
 TEST(BatchChaos, DriverEngineHoldsTheSameProperties) {
-  const ChaosParams params = batched_chaos_params();
-  const ChaosRun run = run_chaos_storm(0xB2C3, /*threads=*/0, params);
+  const Record run = run_storm(batched_chaos(0xB2C3), Layout{}, /*workers=*/0);
   expect_batched_chaos_invariants(run, 0xB2C3, 0);
 }
 

@@ -7,9 +7,10 @@
 // at ANY worker-thread count and under ANY engine layout (one Simulation,
 // one shard, a clustered mapping, the identity mapping), while the
 // RMI/rts guarantees (at-most-once, per-link FIFO, no invoke lost once
-// connectivity returns) hold throughout.  The harness lives in
-// tests/support/chaos_harness.hpp; bench_storm --chaos re-runs the same
-// machinery at bench scale.
+// connectivity returns) hold throughout.  The storm is the shared runner
+// in bench/support/storm_harness.hpp, driven by the chaos scenario and
+// fault schedules of tests/support/chaos_harness.hpp; bench_storm --chaos
+// runs the same runner at bench scale.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -27,11 +28,14 @@ namespace mage {
 namespace {
 
 namespace proto = rts::proto;
+using storm::Layout;
+using storm::Record;
+using storm::identity;
+using storm::run_storm;
 using testing::ChaosParams;
-using testing::ChaosRun;
 using testing::chaos_model;
+using testing::chaos_storm;
 using testing::random_fault_schedule;
-using testing::run_chaos_storm;
 
 // The acceptance seeds: three distinct chaos programs, each guaranteed to
 // contain a loss burst, a partition/heal pair, and a crash/restart.
@@ -72,7 +76,7 @@ TEST(ChaosSchedule, EverySeedContainsTheMandatoryFaultKinds) {
 // Asserts the semantic chaos properties on one run: liveness (everything
 // completed, nothing failed), at-most-once via execution counters, FIFO
 // via the wire self-check, and a fully applied schedule.
-void expect_chaos_invariants(const ChaosRun& run, std::uint64_t seed,
+void expect_chaos_invariants(const Record& run, std::uint64_t seed,
                              int threads) {
   SCOPED_TRACE("seed " + std::to_string(seed) + ", threads " +
                std::to_string(threads));
@@ -92,9 +96,10 @@ void expect_chaos_invariants(const ChaosRun& run, std::uint64_t seed,
 
 TEST(ChaosStorm, SeedReplaysBitIdenticallyAt1_2_8Workers) {
   for (const std::uint64_t seed : kSeeds) {
-    const ChaosRun one = run_chaos_storm(seed, 1);
-    const ChaosRun two = run_chaos_storm(seed, 2);
-    const ChaosRun eight = run_chaos_storm(seed, 8);
+    const storm::Scenario chaos = chaos_storm(seed);
+    const Record one = run_storm(chaos, identity(chaos), 1);
+    const Record two = run_storm(chaos, identity(chaos), 2);
+    const Record eight = run_storm(chaos, identity(chaos), 8);
     expect_chaos_invariants(one, seed, 1);
     expect_chaos_invariants(two, seed, 2);
     expect_chaos_invariants(eight, seed, 8);
@@ -112,8 +117,10 @@ TEST(ChaosStorm, SeedReplaysBitIdenticallyAt1_2_8Workers) {
 }
 
 TEST(ChaosStorm, DifferentSeedsProduceDifferentChaos) {
-  const ChaosRun a = run_chaos_storm(kSeeds[0], 2);
-  const ChaosRun b = run_chaos_storm(kSeeds[1], 2);
+  const storm::Scenario first = chaos_storm(kSeeds[0]);
+  const storm::Scenario second = chaos_storm(kSeeds[1]);
+  const Record a = run_storm(first, identity(first), 2);
+  const Record b = run_storm(second, identity(second), 2);
   EXPECT_NE(a.node_digests, b.node_digests);
 }
 
@@ -125,28 +132,27 @@ TEST(ChaosStorm, DifferentSeedsProduceDifferentChaos) {
 // differ, so a fault applied at a window boundary instead of its own time
 // would show here.
 TEST(ChaosStorm, EveryLayoutReplaysTheSameRun) {
-  struct Layout {
+  struct Case {
     const char* name;
-    std::size_t shards;  // ChaosParams::shards
-    int threads;         // 0: one sim::Simulation
+    Layout layout;  // shards 0: one sim::Simulation
+    int threads;
   };
-  const Layout layouts[] = {
-      {"one Simulation", 0, 0},
-      {"1 shard", 1, 1},
-      {"1 shard", 1, 4},
-      {"2 shards, clustered", 2, 1},
-      {"2 shards, clustered", 2, 4},
-      {"identity mapping", 0, 1},
-      {"identity mapping", 0, 4},
+  const Case layouts[] = {
+      {"one Simulation", {0}, 0},
+      {"1 shard", {1}, 1},
+      {"1 shard", {1}, 4},
+      {"2 shards, clustered", {2}, 1},
+      {"2 shards, clustered", {2}, 4},
+      {"identity mapping", {8}, 1},
+      {"identity mapping", {8}, 4},
   };
   for (const std::uint64_t seed : kSeeds) {
-    ChaosParams params;
-    params.sites = 2;
-    params.site_hop_us = 3'000;
-    std::vector<ChaosRun> runs;
-    for (const Layout& layout : layouts) {
-      params.shards = layout.shards;
-      runs.push_back(run_chaos_storm(seed, layout.threads, params));
+    storm::Scenario scenario = chaos_storm(seed);
+    scenario.sites = 2;
+    scenario.site_hop_us = 3'000;
+    std::vector<Record> runs;
+    for (const Case& layout : layouts) {
+      runs.push_back(run_storm(scenario, layout.layout, layout.threads));
       expect_chaos_invariants(runs.back(), seed, layout.threads);
     }
     for (std::size_t i = 1; i < runs.size(); ++i) {

@@ -459,7 +459,7 @@ HaStormRun run_ha_storm(std::uint64_t seed, int threads) {
       gp->transport->call(
           gp->believed, proto::verbs::kInvoke, request.encode(),
           [gp, &ids](rmi::CallResult result) {
-            using testing::chaos_detail::fold;
+            using storm::fold;
             if (!result.ok) {
               // Object hosts never crash in this schedule; a transport
               // failure would be a liveness bug.  Count and stop.
@@ -604,7 +604,7 @@ HaStormRun run_ha_storm(std::uint64_t seed, int threads) {
   // into every digest.  Replays at different worker counts still match
   // because elections are deterministic per seed.
   for (auto& digest : run.digests) {
-    using testing::chaos_detail::fold;
+    using storm::fold;
     digest = fold(digest, static_cast<std::uint64_t>(
                               ssim.counter("rts.elections_held")));
     for (auto& d : directors) digest = fold(digest, d->election().term());
