@@ -35,7 +35,6 @@ TOKENS = re.compile(r"\b(InvokeRequest|LookupRequest)\b")
 # shadow its way in.
 RTS_ALLOWLIST = {
     "protocol.hpp",
-    "protocol.cpp",
     "server.hpp",
     "server.cpp",
     "async_client.hpp",

@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/log.hpp"
-#include "serial/writer.hpp"
 
 namespace mage::rmi {
 
@@ -270,10 +269,10 @@ void Transport::route(common::NodeId dest, Envelope env, net::MsgKind kind) {
     batch_queues_.resize(dest.value() + 1);
   }
   LinkQueue& queue = batch_queues_[dest.value()];
-  const std::size_t encoded = env.encoded_size();
-  queue.bytes += encoded;
-  queue.items.push_back(BatchItem{std::move(env), kind, encoded});
-  if (queue.items.size() >= batch_options_.max_batch_invokes ||
+  if (queue.envelopes.empty()) queue.first_kind = kind;
+  queue.bytes += env.encoded_size();
+  queue.envelopes.push_back(std::move(env));
+  if (queue.envelopes.size() >= batch_options_.max_batch_invokes ||
       queue.bytes >= batch_options_.max_batch_bytes) {
     flush_link(dest.value());
     return;
@@ -301,35 +300,28 @@ void Transport::flush_all() {
 
 void Transport::flush_link(std::size_t dest_index) {
   LinkQueue& queue = batch_queues_[dest_index];
-  if (queue.items.empty()) return;
+  if (queue.envelopes.empty()) return;
   const common::NodeId dest{static_cast<std::uint32_t>(dest_index)};
-  if (queue.items.size() == 1) {
+  const std::size_t count = queue.envelopes.size();
+  if (count == 1) {
     // Single-invoke degenerate case: collapse to the plain envelope so the
     // single-fragment fast path (and its header counter) still applies.
-    BatchItem item = std::move(queue.items.front());
-    queue.items.clear();
+    Envelope env = std::move(queue.envelopes.front());
+    queue.envelopes.clear();
     queue.bytes = 0;
     ++*batch_singletons_;
-    send_now(dest, std::move(item.env), item.kind);
+    send_now(dest, std::move(env), queue.first_kind);
     return;
   }
-  // Gather every queued envelope into ONE flat frame: a single pre-sized
-  // Writer allocation, then one net::Message (one mailbox push, one
-  // wire_seq) for the whole batch.
-  std::size_t total = 1 + 4 + 4 * queue.items.size() + queue.bytes;
-  serial::Writer w(total);
-  w.write_u8(kBatchTag);
-  w.write_u32(static_cast<std::uint32_t>(queue.items.size()));
-  for (const BatchItem& item : queue.items) {
-    w.write_u32(static_cast<std::uint32_t>(item.encoded_size));
-    item.env.encode_into(w);
-  }
+  // One flat frame for every queued envelope (one allocation), sent as one
+  // net::Message: one mailbox push, one wire_seq.
+  serial::Buffer frame = Envelope::encode_batch(queue.envelopes);
   ++*batches_sent_;
-  *batched_invokes_ += static_cast<std::int64_t>(queue.items.size());
-  queue.items.clear();
+  *batched_invokes_ += static_cast<std::int64_t>(count);
+  queue.envelopes.clear();
   queue.bytes = 0;
   network_.send(net::Message{self_, dest, batch_verb_, net::MsgKind::Batch,
-                             w.take(), {}});
+                             std::move(frame), {}});
 }
 
 void Transport::arm_retry_timer(common::RequestId id) {

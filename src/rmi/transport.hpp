@@ -354,14 +354,11 @@ class Transport {
   std::vector<std::int64_t*> per_verb_calls_;
 
   // --- per-link batching state (see BatchOptions) --------------------------
-  struct BatchItem {
-    Envelope env;
-    net::MsgKind kind;
-    std::size_t encoded_size;  // env.encoded_size(), computed once on queue
-  };
   struct LinkQueue {
-    std::vector<BatchItem> items;  // FIFO; capacity reused across flushes
-    std::size_t bytes = 0;         // encoded_size() sum of `items`
+    std::vector<Envelope> envelopes;  // FIFO; capacity reused across flushes
+    // The kind envelopes[0] is sent as when it flushes alone.
+    net::MsgKind first_kind = net::MsgKind::Request;
+    std::size_t bytes = 0;  // encoded_size() sum of `envelopes`
   };
   BatchOptions batch_options_;
   common::VerbId batch_verb_;            // interned "rmi.batch", for traces

@@ -34,11 +34,13 @@ void Director::start() {
              rmi::Replier replier) {
         handle_resolve(caller, body, std::move(replier));
       });
+  // Replication arrives as a one-way (see replicate()): apply, answer
+  // nothing.
   transport_.register_service(
       proto_verbs::kDirReplicate,
-      [this](common::NodeId caller, const serial::BufferChain& body,
-             rmi::Replier replier) {
-        handle_replicate(caller, body, std::move(replier));
+      [this](common::NodeId /*caller*/, const serial::BufferChain& body,
+             rmi::Replier /*unarmed*/) {
+        apply(proto::DirAnnounceRequest::decode(body).record);
       });
   election_.start();
 }
@@ -110,22 +112,6 @@ void Director::handle_resolve(common::NodeId /*caller*/,
     reply.host = it->second.host;
     reply.epoch = it->second.epoch;
   }
-  replier.ok(reply.encode());
-}
-
-void Director::handle_replicate(common::NodeId /*caller*/,
-                                const serial::BufferChain& body,
-                                rmi::Replier replier) {
-  const auto request = proto::DirAnnounceRequest::decode(body);
-  const std::uint64_t epoch = apply(request.record);
-  // The leader sends replication as a one-way (unarmed Replier).  Answer
-  // only replied callers — older peers still invoking dir.replicate as a
-  // regular call get the ack they expect.
-  if (!replier.armed()) return;
-  proto::DirAnnounceReply reply;
-  reply.status = proto::Status::Ok;
-  reply.leader = election_.leader_hint();
-  reply.epoch = epoch;
   replier.ok(reply.encode());
 }
 

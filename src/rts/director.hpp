@@ -73,8 +73,6 @@ class Director {
                        rmi::Replier replier);
   void handle_resolve(common::NodeId caller, const serial::BufferChain& body,
                       rmi::Replier replier);
-  void handle_replicate(common::NodeId caller, const serial::BufferChain& body,
-                        rmi::Replier replier);
   [[nodiscard]] sim::Simulation& sim();
 
   rmi::Transport& transport_;

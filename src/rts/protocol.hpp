@@ -6,24 +6,31 @@
 // chains (4.1), class shipping and object migration (4.2, 4.3/Figure 7),
 // invocation, and lock requests (4.4/Figure 8).
 //
-// Encoding: small field-only structs build one serial::Buffer through a
-// Writer.  Structs that carry a pre-serialized payload (invocation args,
-// migrating object state, results, static values) encode to a
-// serial::BufferChain through a ChainWriter: the payload rides as its own
-// fragment by refcount instead of being copied into the body at encode
-// time.  The logical byte stream is identical either way (the chain just
-// fragments it), so every struct decodes through one ChainReader-based
-// implementation; decode() overloads accept a flat Buffer (tests, tools)
-// or the BufferChain a service receives.  docs/WIRE_FORMAT.md records the
-// byte-level layouts.
+// Each struct lists its fields once, in wire order, in a static fields()
+// function, and encode() and decode() both derive from that list through
+// the one field codec below (namespace wire), so a message's layout is
+// written in one place.  A struct that carries a pre-serialized payload
+// (invocation args, migrating object state, results, static values)
+// encodes to a serial::BufferChain: the payload rides as its own fragment
+// by refcount instead of being copied into the body.  Every other struct
+// encodes through one flat Writer to a serial::Buffer.  The logical byte
+// stream is the same either way (the chain just fragments it), so decode()
+// accepts a flat Buffer (tests, tools), the BufferChain a service
+// receives, or a ChainReader.  docs/WIRE_FORMAT.md records the byte-level
+// layouts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <optional>
+#include <functional>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/ids.hpp"
 #include "common/verb.hpp"
 #include "rts/lock_manager.hpp"
@@ -88,24 +95,197 @@ enum class Status : std::uint8_t {
   Error = 3,     // application-level failure, see `error`
 };
 
-[[nodiscard]] const char* status_name(Status s);
-
-void put_node(serial::Writer& w, common::NodeId n);
-void put_node(serial::ChainWriter& w, common::NodeId n);
-[[nodiscard]] common::NodeId get_node(serial::ChainReader& r);
-
-// Every struct's decode is implemented once over a ChainReader; these two
-// wrappers let call sites hand in either form the bytes arrive as.
-#define MAGE_PROTO_DECODE(T)                                   \
-  static T decode(serial::ChainReader& r);                     \
-  static T decode(const serial::Buffer& bytes) {               \
-    serial::ChainReader r(bytes);                              \
-    return decode(r);                                          \
-  }                                                            \
-  static T decode(const serial::BufferChain& body) {           \
-    serial::ChainReader r(body);                               \
-    return decode(r);                                          \
+[[nodiscard]] inline const char* status_name(Status s) {
+  switch (s) {
+    case Status::Ok:
+      return "Ok";
+    case Status::Moved:
+      return "Moved";
+    case Status::NotFound:
+      return "NotFound";
+    case Status::Error:
+      return "Error";
   }
+  return "?";
+}
+
+// --- field codec -------------------------------------------------------------
+//
+// One rule per field type, applied in the order fields() lists them:
+//   std::string            str (u32 length, bytes)
+//   bool, one-byte enum    u8
+//   common::NodeId         u32
+//   u32, u64, double       fixed width
+//   serial::Buffer         bytes; a ChainWriter splices the payload in as
+//                          its own fragment (an empty one adds none)
+//   nested message, pair   its own fields (a pair's are first, second)
+//   std::vector            u32 count, then the entries
+//   CodeFiller             u32 size, then that many filler bytes, which
+//                          decode skips after reading the size
+namespace wire {
+
+// ClassImage's stand-in for class-file bytes, so the simulated wire pays
+// the real transfer cost of shipping a class.
+template <typename Size>
+struct CodeFiller {
+  Size& size;
+};
+inline constexpr std::uint8_t kFillerByte = 0xCA;
+
+template <typename T>
+inline constexpr bool kIsVector = false;
+template <typename E>
+inline constexpr bool kIsVector<std::vector<E>> = true;
+template <typename T>
+inline constexpr bool kIsPair = false;
+template <typename A, typename B>
+inline constexpr bool kIsPair<std::pair<A, B>> = true;
+template <typename T>
+inline constexpr bool kIsFiller = false;
+template <typename S>
+inline constexpr bool kIsFiller<CodeFiller<S>> = true;
+
+template <typename T>
+auto fields_of(T& v) {
+  using Plain = std::remove_const_t<T>;
+  if constexpr (kIsPair<Plain>) {
+    return std::tie(v.first, v.second);
+  } else {
+    return Plain::fields(v);
+  }
+}
+
+// Writes `v` to `w`: a serial::Writer, a serial::ChainWriter, or a
+// SizeCounter.
+template <typename W, typename T>
+void put(W& w, const T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    w.write_string(v);
+  } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    static_assert(sizeof(T) == 1, "an enum field must be one byte wide");
+    w.write_u8(static_cast<std::uint8_t>(v));
+  } else if constexpr (std::is_same_v<T, common::NodeId>) {
+    w.write_u32(v.value());
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    w.write_u32(v);
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    w.write_u64(v);
+  } else if constexpr (std::is_same_v<T, double>) {
+    w.write_f64(v);
+  } else if constexpr (std::is_same_v<T, serial::Buffer>) {
+    w.append_payload(v);
+  } else if constexpr (kIsFiller<T>) {
+    w.write_u32(v.size);
+    w.write_fill(kFillerByte, v.size);
+  } else if constexpr (kIsVector<T>) {
+    w.write_u32(static_cast<std::uint32_t>(v.size()));
+    for (const auto& entry : v) wire::put(w, entry);
+  } else {
+    std::apply([&w](const auto&... f) { (wire::put(w, f), ...); },
+               fields_of(v));
+  }
+}
+
+// A writer that only counts bytes, payload fragments excluded: put() into
+// it sizes a body so encode() allocates once, and put() of a default value
+// gives a list entry's smallest wire size.
+struct SizeCounter {
+  std::size_t size = 0;
+
+  void write_u8(std::uint8_t) { size += 1; }
+  void write_u32(std::uint32_t) { size += 4; }
+  void write_u64(std::uint64_t) { size += 8; }
+  void write_f64(double) { size += 8; }
+  void write_string(std::string_view v) { size += 4 + v.size(); }
+  void write_fill(std::uint8_t, std::size_t count) { size += count; }
+  void append_payload(const serial::Buffer&) { size += 4; }
+};
+
+// Reads `v` from `r`, mirror of put().
+template <typename T>
+void get(serial::ChainReader& r, T& v) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    v = r.read_string();
+  } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
+    v = static_cast<T>(r.read_u8());
+  } else if constexpr (std::is_same_v<T, common::NodeId>) {
+    v = common::NodeId{r.read_u32()};
+  } else if constexpr (std::is_same_v<T, std::uint32_t>) {
+    v = r.read_u32();
+  } else if constexpr (std::is_same_v<T, std::uint64_t>) {
+    v = r.read_u64();
+  } else if constexpr (std::is_same_v<T, double>) {
+    v = r.read_f64();
+  } else if constexpr (std::is_same_v<T, serial::Buffer>) {
+    v = r.read_bytes();
+  } else if constexpr (kIsFiller<T>) {
+    v.size = r.read_u32();
+    r.skip(v.size);  // bounds-checked before it moves
+  } else if constexpr (kIsVector<T>) {
+    const std::uint32_t count = r.read_u32();
+    // Bound the wire's count by the bytes left before reserving, so a
+    // corrupt count raises SerializationError, never a giant allocation.
+    SizeCounter entry;
+    wire::put(entry, typename T::value_type{});
+    if (std::uint64_t{count} * entry.size > r.remaining()) {
+      throw common::SerializationError(
+          "list of " + std::to_string(count) + " entries of at least " +
+          std::to_string(entry.size) + " bytes, but " +
+          std::to_string(r.remaining()) + " bytes remain");
+    }
+    v.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) wire::get(r, v.emplace_back());
+  } else {
+    std::apply([&r](auto&&... f) { (wire::get(r, f), ...); },
+               fields_of(v));
+  }
+}
+
+// Whether a T holds a serial::Buffer payload in any of its fields.
+template <typename T>
+constexpr bool has_payload() {
+  if constexpr (std::is_same_v<T, serial::Buffer>) {
+    return true;
+  } else if constexpr (kIsVector<T>) {
+    return has_payload<typename T::value_type>();
+  } else if constexpr (kIsPair<T> || requires(T& m) { T::fields(m); }) {
+    return []<typename... F>(std::tuple<F...>*) {
+      return (has_payload<std::remove_cvref_t<F>>() || ...);
+    }(static_cast<decltype(fields_of(std::declval<T&>()))*>(nullptr));
+  } else {
+    return false;
+  }
+}
+
+// A message's body: a BufferChain whose payloads ride as their own
+// fragments when it has any, else one flat Buffer.  Either way the body is
+// sized first, so each Writer region allocates once.
+template <typename M>
+auto encode(const M& m) {
+  using W = std::conditional_t<has_payload<M>(), serial::ChainWriter,
+                               serial::Writer>;
+  SizeCounter size;
+  wire::put(size, m);
+  W w(size.size);
+  wire::put(w, m);
+  return w.take();
+}
+
+template <typename M>
+M decode(serial::ChainReader& r) {
+  M m;
+  wire::get(r, m);
+  return m;
+}
+
+// `bytes` is a serial::Buffer or a serial::BufferChain.
+template <typename M, typename Bytes>
+M decode(const Bytes& bytes) {
+  serial::ChainReader r(bytes);
+  return decode<M>(r);
+}
+
+}  // namespace wire
 
 // --- registry lookup ---------------------------------------------------
 
@@ -118,8 +298,9 @@ struct LookupRequest {
   // fence (legacy callers).
   std::uint64_t min_epoch = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LookupRequest)
+  static auto fields(auto& m) { return std::tie(m.name, m.hops, m.min_epoch); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<LookupRequest>(in); }
 };
 
 struct LookupReply {
@@ -129,8 +310,11 @@ struct LookupReply {
   // Placement epoch of `host` (see LookupRequest::min_epoch); 0 = unknown.
   std::uint64_t epoch = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LookupReply)
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.host, m.error, m.epoch);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<LookupReply>(in); }
 };
 
 // --- class shipping ------------------------------------------------------
@@ -138,22 +322,25 @@ struct LookupReply {
 struct ClassCheckRequest {
   std::string class_name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ClassCheckRequest)
+  static auto fields(auto& m) { return std::tie(m.class_name); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<ClassCheckRequest>(in); }
 };
 
 struct ClassCheckReply {
   bool cached = false;  // does the queried node hold the class image?
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ClassCheckReply)
+  static auto fields(auto& m) { return std::tie(m.cached); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<ClassCheckReply>(in); }
 };
 
 struct FetchClassRequest {
   std::string class_name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(FetchClassRequest)
+  static auto fields(auto& m) { return std::tie(m.class_name); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<FetchClassRequest>(in); }
 };
 
 // The class image: name + simulated code bytes (filler sized to the
@@ -162,16 +349,21 @@ struct ClassImage {
   std::string class_name;
   std::uint32_t code_size = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ClassImage)
+  static auto fields(auto& m) {
+    return std::make_tuple(std::ref(m.class_name),
+                           wire::CodeFiller{m.code_size});
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<ClassImage>(in); }
 };
 
 // Push-style class load (REV/MA push the class toward the target).
 struct LoadClassRequest {
   ClassImage image;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LoadClassRequest)
+  static auto fields(auto& m) { return std::tie(m.image); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<LoadClassRequest>(in); }
 };
 
 // --- instantiation (class-bound REV/COD act as object factories) -----------
@@ -183,8 +375,11 @@ struct InstantiateRequest {
   // Node able to serve the class image if the target lacks it.
   common::NodeId class_source = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(InstantiateRequest)
+  static auto fields(auto& m) {
+    return std::tie(m.class_name, m.object_name, m.is_public, m.class_source);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<InstantiateRequest>(in); }
 };
 
 struct SimpleReply {
@@ -196,8 +391,11 @@ struct SimpleReply {
   // object's epoch).  0 = unfenced.
   std::uint64_t hint_epoch = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(SimpleReply)
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.hint, m.error, m.hint_epoch);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<SimpleReply>(in); }
 };
 
 // --- migration (Figure 7) ---------------------------------------------------
@@ -206,8 +404,9 @@ struct MoveRequest {
   common::ComponentName name;
   common::NodeId to = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(MoveRequest)
+  static auto fields(auto& m) { return std::tie(m.name, m.to); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<MoveRequest>(in); }
 };
 
 struct TransferRequest {
@@ -220,8 +419,11 @@ struct TransferRequest {
   serial::Buffer state;  // weakly migrated heap state
 
   // Scatter-gather: `state` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(TransferRequest)
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.class_name, m.is_public, m.epoch, m.state);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<TransferRequest>(in); }
 };
 
 // --- invocation ---------------------------------------------------------
@@ -232,8 +434,9 @@ struct InvokeRequest {
   serial::Buffer args;
 
   // Scatter-gather: `args` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(InvokeRequest)
+  static auto fields(auto& m) { return std::tie(m.name, m.method, m.args); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<InvokeRequest>(in); }
 };
 
 struct InvokeReply {
@@ -244,15 +447,19 @@ struct InvokeReply {
   serial::Buffer result;                  // valid when Ok
 
   // Scatter-gather: `result` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(InvokeReply)
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.hint, m.error, m.hint_epoch, m.result);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<InvokeReply>(in); }
 };
 
 struct FetchResultRequest {
   common::ComponentName name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(FetchResultRequest)
+  static auto fields(auto& m) { return std::tie(m.name); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<FetchResultRequest>(in); }
 };
 
 // --- locking -------------------------------------------------------------
@@ -262,8 +469,9 @@ struct LockRequest {
   common::NodeId target = common::kNoNode;  // the attribute's target
   std::uint64_t activity = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LockRequest)
+  static auto fields(auto& m) { return std::tie(m.name, m.target, m.activity); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<LockRequest>(in); }
 };
 
 struct LockReply {
@@ -274,16 +482,20 @@ struct LockReply {
   std::string error;
   std::uint64_t hint_epoch = 0;           // placement epoch backing `hint`
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LockReply)
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.hint, m.lock_id, m.kind, m.error, m.hint_epoch);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<LockReply>(in); }
 };
 
 struct UnlockRequest {
   common::ComponentName name;
   std::uint64_t lock_id = 0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(UnlockRequest)
+  static auto fields(auto& m) { return std::tie(m.name, m.lock_id); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<UnlockRequest>(in); }
 };
 
 // --- class statics ------------------------------------------------------------
@@ -292,8 +504,9 @@ struct StaticGetRequest {
   std::string class_name;
   std::string key;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(StaticGetRequest)
+  static auto fields(auto& m) { return std::tie(m.class_name, m.key); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<StaticGetRequest>(in); }
 };
 
 struct StaticPutRequest {
@@ -302,8 +515,11 @@ struct StaticPutRequest {
   serial::Buffer value;
 
   // Scatter-gather: `value` rides as its own fragment, uncopied.
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(StaticPutRequest)
+  static auto fields(auto& m) {
+    return std::tie(m.class_name, m.key, m.value);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<StaticPutRequest>(in); }
 };
 
 // --- condensed remote evaluation --------------------------------------------------
@@ -317,8 +533,12 @@ struct ExecRequest {
 
   // Scatter-gather: `args` rides as its own fragment, uncopied (the
   // class_source field follows in a trailing fragment).
-  [[nodiscard]] serial::BufferChain encode() const;
-  MAGE_PROTO_DECODE(ExecRequest)
+  static auto fields(auto& m) {
+    return std::tie(m.class_name, m.object_name, m.method, m.args,
+                    m.class_source);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<ExecRequest>(in); }
 };
 
 // --- resource discovery ---------------------------------------------------------
@@ -326,16 +546,18 @@ struct ExecRequest {
 struct DiscoverRequest {
   std::string kind;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DiscoverRequest)
+  static auto fields(auto& m) { return std::tie(m.kind); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<DiscoverRequest>(in); }
 };
 
 struct DiscoverReply {
   bool offers = false;
   double capacity = 0.0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DiscoverReply)
+  static auto fields(auto& m) { return std::tie(m.offers, m.capacity); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<DiscoverReply>(in); }
 };
 
 // --- replicated directory & election ----------------------------------------
@@ -348,32 +570,36 @@ struct VoteRequest {
   std::uint64_t term = 0;
   common::NodeId candidate = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(VoteRequest)
+  static auto fields(auto& m) { return std::tie(m.term, m.candidate); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<VoteRequest>(in); }
 };
 
 struct VoteReply {
   std::uint64_t term = 0;
   bool granted = false;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(VoteReply)
+  static auto fields(auto& m) { return std::tie(m.term, m.granted); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<VoteReply>(in); }
 };
 
 struct HeartbeatRequest {
   std::uint64_t term = 0;
   common::NodeId leader = common::kNoNode;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(HeartbeatRequest)
+  static auto fields(auto& m) { return std::tie(m.term, m.leader); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<HeartbeatRequest>(in); }
 };
 
 struct HeartbeatReply {
   std::uint64_t term = 0;
   bool ok = false;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(HeartbeatReply)
+  static auto fields(auto& m) { return std::tie(m.term, m.ok); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<HeartbeatReply>(in); }
 };
 
 // One replicated placement fact: where `name` lives as of `epoch`.
@@ -383,18 +609,20 @@ struct PlacementRecord {
   common::NodeId host = common::kNoNode;
   bool is_public = false;
   std::uint64_t epoch = 0;
-};
 
-void put_record(serial::Writer& w, const PlacementRecord& rec);
-[[nodiscard]] PlacementRecord get_record(serial::ChainReader& r);
+  static auto fields(auto& m) {
+    return std::tie(m.name, m.class_name, m.host, m.is_public, m.epoch);
+  }
+};
 
 // kDirAnnounce (leader-only; followers answer Moved + leader hint) and
 // kDirReplicate (leader -> follower fan-out) share this body.
 struct DirAnnounceRequest {
   PlacementRecord record;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirAnnounceRequest)
+  static auto fields(auto& m) { return std::tie(m.record); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<DirAnnounceRequest>(in); }
 };
 
 struct DirAnnounceReply {
@@ -403,15 +631,19 @@ struct DirAnnounceReply {
   std::uint64_t epoch = 0;                  // epoch stored, when Ok
   std::string error;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirAnnounceReply)
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.leader, m.epoch, m.error);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<DirAnnounceReply>(in); }
 };
 
 struct DirResolveRequest {
   common::ComponentName name;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirResolveRequest)
+  static auto fields(auto& m) { return std::tie(m.name); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<DirResolveRequest>(in); }
 };
 
 struct DirResolveReply {
@@ -421,8 +653,11 @@ struct DirResolveReply {
   common::NodeId leader = common::kNoNode;  // best-known leader (any status)
   std::string error;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(DirResolveReply)
+  static auto fields(auto& m) {
+    return std::tie(m.status, m.host, m.epoch, m.leader, m.error);
+  }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<DirResolveReply>(in); }
 };
 
 // --- partition manifests (distributed collections) ---------------------------
@@ -434,16 +669,18 @@ struct DirResolveReply {
 struct ManifestRequest {
   std::string prefix;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ManifestRequest)
+  static auto fields(auto& m) { return std::tie(m.prefix); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<ManifestRequest>(in); }
 };
 
 struct ManifestReply {
   // (component name, placement epoch), in registry (lexicographic) order.
   std::vector<std::pair<common::ComponentName, std::uint64_t>> entries;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(ManifestReply)
+  static auto fields(auto& m) { return std::tie(m.entries); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<ManifestReply>(in); }
 };
 
 // --- misc ------------------------------------------------------------------
@@ -451,10 +688,9 @@ struct ManifestReply {
 struct LoadReply {
   double load = 0.0;
 
-  [[nodiscard]] serial::Buffer encode() const;
-  MAGE_PROTO_DECODE(LoadReply)
+  static auto fields(auto& m) { return std::tie(m.load); }
+  [[nodiscard]] auto encode() const { return wire::encode(*this); }
+  static auto decode(auto&& in) { return wire::decode<LoadReply>(in); }
 };
-
-#undef MAGE_PROTO_DECODE
 
 }  // namespace mage::rts::proto

@@ -3,10 +3,168 @@
 // pin the encoding explicitly so a wire-format change is a visible diff.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <utility>
+
 #include "rts/protocol.hpp"
 
 namespace mage::rts::proto {
 namespace {
+
+std::string hex(std::span<const std::uint8_t> bytes) {
+  std::string out;
+  char digits[3];
+  for (const std::uint8_t b : bytes) {
+    std::snprintf(digits, sizeof digits, "%02x", b);
+    out += digits;
+  }
+  return out;
+}
+
+// An encoded body as "<shape> <fragment sizes> | <hex bytes>": "buffer" for
+// a flat Buffer, "chain" for a scatter-gather BufferChain.
+std::string wire(const serial::Buffer& body) {
+  return "buffer " + std::to_string(body.size()) + " | " + hex(body.span());
+}
+
+std::string wire(const serial::BufferChain& body) {
+  std::string sizes;
+  std::string bytes;
+  for (std::size_t i = 0; i < body.fragments(); ++i) {
+    if (i > 0) sizes += ',';
+    sizes += std::to_string(body.fragment(i).size());
+    bytes += hex(body.fragment(i).span());
+  }
+  return "chain " + sizes + " | " + bytes;
+}
+
+// The wire form of `m`, and that of its decoded copy.
+template <typename M>
+std::pair<std::string, std::string> round_trip(const M& m) {
+  const auto body = m.encode();
+  return {wire(body), wire(M::decode(body).encode())};
+}
+
+// Every message's bytes and fragment split, pinned as literals, including
+// the empty-payload forms (a bare length prefix, no payload fragment).  A
+// layout change shows up here even when encode and decode change the same
+// way; the second check runs every decoder.
+TEST(Protocol, WireBytesArePinned) {
+  const serial::Buffer five{1, 2, 3, 4, 5};
+  const common::NodeId n1{1}, n2{2}, n3{3}, n7{7};
+  struct Pin {
+    const char* message;
+    std::pair<std::string, std::string> wires;  // see round_trip()
+    const char* expected;
+  };
+  const Pin pins[] = {
+      {"LookupRequest",
+       round_trip(LookupRequest{"geo", 3, 0x0102030405060708}),
+       "buffer 19 | 0300000067656f030000000807060504030201"},
+      {"LookupReply",
+       round_trip(LookupReply{Status::Moved, common::NodeId{9}, "err", 42}),
+       "buffer 20 | 0109000000030000006572722a00000000000000"},
+      {"ClassCheckRequest", round_trip(ClassCheckRequest{"Counter"}),
+       "buffer 11 | 07000000436f756e746572"},
+      {"ClassCheckReply", round_trip(ClassCheckReply{true}),
+       "buffer 1 | 01"},
+      {"FetchClassRequest", round_trip(FetchClassRequest{"Counter"}),
+       "buffer 11 | 07000000436f756e746572"},
+      {"ClassImage", round_trip(ClassImage{"C", 3}),
+       "buffer 12 | 010000004303000000cacaca"},
+      {"LoadClassRequest", round_trip(LoadClassRequest{{"X", 2}}),
+       "buffer 11 | 010000005802000000caca"},
+      {"InstantiateRequest",
+       round_trip(InstantiateRequest{"Counter", "c1", true, n3}),
+       "buffer 22 | 07000000436f756e7465720200000063310103000000"},
+      {"SimpleReply",
+       round_trip(SimpleReply{Status::Error, common::kNoNode, "boom", 7}),
+       "buffer 21 | 03ffffffff04000000626f6f6d0700000000000000"},
+      {"MoveRequest", round_trip(MoveRequest{"obj", n7}),
+       "buffer 11 | 030000006f626a07000000"},
+      {"TransferRequest",
+       round_trip(TransferRequest{"obj", "Counter", true, 5, {1, 2, 3}}),
+       "chain 31,3 | "
+       "030000006f626a07000000436f756e7465720105000000000000000300000001"
+       "0203"},
+      {"TransferRequest (empty state)",
+       round_trip(TransferRequest{"obj", "Counter", false, 5, {}}),
+       "chain 31 | "
+       "030000006f626a07000000436f756e74657200050000000000000000000000"},
+      {"InvokeRequest", round_trip(InvokeRequest{"s", "work", five}),
+       "chain 17,5 | 010000007304000000776f726b050000000102030405"},
+      {"InvokeRequest (empty args)",
+       round_trip(InvokeRequest{"s", "work", {}}),
+       "chain 17 | 010000007304000000776f726b00000000"},
+      {"InvokeReply",
+       round_trip(InvokeReply{Status::Ok, common::kNoNode, "", 4, {42}}),
+       "chain 21,1 | 00ffffffff000000000400000000000000010000002a"},
+      {"InvokeReply (empty result)",
+       round_trip(InvokeReply{Status::Moved, common::NodeId{11}, "", 6, {}}),
+       "chain 21 | 010b00000000000000060000000000000000000000"},
+      {"FetchResultRequest", round_trip(FetchResultRequest{"obj"}),
+       "buffer 7 | 030000006f626a"},
+      {"LockRequest", round_trip(LockRequest{"obj", n2, 0xDEADBEEF}),
+       "buffer 19 | 030000006f626a02000000efbeadde00000000"},
+      {"LockReply",
+       round_trip(LockReply{Status::Ok, n1, 55, LockKind::Move, "", 3}),
+       "buffer 26 | 0001000000370000000000000001000000000300000000000000"},
+      {"UnlockRequest", round_trip(UnlockRequest{"obj", 99}),
+       "buffer 15 | 030000006f626a6300000000000000"},
+      {"StaticGetRequest",
+       round_trip(StaticGetRequest{"Counter", "total"}),
+       "buffer 20 | 07000000436f756e74657205000000746f74616c"},
+      {"StaticPutRequest",
+       round_trip(StaticPutRequest{"Counter", "total", {1, 2}}),
+       "chain 24,2 | 07000000436f756e74657205000000746f74616c020000000102"},
+      {"StaticPutRequest (empty value)",
+       round_trip(StaticPutRequest{"Counter", "total", {}}),
+       "chain 24 | 07000000436f756e74657205000000746f74616c00000000"},
+      {"ExecRequest", round_trip(ExecRequest{"C", "o", "m", five, n7}),
+       "chain 19,5,4 | "
+       "0100000043010000006f010000006d05000000010203040507000000"},
+      {"ExecRequest (empty args)",
+       round_trip(ExecRequest{"C", "o", "m", {}, n7}),
+       "chain 23 | 0100000043010000006f010000006d0000000007000000"},
+      {"DiscoverRequest", round_trip(DiscoverRequest{"printer"}),
+       "buffer 11 | 070000007072696e746572"},
+      {"DiscoverReply", round_trip(DiscoverReply{true, 33.5}),
+       "buffer 9 | 010000000000c04040"},
+      {"VoteRequest", round_trip(VoteRequest{4, n2}),
+       "buffer 12 | 040000000000000002000000"},
+      {"VoteReply", round_trip(VoteReply{4, true}),
+       "buffer 9 | 040000000000000001"},
+      {"HeartbeatRequest", round_trip(HeartbeatRequest{5, n1}),
+       "buffer 12 | 050000000000000001000000"},
+      {"HeartbeatReply", round_trip(HeartbeatReply{5, false}),
+       "buffer 9 | 050000000000000000"},
+      {"DirAnnounceRequest",
+       round_trip(DirAnnounceRequest{{"obj", "Counter", n3, true, 8}}),
+       "buffer 31 | "
+       "030000006f626a07000000436f756e74657203000000010800000000000000"},
+      {"DirAnnounceReply",
+       round_trip(DirAnnounceReply{Status::Moved, n2, 0, "not leader"}),
+       "buffer 27 | 010200000000000000000000000a0000006e6f74206c6561646572"},
+      {"DirResolveRequest", round_trip(DirResolveRequest{"obj"}),
+       "buffer 7 | 030000006f626a"},
+      {"DirResolveReply",
+       round_trip(DirResolveReply{Status::Ok, n3, 8, n1, ""}),
+       "buffer 21 | 000300000008000000000000000100000000000000"},
+      {"ManifestRequest", round_trip(ManifestRequest{"part."}),
+       "buffer 9 | 05000000706172742e"},
+      {"ManifestReply", round_trip(ManifestReply{{{"a", 1}, {"bc", 2}}}),
+       "buffer 31 | "
+       "02000000010000006101000000000000000200000062630200000000000000"},
+      {"LoadReply", round_trip(LoadReply{101.25}),
+       "buffer 8 | 0000000000505940"},
+  };
+  for (const Pin& pin : pins) {
+    EXPECT_EQ(pin.wires.first, pin.expected) << pin.message;
+    EXPECT_EQ(pin.wires.second, pin.expected)
+        << pin.message << ", decoded and encoded again";
+  }
+}
 
 TEST(Protocol, LookupRequestRoundTrip) {
   LookupRequest v;
@@ -239,10 +397,20 @@ TEST(Protocol, StatusNames) {
 }
 
 TEST(Protocol, NodeCodecSentinel) {
-  serial::Writer w;
-  put_node(w, common::kNoNode);
-  serial::ChainReader r(w.take());
-  EXPECT_TRUE(common::is_no_node(get_node(r)));
+  MoveRequest v;
+  v.name = "obj";
+  v.to = common::kNoNode;
+  EXPECT_TRUE(common::is_no_node(MoveRequest::decode(v.encode()).to));
+}
+
+TEST(Protocol, DecodesMessagesInSequenceFromOneReader) {
+  serial::BufferChain chain;
+  chain.append(LookupRequest{"a", 1, 2}.encode());
+  chain.append(MoveRequest{"b", common::NodeId{7}}.encode());
+  serial::ChainReader r(chain);
+  EXPECT_EQ(LookupRequest::decode(r).min_epoch, 2u);
+  EXPECT_EQ(MoveRequest::decode(r).to, common::NodeId{7});
+  EXPECT_TRUE(r.at_end());
 }
 
 TEST(Protocol, NamesWithUnicodeAndNulls) {

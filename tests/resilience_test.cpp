@@ -255,25 +255,63 @@ TEST(Adversarial, EnvelopeFuzzNeverCrashes) {
   SUCCEED();
 }
 
+// A decoder may return or throw SerializationError; anything else (a
+// crash, std::bad_alloc from a wire-declared count) fails the test.
+template <typename M>
+void decode_or_reject(const serial::Buffer& bytes) {
+  try {
+    (void)M::decode(bytes);
+  } catch (const common::SerializationError&) {
+  }
+}
+
+template <typename... Messages>
+void decode_as_each(const serial::Buffer& bytes) {
+  (decode_or_reject<Messages>(bytes), ...);
+}
+
+void decode_as_every_message(const serial::Buffer& bytes) {
+  using namespace proto;
+  decode_as_each<LookupRequest, LookupReply, ClassCheckRequest,
+                 ClassCheckReply, FetchClassRequest, ClassImage,
+                 LoadClassRequest, InstantiateRequest, SimpleReply,
+                 MoveRequest, TransferRequest, InvokeRequest, InvokeReply,
+                 FetchResultRequest, LockRequest, LockReply, UnlockRequest,
+                 StaticGetRequest, StaticPutRequest, ExecRequest,
+                 DiscoverRequest, DiscoverReply, VoteRequest, VoteReply,
+                 HeartbeatRequest, HeartbeatReply, DirAnnounceRequest,
+                 DirAnnounceReply, DirResolveRequest, DirResolveReply,
+                 ManifestRequest, ManifestReply, LoadReply>(bytes);
+}
+
 TEST(Adversarial, ProtocolBodyFuzzNeverCrashes) {
+  // Leading u32s that declare a huge string, list or filler.
+  decode_as_every_message(serial::Buffer{0xff, 0xff, 0xff, 0xff});
+  decode_as_every_message(serial::Buffer{0xff, 0xff, 0xff, 0x0f});
   common::Rng rng(7777);
   for (int round = 0; round < 1000; ++round) {
     std::vector<std::uint8_t> junk(rng.next_below(48));
     for (auto& b : junk) b = static_cast<std::uint8_t>(rng.next_below(256));
-    const serial::Buffer junk_buf(std::move(junk));
-    auto probe = [&junk_buf](auto decode) {
-      try {
-        (void)decode(junk_buf);
-      } catch (const common::SerializationError&) {
-      }
-    };
-    probe([](const auto& b) { return proto::LookupRequest::decode(b); });
-    probe([](const auto& b) { return proto::InvokeRequest::decode(b); });
-    probe([](const auto& b) { return proto::TransferRequest::decode(b); });
-    probe([](const auto& b) { return proto::LockRequest::decode(b); });
-    probe([](const auto& b) { return proto::ClassImage::decode(b); });
+    decode_as_every_message(serial::Buffer(std::move(junk)));
   }
   SUCCEED();
+}
+
+TEST(Adversarial, ListCountBeyondTheBodyIsRejected) {
+  // Each manifest entry takes at least 12 bytes (an empty name and an
+  // epoch), so a count the remaining bytes cannot hold is rejected before
+  // anything is reserved.
+  for (const serial::Buffer& body :
+       {serial::Buffer{0xff, 0xff, 0xff, 0xff},
+        serial::Buffer{0xff, 0xff, 0xff, 0x0f},
+        serial::Buffer{0x02, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0}}) {
+    EXPECT_THROW((void)proto::ManifestReply::decode(body),
+                 common::SerializationError);
+  }
+  const auto one = proto::ManifestReply::decode(
+      serial::Buffer{0x01, 0, 0, 0, 0, 0, 0, 0, 9, 0, 0, 0, 0, 0, 0, 0});
+  ASSERT_EQ(one.entries.size(), 1u);
+  EXPECT_EQ(one.entries[0].second, 9u);
 }
 
 TEST(Adversarial, LookupDuringTransitEventuallyConverges) {
