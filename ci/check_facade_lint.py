@@ -2,17 +2,22 @@
 """Facade lint: application code must not speak the raw rts protocol.
 
 `rts::AsyncClient` (docs/API.md) is the way to program MAGE; the raw
-protocol structs (`proto::InvokeRequest`, `proto::LookupRequest`) are an
-implementation detail of the facade and the server.  This grep-based
-gate fails the build when:
+protocol structs (`proto::InvokeRequest`, `proto::LookupRequest`,
+`proto::MoveRequest`, `proto::TransferRequest`) are an implementation
+detail of the facade and the server.  This grep-based gate fails the
+build when:
 
-  * anything under examples/ mentions InvokeRequest or LookupRequest
-    (examples are the documented programming model — they must go
-    through the facade), or
+  * anything under examples/ mentions one of those structs (examples are
+    the documented programming model — they must go through the
+    facade), or
   * a file under src/rts/ outside the protocol/facade allowlist
     constructs or names those structs (new runtime code must route
     invocations through AsyncClient, not hand-roll them; that includes
-    the blocking MageClient, which wraps AsyncClient's chase).
+    the blocking MageClient, which wraps AsyncClient's chase).  The two
+    migration structs keep weak migration in one place: a move is
+    `MageServer::migrate` (the server sends the transfer) reached through
+    AsyncClient's move chase or MageClient::transfer_out, never a second,
+    hand-built transfer.
     The allowlist is matched by path relative to src/rts/, so the
     distributed-collections layer (src/rts/dist/) can never opt out —
     partitions and rebalancers are applications of the facade, not
@@ -24,7 +29,9 @@ import pathlib
 import re
 import sys
 
-TOKENS = re.compile(r"\b(InvokeRequest|LookupRequest)\b")
+TOKENS = re.compile(
+    r"\b(InvokeRequest|LookupRequest|MoveRequest|TransferRequest)\b"
+)
 
 # The protocol definition itself, the server that serves the verbs, and
 # the one facade that implements the chase (rts::AsyncClient; the blocking

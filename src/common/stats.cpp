@@ -1,40 +1,11 @@
 #include "common/stats.hpp"
 
-#include <algorithm>
-#include <cmath>
 #include <sstream>
 
 namespace mage::common {
 
-void DurationSummary::record(SimDuration sample) {
-  if (count_ == 0 || sample < min_) min_ = sample;
-  if (count_ == 0 || sample > max_) max_ = sample;
-  total_ += sample;
-  ++count_;
-  samples_.push_back(sample);
-}
-
-double DurationSummary::mean() const {
-  if (count_ == 0) return 0.0;
-  return static_cast<double>(total_) / static_cast<double>(count_);
-}
-
-SimDuration DurationSummary::percentile(double p) const {
-  if (samples_.empty()) return 0;
-  std::vector<SimDuration> sorted = samples_;
-  std::sort(sorted.begin(), sorted.end());
-  const double clamped = std::clamp(p, 0.0, 1.0);
-  const auto index = static_cast<std::size_t>(
-      std::llround(clamped * static_cast<double>(sorted.size() - 1)));
-  return sorted[index];
-}
-
 void StatsRegistry::add(const std::string& key, std::int64_t delta) {
   counters_[key] += delta;
-}
-
-void StatsRegistry::record(const std::string& key, SimDuration sample) {
-  summaries_[key].record(sample);
 }
 
 std::int64_t StatsRegistry::counter(const std::string& key) const {
@@ -42,25 +13,15 @@ std::int64_t StatsRegistry::counter(const std::string& key) const {
   return it == counters_.end() ? 0 : it->second;
 }
 
-const DurationSummary* StatsRegistry::summary(const std::string& key) const {
-  auto it = summaries_.find(key);
-  return it == summaries_.end() ? nullptr : &it->second;
-}
-
 void StatsRegistry::reset() {
   // Zero in place rather than erase: counter_handle() pointers stay valid.
   for (auto& [key, value] : counters_) value = 0;
-  summaries_.clear();
 }
 
 std::string StatsRegistry::to_string() const {
   std::ostringstream os;
   for (const auto& [key, value] : counters_) {
     os << key << " = " << value << '\n';
-  }
-  for (const auto& [key, summary] : summaries_) {
-    os << key << ": n=" << summary.count() << " mean=" << summary.mean()
-       << "us min=" << summary.min() << "us max=" << summary.max() << "us\n";
   }
   return os.str();
 }

@@ -1,4 +1,4 @@
-// Counters and latency summaries used by the benchmark harnesses.
+// Counters used by the benchmark harnesses.
 //
 // Every layer of the reproduction (network, RMI, runtime, mobility
 // attributes) records into a StatsRegistry owned by the simulation, so a
@@ -9,45 +9,14 @@
 #include <cstdint>
 #include <map>
 #include <string>
-#include <vector>
-
-#include "common/time.hpp"
 
 namespace mage::common {
 
-// Streaming summary of a series of duration samples.
-class DurationSummary {
- public:
-  void record(SimDuration sample);
-
-  [[nodiscard]] std::uint64_t count() const { return count_; }
-  [[nodiscard]] SimDuration total() const { return total_; }
-  [[nodiscard]] SimDuration min() const { return count_ == 0 ? 0 : min_; }
-  [[nodiscard]] SimDuration max() const { return max_; }
-  [[nodiscard]] double mean() const;
-
-  // Exact percentile over retained samples (all samples are retained; the
-  // reproduction's runs are small enough that this is fine).
-  [[nodiscard]] SimDuration percentile(double p) const;
-
-  [[nodiscard]] const std::vector<SimDuration>& samples() const {
-    return samples_;
-  }
-
- private:
-  std::uint64_t count_ = 0;
-  SimDuration total_ = 0;
-  SimDuration min_ = 0;
-  SimDuration max_ = 0;
-  std::vector<SimDuration> samples_;
-};
-
-// Named counters + named duration summaries.  Keys are hierarchical strings
-// ("net.messages_sent", "rmi.calls", "rts.migrations").
+// Named counters.  Keys are hierarchical strings ("net.messages_sent",
+// "rmi.calls", "rts.migrations").
 class StatsRegistry {
  public:
   void add(const std::string& key, std::int64_t delta = 1);
-  void record(const std::string& key, SimDuration sample);
 
   // Stable pointer to the counter's slot, for hot paths that bump the same
   // counter millions of times (map nodes never move; reset() zeroes values
@@ -57,14 +26,9 @@ class StatsRegistry {
   }
 
   [[nodiscard]] std::int64_t counter(const std::string& key) const;
-  [[nodiscard]] const DurationSummary* summary(const std::string& key) const;
 
   [[nodiscard]] const std::map<std::string, std::int64_t>& counters() const {
     return counters_;
-  }
-  [[nodiscard]] const std::map<std::string, DurationSummary>& summaries()
-      const {
-    return summaries_;
   }
 
   void reset();
@@ -74,7 +38,6 @@ class StatsRegistry {
 
  private:
   std::map<std::string, std::int64_t> counters_;
-  std::map<std::string, DurationSummary> summaries_;
 };
 
 }  // namespace mage::common

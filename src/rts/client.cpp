@@ -49,8 +49,7 @@ MageObject& MageClient::local_object(const common::ComponentName& name) {
 }
 
 bool MageClient::has_local(const common::ComponentName& name) const {
-  return local_server_.registry().has_local(name) &&
-         !local_server_.in_transit(name);
+  return local_server_.hosts(name);
 }
 
 bool MageClient::is_shared(const common::ComponentName& name) const {
@@ -178,28 +177,17 @@ void MageClient::transfer_out(const common::ComponentName& name,
     throw common::NotFoundError(name, "transfer_out requires a local object");
   }
   if (to == self()) return;
-
-  MageObject& object = local_server_.registry().local(name);
-  serial::Writer state_writer;
-  object.serialize(state_writer);
-
-  proto::TransferRequest transfer;
-  transfer.name = name;
-  transfer.class_name = object.class_name();
-  transfer.is_public = is_shared(name);
-  transfer.state = state_writer.take();
-
-  auto reply = proto::SimpleReply::decode(
-      transport_.call_sync(to, proto_verbs::kTransfer, transfer.encode()));
-  if (reply.status != proto::Status::Ok) {
-    throw common::MageError("transfer of '" + name + "' failed: " +
-                            reply.error);
-  }
-  auto departed = local_server_.registry().unbind(name);
-  departed.reset();
-  local_server_.registry().update_forward(name, to);
-  local_server_.locks().on_object_departed(name, to);
-  simulation().stats().add("rts.migrations");
+  // The server's weak migration, blocked on: one mage.transfer.
+  MagePromise<MageServer::Migration> promise;
+  local_server_.migrate(name, to, [promise](MageServer::Migration moved) {
+    promise.set_value(std::move(moved));
+  });
+  const auto moved = wait(promise.future(), proto_verbs::kTransfer).value();
+  if (moved.error.empty()) return;
+  // A failed call throws what call_sync would; a refusal, a MageError.
+  if (!moved.rejected) rmi::throw_error(moved.error);
+  throw common::MageError("transfer of '" + name + "' failed: " +
+                          moved.error);
 }
 
 // --- invocation --------------------------------------------------------------------

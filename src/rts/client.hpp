@@ -120,7 +120,8 @@ class MageClient {
 
   // Ships a *locally hosted* object directly to `to` (the agent-style
   // transfer: state and dispatch travel in one message; the receiver pulls
-  // the class image only if it lacks it).
+  // the class image only if it lacks it).  Blocks on the local server's
+  // weak migration, MageServer::migrate, the routine every move runs.
   void transfer_out(const common::ComponentName& name, common::NodeId to);
 
   // --- invocation ----------------------------------------------------------

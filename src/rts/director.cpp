@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "rts/future.hpp"
+
 namespace mage::rts {
 
 namespace proto_verbs = proto::verbs;
@@ -123,10 +125,6 @@ DirectoryClient::DirectoryClient(rmi::Transport& transport,
     : transport_(transport),
       channel_(transport, std::move(directors), policy) {}
 
-sim::Simulation& DirectoryClient::sim() {
-  return transport_.network().node_sim(transport_.self());
-}
-
 void DirectoryClient::resolve(
     const common::ComponentName& name,
     std::function<void(std::optional<Resolution>)> done) {
@@ -186,25 +184,23 @@ void DirectoryClient::announce(const proto::PlacementRecord& record,
 
 std::optional<DirectoryClient::Resolution> DirectoryClient::resolve_sync(
     const common::ComponentName& name) {
-  bool settled = false;
-  std::optional<Resolution> resolution;
-  resolve(name, [&](std::optional<Resolution> r) {
-    resolution = r;
-    settled = true;
+  // A promise, not a local: the callback outlives this frame when the
+  // wait throws.
+  MagePromise<std::optional<Resolution>> resolved;
+  resolve(name, [resolved](std::optional<Resolution> r) {
+    resolved.set_value(r);
   });
-  sim().run_until([&] { return settled; });
-  return resolution;
+  transport_.block_until([&resolved] { return resolved.completed(); },
+                         proto_verbs::kDirResolve);
+  return resolved.future().value();
 }
 
 bool DirectoryClient::announce_sync(const proto::PlacementRecord& record) {
-  bool settled = false;
-  bool accepted = false;
-  announce(record, [&](bool ok) {
-    accepted = ok;
-    settled = true;
-  });
-  sim().run_until([&] { return settled; });
-  return accepted;
+  MagePromise<bool> accepted;
+  announce(record, [accepted](bool ok) { accepted.set_value(ok); });
+  transport_.block_until([&accepted] { return accepted.completed(); },
+                         proto_verbs::kDirAnnounce);
+  return accepted.future().value();
 }
 
 }  // namespace mage::rts

@@ -109,8 +109,9 @@ class DirectoryClient {
   void announce(const proto::PlacementRecord& record,
                 std::function<void(bool)> done);
 
-  // Synchronous variants for driver-side code (run the event loop until
-  // the group call completes; usable only where call_sync is).
+  // Synchronous variants for driver-side code: wait for the group call
+  // through Transport::block_until, so a network with more than one shard
+  // throws its named MageError.
   std::optional<Resolution> resolve_sync(const common::ComponentName& name);
   bool announce_sync(const proto::PlacementRecord& record);
 
@@ -125,8 +126,6 @@ class DirectoryClient {
   }
 
  private:
-  [[nodiscard]] sim::Simulation& sim();
-
   rmi::Transport& transport_;
   rmi::FailoverChannel channel_;
 };

@@ -12,6 +12,15 @@ namespace proto_verbs = proto::verbs;
 // Longest forwarding chain a lookup will walk before declaring a cycle.
 constexpr std::uint32_t kMaxLookupHops = 32;
 
+namespace {
+
+// Acknowledges an arrival with a plain Ok.
+void acknowledge(rmi::Replier replier) {
+  replier.ok(proto::SimpleReply{}.encode());
+}
+
+}  // namespace
+
 MageServer::MageServer(rmi::Transport& transport, const ClassWorld& world,
                        const Directory& directory)
     : transport_(transport),
@@ -28,7 +37,6 @@ sim::Simulation& MageServer::sim() {
 }
 
 void MageServer::register_services() {
-  using namespace std::placeholders;
   auto bind_to = [this](void (MageServer::*fn)(common::NodeId, const Body&,
                                                rmi::Replier)) {
     return [this, fn](common::NodeId caller, const Body& body,
@@ -134,6 +142,20 @@ MageServer::Hint MageServer::locate_hint(
   return {proto::Status::NotFound, common::kNoNode, 0};
 }
 
+template <typename Reply>
+bool MageServer::here_or_hint(const common::ComponentName& name,
+                              rmi::Replier& replier, const char* why) {
+  if (hosts(name)) return true;
+  const Hint hint = locate_hint(name);
+  Reply reply;
+  reply.status = hint.status;
+  reply.hint = hint.node;
+  reply.hint_epoch = hint.epoch;
+  reply.error = why;
+  replier.ok(reply.encode());
+  return false;
+}
+
 // --- registry lookup (forwarding chain + path collapsing) --------------------
 
 void MageServer::handle_lookup(common::NodeId caller, const Body& body,
@@ -144,7 +166,7 @@ void MageServer::handle_lookup(common::NodeId caller, const Body& body,
 
   // An in-transit object still has a local binding, but answering "here"
   // would hand out a namespace it is about to leave; chase the transfer.
-  if (registry_.has_local(request.name) && !in_transit(request.name)) {
+  if (hosts(request.name)) {
     proto::LookupReply reply;
     reply.status = proto::Status::Ok;
     reply.host = self();
@@ -289,28 +311,32 @@ void MageServer::ensure_class_then(const std::string& class_name,
       });
 }
 
-// --- instantiation ---------------------------------------------------------------
+// --- arrival ---------------------------------------------------------------------
 
-void MageServer::handle_instantiate(common::NodeId caller, const Body& body,
-                                    rmi::Replier replier) {
-  if (!check_access(Operation::Instantiate, caller, replier)) return;
-  if (!resources_.admits_object(registry_.local_names().size())) {
-    replier.error("capacity exceeded: node " +
-                  std::to_string(self().value()) +
-                  " will not host another object");
+template <typename Reply, typename Then>
+void MageServer::arrive(common::NodeId caller, Arrival arrival,
+                        rmi::Replier replier, Then then) {
+  const std::size_t state_bytes = arrival.state ? arrival.state->size() : 0;
+  if (!resources_.admits_object(registry_.local_names().size()) ||
+      !resources_.admits_transfer(state_bytes)) {
+    replier.error(
+        "capacity exceeded: node " + std::to_string(self().value()) +
+        (arrival.state ? " rejects transfer of '" + arrival.name + "' (" +
+                             std::to_string(state_bytes) + " state bytes)"
+                       : std::string(" will not host another object")));
     sim().stats().add("rts.capacity_rejections");
     return;
   }
-  auto request = proto::InstantiateRequest::decode(body);
-  const common::NodeId source = common::is_no_node(request.class_source)
-                                    ? caller
-                                    : request.class_source;
+  // Read before the continuation takes `arrival` over.
+  const std::string class_name = arrival.class_name;
+  const common::NodeId source =
+      common::is_no_node(arrival.class_source) ? caller : arrival.class_source;
   ensure_class_then(
-      request.class_name, source,
-      [this, request,
-       replier = std::move(replier)](bool ok, std::string error) mutable {
+      class_name, source,
+      [this, arrival = std::move(arrival), replier = std::move(replier),
+       then = std::move(then)](bool ok, std::string error) mutable {
         if (!ok) {
-          proto::SimpleReply reply;
+          Reply reply;
           reply.status = proto::Status::Error;
           reply.error = std::move(error);
           replier.ok(reply.encode());
@@ -318,14 +344,32 @@ void MageServer::handle_instantiate(common::NodeId caller, const Body& body,
         }
         sim().schedule_after(
             model().instantiate_us,
-            [this, request, replier = std::move(replier)]() mutable {
-          registry_.bind(request.object_name,
-                         world_.instantiate(request.class_name));
-          sim().stats().add("rts.instantiations");
-          proto::SimpleReply reply;
-          replier.ok(reply.encode());
+            [this, arrival = std::move(arrival), replier = std::move(replier),
+             then = std::move(then)]() mutable {
+          std::unique_ptr<MageObject> object;
+          if (arrival.state) {
+            serial::Reader state(*arrival.state);
+            object = world_.deserialize(arrival.class_name, state);
+          } else {
+            object = world_.instantiate(arrival.class_name);
+          }
+          registry_.bind(arrival.name, std::move(object), arrival.epoch);
+          sim().stats().add(arrival.state ? "rts.transfers_in"
+                                          : "rts.instantiations");
+          then(std::move(replier));
         });
       });
+}
+
+void MageServer::handle_instantiate(common::NodeId caller, const Body& body,
+                                    rmi::Replier replier) {
+  if (!check_access(Operation::Instantiate, caller, replier)) return;
+  auto request = proto::InstantiateRequest::decode(body);
+  arrive<proto::SimpleReply>(caller,
+                             {.name = request.object_name,
+                              .class_name = request.class_name,
+                              .class_source = request.class_source},
+                             std::move(replier), acknowledge);
 }
 
 // Condensed remote evaluation (the Section 5 optimization): class check,
@@ -333,70 +377,87 @@ void MageServer::handle_instantiate(common::NodeId caller, const Body& body,
 void MageServer::handle_exec(common::NodeId caller, const Body& body,
                              rmi::Replier replier) {
   if (!check_access(Operation::Instantiate, caller, replier)) return;
-  if (!resources_.admits_object(registry_.local_names().size())) {
-    replier.error("capacity exceeded: node " +
-                  std::to_string(self().value()) +
-                  " will not host another object");
-    sim().stats().add("rts.capacity_rejections");
-    return;
-  }
   auto request = proto::ExecRequest::decode(body);
-  const common::NodeId source = common::is_no_node(request.class_source)
-                                    ? caller
-                                    : request.class_source;
-  ensure_class_then(
-      request.class_name, source,
-      [this, request,
-       replier = std::move(replier)](bool ok, std::string error) mutable {
-        if (!ok) {
-          proto::InvokeReply reply;
-          reply.status = proto::Status::Error;
-          reply.error = std::move(error);
-          replier.ok(reply.encode());
-          return;
-        }
-        sim().schedule_after(
-            model().instantiate_us,
-            [this, request, replier = std::move(replier)]() mutable {
-          registry_.bind(request.object_name,
-                         world_.instantiate(request.class_name));
-          sim().stats().add("rts.instantiations");
-          proto::InvokeRequest invoke;
-          invoke.name = request.object_name;
-          invoke.method = request.method;
-          invoke.args = request.args;
-          common::SimDuration cost = 0;
-          try {
-            cost = world_.method(request.class_name, request.method).cost_us;
-          } catch (const common::MageError&) {
-          }
-          sim().stats().add("rts.condensed_execs");
-          sim().schedule_after(
-              cost, [this, invoke = std::move(invoke),
-                     replier = std::move(replier)]() mutable {
-            replier.ok(run_method(invoke).encode());
-          });
+  arrive<proto::InvokeReply>(
+      caller,
+      {.name = request.object_name,
+       .class_name = request.class_name,
+       .class_source = request.class_source},
+      std::move(replier),
+      [this, invoke = proto::InvokeRequest{request.object_name,
+                                           request.method,
+                                           std::move(request.args)}](
+          rmi::Replier replier) mutable {
+        const auto cost = method_cost(invoke.name, invoke.method);
+        sim().stats().add("rts.condensed_execs");
+        sim().schedule_after(cost, [this, invoke = std::move(invoke),
+                                    replier = std::move(replier)]() mutable {
+          replier.ok(run_method(invoke).encode());
         });
       });
 }
 
+void MageServer::handle_transfer(common::NodeId caller, const Body& body,
+                                 rmi::Replier replier) {
+  if (!check_access(Operation::TransferIn, caller, replier)) return;
+  auto request = proto::TransferRequest::decode(body);
+  arrive<proto::SimpleReply>(caller,
+                             {.name = request.name,
+                              .class_name = request.class_name,
+                              .state = std::move(request.state),
+                              .epoch = request.epoch},
+                             std::move(replier), acknowledge);
+}
+
 // --- migration (the Figure 7 protocol, server side) ----------------------------
+
+void MageServer::migrate(const common::ComponentName& name, common::NodeId to,
+                         common::UniqueFunction<void(Migration)> done) {
+  MageObject& object = registry_.local(name);
+  serial::Writer state;
+  object.serialize(state);
+  // This migration advances the object's placement history by one epoch:
+  // the destination binds at it, every hint left behind carries it, and
+  // anything older is fenced out downstream.
+  const std::uint64_t epoch = registry_.epoch_of(name) + 1;
+  proto::TransferRequest transfer;
+  transfer.name = name;
+  transfer.class_name = object.class_name();
+  transfer.is_public =
+      directory_.contains(name) && directory_.info(name).is_public;
+  transfer.epoch = epoch;
+  transfer.state = state.take();
+
+  in_transit_[name] = to;
+  transport_.call(
+      to, proto_verbs::kTransfer, transfer.encode(),
+      [this, name, to, epoch,
+       done = std::move(done)](rmi::CallResult result) mutable {
+        in_transit_.erase(name);
+        if (!result.ok) {
+          done({std::move(result.error), false, 0});
+          return;
+        }
+        auto reply = proto::SimpleReply::decode(result.body);
+        if (reply.status != proto::Status::Ok) {
+          done({std::move(reply.error), true, 0});
+          return;
+        }
+        // The destination has the object: retire the local copy and leave
+        // a forwarding address behind, fenced at the migration's epoch.
+        registry_.unbind(name).reset();
+        registry_.update_forward(name, to, epoch);
+        locks_.on_object_departed(name, to);
+        sim().stats().add("rts.migrations");
+        done({{}, false, epoch});
+      });
+}
 
 void MageServer::handle_move(common::NodeId caller, const Body& body,
                              rmi::Replier replier) {
   if (!check_access(Operation::MoveOut, caller, replier)) return;
   auto request = proto::MoveRequest::decode(body);
-
-  if (!registry_.has_local(request.name) || in_transit(request.name)) {
-    auto hint = locate_hint(request.name);
-    proto::SimpleReply reply;
-    reply.status = hint.status;
-    reply.hint = hint.node;
-    reply.hint_epoch = hint.epoch;
-    reply.error = "object is not at this node";
-    replier.ok(reply.encode());
-    return;
-  }
+  if (!here_or_hint<proto::SimpleReply>(request.name, replier)) return;
 
   if (request.to == self()) {
     proto::SimpleReply reply;  // already at the target: nothing to move
@@ -406,101 +467,23 @@ void MageServer::handle_move(common::NodeId caller, const Body& body,
     return;
   }
 
-  // Weak migration: serialize heap state, ship it, and only unbind the
-  // local copy once the destination acknowledges.  While the transfer is in
-  // flight the object is marked in-transit so concurrent invocations and
-  // moves are redirected rather than seeing a half-moved object — this is
-  // the "object movement is not atomic" hazard of Section 4.4 handled
-  // structurally.
-  MageObject& object = registry_.local(request.name);
-  serial::Writer state_writer;
-  object.serialize(state_writer);
-
-  // This migration advances the object's placement history by one epoch;
-  // the destination binds at new_epoch, every hint we leave behind carries
-  // it, and anything older is fenced out downstream.
-  const std::uint64_t new_epoch = registry_.epoch_of(request.name) + 1;
-
-  proto::TransferRequest transfer;
-  transfer.name = request.name;
-  transfer.class_name = object.class_name();
-  transfer.is_public = directory_.contains(request.name)
-                           ? directory_.info(request.name).is_public
-                           : false;
-  transfer.epoch = new_epoch;
-  transfer.state = state_writer.take();
-
-  in_transit_[request.name] = request.to;
-  transport_.call(
-      request.to, proto_verbs::kTransfer, transfer.encode(),
-      [this, name = request.name, to = request.to, new_epoch,
-       replier = std::move(replier)](rmi::CallResult result) mutable {
-        in_transit_.erase(name);
-        proto::SimpleReply reply;
-        if (!result.ok) {
-          reply.status = proto::Status::Error;
-          reply.error = "transfer failed: " + result.error;
-          replier.ok(reply.encode());
-          return;
-        }
-        auto transfer_reply = proto::SimpleReply::decode(result.body);
-        if (transfer_reply.status != proto::Status::Ok) {
-          reply.status = proto::Status::Error;
-          reply.error = "transfer rejected: " + transfer_reply.error;
-          replier.ok(reply.encode());
-          return;
-        }
-        // Destination has the object: retire the local copy and leave a
-        // forwarding address behind, fenced at the migration's epoch.
-        auto departed = registry_.unbind(name);
-        departed.reset();
-        registry_.update_forward(name, to, new_epoch);
-        locks_.on_object_departed(name, to);
-        sim().stats().add("rts.migrations");
-        // The Ok reply tells the mover where the object now is and at
-        // which epoch (so it can announce the move to the directory).
-        reply.hint = to;
-        reply.hint_epoch = new_epoch;
-        replier.ok(reply.encode());
-      });
-}
-
-void MageServer::handle_transfer(common::NodeId caller, const Body& body,
-                                 rmi::Replier replier) {
-  if (!check_access(Operation::TransferIn, caller, replier)) return;
-  auto request = proto::TransferRequest::decode(body);
-  if (!resources_.admits_object(registry_.local_names().size()) ||
-      !resources_.admits_transfer(request.state.size())) {
-    replier.error("capacity exceeded: node " +
-                  std::to_string(self().value()) +
-                  " rejects transfer of '" + request.name + "' (" +
-                  std::to_string(request.state.size()) + " state bytes)");
-    sim().stats().add("rts.capacity_rejections");
-    return;
-  }
-  ensure_class_then(
-      request.class_name, caller,
-      [this, request,
-       replier = std::move(replier)](bool ok, std::string error) mutable {
-        if (!ok) {
-          proto::SimpleReply reply;
-          reply.status = proto::Status::Error;
-          reply.error = std::move(error);
-          replier.ok(reply.encode());
-          return;
-        }
-        sim().schedule_after(
-            model().instantiate_us,
-            [this, request, replier = std::move(replier)]() mutable {
-          serial::Reader state(request.state);
-          registry_.bind(request.name,
-                         world_.deserialize(request.class_name, state),
-                         request.epoch);
-          sim().stats().add("rts.transfers_in");
-          proto::SimpleReply reply;
-          replier.ok(reply.encode());
-        });
-      });
+  migrate(request.name, request.to,
+          [to = request.to,
+           replier = std::move(replier)](Migration moved) mutable {
+            proto::SimpleReply reply;
+            if (!moved.error.empty()) {
+              reply.status = proto::Status::Error;
+              reply.error = (moved.rejected ? "transfer rejected: "
+                                            : "transfer failed: ") +
+                            moved.error;
+            } else {
+              // The Ok reply tells the mover where the object now is and
+              // at which epoch (so it can announce the move).
+              reply.hint = to;
+              reply.hint_epoch = moved.epoch;
+            }
+            replier.ok(reply.encode());
+          });
 }
 
 // --- invocation -------------------------------------------------------------------
@@ -520,29 +503,23 @@ proto::InvokeReply MageServer::run_method(const proto::InvokeRequest& request) {
   return reply;
 }
 
+common::SimDuration MageServer::method_cost(const common::ComponentName& name,
+                                            const std::string& method) {
+  try {
+    return world_.method(registry_.local(name).class_name(), method).cost_us;
+  } catch (const common::MageError&) {
+    return 0;
+  }
+}
+
 void MageServer::handle_invoke(common::NodeId caller, const Body& body,
                                rmi::Replier replier) {
   if (!check_access(Operation::Invoke, caller, replier)) return;
   auto request = proto::InvokeRequest::decode(body);
-  if (!registry_.has_local(request.name) || in_transit(request.name)) {
-    auto hint = locate_hint(request.name);
-    proto::InvokeReply reply;
-    reply.status = hint.status;
-    reply.hint = hint.node;
-    reply.hint_epoch = hint.epoch;
-    reply.error = "object is not at this node";
-    replier.ok(reply.encode());
-    return;
-  }
+  if (!here_or_hint<proto::InvokeReply>(request.name, replier)) return;
 
   sim().stats().add("rts.invocations");
-  common::SimDuration cost = 0;
-  try {
-    MageObject& object = registry_.local(request.name);
-    cost = world_.method(object.class_name(), request.method).cost_us;
-  } catch (const common::MageError&) {
-    // run_method will produce the error reply below.
-  }
+  const common::SimDuration cost = method_cost(request.name, request.method);
   sim().schedule_after(cost, [this, request = std::move(request),
                               replier = std::move(replier)]() mutable {
     // Re-validate at execution time: a migration that started while this
@@ -551,14 +528,9 @@ void MageServer::handle_invoke(common::NodeId caller, const Body& body,
     // update would silently vanish at the new host.  Redirect instead —
     // the method has not run, so the caller's retry at the destination is
     // still exactly-once.
-    if (!registry_.has_local(request.name) || in_transit(request.name)) {
-      auto hint = locate_hint(request.name);
-      proto::InvokeReply reply;
-      reply.status = hint.status;
-      reply.hint = hint.node;
-      reply.hint_epoch = hint.epoch;
-      reply.error = "object left while the invocation awaited CPU";
-      replier.ok(reply.encode());
+    if (!here_or_hint<proto::InvokeReply>(
+            request.name, replier,
+            "object left while the invocation awaited CPU")) {
       return;
     }
     replier.ok(run_method(request).encode());
@@ -569,16 +541,7 @@ void MageServer::handle_invoke_oneway(common::NodeId caller, const Body& body,
                                       rmi::Replier replier) {
   if (!check_access(Operation::Invoke, caller, replier)) return;
   auto request = proto::InvokeRequest::decode(body);
-  if (!registry_.has_local(request.name) || in_transit(request.name)) {
-    auto hint = locate_hint(request.name);
-    proto::InvokeReply reply;
-    reply.status = hint.status;
-    reply.hint = hint.node;
-    reply.hint_epoch = hint.epoch;
-    reply.error = "object is not at this node";
-    replier.ok(reply.encode());
-    return;
-  }
+  if (!here_or_hint<proto::InvokeReply>(request.name, replier)) return;
 
   // Mobile-agent semantics (Section 3.5): the invocation is asynchronous
   // and "the result stays at the remote host".  Acknowledge first, execute
@@ -588,12 +551,7 @@ void MageServer::handle_invoke_oneway(common::NodeId caller, const Body& body,
   replier.ok(ack.encode());
 
   sim().stats().add("rts.oneway_invocations");
-  common::SimDuration cost = 0;
-  try {
-    MageObject& object = registry_.local(request.name);
-    cost = world_.method(object.class_name(), request.method).cost_us;
-  } catch (const common::MageError&) {
-  }
+  const common::SimDuration cost = method_cost(request.name, request.method);
   sim().schedule_after(cost, [this, request = std::move(request)]() mutable {
     auto reply = run_method(request);
     registry_.park_result(request.name, reply.status == proto::Status::Ok
@@ -623,16 +581,7 @@ void MageServer::handle_lock(common::NodeId caller, const Body& body,
                              rmi::Replier replier) {
   if (!check_access(Operation::Lock, caller, replier)) return;
   auto request = proto::LockRequest::decode(body);
-  if (!registry_.has_local(request.name) || in_transit(request.name)) {
-    auto hint = locate_hint(request.name);
-    proto::LockReply reply;
-    reply.status = hint.status;
-    reply.hint = hint.node;
-    reply.hint_epoch = hint.epoch;
-    reply.error = "object is not at this node";
-    replier.ok(reply.encode());
-    return;
-  }
+  if (!here_or_hint<proto::LockReply>(request.name, replier)) return;
 
   // Exactly one of the two callbacks fires; the one-shot Replier is shared
   // between them (LockManager callbacks must be copyable std::functions).

@@ -19,6 +19,7 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -60,6 +61,33 @@ class MageServer {
   [[nodiscard]] bool in_transit(const common::ComponentName& name) const {
     return in_transit_.contains(name);
   }
+
+  // True when `name`'s object is bound here and not leaving: the one test
+  // of "here" that every located verb applies.
+  [[nodiscard]] bool hosts(const common::ComponentName& name) const {
+    return registry_.has_local(name) && !in_transit(name);
+  }
+
+  // How a migrate() ended.  An empty `error` means the object now lives at
+  // the destination, bound at `epoch`.  Otherwise `rejected` tells the
+  // destination's refusal from a failed transfer call, whose error keeps
+  // its family prefix (rmi::error_kind).
+  struct Migration {
+    std::string error;
+    bool rejected = false;
+    std::uint64_t epoch = 0;
+  };
+
+  // Weak migration (Figure 7's object send and ack), the one routine that
+  // moves an object off this node, for a remote mover and for this node's
+  // own client alike.  Serializes the object, mints the next placement
+  // epoch, marks it in transit (Section 4.4: movement is not atomic, so
+  // concurrent verbs are redirected meanwhile) and sends one
+  // mage.transfer.  On the ack it unbinds the local copy behind a forward
+  // fenced at the new epoch and hands the lock queue over.  Requires
+  // hosts(name) and `to` != self().  `done` fires exactly once.
+  void migrate(const common::ComponentName& name, common::NodeId to,
+               common::UniqueFunction<void(Migration)> done);
 
   [[nodiscard]] const ClassWorld& world() const { return world_; }
   [[nodiscard]] const Directory& directory() const { return directory_; }
@@ -133,12 +161,36 @@ class MageServer {
                     rmi::Replier& replier);
 
   // Ensures `class_name` is in the local cache, fetching the image from
-  // `source` if needed, then runs `then`.  Used by transfer/instantiate.
+  // `source` if needed, then runs `then`.
   void ensure_class_then(const std::string& class_name, common::NodeId source,
                          EnsureClassFn then);
 
+  // An object coming to live here: `name` as a fresh `class_name` object,
+  // or, when `state` is set, as the migrated object it serializes.
+  struct Arrival {
+    common::ComponentName name;
+    std::string class_name;
+    // Where a missing class is fetched from; kNoNode means the caller.
+    common::NodeId class_source = common::kNoNode;
+    std::optional<serial::Buffer> state = std::nullopt;
+    std::uint64_t epoch = 0;  // 0 = Registry::bind's default
+  };
+
+  // The one arrival path (instantiate, exec, transfer): admits the object
+  // (else the tagged "capacity exceeded" error), ensures its class, charges
+  // instantiate_us, binds it, and hands the replier to `then`.  A class
+  // that cannot be had answers a `Reply` with Status::Error instead.
+  template <typename Reply, typename Then>
+  void arrive(common::NodeId caller, Arrival arrival, rmi::Replier replier,
+              Then then);
+
   // Executes a method on a locally bound object; returns an InvokeReply.
   proto::InvokeReply run_method(const proto::InvokeRequest& request);
+
+  // Simulated CPU cost of `method` on the local object `name` (0 when
+  // either is unknown: run_method then produces the error reply).
+  [[nodiscard]] common::SimDuration method_cost(
+      const common::ComponentName& name, const std::string& method);
 
   // Answers "where should the caller look next" for a non-local component:
   // Moved + hint when we know where it went, NotFound otherwise.  `epoch`
@@ -151,6 +203,13 @@ class MageServer {
     std::uint64_t epoch = 0;
   };
   [[nodiscard]] Hint locate_hint(const common::ComponentName& name) const;
+
+  // The one "not here" answer of the located verbs: true when this node
+  // hosts `name`; otherwise replies a `Reply` carrying locate_hint() and
+  // `why`, and returns false.
+  template <typename Reply>
+  bool here_or_hint(const common::ComponentName& name, rmi::Replier& replier,
+                    const char* why = "object is not at this node");
 
   sim::Simulation& sim();
   [[nodiscard]] const net::CostModel& model() const {

@@ -15,6 +15,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/error.hpp"
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
 
@@ -165,6 +166,13 @@ struct Codec<std::vector<T>> {
   static std::vector<T> get(Reader& r) {
     detail::expect_tag(r, WireTag::Vec);
     const std::uint32_t n = r.read_u32();
+    // Every element costs at least its tag byte: a count beyond the bytes
+    // left is corrupt, rejected before it can size an allocation.
+    if (n > r.remaining()) {
+      throw common::SerializationError(
+          "vector of " + std::to_string(n) + " elements but only " +
+          std::to_string(r.remaining()) + " bytes remain");
+    }
     std::vector<T> out;
     out.reserve(n);
     for (std::uint32_t i = 0; i < n; ++i) out.push_back(Codec<T>::get(r));

@@ -159,14 +159,13 @@ void ShardedSim::set_pair_lookahead(std::size_t from, std::size_t to,
   la_[from * count + to] = lookahead;
 }
 
-void ShardedSim::set_boundary_hook(BoundaryHook hook, const void* owner) {
+void ShardedSim::set_boundary_hook(BoundaryHook hook, const void*) {
   if (running()) {
     throw common::MageError(
         "ShardedSim::set_boundary_hook is driver-only: the hook table "
         "cannot change while workers run");
   }
   boundary_hook_ = std::move(hook);
-  boundary_hook_owner_ = boundary_hook_ ? owner : nullptr;
 }
 
 void ShardedSim::post(std::size_t from, std::size_t to, common::SimTime at,

@@ -148,14 +148,11 @@ class ShardedSim {
   // mutated would reach shards at mapping-dependent times.  Mid-run changes
   // that shards must observe go through ordinary events on every shard
   // instead (net::FaultSchedule's appliers do).  Driver-only; throws while
-  // workers run.  Pass nullptr to clear.  `owner` tags the installer
-  // (opaque identity) so a layer tearing down can verify the installed hook
-  // is still its own before clearing.
+  // workers run.  Pass nullptr to clear.  The second argument is ignored:
+  // nothing reads an installer tag any more, and it stays only so that
+  // bench/e2e's window timer, which still passes one, compiles unchanged.
   using BoundaryHook = std::function<void(common::SimTime window_start)>;
-  void set_boundary_hook(BoundaryHook hook, const void* owner = nullptr);
-  [[nodiscard]] const void* boundary_hook_owner() const {
-    return boundary_hook_owner_;
-  }
+  void set_boundary_hook(BoundaryHook hook, const void* /*owner*/ = nullptr);
 
   // Schedules `action` at absolute time `at` on shard `to`.  Callable from
   // shard `from`'s worker during a window (the action lands in the write
@@ -288,7 +285,6 @@ class ShardedSim {
   std::vector<common::SimDuration> la_;
   std::vector<common::SimDuration> min_in_la_;
   BoundaryHook boundary_hook_;
-  const void* boundary_hook_owner_ = nullptr;
 
   // Run-scoped state.  Written by control() inside the barrier or by
   // workers under the phase discipline above; the barrier provides the

@@ -158,59 +158,18 @@ TEST(Stats, CountersAccumulate) {
   EXPECT_EQ(stats.counter("missing"), 0);
 }
 
-TEST(Stats, SummaryBasics) {
-  StatsRegistry stats;
-  stats.record("lat", 10);
-  stats.record("lat", 30);
-  stats.record("lat", 20);
-  const auto* s = stats.summary("lat");
-  ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->count(), 3u);
-  EXPECT_EQ(s->total(), 60);
-  EXPECT_EQ(s->min(), 10);
-  EXPECT_EQ(s->max(), 30);
-  EXPECT_DOUBLE_EQ(s->mean(), 20.0);
-}
-
-TEST(Stats, SummaryPercentiles) {
-  DurationSummary s;
-  for (int i = 1; i <= 100; ++i) s.record(i);
-  EXPECT_EQ(s.percentile(0.0), 1);
-  EXPECT_EQ(s.percentile(1.0), 100);
-  EXPECT_NEAR(static_cast<double>(s.percentile(0.5)), 50.0, 1.0);
-  EXPECT_NEAR(static_cast<double>(s.percentile(0.9)), 90.0, 1.0);
-}
-
-TEST(Stats, EmptySummaryIsSafe) {
-  DurationSummary s;
-  EXPECT_EQ(s.count(), 0u);
-  EXPECT_EQ(s.min(), 0);
-  EXPECT_EQ(s.max(), 0);
-  EXPECT_DOUBLE_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.percentile(0.5), 0);
-}
-
-TEST(Stats, MissingSummaryIsNull) {
-  StatsRegistry stats;
-  EXPECT_EQ(stats.summary("none"), nullptr);
-}
-
 TEST(Stats, Reset) {
   StatsRegistry stats;
   stats.add("x");
-  stats.record("lat", 5);
   stats.reset();
   EXPECT_EQ(stats.counter("x"), 0);
-  EXPECT_EQ(stats.summary("lat"), nullptr);
 }
 
 TEST(Stats, ToStringContainsKeys) {
   StatsRegistry stats;
   stats.add("net.messages", 3);
-  stats.record("rmi.latency", 42);
   const auto text = stats.to_string();
   EXPECT_NE(text.find("net.messages = 3"), std::string::npos);
-  EXPECT_NE(text.find("rmi.latency"), std::string::npos);
 }
 
 // --- log --------------------------------------------------------------------------

@@ -10,7 +10,8 @@
 //       crashed-and-restarted ex-home) is rejected by epoch comparison
 //       instead of looping the forwarding chain;
 //   (c) client failover — DirectoryClient resolves/announces against the
-//       quorum across leader crashes, counting failovers;
+//       quorum across leader crashes, counting failovers, and its
+//       blocking calls refuse a network with more than one shard;
 //   (d) the full storm — generators race a migration against a partition
 //       while every director (including each elected leader) crashes and
 //       restarts; once quorum heals, every in-flight invoke completes
@@ -313,6 +314,38 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   EXPECT_EQ(moved->epoch, 2u);
   // And the failover latency counter accumulated simulated time.
   EXPECT_GT(sim.stats().counter("rmi.directory_failover_time_us"), 0);
+}
+
+// The sync calls are driver-side waits, and the driver thread would run
+// only the client's shard: on a network with more than one shard they
+// refuse with the named error instead of answering from a partial run.
+TEST(HaDirectory, SyncCallsNeedAOneShardNetwork) {
+  const net::CostModel model = chaos_model();
+  sim::ShardedSim ssim(2, 0xD1CE, net::Network::min_link_latency(model));
+  net::Network net(ssim, model);
+  const common::NodeId director_id = net.add_node("d0");
+  const common::NodeId client_id = net.add_node("c1");
+  rmi::Transport director_transport(net, director_id);
+  rmi::Transport client_transport(net, client_id);
+  rts::Director director(director_transport, {director_id});
+  director.start();
+  rts::DirectoryClient dclient(client_transport, {director_id});
+
+  const auto expect_refused = [](const std::function<void()>& call) {
+    try {
+      call();
+      ADD_FAILURE() << "a blocking call returned on a 2-shard network";
+    } catch (const common::MageError& e) {
+      EXPECT_NE(std::string(e.what()).find("needs a one-shard network"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  expect_refused([&] {
+    (void)dclient.announce_sync(
+        proto::PlacementRecord{"obj", "Session", client_id, true, 1});
+  });
+  expect_refused([&] { (void)dclient.resolve_sync("obj"); });
 }
 
 // --- (d) the full storm -------------------------------------------------------

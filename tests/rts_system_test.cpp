@@ -1,6 +1,7 @@
 // Integration tests for the MAGE runtime: registry lookup with forwarding
 // chains and path collapsing, object migration, class shipping, one-way
-// invocation, engine warm-up, in-transit redirection.
+// invocation, engine warm-up, in-transit redirection, and one weak
+// migration for local and remote sources (epochs, racing invokes).
 #include <gtest/gtest.h>
 
 #include "support/test_objects.hpp"
@@ -212,6 +213,72 @@ TEST(System, TransferOutRequiresLocalObject) {
   auto& c1 = system->client(common::NodeId{1});
   EXPECT_THROW(c1.transfer_out("ghost", common::NodeId{2}),
                common::NotFoundError);
+}
+
+// Moves `name` n1 -> n2 -> n1, leaving it at n1 at placement epoch 3.
+void bounce_home(MageSystem& system, const common::ComponentName& name) {
+  const common::NodeId n1{1}, n2{2};
+  auto& c1 = system.client(n1);
+  c1.create_component(name, "Counter");
+  c1.move(name, n2);
+  c1.move(name, n1, n2);
+  ASSERT_EQ(system.server(n1).registry().epoch_of(name), 3u);
+}
+
+// A local source migrates through the same routine as a remote one: the
+// destination binds at the source's epoch + 1, and the forward left
+// behind is fenced at it.
+TEST(System, LocalTransferBindsAtTheNextEpoch) {
+  for (const bool through_grev : {false, true}) {
+    SCOPED_TRACE(through_grev ? "GREV bind" : "transfer_out");
+    auto system = make_logic_system(3);
+    const common::NodeId n1{1}, n3{3};
+    bounce_home(*system, "counter");
+    if (through_grev) {
+      core::Grev grev(system->client(n1), "counter", n3);
+      (void)grev.bind();
+    } else {
+      system->client(n1).transfer_out("counter", n3);
+    }
+    EXPECT_TRUE(system->server(n3).registry().has_local("counter"));
+    EXPECT_EQ(system->server(n3).registry().epoch_of("counter"), 4u);
+    EXPECT_EQ(system->server(n1).registry().epoch_of("counter"), 4u);
+  }
+}
+
+// The hint a node leaves when the object moves on carries the epoch it
+// minted, so a client that saw the earlier moves still accepts it.
+TEST(System, HintsAfterALocalTransferAreNotStale) {
+  auto system = make_logic_system(4);
+  const common::NodeId n1{1}, n3{3}, n4{4};
+  bounce_home(*system, "counter");
+  auto& c1 = system->client(n1);
+  c1.transfer_out("counter", n3);
+  system->client(n3).move("counter", n4);
+  common::NodeId cloc = n3;
+  EXPECT_EQ(c1.invoke<std::int64_t>(cloc, "counter", "increment"), 1);
+  EXPECT_EQ(cloc, n4);
+  EXPECT_EQ(system->stats().counter("rts.stale_hints_rejected"), 0);
+}
+
+// An invoke that reaches the source while its local transfer is in flight
+// is redirected, not run on the copy already serialized: it completes at
+// the destination, exactly once.
+TEST(System, InvokeRacingALocalTransferIsNotLost) {
+  auto system = make_classic_system(3);
+  const common::NodeId n1{1}, n2{2}, n3{3};
+  system->client(n1).create_component("counter", "Counter",
+                                      /*is_public=*/true);
+  AsyncClient racer(system->server(n2));
+  auto invoked = racer.invoke<std::int64_t>("counter", "increment");
+  system->client(n1).transfer_out("counter", n3);
+  ASSERT_TRUE(system->simulation().run_until(
+      [&] { return invoked.completed(); }));
+  ASSERT_TRUE(invoked.has_value()) << invoked.error();
+  EXPECT_EQ(invoked.value(), 1);
+  common::NodeId cloc = n3;
+  EXPECT_EQ(system->client(n1).invoke<std::int64_t>(cloc, "counter", "get"),
+            1);
 }
 
 TEST(System, OnewayInvocationParksResult) {

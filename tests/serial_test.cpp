@@ -152,6 +152,17 @@ TEST(Codec, Vector) {
             std::vector<std::int64_t>{});
 }
 
+TEST(Codec, VectorCountBeyondTheBodyIsRejected) {
+  Writer w;
+  put(w, std::vector<std::int64_t>{1, 2, 3});
+  std::vector<std::uint8_t> bytes(w.bytes().begin(), w.bytes().end());
+  // Tag byte, then the u32 count: claim four billion elements.
+  for (std::size_t i = 1; i <= 4; ++i) bytes[i] = 0xff;
+  Reader r(bytes);
+  EXPECT_THROW((void)get<std::vector<std::int64_t>>(r),
+               common::SerializationError);
+}
+
 TEST(Codec, NestedVector) {
   std::vector<std::vector<std::string>> v{{"a", "b"}, {}, {"c"}};
   EXPECT_EQ(round_trip(v), v);
