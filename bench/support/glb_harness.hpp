@@ -40,7 +40,7 @@
 #include "net/cost_model.hpp"
 #include "net/fault_schedule.hpp"
 #include "net/network.hpp"
-#include "rmi/channel.hpp"
+#include "rmi/call_policy.hpp"
 #include "rmi/transport.hpp"
 #include "rts/async_client.hpp"
 #include "rts/directory.hpp"
@@ -193,7 +193,7 @@ inline GlbRun run_glb(const GlbParams& params, int threads) {
   std::vector<std::unique_ptr<rts::AsyncClient>> probers;
   std::vector<std::unique_ptr<Map>> maps;
   // Drivers: generous per-attempt transport budget (same request id —
-  // at-most-once safe) to ride out the fault window; NO channel retries.
+  // at-most-once safe) to ride out the fault window; NO policy retries.
   rmi::CallPolicy drive_policy;
   drive_policy.attempt_timeout_us = 3'000;
   drive_policy.attempt_transmissions = 64;

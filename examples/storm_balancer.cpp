@@ -9,15 +9,15 @@
 // nodes.  Every node runs a generator that keeps a window of asynchronous
 // invokes in flight against randomly chosen sessions — each invoke is one
 // `client.invoke<int64>(name, "work").then(issue next)` chain; the facade
-// chases Moved hints, honors epoch fences, and re-locates on its own.  A
-// rebalancer on node 0 polls every node's load with `when_all` over
-// hedged `load_of` probes and `move()`s one session from the hottest node
-// to the coolest — the paper's Section 3.1 policy, running *inside* the
-// simulated federation.
+// chases Moved hints, honors epoch fences, and re-locates on its own.  An
+// rts::dist::Rebalancer in central mode on node 0 polls every node's load
+// over hedged `load_of` probes, asks the hottest node for its manifest,
+// and `move()`s one of its sessions to the coolest — the paper's Section
+// 3.1 policy, running *inside* the simulated federation.
 //
-// The hedged/retriable channel stats the probe client exports
-// (rmi.hedged_calls, rmi.hedge_wins, rmi.cancelled_calls, rmi.retries,
-// rmi.deadline_exceeded) are printed with the run summary.
+// The call-policy stats the probe client exports (rmi.hedged_calls,
+// rmi.hedge_wins, rmi.cancelled_calls, rmi.retries, rmi.deadline_exceeded)
+// are printed with the run summary.
 //
 // The run executes three times — 1, 2, and 8 worker threads — and asserts
 // all three produce identical per-node service counts, final placement,
@@ -31,15 +31,16 @@
 #include <iostream>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "net/cost_model.hpp"
 #include "net/network.hpp"
-#include "rmi/channel.hpp"
+#include "rmi/call_policy.hpp"
 #include "rmi/transport.hpp"
 #include "rts/async_client.hpp"
 #include "rts/directory.hpp"
-#include "rts/future.hpp"
+#include "rts/dist/rebalancer.hpp"
 #include "rts/server.hpp"
 #include "sim/sharded.hpp"
 
@@ -88,7 +89,7 @@ rmi::CallPolicy probe_policy() {
   policy.max_retries = 2;
   policy.backoff_base_us = 2'000;
   policy.backoff_multiplier = 2.0;
-  policy.backoff_jitter = 0.25;  // seeded from node 0's shard RNG
+  policy.backoff_jitter = 0.25;  // drawn from node 0's jitter stream
   policy.hedge_after_us = 550;
   return policy;
 }
@@ -132,7 +133,7 @@ RunResult run(int threads) {
     servers.push_back(
         std::make_unique<rts::MageServer>(*transports[i], world, directory));
     servers[i]->class_cache().install("Session");
-    // Default policy: no channel retries/hedges — mage.invoke is not
+    // Default policy: no retries/hedges — mage.invoke is not
     // idempotent; only transport retransmission is at-most-once safe.
     clients.push_back(std::make_unique<rts::AsyncClient>(*servers[i]));
   }
@@ -201,40 +202,16 @@ RunResult run(int threads) {
   }
 
   // --- rebalancer on node 0: poll loads, migrate hot -> cool ---------------
-  std::int64_t moves_requested = 0;
-  std::function<void()> rebalance = [&] {
-    std::vector<rts::MageFuture<double>> probes;
-    probes.reserve(kNodes);
-    for (int i = 0; i < kNodes; ++i) probes.push_back(prober.load_of(ids[i]));
-    rts::when_all(probes)
-        .then([&](std::vector<double>& loads) {
-          int hot = 0, cool = 0;
-          for (int j = 1; j < kNodes; ++j) {
-            if (loads[j] > loads[hot]) hot = j;
-            if (loads[j] < loads[cool]) cool = j;
-          }
-          if (hot != cool && loads[hot] > 0) {
-            // Migrate one session node 0 believes lives on `hot`.
-            for (int s = 0; s < kSessions; ++s) {
-              if (mover.believed_host(session_name(s)) != ids[hot]) continue;
-              ++moves_requested;
-              // Best-effort: a move that raced another is just skipped.
-              mover.move(session_name(s), ids[cool])
-                  .on_error([](const std::string&) {});
-              break;
-            }
-          }
-        })
-        .on_error([](const std::string&) {
-          // A probe round that lost a node is skipped; the next tick polls
-          // again.
-        });
-    net.node_sim(ids[0]).schedule_after(kRebalanceTickUs,
-                                        [&rebalance] { rebalance(); },
-                                        sim::Wake::No);
-  };
-  net.node_sim(ids[0]).schedule_at(0, [&rebalance] { rebalance(); },
-                                   sim::Wake::No);
+  // Any skew triggers: one session moves per 10ms tick from the hottest
+  // node (when it served anything) to the coolest.
+  rts::dist::Rebalancer::Config config;
+  config.prefix = "sess";
+  config.tick_us = kRebalanceTickUs;
+  config.max_moves_per_tick = 1;
+  config.min_load = 0;
+  config.skew_margin = 0;
+  rts::dist::Rebalancer rebalancer(net, prober, mover, ids, std::move(config));
+  rebalancer.start();
 
   // Prime every generator's window (driver-side, before workers start).
   for (int g = 0; g < kNodes; ++g) {
@@ -280,7 +257,6 @@ RunResult run(int threads) {
     result.final_placement.push_back(
         servers[i]->registry().local_names().size());
   }
-  (void)moves_requested;
   return result;
 }
 
@@ -305,10 +281,10 @@ int main() {
   const RunResult& base = results.front();
   const RunResult& last = results.back();
 
-  std::cout << "\nchannel stats (8-worker run): " << last.hedged
+  std::cout << "\ncall-policy stats (8-worker run): " << last.hedged
             << " hedged calls (" << last.hedge_wins << " hedge wins), "
             << last.cancelled << " losers cancelled, " << last.retries
-            << " channel retries, " << last.deadline_exceeded
+            << " retries, " << last.deadline_exceeded
             << " deadline expiries\n";
   std::cout << "final placement (sessions per node): ";
   for (auto c : last.final_placement) std::cout << c << " ";

@@ -108,6 +108,9 @@ common::NodeId Network::add_node(std::string label) {
   // Per-node loss stream, a function of the engine seed and the node id
   // only — NOT of the shard — so chaos drop patterns survive remapping.
   state.loss_rng = common::Rng(seed_ ^ (0x9E3779B97F4A7C15ull * id.value()));
+  // The jitter stream, by the same rule with its own odd multiplier.
+  state.jitter_rng =
+      common::Rng(seed_ ^ (0xD1B54A32D192ED03ull * id.value()));
   nodes_.push_back(std::move(state));
   for (NodeState& node : nodes_) node.warm_to.resize(nodes_.size() + 1);
   NodeState& stored = nodes_.back();

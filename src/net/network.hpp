@@ -184,6 +184,16 @@ class Network {
   void set_load(common::NodeId node, double load);
   [[nodiscard]] double load(common::NodeId node) const;
 
+  // --- per-node randomness --------------------------------------------------
+
+  // The node's retry-jitter stream (rmi::CallPolicy::backoff_jitter).  Like
+  // the loss stream it is seeded from the engine seed and the node id
+  // only, so a retry schedule is the same under any node:shard mapping.
+  // Owning shard only.
+  [[nodiscard]] common::Rng& jitter_rng(common::NodeId node) {
+    return state(node).jitter_rng;
+  }
+
   // --- administrative domains ------------------------------------------------
 
   // Assigns the node to a named administrative domain (Section 7's WAN
@@ -280,6 +290,7 @@ class Network {
     // mapping, which a shared shard stream could not be once two senders
     // co-locate.
     common::Rng loss_rng{0};
+    common::Rng jitter_rng{0};  // see jitter_rng()
     // Hot-path counters, resolved from the node's own shard registry at
     // add_node.
     std::int64_t* messages_sent = nullptr;

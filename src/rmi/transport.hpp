@@ -198,7 +198,7 @@ class Transport {
 
   // Asynchronous call; `callback` fires exactly once — unless the call is
   // cancel()ed first, in which case it never fires.  The returned id is the
-  // cancellation handle (channels use it; plain callers may ignore it).
+  // cancellation handle (rmi::call uses it; plain callers may ignore it).
   common::RequestId call(common::NodeId dest, common::VerbId verb,
                          serial::BufferChain body, Callback callback,
                          CallOptions options = {});
@@ -212,7 +212,7 @@ class Transport {
   // Abandons an in-flight call: the retry timer is cancelled, the pending
   // entry (and its callback, unfired) is destroyed, and a reply arriving
   // later is dropped as stale.  No-op when the call already completed.
-  // This is how a hedged channel silences the losing branch.  Counted in
+  // This is how a hedged call silences the losing branch.  Counted in
   // "rmi.cancelled_calls".
   void cancel(common::RequestId id);
 

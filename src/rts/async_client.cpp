@@ -17,8 +17,8 @@ constexpr common::SimDuration kChaseBackoffUs = 10'000;
 // suppressed server-side.
 constexpr int kLockTransmissions = 64;
 
-// One in-flight chase: the state machine shared by the channel callbacks
-// and the relocation events that advance it.
+// One in-flight chase: the state machine shared by the call callbacks and
+// the relocation events that advance it.
 struct AsyncClient::ChaseOp {
   ChaseKind kind = ChaseKind::Invoke;
   common::ComponentName name;
@@ -32,46 +32,32 @@ struct AsyncClient::ChaseOp {
   common::UniqueFunction<void(std::string)> on_error;
 };
 
-AsyncClient::AsyncClient(MageServer& server)
-    : AsyncClient(server, rmi::CallPolicy{}) {}
-
 AsyncClient::AsyncClient(MageServer& server, rmi::CallPolicy policy)
     : server_(server),
       transport_(server.transport()),
       sim_(transport_.network().node_sim(transport_.self())),
       policy_(policy) {
-  rebuild_stack();
-}
-
-void AsyncClient::rebuild_stack() {
-  // Destroy outer layers before the channels they wrap.
-  retriable_.reset();
-  hedged_.reset();
-  direct_ = std::make_unique<rmi::DirectChannel>(transport_, policy_);
-  top_ = direct_.get();
-  if (policy_.hedge_after_us > 0) {
-    hedged_ = std::make_unique<rmi::HedgedChannel>(*top_, policy_);
-    top_ = hedged_.get();
-  }
-  if (policy_.max_retries > 0 || policy_.deadline_us > 0) {
-    retriable_ = std::make_unique<rmi::RetriableChannel>(*top_, policy_);
-    top_ = retriable_.get();
-  }
-}
-
-void AsyncClient::set_policy(rmi::CallPolicy policy) {
-  if (outstanding_ != 0) {
-    throw common::MageError(
-        "AsyncClient::set_policy with " + std::to_string(outstanding_) +
-        " calls in flight: the channel stack cannot be replaced under them");
-  }
-  policy_ = policy;
-  rebuild_stack();
+  policy_.register_counters(sim_.stats());
 }
 
 void AsyncClient::count(std::int64_t*& slot, const char* key) {
   if (slot == nullptr) slot = sim_.stats().counter_handle(key);
   ++*slot;
+}
+
+template <typename R, typename OnOk>
+MageFuture<R> AsyncClient::probe(common::NodeId node, common::VerbId verb,
+                                 serial::BufferChain body, OnOk on_ok) {
+  MagePromise<R> promise;
+  rmi::call(transport_, policy_, node, verb, std::move(body),
+            [promise, on_ok = std::move(on_ok)](rmi::CallResult result) {
+              if (result.ok) {
+                on_ok(result.body, promise);
+              } else {
+                promise.set_error(std::move(result.error));
+              }
+            });
+  return promise.future();
 }
 
 // --- epoch fences -----------------------------------------------------------
@@ -154,27 +140,20 @@ MageFuture<common::NodeId> AsyncClient::walk(const common::ComponentName& name,
   proto::LookupRequest request;
   request.name = name;
   request.min_epoch = min_epoch;
-  MagePromise<common::NodeId> promise;
-  ++outstanding_;
-  channel().call(start, proto_verbs::kLookup, request.encode(),
-                 [this, name, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (!result.ok) {
-                     promise.set_error(std::move(result.error));
-                     return;
-                   }
-                   const auto reply = proto::LookupReply::decode(result.body);
-                   if (reply.status != proto::Status::Ok) {
-                     promise.set_error("lookup walk for '" + name +
-                                       "' dead-ended: " + reply.error);
-                     return;
-                   }
-                   note_epoch(name, reply.epoch);
-                   server_.registry().update_forward(name, reply.host,
-                                                     reply.epoch);
-                   promise.set_value(reply.host);
-                 });
-  return promise.future();
+  return probe<common::NodeId>(
+      start, proto_verbs::kLookup, request.encode(),
+      [this, name](const serial::BufferChain& body,
+                   const MagePromise<common::NodeId>& promise) {
+        const auto reply = proto::LookupReply::decode(body);
+        if (reply.status != proto::Status::Ok) {
+          promise.set_error("lookup walk for '" + name +
+                            "' dead-ended: " + reply.error);
+          return;
+        }
+        note_epoch(name, reply.epoch);
+        server_.registry().update_forward(name, reply.host, reply.epoch);
+        promise.set_value(reply.host);
+      });
 }
 
 MageFuture<common::NodeId> AsyncClient::locate(
@@ -326,29 +305,20 @@ void AsyncClient::start_chase(const std::shared_ptr<ChaseOp>& op,
 }
 
 void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op) {
-  ++outstanding_;
   rmi::Transport::Callback done = [this, op](rmi::CallResult result) {
-    --outstanding_;
     on_reply(op, std::move(result));
   };
-  switch (op->kind) {
-    case ChaseKind::Invoke:
-    case ChaseKind::Move:
-      channel().call(op->at, op->verb, op->request, std::move(done));
-      return;
-    case ChaseKind::InvokeOneway:
-      // Direct channel unconditionally: one-way verbs are never
-      // channel-retried (a duplicate would re-run the agent method).
-      direct_->call(op->at, op->verb, op->request, std::move(done));
-      return;
-    case ChaseKind::Lock: {
-      rmi::CallOptions options = policy_.attempt_options();
-      options.max_attempts = kLockTransmissions;
-      transport_.call(op->at, op->verb, op->request, std::move(done),
-                      options);
-      return;
-    }
+  if (op->kind == ChaseKind::Invoke || op->kind == ChaseKind::Move) {
+    rmi::call(transport_, policy_, op->at, op->verb, op->request,
+              std::move(done));
+    return;
   }
+  // A one-way verb is never re-issued under a fresh id (a duplicate would
+  // re-run the agent method), and a lock waits out its queue on its own
+  // transmission budget: both are bare transport calls.
+  rmi::CallOptions options = policy_.attempt_options();
+  if (op->kind == ChaseKind::Lock) options.max_attempts = kLockTransmissions;
+  transport_.call(op->at, op->verb, op->request, std::move(done), options);
 }
 
 void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
@@ -527,53 +497,31 @@ MageFuture<common::NodeId> AsyncClient::move(const common::ComponentName& name,
 // --- probes -----------------------------------------------------------------
 
 MageFuture<double> AsyncClient::load_of(common::NodeId node) {
-  MagePromise<double> promise;
-  ++outstanding_;
-  channel().call(node, proto_verbs::kGetLoad, {},
-                 [this, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (!result.ok) {
-                     promise.set_error(std::move(result.error));
-                     return;
-                   }
-                   promise.set_value(
-                       proto::LoadReply::decode(result.body).load);
-                 });
-  return promise.future();
+  return probe<double>(
+      node, proto_verbs::kGetLoad, {},
+      [](const serial::BufferChain& body, const MagePromise<double>& promise) {
+        promise.set_value(proto::LoadReply::decode(body).load);
+      });
 }
 
 MageFuture<std::vector<std::pair<std::string, std::uint64_t>>>
 AsyncClient::manifest(common::NodeId node, const std::string& prefix) {
-  MagePromise<std::vector<std::pair<std::string, std::uint64_t>>> promise;
+  using Entries = std::vector<std::pair<std::string, std::uint64_t>>;
   proto::ManifestRequest request;
   request.prefix = prefix;
-  ++outstanding_;
-  channel().call(node, proto_verbs::kManifest, request.encode(),
-                 [this, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (!result.ok) {
-                     promise.set_error(std::move(result.error));
-                     return;
-                   }
-                   promise.set_value(
-                       proto::ManifestReply::decode(result.body).entries);
-                 });
-  return promise.future();
+  return probe<Entries>(
+      node, proto_verbs::kManifest, request.encode(),
+      [](const serial::BufferChain& body, const MagePromise<Entries>& promise) {
+        promise.set_value(proto::ManifestReply::decode(body).entries);
+      });
 }
 
 MageFuture<Unit> AsyncClient::ping(common::NodeId node) {
-  MagePromise<Unit> promise;
-  ++outstanding_;
-  channel().call(node, proto_verbs::kPing, {},
-                 [this, promise](rmi::CallResult result) {
-                   --outstanding_;
-                   if (!result.ok) {
-                     promise.set_error(std::move(result.error));
-                     return;
-                   }
-                   promise.set_value(Unit{});
-                 });
-  return promise.future();
+  return probe<Unit>(
+      node, proto_verbs::kPing, {},
+      [](const serial::BufferChain&, const MagePromise<Unit>& promise) {
+        promise.set_value(Unit{});
+      });
 }
 
 }  // namespace mage::rts

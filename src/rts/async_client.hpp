@@ -18,18 +18,18 @@
 //     replicated-directory fallback.
 //   * load_of()/ping()/manifest() are plain single-host calls.
 //
-// Calls travel through a channel stack built from this client's
-// rmi::CallPolicy (rmi/channel.hpp): Retriable(Hedged(Direct)) with layers
-// elided when their policy fields are off.  The default policy adds NO
-// channel-level retries or hedges — mage.invoke is not idempotent, and
-// only transport-level retransmission is at-most-once safe.  Give a
-// *separate* AsyncClient a retrying/hedging policy for idempotent traffic
-// (load probes, lookups, convergent moves) — see docs/API.md's cookbook.
+// Invokes, moves, lookup walks and probes are each one rmi::call under
+// this client's rmi::CallPolicy (rmi/call_policy.hpp).  The default policy
+// adds NO retries or hedges — mage.invoke is not idempotent, and only
+// transport-level retransmission is at-most-once safe.  Give a *separate*
+// AsyncClient a retrying/hedging policy for idempotent traffic (load
+// probes, lookups, convergent moves) — see docs/API.md's cookbook.
 //
-// invoke_oneway() always uses the bare direct channel, whatever the
-// policy: a one-way verb must never be channel-retried (zero-retry by
-// construction; asserted in tests/async_client_test.cpp).  Locks bypass
-// the channel stack too, with a fixed 64-transmission budget.
+// invoke_oneway() always makes a bare transport call with the policy's
+// attempt options, whatever the rest of the policy says: a one-way verb
+// must never be re-issued under a fresh id (zero-retry by construction;
+// asserted in tests/async_client_test.cpp).  Locks are bare transport
+// calls too, with a fixed 64-transmission budget.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,7 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "rmi/channel.hpp"
+#include "rmi/call_policy.hpp"
 #include "rts/future.hpp"
 #include "rts/protocol.hpp"
 #include "rts/server.hpp"
@@ -54,20 +54,13 @@ class AsyncClient {
  public:
   // `server` provides the transport, registry, and static directory of the
   // node this client runs on.  The default policy is a bare transport call
-  // (no channel retries/hedges — see the header comment).
-  explicit AsyncClient(MageServer& server);
-  AsyncClient(MageServer& server, rmi::CallPolicy policy);
+  // (no retries/hedges — see the header comment).
+  explicit AsyncClient(MageServer& server, rmi::CallPolicy policy = {});
 
   AsyncClient(const AsyncClient&) = delete;
   AsyncClient& operator=(const AsyncClient&) = delete;
 
   [[nodiscard]] common::NodeId self() const { return transport_.self(); }
-  [[nodiscard]] const rmi::CallPolicy& policy() const { return policy_; }
-
-  // Replaces the channel stack.  Setup/driver context only: throws
-  // MageError while any call issued through this client is outstanding
-  // (an in-flight call's channel would be destroyed under it).
-  void set_policy(rmi::CallPolicy policy);
 
   // Opt-in high-availability naming: when set, locate() falls back to the
   // replicated director quorum when the static directory's lead (or a
@@ -137,8 +130,8 @@ class AsyncClient {
                                         serial::Buffer args);
 
   // Mobile-agent one-way invoke: the future completes on the host's
-  // acknowledgement (the result stays parked at the host).  Always rides
-  // the direct channel — zero channel retries regardless of policy.
+  // acknowledgement (the result stays parked at the host).  Always a bare
+  // transport call — zero retries and hedges regardless of policy.
   template <typename... Args>
   MageFuture<Unit> invoke_oneway(const common::ComponentName& name,
                                  const std::string& method,
@@ -204,8 +197,12 @@ class AsyncClient {
  private:
   struct ChaseOp;
 
-  void rebuild_stack();
-  [[nodiscard]] rmi::Channel& channel() { return *top_; }
+  // One single-host call under this client's policy: a failure fails the
+  // future with its error, and `on_ok(body, promise)` completes it from an
+  // Ok reply's body.
+  template <typename R, typename OnOk>
+  MageFuture<R> probe(common::NodeId node, common::VerbId verb,
+                      serial::BufferChain body, OnOk on_ok);
 
   // Applies the epoch fence to a Moved hint: true = chase it (and the
   // epoch knowledge was recorded), false = stale hint rejected.
@@ -260,12 +257,7 @@ class AsyncClient {
   sim::Simulation& sim_;
   DirectoryClient* directory_client_ = nullptr;
 
-  rmi::CallPolicy policy_;
-  std::unique_ptr<rmi::DirectChannel> direct_;
-  std::unique_ptr<rmi::HedgedChannel> hedged_;
-  std::unique_ptr<rmi::RetriableChannel> retriable_;
-  rmi::Channel* top_ = nullptr;
-  std::int64_t outstanding_ = 0;  // set_policy guard
+  const rmi::CallPolicy policy_;
 
   // Highest confirmed placement epoch per name (see note_epoch).
   std::map<common::ComponentName, std::uint64_t> known_epochs_;

@@ -423,13 +423,11 @@ void MageClient::unlock_async(common::NodeId host,
 
 double MageClient::load_of(common::NodeId node) {
   if (node == self()) return transport_.network().load(node);
-  auto reply = proto::LoadReply::decode(
-      transport_.call_sync(node, proto_verbs::kGetLoad, {}));
-  return reply.load;
+  return get(async_.load_of(node), proto_verbs::kGetLoad);
 }
 
 void MageClient::ping(common::NodeId node) {
-  (void)transport_.call_sync(node, proto_verbs::kPing, {});
+  (void)get(async_.ping(node), proto_verbs::kPing);
 }
 
 }  // namespace mage::rts

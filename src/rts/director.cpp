@@ -1,5 +1,6 @@
 #include "rts/director.hpp"
 
+#include <string>
 #include <utility>
 
 #include "rts/future.hpp"
@@ -119,22 +120,123 @@ void Director::handle_resolve(common::NodeId /*caller*/,
 
 // --- DirectoryClient ---------------------------------------------------------
 
+// The member sweep's pacing: 2ms attempts of two same-id transmissions, up
+// to 8 rounds over the member list, a flat 4ms pause between rounds.
+constexpr rmi::CallOptions kSweepAttempt{2'000, 2};
+constexpr int kSweepRounds = 8;
+constexpr common::SimDuration kSweepPauseUs = 4'000;
+
+// One resolve or announce in flight, owned by its transport callback or
+// pause timer.
+struct DirectoryClient::Sweep {
+  common::VerbId verb;
+  serial::BufferChain body;  // refcounted; re-sent verbatim per attempt
+  Verdict verdict;
+  rmi::Transport::Callback done;
+  std::size_t position = 0;  // index into directors_ of the next attempt
+  int tried_this_round = 0;  // members probed in the current round
+  int round = 0;
+  bool switched = false;  // left the first member at least once
+  common::SimTime start = 0;
+};
+
 DirectoryClient::DirectoryClient(rmi::Transport& transport,
-                                 std::vector<common::NodeId> directors,
-                                 rmi::CallPolicy policy)
+                                 std::vector<common::NodeId> directors)
     : transport_(transport),
-      channel_(transport, std::move(directors), policy) {}
+      sim_(transport.network().node_sim(transport.self())),
+      directors_(std::move(directors)),
+      preferred_(directors_.empty() ? common::kNoNode : directors_.front()),
+      failovers_(sim_.stats().counter_handle("rmi.directory_failovers")) {
+  if (directors_.empty()) {
+    throw common::MageError("DirectoryClient needs at least one director");
+  }
+}
+
+std::size_t DirectoryClient::index_of(common::NodeId node) const {
+  for (std::size_t i = 0; i < directors_.size(); ++i) {
+    if (directors_[i] == node) return i;
+  }
+  return 0;
+}
+
+void DirectoryClient::set_preferred(common::NodeId node) {
+  for (const auto director : directors_) {
+    if (director == node) preferred_ = node;
+  }
+}
+
+void DirectoryClient::start_sweep(common::VerbId verb,
+                                  serial::BufferChain body, Verdict verdict,
+                                  rmi::Transport::Callback done) {
+  auto state = std::make_shared<Sweep>();
+  state->verb = verb;
+  state->body = std::move(body);
+  state->verdict = verdict;
+  state->done = std::move(done);
+  state->position = index_of(preferred_);
+  state->start = sim_.now();
+  attempt(state);
+}
+
+void DirectoryClient::attempt(const std::shared_ptr<Sweep>& sweep) {
+  const common::NodeId target = directors_[sweep->position];
+  ++sweep->tried_this_round;
+  transport_.call(
+      target, sweep->verb, sweep->body,
+      [this, sweep, target](rmi::CallResult result) {
+        common::NodeId redirect = common::kNoNode;
+        if (result.ok && sweep->verdict(target, result.body, redirect)) {
+          preferred_ = target;
+          if (sweep->switched) {
+            sim_.stats().add("rmi.directory_failover_time_us",
+                             sim_.now() - sweep->start);
+          }
+          sweep->done(std::move(result));
+          return;
+        }
+        advance(sweep, redirect);
+      },
+      kSweepAttempt);
+}
+
+void DirectoryClient::advance(const std::shared_ptr<Sweep>& sweep,
+                              common::NodeId redirect) {
+  ++*failovers_;
+  sweep->switched = true;
+  if (!common::is_no_node(redirect) &&
+      redirect != directors_[sweep->position]) {
+    // A member told us who the leader is; jump straight there.  The
+    // redirect still consumes a probe from the round budget, so a lying
+    // quorum cannot loop the sweep forever.
+    sweep->position = index_of(redirect);
+  } else {
+    sweep->position = (sweep->position + 1) % directors_.size();
+  }
+  if (sweep->tried_this_round < static_cast<int>(directors_.size())) {
+    attempt(sweep);
+    return;
+  }
+  sweep->tried_this_round = 0;
+  if (++sweep->round >= kSweepRounds) {
+    sweep->done(rmi::CallResult::failure(
+        "no directory member accepted the call after " +
+        std::to_string(kSweepRounds) + " rounds"));
+    return;
+  }
+  sim_.schedule_after(
+      kSweepPauseUs, [this, sweep] { attempt(sweep); }, sim::Wake::No);
+}
 
 void DirectoryClient::resolve(
     const common::ComponentName& name,
     std::function<void(std::optional<Resolution>)> done) {
   proto::DirResolveRequest request;
   request.name = name;
-  channel_.call_with_verdict(
+  start_sweep(
       proto_verbs::kDirResolve, request.encode(),
-      [](common::NodeId target, const rmi::CallResult& result,
+      [](common::NodeId target, const serial::BufferChain& body,
          common::NodeId& redirect) {
-        const auto reply = proto::DirResolveReply::decode(result.body);
+        const auto reply = proto::DirResolveReply::decode(body);
         if (reply.status == proto::Status::Ok) return true;
         if (reply.status == proto::Status::NotFound) {
           // Followers can lag an in-flight replication; only the leader's
@@ -163,23 +265,18 @@ void DirectoryClient::announce(const proto::PlacementRecord& record,
                                std::function<void(bool)> done) {
   proto::DirAnnounceRequest request;
   request.record = record;
-  channel_.call_with_verdict(
+  // The verdict accepts only an Ok reply, so an accepted call is an
+  // accepted announce.
+  start_sweep(
       proto_verbs::kDirAnnounce, request.encode(),
-      [](common::NodeId /*target*/, const rmi::CallResult& result,
+      [](common::NodeId /*target*/, const serial::BufferChain& body,
          common::NodeId& redirect) {
-        const auto reply = proto::DirAnnounceReply::decode(result.body);
+        const auto reply = proto::DirAnnounceReply::decode(body);
         if (reply.status == proto::Status::Ok) return true;
         if (reply.status == proto::Status::Moved) redirect = reply.leader;
         return false;
       },
-      [done = std::move(done)](rmi::CallResult result) {
-        if (!result.ok) {
-          done(false);
-          return;
-        }
-        const auto reply = proto::DirAnnounceReply::decode(result.body);
-        done(reply.status == proto::Status::Ok);
-      });
+      [done = std::move(done)](rmi::CallResult result) { done(result.ok); });
 }
 
 std::optional<DirectoryClient::Resolution> DirectoryClient::resolve_sync(

@@ -19,7 +19,7 @@
 //     resolutions older than what it has already confirmed).
 //
 // A non-leader answers an announce with Moved + its leader hint, which
-// DirectoryClient's failover sweep chases.  The whole subsystem is opt-in:
+// DirectoryClient's member sweep chases.  The whole subsystem is opt-in:
 // nothing instantiates a Director unless the test/bench builds one, so
 // existing deployments keep their pure static-directory behavior.
 #pragma once
@@ -27,11 +27,11 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/ids.hpp"
-#include "rmi/channel.hpp"
 #include "rmi/transport.hpp"
 #include "rts/election.hpp"
 #include "rts/protocol.hpp"
@@ -86,6 +86,14 @@ class Director {
 // Client-side view of the quorum: resolve/announce with leader-chasing
 // failover.  One per node that needs HA naming (wired into AsyncClient via
 // set_directory_client, or used directly by benches/tests).
+//
+// Each call is a member sweep: any member may answer; a verdict accepts a
+// reply or names the member to try next (a leader redirect); the list is
+// swept starting from the last member that answered, in up to 8 rounds
+// with a flat 4ms pause between rounds, each attempt 2ms x 2 same-id
+// transmissions.  Every step past a member counts
+// "rmi.directory_failovers", and a call that failed over adds its sim-time
+// cost to "rmi.directory_failover_time_us".
 class DirectoryClient {
  public:
   struct Resolution {
@@ -93,12 +101,8 @@ class DirectoryClient {
     std::uint64_t epoch = 0;
   };
 
-  // The sweep is driven by one rmi::CallPolicy (attempt timeout /
-  // transmissions, rounds = max_retries + 1, inter-round backoff); the
-  // default is the quorum preset that matches the legacy knobs exactly.
   DirectoryClient(rmi::Transport& transport,
-                  std::vector<common::NodeId> directors,
-                  rmi::CallPolicy policy = rmi::CallPolicy::quorum());
+                  std::vector<common::NodeId> directors);
 
   // Asynchronous resolve: `done(resolution)` fires exactly once; nullopt
   // when no reachable member has a record (or the quorum is unreachable).
@@ -115,19 +119,30 @@ class DirectoryClient {
   std::optional<Resolution> resolve_sync(const common::ComponentName& name);
   bool announce_sync(const proto::PlacementRecord& record);
 
-  [[nodiscard]] common::NodeId known_leader() const {
-    return channel_.preferred();
-  }
   // Steers the next sweep (tests use this to start at a known-dead member;
-  // normal operation learns the leader from replies).
-  void set_preferred(common::NodeId node) { channel_.set_preferred(node); }
-  [[nodiscard]] const rmi::CallPolicy& policy() const {
-    return channel_.policy();
-  }
+  // normal operation learns the leader from replies).  Ignored for a node
+  // that is not a director.
+  void set_preferred(common::NodeId node);
 
  private:
+  // Accepts a member's reply body, or rejects it, leaving `redirect`
+  // naming the member to try next (kNoNode: the next in the list).
+  using Verdict = bool (*)(common::NodeId target,
+                           const serial::BufferChain& reply,
+                           common::NodeId& redirect);
+  struct Sweep;
+
+  void start_sweep(common::VerbId verb, serial::BufferChain body,
+                   Verdict verdict, rmi::Transport::Callback done);
+  void attempt(const std::shared_ptr<Sweep>& sweep);
+  void advance(const std::shared_ptr<Sweep>& sweep, common::NodeId redirect);
+  [[nodiscard]] std::size_t index_of(common::NodeId node) const;
+
   rmi::Transport& transport_;
-  rmi::FailoverChannel channel_;
+  sim::Simulation& sim_;
+  std::vector<common::NodeId> directors_;
+  common::NodeId preferred_;
+  std::int64_t* failovers_;  // "rmi.directory_failovers"
 };
 
 }  // namespace mage::rts

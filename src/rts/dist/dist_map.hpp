@@ -11,7 +11,7 @@
 // partition-index order so the result is placement-independent.
 //
 // At-most-once caveat (docs/API.md): `apply` is a read-modify-write.  A
-// channel-level retry or application-level re-send after a lost reply may
+// policy-level retry or application-level re-send after a lost reply may
 // re-execute it — only transport retransmission (same request id) is
 // at-most-once safe.  Workloads that need driver-side retries should use
 // `expand`, the first-write-wins variant: duplicates hit the existing

@@ -56,7 +56,7 @@ class Rebalancer {
 
   // `prober` issues load/manifest probes (its policy may hedge/retry —
   // both are idempotent); `mover` issues the moves (default policy: moves
-  // converge on their own, channel retries stay off).  Both clients must
+  // converge on their own, policy retries stay off).  Both clients must
   // live on the same node, which is the node this rebalancer runs on.
   Rebalancer(net::Network& net, AsyncClient& prober, AsyncClient& mover,
              std::vector<common::NodeId> nodes, Config config);

@@ -6,7 +6,7 @@
 //
 //   * sim-deterministic — completion runs INLINE on the shard that
 //     completes the promise, which for AsyncClient is always the calling
-//     node's own shard (transport callbacks and channel timers both live
+//     node's own shard (transport callbacks and call-policy timers both live
 //     there).  There is no executor, no thread hop, no completion queue:
 //     a future chain is just a deterministic sequence of calls inside one
 //     simulation event.

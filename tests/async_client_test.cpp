@@ -1,4 +1,4 @@
-// AsyncClient facade + channel policy layer: deadline/hedge/retry timing,
+// AsyncClient facade + call policies: deadline/hedge/retry timing,
 // epoch-fenced chases, one-way zero-retry, and the sharded chaos variant
 // (AsyncChaos.*: digest-identical at 1/2/8 workers across seeds).
 #include <gtest/gtest.h>
@@ -6,12 +6,13 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
 #include "net/fault_schedule.hpp"
 #include "net/network.hpp"
-#include "rmi/channel.hpp"
+#include "rmi/call_policy.hpp"
 #include "rmi/transport.hpp"
 #include "rts/async_client.hpp"
 #include "rts/directory.hpp"
@@ -149,6 +150,123 @@ TEST(AsyncClientTest, HedgeWinnerCancelsLoserRetryTimer) {
   EXPECT_EQ(cluster.counter("rmi.retransmissions"), 0);
 }
 
+// --- retries, a hedge and a deadline in one policy --------------------------
+
+TEST(AsyncClientTest, RetriedHedgedCallKeepsItsTimeline) {
+  Cluster cluster(2);
+  // The partition kills the first attempt outright: its primary (sent at
+  // 0 and 2ms) fails at 4ms and its hedge (1ms and 3ms) at 5ms.  The retry
+  // goes out after a 3ms backoff, at 8ms, when the link is healed but the
+  // loss burst eats the primary's first transmission; the hedge launched
+  // at 9ms wins, and the primary is cancelled before it retransmits.  The
+  // 40ms deadline never fires.
+  net::FaultSchedule schedule;
+  schedule.partition_for(0, cluster.ids[0], cluster.ids[1], 6'000);
+  schedule.link_loss_burst(8'000, cluster.ids[0], cluster.ids[1], 1.0, 500);
+  cluster.net.set_fault_schedule(std::move(schedule));
+
+  rmi::CallPolicy policy;
+  policy.deadline_us = 40'000;
+  policy.attempt_timeout_us = 2'000;
+  policy.attempt_transmissions = 2;
+  policy.max_retries = 3;
+  policy.backoff_base_us = 3'000;
+  policy.backoff_multiplier = 2.0;
+  policy.hedge_after_us = 1'000;
+  AsyncClient client(*cluster.servers[0], policy);
+
+  common::SimTime completed_at = -1;
+  auto future = client.ping(cluster.ids[1]).then([&](Unit&) {
+    completed_at = cluster.sim.now();
+  });
+  ASSERT_TRUE(cluster.sim.run_until([&] { return future.completed(); }));
+  ASSERT_TRUE(future.has_value()) << future.error();
+
+  // Exact literals: any reordering of the timers or cancellations moves
+  // them.  One retry; two hedges, the second of which wins; the retry's
+  // primary is the one cancelled; each first-attempt branch retransmitted
+  // once.
+  EXPECT_EQ(completed_at, 9'540);
+  EXPECT_EQ(cluster.counter("rmi.retries"), 1);
+  EXPECT_EQ(cluster.counter("rmi.hedged_calls"), 2);
+  EXPECT_EQ(cluster.counter("rmi.hedge_wins"), 1);
+  EXPECT_EQ(cluster.counter("rmi.cancelled_calls"), 1);
+  EXPECT_EQ(cluster.counter("rmi.retransmissions"), 2);
+  EXPECT_EQ(cluster.counter("rmi.deadline_exceeded"), 0);
+
+  // Nothing is left armed: draining the queue fires no deadline, no
+  // retry and no retransmission.
+  cluster.sim.run_until_idle();
+  EXPECT_EQ(cluster.counter("rmi.deadline_exceeded"), 0);
+  EXPECT_EQ(cluster.counter("rmi.retries"), 1);
+  EXPECT_EQ(cluster.counter("rmi.retransmissions"), 2);
+}
+
+// --- backoff jitter ----------------------------------------------------------
+
+// When an always-failing jittered ping from a to b completes, on one
+// Simulation (`shards` 0) or on `shards` shards under `mapping`.
+common::SimTime jittered_ping_failed_at(std::size_t shards,
+                                        std::vector<std::size_t> mapping) {
+  const net::CostModel model = testing::chaos_model();
+  std::optional<sim::Simulation> one;
+  std::optional<sim::ShardedSim> many;
+  std::optional<net::Network> net;
+  if (shards == 0) {
+    one.emplace(42);
+    net.emplace(*one, model);
+  } else {
+    many.emplace(shards, 42, net::Network::min_link_latency(model));
+    net.emplace(*many, model, std::move(mapping));
+  }
+  ClassWorld world;
+  Directory directory;
+  const common::NodeId a = net->add_node("a");
+  const common::NodeId b = net->add_node("b");
+  rmi::Transport transport_a(*net, a);
+  rmi::Transport transport_b(*net, b);
+  MageServer server_a(transport_a, world, directory);
+  MageServer server_b(transport_b, world, directory);
+  net::FaultSchedule schedule;
+  schedule.partition(0, a, b);
+  net->set_fault_schedule(std::move(schedule));
+
+  rmi::CallPolicy policy;
+  policy.attempt_timeout_us = 1'000;
+  policy.attempt_transmissions = 1;
+  policy.max_retries = 4;
+  policy.backoff_base_us = 5'000;
+  policy.backoff_multiplier = 1.0;
+  policy.backoff_jitter = 0.5;
+  AsyncClient client(server_a, policy);
+
+  common::SimTime failed_at = -1;
+  auto future = client.ping(b).on_error(
+      [&](const std::string&) { failed_at = net->node_sim(a).now(); });
+  const auto done = [&future] { return future.completed(); };
+  if (shards == 0) {
+    EXPECT_TRUE(one->run_until(done));
+  } else {
+    EXPECT_TRUE(many->run_until(done, 1));
+  }
+  EXPECT_TRUE(future.has_error());
+  return failed_at;
+}
+
+TEST(AsyncClientTest, JitteredBackoffIgnoresTheShardMapping) {
+  // Each backoff draws from a's own stream, a function of the engine seed
+  // and a's node id: where a lives, and who shares its shard, cannot move
+  // the retry schedule.
+  const common::SimTime alone = jittered_ping_failed_at(0, {});
+  const common::SimTime identity = jittered_ping_failed_at(2, {0, 1});
+  const common::SimTime swapped = jittered_ping_failed_at(2, {1, 0});
+  EXPECT_EQ(identity, alone);
+  EXPECT_EQ(swapped, alone);
+  // Five 1ms attempts and four 5ms +-50% pauses.
+  EXPECT_GE(alone, 5 * 1'000 + 4 * 2'500);
+  EXPECT_LE(alone, 5 * 1'000 + 4 * 7'500);
+}
+
 // --- epoch fence vs a stale Moved hint -------------------------------------
 
 TEST(AsyncClientTest, ChaseRetriesPastStaleMovedHintUntilChainCatchesUp) {
@@ -233,7 +351,7 @@ TEST(AsyncClientTest, StatusErrorSurfacesTheServersText) {
   EXPECT_EQ(cluster.counter("rts.invocations"), 1);
 }
 
-// --- one-way verbs are never channel-retried -------------------------------
+// --- one-way verbs are never policy-retried --------------------------------
 
 TEST(AsyncClientTest, OnewayIgnoresRetryAndHedgePolicy) {
   Cluster cluster(2);

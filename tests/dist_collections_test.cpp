@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "net/network.hpp"
-#include "rmi/channel.hpp"
 #include "rmi/transport.hpp"
 #include "rts/async_client.hpp"
 #include "rts/directory.hpp"

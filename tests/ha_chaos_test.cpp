@@ -288,11 +288,15 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   net.set_node_down(old_leader->self(), true);
   dclient.set_preferred(old_leader->self());  // force the sweep to start dead
 
+  const common::SimTime crashed_at = sim.now();
   const auto resolved = dclient.resolve_sync("obj");
   ASSERT_TRUE(resolved.has_value());
   EXPECT_EQ(resolved->host, ids[3]);
   EXPECT_EQ(resolved->epoch, 1u);
-  EXPECT_GE(sim.stats().counter("rmi.directory_failovers"), 1);
+  // Two 2ms transmissions lost on the dead member, then one round trip to
+  // the next; the first announce's leader redirect was failover one.
+  EXPECT_EQ(sim.now() - crashed_at, 4'440);
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failovers"), 2);
 
   sim.run_until(
       [&] {
@@ -312,8 +316,9 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   ASSERT_TRUE(moved.has_value());
   EXPECT_EQ(moved->host, ids[1]);
   EXPECT_EQ(moved->epoch, 2u);
-  // And the failover latency counter accumulated simulated time.
-  EXPECT_GT(sim.stats().counter("rmi.directory_failover_time_us"), 0);
+  // And the failover latency counter accumulated the redirected announce
+  // (1,080us) and the failed-over resolve (4,440us).
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failover_time_us"), 5'520);
 }
 
 // The sync calls are driver-side waits, and the driver thread would run
