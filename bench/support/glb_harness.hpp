@@ -264,7 +264,6 @@ inline GlbRun run_glb(const GlbParams& params, int threads) {
   run.tree_size = tree_size(params.seed, params.max_depth);
 
   if (params.chaos) {
-    net.set_fifo_checks(true);
     net.set_fault_schedule(glb_fault_schedule(params));
     // Horizon ticks keep virtual time moving past the last schedule entry.
     const common::SimTime horizon =

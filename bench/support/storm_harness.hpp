@@ -533,10 +533,7 @@ inline Record run_storm(const Scenario& s, Layout layout, int workers) {
 
   Record record;
   detail::Mesh mesh(*net, s, topo, record);
-  if (!s.faults.empty()) {
-    net->set_fifo_checks(true);
-    net->set_fault_schedule(s.faults);
-  }
+  if (!s.faults.empty()) net->set_fault_schedule(s.faults);
   mesh.add_directors(*net, s);
 
   for (const Link& l : topo) record.calls += l.calls;

@@ -1,15 +1,18 @@
 #!/usr/bin/env python3
-"""Golden gate for the paper benches: their stdout must not change.
+"""Golden gate for the paper benches and the examples: stdout must not change.
 
 The 18 paper benches (bench_fig*, bench_table*, bench_ablation*) print
 simulated times, RMI calls per operation, lookup hops and migration
-counts.  All of it is deterministic, so any drift is a behavior change,
-not noise.  This gate runs every bench that has a golden file under
-bench/golden/ and diffs its stdout against it byte for byte.
+counts.  Seven of the eight examples (example_*) print simulated
+latencies, chaos digests and fault counts; example_storm_balancer prints
+wall time, so it has no golden.  All of it is deterministic, so any drift
+is a behavior change, not noise.  This gate runs every binary that has a
+golden file under bench/golden/ and diffs its stdout against it byte for
+byte.
 
 Usage: python3 ci/check_paper_benches.py [build-dir] [--update]
 
-  build-dir  where the bench binaries live (default: build)
+  build-dir  where the bench and example binaries live (default: build)
   --update   rewrite the golden files from the current binaries; use it
              only for an intended change, and explain the diff in the PR
 """
@@ -56,12 +59,12 @@ def main() -> int:
                             "\n".join(list(diff)[:40]))
 
     if failures:
-        print("paper-bench golden check FAILED:")
+        print("golden check FAILED:")
         for failure in failures:
             print("  " + failure)
         return 1
     verb = "updated" if update else "match their golden output"
-    print(f"paper-bench golden check OK: {len(goldens)} benches {verb}")
+    print(f"golden check OK: {len(goldens)} binaries {verb}")
     return 0
 
 

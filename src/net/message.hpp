@@ -46,9 +46,11 @@ struct Message {
   MsgKind kind = MsgKind::Request;
   serial::Buffer header;      // envelope framing
   serial::BufferChain body;   // application payload fragments
-  // Per-directed-link delivery stamp, assigned by the network when its
-  // wire-FIFO self-check is enabled (Network::set_fifo_checks); 0 = not
-  // stamped.  Simulation-side only — never serialized to the wire.
+  // Per-directed-link delivery stamp, 1, 2, 3, ... on every non-loopback
+  // message (starting over when the sender crashes or restarts), for the
+  // network's always-on wire-FIFO self-check (see Network::link_epoch);
+  // 0 = loopback or not sent yet.  Simulation-side only — never
+  // serialized to the wire.
   std::uint64_t wire_seq = 0;
   // Link epoch at send time (crash/restart/partition transitions of the
   // link bump it).  The receiver's FIFO check resets its expected wire_seq

@@ -8,14 +8,6 @@
 #include "common/log.hpp"
 
 namespace mage::net {
-namespace {
-
-std::pair<common::NodeId, common::NodeId> ordered_pair(common::NodeId a,
-                                                       common::NodeId b) {
-  return a < b ? std::make_pair(a, b) : std::make_pair(b, a);
-}
-
-}  // namespace
 
 Network::Network(sim::Simulation& sim, CostModel model)
     : shards_{&sim}, seed_(sim.seed()), model_(model), faults_(1) {
@@ -112,7 +104,8 @@ common::NodeId Network::add_node(std::string label) {
   state.jitter_rng =
       common::Rng(seed_ ^ (0xD1B54A32D192ED03ull * id.value()));
   nodes_.push_back(std::move(state));
-  for (NodeState& node : nodes_) node.warm_to.resize(nodes_.size() + 1);
+  for (NodeState& node : nodes_) node.links.resize(nodes_.size() + 1);
+  for (FaultState& faults : faults_) faults.down.resize(nodes_.size() + 1);
   NodeState& stored = nodes_.back();
   auto& stats = node_sim(id).stats();
   stored.messages_sent = stats.counter_handle("net.messages_sent");
@@ -129,23 +122,30 @@ common::NodeId Network::add_node(std::string label) {
 }
 
 Network::NodeState& Network::state(common::NodeId node) {
-  assert(node.value() >= 1 && node.value() <= nodes_.size());
+  assert(has_node(node));
   return nodes_[node.value() - 1];
 }
 
 const Network::NodeState& Network::state(common::NodeId node) const {
-  assert(node.value() >= 1 && node.value() <= nodes_.size());
+  assert(has_node(node));
   return nodes_[node.value() - 1];
+}
+
+void Network::require_node(common::NodeId node, const char* what) const {
+  if (!has_node(node)) {
+    throw common::MageError(std::string(what) + ": node " +
+                            std::to_string(node.value()) +
+                            " is not on this network (it has " +
+                            std::to_string(nodes_.size()) + " nodes)");
+  }
 }
 
 void Network::refresh_pair_lookaheads() {
   require_config_window("refresh_pair_lookaheads");
   const std::size_t shard_total = shards_.size();
-  const common::SimDuration base = min_link_latency(model_);
-  // Tightest delay per directed shard pair: base + the smallest extra
-  // latency among that pair's links (unconfigured links have extra 0, and
-  // every node pair is a potential link, so any populated pair has a
-  // defined minimum).
+  // Tightest delay per directed shard pair: the smallest link_delay among
+  // that pair's links (every node pair is a potential link, so any
+  // populated pair has a defined minimum).
   std::vector<common::SimDuration> tightest(
       shard_total * shard_total, std::numeric_limits<common::SimDuration>::max());
   for (std::uint32_t a = 1; a <= nodes_.size(); ++a) {
@@ -154,14 +154,8 @@ void Network::refresh_pair_lookaheads() {
       const std::size_t pa = shard_map_[a - 1];
       const std::size_t pb = shard_map_[b - 1];
       if (pa == pb) continue;  // intra-shard links never constrain windows
-      common::SimDuration delay = base;
-      if (const auto it =
-              extra_latency_.find({common::NodeId{a}, common::NodeId{b}});
-          it != extra_latency_.end()) {
-        delay += it->second;
-      }
       auto& entry = tightest[pa * shard_total + pb];
-      entry = std::min(entry, delay);
+      entry = std::min(entry, link_delay(nodes_[a - 1].links[b]));
     }
   }
   for (std::size_t p = 0; p < shard_total; ++p) {
@@ -177,19 +171,13 @@ void Network::refresh_pair_lookaheads() {
 }
 
 void Network::validate_pair_lookaheads() const {
-  const common::SimDuration base = min_link_latency(model_);
   for (std::uint32_t a = 1; a <= nodes_.size(); ++a) {
     for (std::uint32_t b = 1; b <= nodes_.size(); ++b) {
       if (a == b) continue;
       const std::size_t pa = shard_map_[a - 1];
       const std::size_t pb = shard_map_[b - 1];
       if (pa == pb) continue;
-      common::SimDuration delay = base;
-      if (const auto it =
-              extra_latency_.find({common::NodeId{a}, common::NodeId{b}});
-          it != extra_latency_.end()) {
-        delay += it->second;
-      }
+      const common::SimDuration delay = link_delay(nodes_[a - 1].links[b]);
       const common::SimDuration la = sharded_->pair_lookahead(pa, pb);
       if (la < 1 || delay < la) {
         throw common::MageError(
@@ -246,78 +234,56 @@ void Network::send(Message msg) {
     }
   };
 
+  common::SimTime deliver_at = sent_at + model_.local_invoke_us;
   if (!loopback) {
-    if (faults.down.contains(msg.from) || faults.down.contains(msg.to)) {
-      drop(faults.scheduled_down.contains(msg.from) ||
-           faults.scheduled_down.contains(msg.to));
+    LinkState& link = from.links[msg.to.value()];
+    const Cause from_down = faults.down[msg.from.value()];
+    const Cause to_down = faults.down[msg.to.value()];
+    if (from_down != Cause::None || to_down != Cause::None) {
+      drop(from_down == Cause::Scheduled || to_down == Cause::Scheduled);
       return;
     }
-    const Link pair = ordered_pair(msg.from, msg.to);
-    if (faults.partitions.contains(pair)) {
-      drop(faults.scheduled_partitions.contains(pair));
+    if (link.partition != Cause::None) {
+      drop(link.partition == Cause::Scheduled);
       return;
     }
     if (faults.loss_rate > 0.0 && from.loss_rng.next_bool(faults.loss_rate)) {
       MAGE_DEBUG() << "dropped " << msg.label() << " " << msg.from << " -> "
                    << msg.to;
-      drop(faults.loss_from_schedule);
+      drop(faults.loss_cause == Cause::Scheduled);
       return;
     }
     // Per-link loss, layered after the global draw.  The RNG is consulted
     // only when this directed link has a nonzero rate, so runs without
     // per-link faults replay the exact same random stream as before.
-    const Link link{msg.from, msg.to};
-    if (const auto it = faults.link_loss.find(link);
-        it != faults.link_loss.end() && it->second > 0.0 &&
-        from.loss_rng.next_bool(it->second)) {
+    if (link.loss_rate > 0.0 && from.loss_rng.next_bool(link.loss_rate)) {
       ++*from.messages_dropped_by_link_loss;
-      ++from.link_loss_drops_to[msg.to];
       MAGE_DEBUG() << "link-dropped " << msg.label() << " " << msg.from
                    << " -> " << msg.to;
-      drop(faults.scheduled_link_loss.contains(link));
+      drop(link.loss_cause == Cause::Scheduled);
       return;
     }
-  }
 
-  common::SimDuration delay = 0;
-  if (loopback) {
-    delay = model_.local_invoke_us;
-  } else {
-    delay = model_.propagation_us + model_.wire_time(msg.wire_size()) +
-            model_.per_message_cpu_us;
-    if (auto it = extra_latency_.find({msg.from, msg.to});
-        it != extra_latency_.end()) {
-      delay += it->second;
-    }
+    common::SimDuration delay =
+        link_delay(link) + model_.wire_time(msg.wire_size());
     // One-time connection setup per directed link, unless the peer's own
     // connection already warmed it (see the accept at delivery below).
-    if (auto warm = from.warm_to[msg.to.value()]; !warm) {
-      warm = true;
+    if (!link.warm) {
+      link.warm = true;
       delay += model_.connection_setup_us;
       ++*from.connections_opened;
     }
-  }
-
-  common::SimTime deliver_at = sent_at + delay;
-  if (!loopback) {
     // TCP in-order delivery per directed link.  The floor lives on the
     // sender (only this link's sends touch it), so sharded workers never
     // write foreign node state.
-    auto& floor = from.earliest_delivery_to[msg.to];
-    deliver_at = std::max(deliver_at, floor);
-    floor = deliver_at + 1;
-    if (fifo_checks_) {
-      // Wire-FIFO stamp, sender-owned (mirrors the ordering floor).
-      // Dropped messages never reach this point, so stamps on delivered
-      // messages are strictly increasing per directed link by
-      // construction — the delivery-side check verifies the floors
-      // actually preserved that order.
-      msg.wire_seq = ++from.next_wire_seq_to[msg.to];
-      // Epoch stamp: which incarnation of this link the stamp belongs to.
-      // Crash/restart transitions bump it (see apply_fault), telling the
-      // receiver the sender's counters may have started over.
-      msg.link_epoch = link_epoch(msg.from, msg.to);
-    }
+    deliver_at = std::max(sent_at + delay, link.floor);
+    link.floor = deliver_at + 1;
+    // Wire-FIFO stamp and the link incarnation it belongs to.  Dropped
+    // messages never reach this point, so stamps on delivered messages
+    // are strictly increasing per directed link and epoch by construction
+    // — the delivery-side check verifies the floors preserved that order.
+    msg.wire_seq = ++link.sent_seq;
+    msg.link_epoch = link.epoch;
   }
 
   if (tracing_) {
@@ -336,10 +302,9 @@ void Network::send(Message msg) {
     }
     ++*node.messages_delivered;
     // The receiver accepts the connection: its replies ride it free.
-    // Written once, not per delivery: the bitmaps of nodes on other shards
-    // may share its cache line.
-    if (auto warm = node.warm_to[msg.from.value()]; !warm) warm = true;
-    if (fifo_checks_ && msg.wire_seq != 0) {
+    LinkState& back = node.links[msg.from.value()];
+    back.warm = true;
+    if (msg.wire_seq != 0) {  // loopback carries no stamp
       // Receiver-owned monotonicity check (this runs on the destination's
       // shard).  Gaps are fine — drops consume no stamp — but any
       // reordering on a directed link is a violation.  A new link epoch
@@ -347,16 +312,14 @@ void Network::send(Message msg) {
       // healed) since the last delivery: its counters may have started
       // over, so the expectation resets instead of flagging a spurious
       // violation.
-      auto& epoch = node.last_wire_epoch_from[msg.from];
-      auto& last = node.last_wire_seq_from[msg.from];
-      if (msg.link_epoch != epoch) {
-        epoch = msg.link_epoch;
-        last = 0;
+      if (msg.link_epoch != back.seen_epoch) {
+        back.seen_epoch = msg.link_epoch;
+        back.seen_seq = 0;
       }
-      if (msg.wire_seq <= last) {
+      if (msg.wire_seq <= back.seen_seq) {
         ++*node.fifo_violations;
       } else {
-        last = msg.wire_seq;
+        back.seen_seq = msg.wire_seq;
       }
     }
     node.handler(std::move(msg));
@@ -396,41 +359,18 @@ void Network::set_loss_rate(double p) {
   apply_everywhere(FaultEvent{0, FaultKind::LossRate, p, {}, {}});
 }
 
-void Network::set_link_loss_rate(common::NodeId from, common::NodeId to,
-                                 double p) {
-  require_fault_window("set_link_loss_rate");
-  apply_everywhere(FaultEvent{0, FaultKind::LinkLoss, p, from, to});
-}
-
-double Network::link_loss_rate(common::NodeId from, common::NodeId to) const {
-  const auto& link_loss = faults_[shard_of(from)].link_loss;
-  const auto it = link_loss.find({from, to});
-  return it == link_loss.end() ? 0.0 : it->second;
-}
-
-std::int64_t Network::link_loss_drops(common::NodeId from,
-                                      common::NodeId to) const {
-  const auto& drops = state(from).link_loss_drops_to;
-  const auto it = drops.find(to);
-  return it == drops.end() ? 0 : it->second;
-}
-
 void Network::set_partitioned(common::NodeId a, common::NodeId b,
                               bool partitioned) {
   require_fault_window("set_partitioned");
+  require_node(a, "set_partitioned");
+  require_node(b, "set_partitioned");
   apply_everywhere(FaultEvent{
       0, partitioned ? FaultKind::Partition : FaultKind::Heal, 0.0, a, b});
 }
 
 std::int64_t Network::link_epoch(common::NodeId a, common::NodeId b) const {
-  const auto& epochs = faults_[shard_of(a)].link_epochs;
-  const auto it = epochs.find(ordered_pair(a, b));
-  return it == epochs.end() ? 0 : it->second;
-}
-
-void Network::set_fifo_checks(bool on) {
-  require_config_window("set_fifo_checks");
-  fifo_checks_ = on;
+  assert(has_node(b));
+  return state(a).links[b.value()].epoch;
 }
 
 void Network::set_fault_schedule(FaultSchedule schedule) {
@@ -441,8 +381,7 @@ void Network::set_fault_schedule(FaultSchedule schedule) {
                          e.kind == FaultKind::LinkLoss;
     const bool needs_a = needs_b || e.kind == FaultKind::Crash ||
                          e.kind == FaultKind::Restart;
-    if ((needs_a && (e.a.value() < 1 || e.a.value() > nodes_.size())) ||
-        (needs_b && (e.b.value() < 1 || e.b.value() > nodes_.size()))) {
+    if ((needs_a && !has_node(e.a)) || (needs_b && !has_node(e.b))) {
       throw common::MageError(
           "fault schedule references a node not on this network (add all "
           "nodes before set_fault_schedule)");
@@ -485,41 +424,36 @@ std::size_t Network::pending_fault_events() const {
 void Network::apply_fault(std::size_t shard, const FaultEvent& event,
                           bool scheduled) {
   FaultState& faults = faults_[shard];
-  // `scheduled` entries record their provenance; an ad-hoc mutation of the
-  // same fault clears it.
-  const auto mark = [scheduled](auto& provenance, const auto& key) {
-    if (scheduled) {
-      provenance.insert(key);
-    } else {
-      provenance.erase(key);
-    }
+  const Cause cause = scheduled ? Cause::Scheduled : Cause::AdHoc;
+  // The record of the directed link from -> to, if this shard owns it.
+  const auto owned = [&](common::NodeId from,
+                         common::NodeId to) -> LinkState* {
+    return shard_of(from) == shard ? &state(from).links[to.value()] : nullptr;
   };
   switch (event.kind) {
     case FaultKind::LossRate:
       faults.loss_rate = event.loss_rate;
-      faults.loss_from_schedule = scheduled;
+      faults.loss_cause = cause;
       return;
-    case FaultKind::LinkLoss: {
-      const Link link{event.a, event.b};
-      if (event.loss_rate > 0.0) {
-        faults.link_loss[link] = event.loss_rate;
-        mark(faults.scheduled_link_loss, link);
-      } else {
-        faults.link_loss.erase(link);
-        faults.scheduled_link_loss.erase(link);
+    case FaultKind::LinkLoss:
+      if (LinkState* link = owned(event.a, event.b)) {
+        link->loss_rate = event.loss_rate;
+        link->loss_cause = cause;
       }
       return;
-    }
-    case FaultKind::Partition: {
-      const Link link = ordered_pair(event.a, event.b);
-      if (faults.partitions.insert(link).second) ++faults.link_epochs[link];
-      mark(faults.scheduled_partitions, link);
-      return;
-    }
+    case FaultKind::Partition:
     case FaultKind::Heal: {
-      const Link link = ordered_pair(event.a, event.b);
-      if (faults.partitions.erase(link) != 0) ++faults.link_epochs[link];
-      faults.scheduled_partitions.erase(link);
+      // Both directions; each cut and each heal is one epoch transition.
+      const Cause cut =
+          event.kind == FaultKind::Partition ? cause : Cause::None;
+      for (LinkState* link :
+           {owned(event.a, event.b), owned(event.b, event.a)}) {
+        if (link == nullptr) continue;
+        if ((link->partition == Cause::None) != (cut == Cause::None)) {
+          ++link->epoch;
+        }
+        link->partition = cut;
+      }
       return;
     }
     case FaultKind::Crash:
@@ -527,43 +461,44 @@ void Network::apply_fault(std::size_t shard, const FaultEvent& event,
       break;
   }
   // Crash / restart.  The process loses its wire state: every link it
-  // touches becomes a new incarnation, and its own FIFO counters reset — a
+  // touches becomes a new incarnation, and its own FIFO state resets — a
   // restarted sender starts stamping from 1 again, and the bumped epoch
   // tells every receiver to reset its expectation rather than flag
   // spurious fifo_violations.  No timing impact: none of this state feeds
   // delay computation.
   const common::NodeId node = event.a;
-  if (event.kind == FaultKind::Crash) {
-    faults.down.insert(node);
-    mark(faults.scheduled_down, node);
-  } else {
-    faults.down.erase(node);
-    faults.scheduled_down.erase(node);
-  }
+  faults.down[node.value()] =
+      event.kind == FaultKind::Crash ? cause : Cause::None;
   for (std::uint32_t i = 1; i <= nodes_.size(); ++i) {
     const common::NodeId other{i};
-    if (other != node) ++faults.link_epochs[ordered_pair(node, other)];
+    if (other == node) continue;
+    if (LinkState* link = owned(node, other)) ++link->epoch;
+    if (LinkState* link = owned(other, node)) ++link->epoch;
   }
   if (shard_of(node) == shard) {
-    NodeState& self = state(node);
-    self.next_wire_seq_to.clear();
-    self.last_wire_seq_from.clear();
-    self.last_wire_epoch_from.clear();
+    for (LinkState& link : state(node).links) {
+      link.sent_seq = 0;
+      link.seen_seq = 0;
+      link.seen_epoch = 0;
+    }
   }
 }
 
 void Network::set_extra_latency(common::NodeId from, common::NodeId to,
                                 common::SimDuration extra) {
   require_config_window("set_extra_latency");
-  if (shards_.size() > 1 && extra < 0) {
-    // Negative "extra" would undercut the conservative lookahead the
-    // construction-time check validated; ShardedSim::post would reject
-    // the send mid-run anyway — fail at configuration time instead.
+  require_node(from, "set_extra_latency");
+  require_node(to, "set_extra_latency");
+  if (extra < 0) {
+    // A negative "extra" could schedule a delivery before its send (the
+    // ordering floor clamps only the link's first message) and would
+    // undercut the conservative lookahead on a sharded network.
     throw common::MageError(
-        "negative extra link latency is not allowed on a network with more "
-        "than one shard (it would undercut the conservative lookahead)");
+        "set_extra_latency: extra latency " + std::to_string(extra) +
+        "us on link " + label(from) + " -> " + label(to) +
+        " is negative (it must be >= 0)");
   }
-  extra_latency_[{from, to}] = extra;
+  state(from).links[to.value()].extra_latency = extra;
 }
 
 void Network::set_load(common::NodeId node, double load) {
@@ -574,13 +509,14 @@ double Network::load(common::NodeId node) const { return state(node).load; }
 
 void Network::set_node_down(common::NodeId node, bool down) {
   require_fault_window("set_node_down");
+  require_node(node, "set_node_down");
   if (node_down(node) == down) return;
   apply_everywhere(FaultEvent{
       0, down ? FaultKind::Crash : FaultKind::Restart, 0.0, node, {}});
 }
 
 bool Network::node_down(common::NodeId node) const {
-  return faults_[shard_of(node)].down.contains(node);
+  return faults_[shard_of(node)].down[node.value()] != Cause::None;
 }
 
 void Network::set_domain(common::NodeId node, std::string domain) {
@@ -603,7 +539,9 @@ void Network::set_tracing(bool enabled) {
 
 void Network::reset_connections() {
   require_config_window("reset_connections");
-  for (auto& node : nodes_) node.warm_to.assign(node.warm_to.size(), false);
+  for (auto& node : nodes_) {
+    for (LinkState& link : node.links) link.warm = false;
+  }
 }
 
 }  // namespace mage::net

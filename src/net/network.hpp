@@ -32,28 +32,30 @@
 //     the matrix from the cost model + per-link extra latency).  Message
 //     TIMING is identical either way, and deliveries carry their source
 //     node id as the event-queue tie key;
-//   * connection warmth is per directed link and owned by the sender; a
-//     delivery warms the receiver's reverse direction (a TCP accept);
+//   * each node keeps one record per directed link it sends on (warmth,
+//     ordering floor, extra latency, link faults, FIFO stamps), indexed
+//     by peer id; a delivery writes only the receiver's record for the
+//     sender (a TCP accept warms its reverse direction, and the
+//     always-on wire-FIFO check verifies the stamp);
 //   * loss draws come from a per-node stream seeded from the engine seed
 //     and the node id;
 //   * each fault-schedule entry applies at its exact time on every shard,
-//     to that shard's own copy of the fault state.
+//     to that shard's own copy of the fault state and the link records of
+//     that shard's nodes.
 // So per-node event order is bit-identical under any mapping and any
 // worker count, one Simulation included.
 // The threading contract (enforced, not advisory): all configuration —
 // adding nodes, handlers, ad-hoc fault injection, tracing — throws while
-// ShardedSim workers run; per-node state (counters, connection warmth,
-// ordering floors, the loss stream, the load metric) is only ever touched
-// from the owning node's shard, and a shard reads only its own copy of the
-// fault state.  See docs/ARCHITECTURE.md.
+// ShardedSim workers run; per-node state (counters, link records, the
+// loss stream, the load metric) is only ever touched from the owning
+// node's shard, and a shard reads only its own copy of the fault state.
+// See docs/ARCHITECTURE.md.
 #pragma once
 
 #include <cassert>
+#include <cstdint>
 #include <functional>
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -96,6 +98,9 @@ class Network {
   void set_handler(common::NodeId node, Handler handler);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
+  [[nodiscard]] bool has_node(common::NodeId node) const {
+    return node.value() >= 1 && node.value() <= nodes_.size();
+  }
   [[nodiscard]] const std::string& label(common::NodeId node) const;
   [[nodiscard]] std::vector<common::NodeId> node_ids() const;
 
@@ -118,21 +123,11 @@ class Network {
   // under any node:shard mapping.
 
   // IID probability that a non-loopback message is dropped in flight.
+  // (Per-link loss rates are FaultSchedule entries.)
   void set_loss_rate(double p);
 
-  // IID loss probability for the DIRECTED link from -> to, layered on top
-  // of the global rate (a message must survive both draws).  0 removes the
-  // per-link rate.  The reader sees the sender's shard copy.
-  void set_link_loss_rate(common::NodeId from, common::NodeId to, double p);
-  [[nodiscard]] double link_loss_rate(common::NodeId from,
-                                      common::NodeId to) const;
-
-  // Provenance: messages dropped by the per-link loss rate on the directed
-  // link from -> to.  Read from the driver while workers are stopped.
-  [[nodiscard]] std::int64_t link_loss_drops(common::NodeId from,
-                                             common::NodeId to) const;
-
-  // Cuts / restores both directions between a and b.
+  // Cuts / restores both directions between a and b.  Both must be on
+  // this network, as must the node of set_node_down.
   void set_partitioned(common::NodeId a, common::NodeId b, bool partitioned);
 
   // Crashes / restarts a node: while down, every message to or from it is
@@ -158,21 +153,17 @@ class Network {
   // Number of transitions applied to the (a, b) link, by schedule or
   // ad-hoc mutator — each cut and each heal bumps the epoch, as does each
   // crash and each restart of either endpoint (a restarted node's wire
-  // state is gone, so its links are new incarnations).  Reads a's shard
-  // copy.
+  // state is gone, so its links are new incarnations).  Reads a's record.
+  //
+  // Wire-FIFO self-check, always on: every non-loopback message carries
+  // its link's epoch and a per-directed-link sequence number stamped at
+  // send (sender-owned), verified monotonic within the epoch at delivery
+  // (receiver-owned); a reorder bumps the receiver's "net.fifo_violations".
   [[nodiscard]] std::int64_t link_epoch(common::NodeId a,
                                         common::NodeId b) const;
 
-  // Wire-FIFO self-check: when enabled, every non-loopback message is
-  // stamped with a per-directed-link sequence number at send (sender-owned
-  // state) and verified monotonic at delivery (receiver-owned state);
-  // violations bump the receiver's "net.fifo_violations" counter.  Off by
-  // default (two map touches per message); the chaos harness turns it on
-  // to assert per-link FIFO holds across partition heals.  Configuration.
-  void set_fifo_checks(bool on);
-  [[nodiscard]] bool fifo_checks() const { return fifo_checks_; }
-
-  // Extra one-way latency for a directed link (e.g. a WAN hop).
+  // Extra one-way latency for a directed link (e.g. a WAN hop).  Both
+  // endpoints must be on this network and `extra` must be >= 0.
   void set_extra_latency(common::NodeId from, common::NodeId to,
                          common::SimDuration extra);
 
@@ -257,33 +248,39 @@ class Network {
   }
 
  private:
-  using Link = std::pair<common::NodeId, common::NodeId>;
+  // Who installed a fault: nobody, an ad-hoc mutator or a FaultSchedule
+  // entry.  Drops a Scheduled fault causes also count in
+  // "net.messages_dropped_by_schedule".
+  enum class Cause : std::uint8_t { None, AdHoc, Scheduled };
+
+  // One directed link, held by its sending node and indexed by the peer's
+  // id.  Only the owner's shard touches it: sends write the floor, warmth
+  // and stamp; that shard's fault appliers write the fault fields and the
+  // epoch; deliveries FROM the peer write `warm` (the accept) and the
+  // `seen_*` check state.
+  struct LinkState {
+    // TCP ordering: no message on the link may be delivered before one
+    // sent earlier on it.
+    common::SimTime floor = 0;
+    common::SimDuration extra_latency = 0;
+    double loss_rate = 0.0;  // layered after the global draw
+    std::int64_t epoch = 0;  // see link_epoch()
+    std::uint64_t sent_seq = 0;  // last wire_seq stamped on this link
+    // Last wire_seq delivered from the peer, and the link epoch it carried;
+    // a new epoch resets the expectation (the peer's stamps restarted).
+    std::uint64_t seen_seq = 0;
+    std::int64_t seen_epoch = 0;
+    bool warm = false;  // sends skip connection setup
+    Cause partition = Cause::None;  // None: not cut
+    Cause loss_cause = Cause::None;
+  };
 
   struct NodeState {
     std::string label;
     Handler handler;
     double load = 0.0;
     std::string domain;
-    // Per TCP ordering: no message on a directed link may be delivered
-    // before one sent earlier on the same link.  Owned by the SENDER (only
-    // sends on the (this, to) link ever touch floor[to]), which is what
-    // lets sharded workers apply floors without touching foreign state.
-    std::map<common::NodeId, common::SimTime> earliest_delivery_to;
-    // By peer id: the directed links this node may send on without
-    // connection setup — the ones it opened, plus the ones a delivery from
-    // that peer accepted.
-    std::vector<bool> warm_to;
-    // Wire-FIFO self-check state (only touched when fifo_checks_ is on):
-    // next_wire_seq_to is sender-owned, last_wire_seq_from receiver-owned —
-    // same shard-ownership split as the ordering floors.
-    std::map<common::NodeId, std::uint64_t> next_wire_seq_to;
-    std::map<common::NodeId, std::uint64_t> last_wire_seq_from;
-    // Link epoch the receiver last saw per sender; a change resets the
-    // expected wire_seq (the peer's counters restarted across a crash).
-    std::map<common::NodeId, std::int64_t> last_wire_epoch_from;
-    // Per-link loss provenance, sender-owned (plain ints, not registry
-    // counters: the key space is dynamic).
-    std::map<common::NodeId, std::int64_t> link_loss_drops_to;
+    std::vector<LinkState> links;  // by peer id (index 0 unused)
     // Loss draws come from this per-NODE stream (seeded from the engine
     // seed + the node id at add_node), so a node's drop pattern is a
     // function of its own send sequence — identical under any node:shard
@@ -303,24 +300,13 @@ class Network {
     std::int64_t* fifo_violations = nullptr;
   };
 
-  // One shard's copy of the fault state.  The ad-hoc mutators write every
-  // copy while stopped; mid-run, a schedule entry's applier on shard s
-  // writes copy s only, and only shard s's senders read it.
+  // One shard's copy of the network-wide fault state.  The ad-hoc mutators
+  // write every copy while stopped; mid-run, a schedule entry's applier on
+  // shard s writes copy s only, and only shard s's senders read it.
   struct FaultState {
     double loss_rate = 0.0;
-    std::map<Link, double> link_loss;              // directed links
-    std::set<Link> partitions;                     // (lower, higher) id
-    std::set<common::NodeId> down;
-    // Link-transition count per (lower, higher) id pair: partition, heal,
-    // crash and restart each bump it.
-    std::map<Link, std::int64_t> link_epochs;
-    // Provenance: was the current loss rate / this link's loss / this
-    // partition / this crash installed by the schedule?  Drops they cause
-    // are double-counted into messages_dropped_by_schedule.
-    bool loss_from_schedule = false;
-    std::set<Link> scheduled_link_loss;
-    std::set<Link> scheduled_partitions;
-    std::set<common::NodeId> scheduled_down;
+    Cause loss_cause = Cause::None;
+    std::vector<Cause> down;  // by node id: None while the node is up
     // Schedule entries applied here, and this shard's applier events
     // (cancelled on schedule replacement and in the destructor: they
     // capture `this`).
@@ -330,6 +316,13 @@ class Network {
 
   [[nodiscard]] NodeState& state(common::NodeId node);
   [[nodiscard]] const NodeState& state(common::NodeId node) const;
+  // The least delay the link can deliver in: the model's floor plus its
+  // extra latency.  Sends add wire time and connection setup on top.
+  [[nodiscard]] common::SimDuration link_delay(const LinkState& link) const {
+    return min_link_latency(model_) + link.extra_latency;
+  }
+  // Throws, naming `what` and the node, unless the node is on this network.
+  void require_node(common::NodeId node, const char* what) const;
 
   // Throws while sharded workers run: all global configuration is frozen.
   void require_config_window(const char* what) const;
@@ -338,9 +331,9 @@ class Network {
   void require_fault_window(const char* what) const;
   // An ad-hoc mutation: applies `event` to every shard's copy.
   void apply_everywhere(const FaultEvent& event);
-  // Applies `event` to shard `shard`'s copy; `scheduled` records its
-  // provenance.  A crash or restart also resets the node's own wire-FIFO
-  // state when `shard` is the node's shard, so that happens exactly once.
+  // Applies `event` to shard `shard`'s copy and to the link records of the
+  // nodes on that shard; `scheduled` records its cause.  So each record is
+  // written exactly once per event, by its owner's shard.
   void apply_fault(std::size_t shard, const FaultEvent& event, bool scheduled);
   // Cancels every shard's applier events that have not fired yet.
   void cancel_fault_appliers();
@@ -353,13 +346,11 @@ class Network {
   // node capacity; over one Simulation it grows with add_node.
   std::vector<std::size_t> shard_map_;
   std::vector<NodeState> nodes_;
-  std::map<Link, common::SimDuration> extra_latency_;
   std::vector<FaultState> faults_;  // one copy per shard
   std::vector<FaultEvent> fault_events_;  // the installed schedule, sorted
   std::int64_t* faults_applied_ = nullptr;  // shard 0's registry
   bool tracing_ = false;
   std::vector<TraceEntry> trace_;
-  bool fifo_checks_ = false;
 };
 
 }  // namespace mage::net

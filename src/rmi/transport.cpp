@@ -3,12 +3,32 @@
 #include <algorithm>
 #include <cassert>
 #include <optional>
+#include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/log.hpp"
 
 namespace mage::rmi {
+namespace {
+
+// Refuses a call the transport could not route: an uninterned verb, or a
+// destination that is not on the network (common::kNoNode, say).
+void check_route(const net::Network& network, const char* what,
+                 common::NodeId dest, common::VerbId verb) {
+  if (!verb.valid() || verb.value() >= common::interned_verb_count()) {
+    throw common::MageError(std::string(what) + " on an uninterned verb id");
+  }
+  if (!network.has_node(dest)) {
+    std::ostringstream os;
+    os << what << " '" << common::verb_name(verb) << "' to " << dest
+       << ", which is not on this network (it has " << network.node_count()
+       << " nodes)";
+    throw common::MageError(os.str());
+  }
+}
+
+}  // namespace
 
 ErrorKind error_kind(std::string_view error) {
   if (error.starts_with("rmi call")) return ErrorKind::Transport;
@@ -153,9 +173,7 @@ std::int64_t* Transport::verb_calls_counter(common::VerbId verb) {
 common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
                                   serial::BufferChain body, Callback callback,
                                   CallOptions options) {
-  if (!verb.valid() || verb.value() >= common::interned_verb_count()) {
-    throw common::MageError("call on an uninterned verb id");
-  }
+  check_route(network_, "call", dest, verb);
   const common::RequestId id{next_request_++};
   const std::size_t body_size = body.size();
   auto [pc, inserted] = pending_.try_emplace(id.value());
@@ -195,9 +213,7 @@ void Transport::cancel(common::RequestId id) {
 
 void Transport::call_oneway(common::NodeId dest, common::VerbId verb,
                             serial::BufferChain body) {
-  if (!verb.valid() || verb.value() >= common::interned_verb_count()) {
-    throw common::MageError("call_oneway on an uninterned verb id");
-  }
+  check_route(network_, "call_oneway", dest, verb);
   ++*oneway_calls_;
   ++*verb_calls_counter(verb);
 

@@ -199,6 +199,8 @@ class Transport {
   // Asynchronous call; `callback` fires exactly once — unless the call is
   // cancel()ed first, in which case it never fires.  The returned id is the
   // cancellation handle (rmi::call uses it; plain callers may ignore it).
+  // Throws MageError, naming the verb and the node, when `dest` is not on
+  // the network (call_oneway likewise).
   common::RequestId call(common::NodeId dest, common::VerbId verb,
                          serial::BufferChain body, Callback callback,
                          CallOptions options = {});

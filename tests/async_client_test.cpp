@@ -475,7 +475,6 @@ AsyncChaosRun run_async_chaos(std::uint64_t seed, int threads) {
 
   testing::ChaosParams params;
   params.nodes = kChaosNodes;
-  net.set_fifo_checks(true);
   net.set_fault_schedule(testing::random_fault_schedule(seed, params));
   // Horizon ticks keep virtual time moving past the last schedule entry.
   const common::SimTime horizon = params.fault_t0_us + params.fault_span_us * 2;

@@ -229,9 +229,7 @@ struct Pair {
         a(net.add_node("a")),
         b(net.add_node("b")),
         ta(net, a),
-        tb(net, b) {
-    net.set_fifo_checks(true);
-  }
+        tb(net, b) {}
 
   void enable_batching(common::SimDuration quantum = 250) {
     rmi::BatchOptions batch;
@@ -277,8 +275,8 @@ TEST(BatchTransport, WindowOfInvokesRidesOneFrameEachWay) {
 
   // All 10 requests were issued inside one flush quantum, so they ride ONE
   // batch frame; their replies ride one frame back.  One net::Message per
-  // frame means one wire_seq per frame — which the enabled FIFO self-check
-  // would flag if any inner invoke were stamped separately.
+  // frame means one wire_seq per frame — which the FIFO self-check would
+  // flag if any inner invoke were stamped separately.
   EXPECT_EQ(p.counter("rmi.batches_sent"), 2);
   EXPECT_EQ(p.counter("rmi.batched_invokes"), 2 * kCalls);
   EXPECT_EQ(p.counter("rmi.batch_singletons"), 0);

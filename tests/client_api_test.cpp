@@ -146,6 +146,23 @@ TEST(ClientChase, FindWalksPastAFenceThatOutranTheChain) {
   EXPECT_GE(system->stats().counter("rts.unfenced_walks"), 1);
 }
 
+// A call toward a node that is not on the network is refused where it is
+// issued, naming the verb and the node, and the client stays usable.
+TEST_F(ClientApiFixture, CallToANodeOffTheNetworkThrows) {
+  auto& client = system->client(n1);
+  try {
+    client.ping(common::kNoNode);
+    ADD_FAILURE() << "ping(kNoNode) returned";
+  } catch (const common::MageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("mage.ping"), std::string::npos) << what;
+    EXPECT_NE(what.find("node(-)"), std::string::npos) << what;
+  }
+  EXPECT_THROW(client.unlock(LockHandle{}), common::MageError);
+  EXPECT_THROW(client.ping(common::NodeId{4}), common::MageError);
+  EXPECT_NO_THROW(client.ping(n2));
+}
+
 TEST_F(ClientApiFixture, DefaultHandleIsInvalid) {
   core::RemoteHandle handle;
   EXPECT_FALSE(handle.valid());

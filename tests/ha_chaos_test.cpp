@@ -457,7 +457,6 @@ HaStormRun run_ha_storm(std::uint64_t seed, int threads) {
   // partition, so this 90% burst provably draws — and drops — per-link
   // loss decisions without touching any other path.
   schedule.link_loss_burst(22'000, ids[6], ids[3], 0.90, 12'000);
-  net.set_fifo_checks(true);
   net.set_fault_schedule(std::move(schedule));
 
   // Generous retry budgets: the partition lasts 19 simulated ms.

@@ -6,6 +6,7 @@
 #include <optional>
 #include <vector>
 
+#include "common/error.hpp"
 #include "net/cost_model.hpp"
 #include "net/network.hpp"
 #include "sim/sharded.hpp"
@@ -114,6 +115,31 @@ TEST_F(NetFixture, ConnectionIsWarmInBothDirections) {
   }
 }
 
+// Link records grow with the network: adding a node after traffic keeps
+// every existing link warm and opens the new node's links cold.
+TEST_F(NetFixture, AddingANodeKeepsExistingLinksWarm) {
+  CostModel m = CostModel::zero();
+  m.propagation_us = 10;
+  m.connection_setup_us = 1000;
+  auto net = make(m);
+  std::vector<common::SimTime> deliveries;
+  net->set_handler(b, [&](Message) { deliveries.push_back(sim.now()); });
+  net->send(msg(a, b));
+  sim.run_until_idle();
+  const auto d = net->add_node("d");
+  net->set_handler(d, [&](Message) { deliveries.push_back(sim.now()); });
+  const auto t0 = sim.now();
+  net->send(msg(a, b));
+  sim.run_until_idle();
+  const auto t1 = sim.now();
+  net->send(msg(a, d));
+  sim.run_until_idle();
+  ASSERT_EQ(deliveries.size(), 3u);
+  EXPECT_EQ(deliveries[1] - t0, 10);    // a -> b is still warm
+  EXPECT_EQ(deliveries[2] - t1, 1010);  // a -> d opens its connection
+  EXPECT_EQ(sim.stats().counter("net.connections_opened"), 2);
+}
+
 TEST_F(NetFixture, ResetConnectionsRestoresColdCost) {
   CostModel m = CostModel::zero();
   m.connection_setup_us = 500;
@@ -199,6 +225,64 @@ TEST_F(NetFixture, ExtraLatencyIsDirectional) {
   EXPECT_EQ(ba - t0, 10);
 }
 
+// One rule on every network: a negative extra latency, or a link to a
+// node that is not on the network, is refused where it is configured.
+TEST_F(NetFixture, ExtraLatencyIsCheckedWhereItIsSet) {
+  sim::ShardedSim ssim(2, 1, Network::min_link_latency(model));
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "2 shards" : "one Simulation");
+    auto net = sharded ? std::make_unique<Network>(ssim, model)
+                       : std::make_unique<Network>(sim, model);
+    const auto x = net->add_node("x");
+    const auto y = net->add_node("y");
+    const common::NodeId absent{7};
+    try {
+      net->set_extra_latency(x, y, -1'000'000);
+      ADD_FAILURE() << "negative extra latency accepted";
+    } catch (const common::MageError& e) {
+      EXPECT_NE(std::string(e.what()).find("x -> y"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(net->set_extra_latency(x, absent, 5), common::MageError);
+    EXPECT_THROW(net->set_extra_latency(absent, x, 5), common::MageError);
+    EXPECT_THROW(net->set_extra_latency(common::kNoNode, x, 5),
+                 common::MageError);
+    EXPECT_NO_THROW(net->set_extra_latency(x, y, 0));
+  }
+}
+
+TEST_F(NetFixture, AdHocFaultsRejectNodesOffTheNetwork) {
+  auto net = make(CostModel::zero());
+  const common::NodeId absent{9};
+  EXPECT_THROW(net->set_partitioned(a, absent, true), common::MageError);
+  EXPECT_THROW(net->set_partitioned(absent, a, true), common::MageError);
+  EXPECT_THROW(net->set_node_down(absent, true), common::MageError);
+  EXPECT_THROW(net->set_node_down(common::kNoNode, true), common::MageError);
+}
+
+// The wire-FIFO stamps need no opt-in: every non-loopback message carries
+// 1, 2, 3, ... on its directed link, each link counting on its own, and
+// the delivery-side check sees no violation.
+TEST_F(NetFixture, EveryLinkStampsItsOwnWireSequence) {
+  auto net = make(CostModel::zero());
+  std::vector<std::uint64_t> ab, ac, ba, aa;
+  net->set_handler(b, [&](Message m2) { ab.push_back(m2.wire_seq); });
+  net->set_handler(c, [&](Message m2) { ac.push_back(m2.wire_seq); });
+  net->set_handler(a, [&](Message m2) {
+    (m2.from == a ? aa : ba).push_back(m2.wire_seq);
+  });
+  for (int i = 0; i < 3; ++i) net->send(msg(a, b));
+  for (int i = 0; i < 2; ++i) net->send(msg(a, c));
+  for (int i = 0; i < 2; ++i) net->send(msg(b, a));
+  net->send(msg(a, a));
+  sim.run_until_idle();
+  EXPECT_EQ(ab, (std::vector<std::uint64_t>{1, 2, 3}));
+  EXPECT_EQ(ac, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(ba, (std::vector<std::uint64_t>{1, 2}));
+  EXPECT_EQ(aa, (std::vector<std::uint64_t>{0}));  // loopback: no wire
+  EXPECT_EQ(sim.stats().counter("net.fifo_violations"), 0);
+}
+
 TEST_F(NetFixture, InOrderDeliveryPerLink) {
   // A big message followed by a small one: FIFO ordering must hold even
   // though the small one would naturally arrive first.
@@ -260,6 +344,115 @@ TEST_F(NetFixture, StatsCountMessages) {
   EXPECT_EQ(sim.stats().counter("net.bytes_sent"),
             static_cast<std::int64_t>(10 + kHeaderBytes));
 }
+
+// --- fault provenance -------------------------------------------------------
+
+// Which drops count in "net.messages_dropped_by_schedule", for each fault
+// kind: every drop a scheduled fault causes, and none once an ad-hoc
+// mutator has re-applied the same fault.  Per-link loss has no ad-hoc
+// mutator, so its row shows the global ad-hoc loss rate leaving the
+// scheduled link's drops counted; an ad-hoc crash of a node the schedule
+// already crashed changes nothing, so its drops stay counted until an
+// ad-hoc restart and crash.
+class FaultProvenance : public ::testing::TestWithParam<FaultKind> {};
+
+TEST_P(FaultProvenance, ScheduledDropsCountUntilAnAdHocMutation) {
+  const FaultKind kind = GetParam();
+  sim::Simulation sim{3};
+  Network net(sim, CostModel::zero());
+  const auto a = net.add_node("a");
+  const auto b = net.add_node("b");
+  net.set_handler(a, [](Message) {});
+  net.set_handler(b, [](Message) {});
+  const auto counter = [&](const char* name) {
+    return sim.stats().counter(name);
+  };
+  struct Drops {
+    std::int64_t all, by_schedule, by_link_loss;
+  };
+  // Sends 40 messages a -> b, returning the drops they caused.
+  const auto burst = [&] {
+    const Drops before{counter("net.messages_dropped"),
+                       counter("net.messages_dropped_by_schedule"),
+                       counter("net.messages_dropped_by_link_loss")};
+    for (int i = 0; i < 40; ++i) net.send(msg(a, b));
+    sim.run_until_idle();
+    return Drops{counter("net.messages_dropped") - before.all,
+                 counter("net.messages_dropped_by_schedule") -
+                     before.by_schedule,
+                 counter("net.messages_dropped_by_link_loss") -
+                     before.by_link_loss};
+  };
+
+  FaultSchedule schedule;
+  switch (kind) {
+    case FaultKind::LossRate: schedule.loss_rate(100, 0.5); break;
+    case FaultKind::LinkLoss: schedule.link_loss_rate(100, a, b, 0.5); break;
+    case FaultKind::Partition: schedule.partition(100, a, b); break;
+    case FaultKind::Crash: schedule.crash(100, b); break;
+    default: FAIL() << "not a fault kind this test covers";
+  }
+  net.set_fault_schedule(std::move(schedule));
+  sim.run_until_idle();
+  ASSERT_EQ(net.pending_fault_events(), 0u);
+
+  const Drops scheduled = burst();
+  EXPECT_GT(scheduled.all, 0);
+  EXPECT_EQ(scheduled.by_schedule, scheduled.all);
+
+  switch (kind) {
+    case FaultKind::LossRate: {
+      net.set_loss_rate(0.5);
+      const Drops ad_hoc = burst();
+      EXPECT_GT(ad_hoc.all, 0);
+      EXPECT_EQ(ad_hoc.by_schedule, 0);
+      break;
+    }
+    case FaultKind::LinkLoss: {
+      EXPECT_EQ(scheduled.by_link_loss, scheduled.all);
+      net.set_loss_rate(0.5);
+      const Drops mixed = burst();
+      EXPECT_GT(mixed.by_link_loss, 0);
+      EXPECT_GT(mixed.all, mixed.by_link_loss);
+      EXPECT_EQ(mixed.by_schedule, mixed.by_link_loss);
+      break;
+    }
+    case FaultKind::Partition: {
+      net.set_partitioned(a, b, true);
+      const Drops ad_hoc = burst();
+      EXPECT_EQ(ad_hoc.all, 40);
+      EXPECT_EQ(ad_hoc.by_schedule, 0);
+      break;
+    }
+    case FaultKind::Crash: {
+      EXPECT_EQ(scheduled.all, 40);
+      net.set_node_down(b, true);  // already down: a no-op
+      const Drops still = burst();
+      EXPECT_EQ(still.by_schedule, 40);
+      net.set_node_down(b, false);
+      net.set_node_down(b, true);
+      const Drops ad_hoc = burst();
+      EXPECT_EQ(ad_hoc.all, 40);
+      EXPECT_EQ(ad_hoc.by_schedule, 0);
+      break;
+    }
+    default:
+      break;
+  }
+}
+
+std::string kind_name(const ::testing::TestParamInfo<FaultKind>& info) {
+  constexpr const char* kNames[] = {"LossRate", "LinkLoss", "Partition",
+                                    "Heal",     "Crash",    "Restart"};
+  return kNames[static_cast<int>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(EveryKind, FaultProvenance,
+                         ::testing::Values(FaultKind::LossRate,
+                                           FaultKind::LinkLoss,
+                                           FaultKind::Partition,
+                                           FaultKind::Crash),
+                         kind_name);
 
 // --- cost model presets -----------------------------------------------------
 

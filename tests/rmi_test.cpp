@@ -171,6 +171,30 @@ struct RmiFixture : ::testing::Test {
   Transport tb{net, b};
 };
 
+// Both call paths check the destination where the call is issued, with
+// batching on too (its per-destination queue table is indexed by node
+// id).
+TEST_F(RmiFixture, CallToANodeOffTheNetworkThrows) {
+  BatchOptions batch;
+  batch.enabled = true;
+  ta.set_batching(batch);
+  const common::VerbId echo = common::intern_verb("echo");
+  for (const common::NodeId dest :
+       {common::kNoNode, common::NodeId{0}, common::NodeId{3}}) {
+    try {
+      ta.call(dest, echo, {}, [](CallResult) {});
+      ADD_FAILURE() << "call to " << dest.value() << " returned";
+    } catch (const common::MageError& e) {
+      EXPECT_NE(std::string(e.what()).find("'echo'"), std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(ta.call_oneway(dest, echo, {}), common::MageError);
+  }
+  sim.run_until_idle();
+  EXPECT_EQ(sim.stats().counter("rmi.calls"), 0);
+  EXPECT_EQ(sim.stats().counter("net.messages_sent"), 0);
+}
+
 TEST_F(RmiFixture, EchoCall) {
   tb.register_service("echo", [](common::NodeId, const auto& body,
                                  Replier replier) { replier.ok(body); });

@@ -413,7 +413,6 @@ WanTestResult run_wan_mesh(const WanTestParams& p) {
     chaos_params.nodes = p.nodes;
     chaos_params.fault_t0_us = 5'000;
     chaos_params.fault_span_us = 60'000;  // faults overlap the 40ms WAN RTTs
-    net.set_fifo_checks(true);
     net.set_fault_schedule(
         testing::random_fault_schedule(p.seed, chaos_params));
     // Horizon ticks keep virtual time moving past the last schedule entry
