@@ -234,10 +234,9 @@ inline GlbRun run_glb(const GlbParams& params, int threads) {
                      self = &load_ticks[i]](std::int64_t last) {
       const std::int64_t now = sim.stats().counter("rts.invocations");
       net.set_load(id, static_cast<double>(now - last));
-      sim.schedule_after(kLoadTickUs, [self, now] { (*self)(now); },
-                         sim::Wake::No);
+      sim.schedule_after(kLoadTickUs, [self, now] { (*self)(now); });
     };
-    sim.schedule_at(0, [self = &load_ticks[i]] { (*self)(0); }, sim::Wake::No);
+    sim.schedule_at(0, [self = &load_ticks[i]] { (*self)(0); });
   }
 
   // Lifeline rebalancers: one per node, stealing toward itself from its
@@ -269,7 +268,7 @@ inline GlbRun run_glb(const GlbParams& params, int threads) {
     const common::SimTime horizon =
         params.fault_t0_us + params.fault_span_us * 2;
     for (common::SimTime t = 500; t <= horizon; t += 500) {
-      net.node_sim(ids[0]).schedule_at(t, [] {}, sim::Wake::No);
+      net.node_sim(ids[0]).schedule_at(t, [] {});
     }
   }
 

@@ -158,7 +158,6 @@ struct Record {
   std::int64_t leader_changes = 0;
   std::int64_t election_time_us = 0;  // summed candidacy->majority
   std::int64_t directory_resolves = 0;
-  std::int64_t predicate_checks = 0;
 
   [[nodiscard]] bool every_invoke_exactly_once() const {
     for (const auto& link : exec_counts) {
@@ -213,7 +212,6 @@ inline constexpr std::pair<const char*, std::int64_t Record::*> kCounters[] = {
     {"rts.leader_changes", &Record::leader_changes},
     {"rts.election_time_us", &Record::election_time_us},
     {"rts.dir_resolves", &Record::directory_resolves},
-    {"sim.predicate_checks", &Record::predicate_checks},
 };
 
 // One directed link of the topology, nodes 0-based.
@@ -429,13 +427,13 @@ class Mesh {
            until](std::optional<rts::DirectoryClient::Resolution> r) {
             if (r.has_value()) ++resolutions_;
             if (clock.now() >= until) {
-              resolver_done_ = true;  // inside a waking callback
+              resolver_done_ = true;
               return;
             }
-            clock.schedule_after(2'000, probe_, sim::Wake::No);
+            clock.schedule_after(2'000, probe_);
           });
     };
-    clock.schedule_at(1'000, [this] { probe_(); }, sim::Wake::No);
+    clock.schedule_at(1'000, [this] { probe_(); });
   }
 
   void launch(Pipe& pipe) {

@@ -111,9 +111,9 @@ struct RunResult {
 };
 
 RunResult run(int threads) {
+  constexpr std::uint64_t kSeed = 0xB0B5;
   const net::CostModel model = balancer_model();
-  sim::ShardedSim ssim(kNodes, /*seed=*/0xB0B5,
-                       net::Network::min_link_latency(model));
+  sim::ShardedSim ssim(kNodes, kSeed, net::Network::min_link_latency(model));
   net::Network net(ssim, model);
 
   rts::ClassWorld world;
@@ -159,19 +159,22 @@ RunResult run(int threads) {
   struct Generator {
     std::int64_t issued = 0;
     std::int64_t completed = 0;
+    common::Rng sessions;  // which session each invoke targets
   };
   std::vector<Generator> gens(kNodes);
+  for (int g = 0; g < kNodes; ++g) {
+    gens[g].sessions = common::Rng(common::SplitMix64(kSeed + g).next());
+  }
   std::int64_t failures = 0;
 
   // Issue the next invoke for generator g: one future chain per in-flight
   // request; completions re-issue on the generator node's own shard, with
-  // the next session drawn from that shard's RNG.
+  // the next session drawn from the generator's own stream.
   std::function<void(int)> issue = [&](int g) {
     Generator& gen = gens[g];
     if (gen.issued >= kInvokesPerNode) return;
     ++gen.issued;
-    const int s =
-        static_cast<int>(net.node_sim(ids[g]).rng().next_below(kSessions));
+    const int s = static_cast<int>(gen.sessions.next_below(kSessions));
     clients[g]
         ->invoke<std::int64_t>(session_name(s), "work")
         .then([&, g](std::int64_t&) {
@@ -195,10 +198,9 @@ RunResult run(int threads) {
                      self = &load_ticks[i]](std::int64_t last) {
       const std::int64_t now = sim.stats().counter("rts.invocations");
       net.set_load(id, static_cast<double>(now - last));
-      sim.schedule_after(kLoadTickUs, [self, now] { (*self)(now); },
-                         sim::Wake::No);
+      sim.schedule_after(kLoadTickUs, [self, now] { (*self)(now); });
     };
-    sim.schedule_at(0, [self = &load_ticks[i]] { (*self)(0); }, sim::Wake::No);
+    sim.schedule_at(0, [self = &load_ticks[i]] { (*self)(0); });
   }
 
   // --- rebalancer on node 0: poll loads, migrate hot -> cool ---------------

@@ -6,13 +6,13 @@
 // workers run.  A FaultSchedule closes that gap: the driver builds the
 // whole fault program up front (loss-rate ramps, loss bursts, per-link
 // partitions and heals, node crash/restart) and installs it with
-// `Network::set_fault_schedule`.  Each entry becomes one non-waking
-// applier event at its exact simulated time on every shard, and each
-// applier writes only its own shard's copy, which only that shard's
-// senders read.  An entry therefore takes effect at the same instant for
-// every sender, whatever shard it lives on — so every loss decision, drop
-// and retransmission downstream of it is bit-identical at any worker
-// count and under any node:shard mapping, one Simulation included.  One
+// `Network::set_fault_schedule`.  Each entry becomes one applier event
+// at its exact simulated time on every shard, and each applier writes
+// only its own shard's copy, which only that shard's senders read.  An
+// entry therefore takes effect at the same instant for every sender,
+// whatever shard it lives on — so every loss decision, drop and
+// retransmission downstream of it is bit-identical at any worker count
+// and under any node:shard mapping, one Simulation included.  One
 // seed replays the whole chaos run.
 //
 // Entries at equal times apply in insertion order (stable sort).  The

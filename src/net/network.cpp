@@ -100,9 +100,8 @@ common::NodeId Network::add_node(std::string label) {
   // Per-node loss stream, a function of the engine seed and the node id
   // only — NOT of the shard — so chaos drop patterns survive remapping.
   state.loss_rng = common::Rng(seed_ ^ (0x9E3779B97F4A7C15ull * id.value()));
-  // The jitter stream, by the same rule with its own odd multiplier.
-  state.jitter_rng =
-      common::Rng(seed_ ^ (0xD1B54A32D192ED03ull * id.value()));
+  // The node's own stream, by the same rule with its own odd multiplier.
+  state.node_rng = common::Rng(seed_ ^ (0xD1B54A32D192ED03ull * id.value()));
   nodes_.push_back(std::move(state));
   for (NodeState& node : nodes_) node.links.resize(nodes_.size() + 1);
   for (FaultState& faults : faults_) faults.down.resize(nodes_.size() + 1);
@@ -196,10 +195,12 @@ void Network::validate_pair_lookaheads() const {
 
 void Network::set_handler(common::NodeId node, Handler handler) {
   require_config_window("set_handler");
+  require_node(node, "set_handler");
   state(node).handler = std::move(handler);
 }
 
 const std::string& Network::label(common::NodeId node) const {
+  require_node(node, "label");
   return state(node).label;
 }
 
@@ -291,9 +292,6 @@ void Network::send(Message msg) {
                                 msg.label(), msg.wire_size(), false});
   }
 
-  // Wake::No: delivery hands the message to the transport, which wakes the
-  // simulation itself exactly where user code runs (service dispatch,
-  // completion callbacks).
   auto deliver = [this, msg = std::move(msg)]() mutable {
     auto& node = state(msg.to);
     if (!node.handler) {
@@ -336,15 +334,14 @@ void Network::send(Message msg) {
     // and does not constrain the lookahead matrix.  Its TIMING is
     // identical to the cross-shard path below, so the mapping never
     // changes when a message arrives, only what carries it.
-    sender_sim.schedule_at(deliver_at, std::move(deliver), sim::Wake::No, tie);
+    sender_sim.schedule_at(deliver_at, std::move(deliver), tie);
   } else {
     // Cross-shard: into the shard-pair mailbox; the destination shard
     // drains it at the next window boundary.  deliver_at >= sent_at + the
     // pair's lookahead entry (validate_pair_lookaheads enforces the matrix
     // never over-promises), so the event always lands outside the current
     // conservative window.
-    sharded_->post(shard, to_shard, deliver_at, std::move(deliver),
-                   sim::Wake::No, tie);
+    sharded_->post(shard, to_shard, deliver_at, std::move(deliver), tie);
   }
 }
 
@@ -390,7 +387,7 @@ void Network::set_fault_schedule(FaultSchedule schedule) {
   // Replacing a schedule orphans its appliers: cancel them.
   cancel_fault_appliers();
   fault_events_ = schedule.sorted();
-  // One non-waking applier per entry per shard, at the entry's exact time:
+  // One applier per entry per shard, at the entry's exact time:
   // a shard applies each entry to its own copy of the fault state before
   // any same-instant delivery (deliveries carry tie >= 1), so every sender
   // sees a fault from the same instant on, whatever shard it lives on.
@@ -407,8 +404,7 @@ void Network::set_fault_schedule(FaultSchedule schedule) {
             FaultState& mine = faults_[s];
             apply_fault(s, fault_events_[mine.applied++], /*scheduled=*/true);
             if (s == 0) ++*faults_applied_;
-          },
-          sim::Wake::No));
+          }));
     }
   }
 }
@@ -502,10 +498,14 @@ void Network::set_extra_latency(common::NodeId from, common::NodeId to,
 }
 
 void Network::set_load(common::NodeId node, double load) {
+  require_node(node, "set_load");
   state(node).load = load;
 }
 
-double Network::load(common::NodeId node) const { return state(node).load; }
+double Network::load(common::NodeId node) const {
+  require_node(node, "load");
+  return state(node).load;
+}
 
 void Network::set_node_down(common::NodeId node, bool down) {
   require_fault_window("set_node_down");
@@ -521,10 +521,12 @@ bool Network::node_down(common::NodeId node) const {
 
 void Network::set_domain(common::NodeId node, std::string domain) {
   require_config_window("set_domain");
+  require_node(node, "set_domain");
   state(node).domain = std::move(domain);
 }
 
 const std::string& Network::domain(common::NodeId node) const {
+  require_node(node, "domain");
   return state(node).domain;
 }
 

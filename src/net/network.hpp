@@ -19,7 +19,7 @@
 //     (the paper's `cloc.getLoad()`).
 //
 // Execution model.  Nodes live on shards — sim::Simulation contexts, each
-// with its own queue, clock, RNG and stats registry.  A Network over one
+// with its own queue, clock and stats registry.  A Network over one
 // sim::Simulation is the one-shard case: every node on shard 0, no node
 // limit.  A Network over a sim::ShardedSim places node i on the shard the
 // node:shard mapping assigns it (identity — node i on shard i — by
@@ -37,8 +37,9 @@
 //     by peer id; a delivery writes only the receiver's record for the
 //     sender (a TCP accept warms its reverse direction, and the
 //     always-on wire-FIFO check verifies the stamp);
-//   * loss draws come from a per-node stream seeded from the engine seed
-//     and the node id;
+//   * every random draw comes from a stream of the node's own (the loss
+//     stream, and node_rng for the rest), seeded from the engine seed and
+//     the node id;
 //   * each fault-schedule entry applies at its exact time on every shard,
 //     to that shard's own copy of the fault state and the link records of
 //     that shard's nodes.
@@ -47,7 +48,7 @@
 // The threading contract (enforced, not advisory): all configuration —
 // adding nodes, handlers, ad-hoc fault injection, tracing — throws while
 // ShardedSim workers run; per-node state (counters, link records, the
-// loss stream, the load metric) is only ever touched from the owning
+// random streams, the load metric) is only ever touched from the owning
 // node's shard, and a shard reads only its own copy of the fault state.
 // See docs/ARCHITECTURE.md.
 #pragma once
@@ -95,12 +96,16 @@ class Network {
   // Adds a namespace/VM to the federation; label is for traces only.
   common::NodeId add_node(std::string label);
 
+  // set_handler, label, set_load, load, set_domain and domain throw
+  // MageError, naming the node, unless it is on this network.
   void set_handler(common::NodeId node, Handler handler);
 
   [[nodiscard]] std::size_t node_count() const { return nodes_.size(); }
   [[nodiscard]] bool has_node(common::NodeId node) const {
     return node.value() >= 1 && node.value() <= nodes_.size();
   }
+  // Throws MageError, naming `what` and the node, unless has_node(node).
+  void require_node(common::NodeId node, const char* what) const;
   [[nodiscard]] const std::string& label(common::NodeId node) const;
   [[nodiscard]] std::vector<common::NodeId> node_ids() const;
 
@@ -138,9 +143,9 @@ class Network {
   [[nodiscard]] bool node_down(common::NodeId node) const;
 
   // Installs `schedule` (replacing any previous one, applied or not): one
-  // non-waking applier event per entry at its exact time (or now, if that
-  // has passed) on every shard.  Configuration, so frozen while workers
-  // run; entries referencing unknown nodes throw.  Each applied entry
+  // applier event per entry at its exact time (or now, if that has passed)
+  // on every shard.  Configuration, so frozen while workers run; entries
+  // referencing unknown nodes throw.  Each applied entry
   // counts once in "net.faults_applied" (shard 0's registry), and drops
   // the schedule's faults cause count in the per-node
   // "net.messages_dropped_by_schedule".
@@ -177,12 +182,13 @@ class Network {
 
   // --- per-node randomness --------------------------------------------------
 
-  // The node's retry-jitter stream (rmi::CallPolicy::backoff_jitter).  Like
-  // the loss stream it is seeded from the engine seed and the node id
-  // only, so a retry schedule is the same under any node:shard mapping.
-  // Owning shard only.
-  [[nodiscard]] common::Rng& jitter_rng(common::NodeId node) {
-    return state(node).jitter_rng;
+  // The node's own stream: every random draw made on a node's behalf
+  // (rmi::CallPolicy::backoff_jitter, election timeouts, RandomPolicy)
+  // comes from it.  Like the loss stream it is seeded from the engine seed
+  // and the node id only, so a draw is the same under any node:shard
+  // mapping.  Owning shard only.
+  [[nodiscard]] common::Rng& node_rng(common::NodeId node) {
+    return state(node).node_rng;
   }
 
   // --- administrative domains ------------------------------------------------
@@ -287,7 +293,7 @@ class Network {
     // mapping, which a shared shard stream could not be once two senders
     // co-locate.
     common::Rng loss_rng{0};
-    common::Rng jitter_rng{0};  // see jitter_rng()
+    common::Rng node_rng{0};  // see node_rng()
     // Hot-path counters, resolved from the node's own shard registry at
     // add_node.
     std::int64_t* messages_sent = nullptr;
@@ -321,9 +327,6 @@ class Network {
   [[nodiscard]] common::SimDuration link_delay(const LinkState& link) const {
     return min_link_latency(model_) + link.extra_latency;
   }
-  // Throws, naming `what` and the node, unless the node is on this network.
-  void require_node(common::NodeId node, const char* what) const;
-
   // Throws while sharded workers run: all global configuration is frozen.
   void require_config_window(const char* what) const;
   // Same freeze, but for the ad-hoc fault mutators: the error points at

@@ -64,8 +64,7 @@ class PolicyCall : public std::enable_shared_from_this<PolicyCall> {
  private:
   sim::EventId after(common::SimDuration delay, void (PolicyCall::*step)()) {
     return sim_.schedule_after(
-        delay, [self = shared_from_this(), step] { ((*self).*step)(); },
-        sim::Wake::No);
+        delay, [self = shared_from_this(), step] { ((*self).*step)(); });
   }
 
   void disarm(std::optional<sim::EventId>& timer) {
@@ -128,7 +127,7 @@ class PolicyCall : public std::enable_shared_from_this<PolicyCall> {
     sim_.stats().add("rmi.retries");
     backoff_timer_ = after(
         policy_.backoff_us(retries_used_,
-                           transport_.network().jitter_rng(transport_.self())),
+                           transport_.network().node_rng(transport_.self())),
         &PolicyCall::attempt);
   }
 
@@ -137,10 +136,6 @@ class PolicyCall : public std::enable_shared_from_this<PolicyCall> {
     cancel_attempt();
     disarm(backoff_timer_);
     sim_.stats().add("rmi.deadline_exceeded");
-    // Completion from an internal timer is a user-code boundary: wake so
-    // an enclosing run_until re-checks its predicate (transport-delivered
-    // completions are already inside a woken event).
-    sim_.wake();
     finish(CallResult::failure("rmi call '" + common::verb_name(verb_) +
                                "' deadline exceeded after " +
                                std::to_string(policy_.deadline_us) + "us"));

@@ -10,7 +10,7 @@
 // then each attempt as a primary plus an optional hedge.
 //
 // Determinism: every timer is simulated, backoff jitter is drawn from the
-// calling node's own stream (Network::jitter_rng: engine seed and node id,
+// calling node's own stream (Network::node_rng: engine seed and node id,
 // not the shard), and completions are delivered on the calling node's
 // shard — a policy call replays bit-identically at any worker count and
 // under any node:shard mapping.  Cancellation rides Transport::cancel, so
@@ -54,7 +54,7 @@ struct CallPolicy {
   common::SimDuration backoff_base_us = 4'000;
   double backoff_multiplier = 2.0;
   // Fractional jitter j: each backoff is scaled by a factor drawn
-  // uniformly from [1-j, 1+j] using the calling node's jitter stream.
+  // uniformly from [1-j, 1+j] using the calling node's own stream.
   // 0 disables.
   double backoff_jitter = 0.0;
 

@@ -196,7 +196,7 @@ common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
   // Always an event (never inline, even at zero cost): call() runs in
   // driver context, and the driver must keep its window to mutate faults
   // before the request reaches the wire — the seed's contract.
-  sim_.schedule_after(prep, [this, id] { transmit(id); }, sim::Wake::No);
+  sim_.schedule_after(prep, [this, id] { transmit(id); });
   return id;
 }
 
@@ -235,8 +235,7 @@ void Transport::call_oneway(common::NodeId dest, common::VerbId verb,
       prep,
       [this, dest, env = std::move(env)]() mutable {
         route(dest, std::move(env), net::MsgKind::OneWay);
-      },
-      sim::Wake::No);
+      });
 }
 
 void Transport::transmit(common::RequestId id) {
@@ -251,7 +250,6 @@ void Transport::transmit(common::RequestId id) {
         std::to_string(pc->options.max_attempts) + " attempts";
     pending_.erase(id.value());
     ++*failures_;
-    sim_.wake();  // completion: an enclosing run_until should re-check
     callback(CallResult::failure(message));
     return;
   }
@@ -304,7 +302,7 @@ void Transport::schedule_flush() {
   // replies pipeline one quantum apart instead of drifting.
   const common::SimDuration quantum = batch_options_.flush_quantum_us;
   const common::SimTime at = (sim_.now() / quantum + 1) * quantum;
-  sim_.schedule_at(at, [this] { flush_all(); }, sim::Wake::No);
+  sim_.schedule_at(at, [this] { flush_all(); });
 }
 
 void Transport::flush_all() {
@@ -343,9 +341,8 @@ void Transport::flush_link(std::size_t dest_index) {
 void Transport::arm_retry_timer(common::RequestId id) {
   PendingCall* pc = pending_.find(id.value());
   assert(pc != nullptr);
-  pc->retry_timer = sim_.schedule_after(
-      pc->options.retry_timeout_us, [this, id] { transmit(id); },
-      sim::Wake::No);
+  pc->retry_timer = sim_.schedule_after(pc->options.retry_timeout_us,
+                                        [this, id] { transmit(id); });
 }
 
 serial::BufferChain Transport::call_sync(common::NodeId dest,
@@ -427,7 +424,6 @@ void Transport::on_oneway(common::NodeId from, Envelope& env) {
       model.rmi_server_dispatch_us + model.marshal_time(env.body.size());
   after_cpu(prep, [this, verb_index, from,
                    body = std::move(env.body)]() mutable {
-    sim_.wake();  // user code runs here (see on_request)
     services_[verb_index](from, body, Replier{});
   });
 }
@@ -595,9 +591,6 @@ void Transport::on_request(common::NodeId from, Envelope& env) {
   Replier replier(this, from, env.request_id, env.verb);
   after_cpu(prep, [this, verb_index, from, body = std::move(env.body),
                    replier = std::move(replier)]() mutable {
-    // User code runs here: wake so enclosing run_until predicates see
-    // whatever the service mutates (parked repliers, flags, ...).
-    sim_.wake();
     // Re-resolve the service at fire time: the table may have grown
     // between dispatch and execution (deque growth leaves the entry in
     // place even if the handler itself registers new verbs).
@@ -628,7 +621,7 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
   // Result marshalling charged on the serving side before the wire.
   // Always an event, even at zero cost: a reply may be sent from user code
   // (service dispatch or a parked Replier), after which the driver regains
-  // control at the wake — and drivers legitimately mutate faults in that
+  // control at once — and drivers legitimately mutate faults in that
   // window expecting the not-yet-sent reply to be affected (rmi_test
   // partitions a link between execution and reply to force a
   // retransmission storm).  Inlining here would leak the reply onto the
@@ -638,8 +631,7 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
       model.marshal_time(reply.body.size()),
       [this, to, reply = std::move(reply)]() mutable {
         route(to, std::move(reply), net::MsgKind::Reply);
-      },
-      sim::Wake::No);
+      });
 }
 
 void Transport::on_reply(Envelope& env) {
@@ -654,7 +646,6 @@ void Transport::on_reply(Envelope& env) {
   CallResult result = env.ok ? CallResult::success(std::move(env.body))
                              : CallResult::failure(std::move(env.error));
   pending_.erase(env.request_id.value());
-  sim_.wake();  // completion wakeup for the caller's run_until
   callback(std::move(result));
 }
 

@@ -23,9 +23,6 @@
 // (common::FlatMap64 — no per-insert node allocation), the reply cache
 // keyed by a packed (node, request) word with a ring-buffer eviction order
 // and pre-sized to its ring capacity so the receive path never allocates.
-// Completion wakeups: the transport wakes the simulation exactly where
-// user code runs (service dispatch, callback completion), letting
-// run_until skip predicate checks on internal events.
 //
 // Cost accounting per the CostModel: the caller is charged client overhead
 // plus marshalling before the request hits the wire; the callee is charged
@@ -293,7 +290,7 @@ class Transport {
 
   // Runs `fn` after `cost` simulated CPU microseconds — inline when the
   // cost model charges nothing (zero-cost benches otherwise pay an event
-  // round-trip per call), a Wake::No event otherwise.  RECEIVER SIDE ONLY:
+  // round-trip per call), an event otherwise.  RECEIVER SIDE ONLY:
   // inlining is safe only where no driver code can interleave at the same
   // timestamp (message delivery -> service dispatch).  Sender-side steps
   // (call prep, reply marshalling) must stay events even at zero cost, so
@@ -304,7 +301,7 @@ class Transport {
     if (cost == 0) {
       fn();
     } else {
-      sim_.schedule_after(cost, std::forward<Fn>(fn), sim::Wake::No);
+      sim_.schedule_after(cost, std::forward<Fn>(fn));
     }
   }
 

@@ -240,7 +240,6 @@ void AsyncClient::find_attempt(const common::ComponentName& name,
         // The object may be mid-flight between namespaces; back off and
         // retry ("these protocols must recover from message loss and
         // account for contention over shared components", Section 4.3).
-        // A waking event: the retry may complete the find inline.
         sim_.schedule_after(kChaseBackoffUs, [this, name, promise, attempt] {
           find_attempt(name, promise, attempt + 1);
         });
@@ -332,7 +331,7 @@ void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
         rmi::error_kind(result.error) == rmi::ErrorKind::Transport) {
       relocate_and_resume(op, std::move(result.error));
     } else {
-      fail_op(op, std::move(result.error));
+      op->on_error(std::move(result.error));
     }
     return;
   }
@@ -383,7 +382,7 @@ void AsyncClient::on_status(const std::shared_ptr<ChaseOp>& op,
                                   std::to_string(op->at.value()));
       return;
     case proto::Status::Error:
-      fail_op(op, reply.error);
+      op->on_error(reply.error);
       return;
   }
 }
@@ -434,23 +433,14 @@ void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
                           const std::string& locate_error) mutable {
               relocate_and_resume(op, why + "; then " + locate_error);
             });
-      },
-      sim::Wake::No);
+      });
 }
 
 void AsyncClient::give_up(const std::shared_ptr<ChaseOp>& op,
                           const std::string& why) {
-  fail_op(op, "'" + common::verb_name(op->verb) + "' for '" + op->name +
-                  "' did not converge after " +
-                  std::to_string(op->attempts) + " attempts: " + why);
-}
-
-void AsyncClient::fail_op(const std::shared_ptr<ChaseOp>& op,
-                          std::string error) {
-  // Failure can surface from a backoff timer event; wake so an enclosing
-  // run_until re-checks its predicate.
-  sim_.wake();
-  op->on_error(std::move(error));
+  op->on_error("'" + common::verb_name(op->verb) + "' for '" + op->name +
+               "' did not converge after " + std::to_string(op->attempts) +
+               " attempts: " + why);
 }
 
 // --- the typed ops ----------------------------------------------------------

@@ -228,7 +228,6 @@ class AsyncClient {
   void relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
                            std::string why);
   void give_up(const std::shared_ptr<ChaseOp>& op, const std::string& why);
-  void fail_op(const std::shared_ptr<ChaseOp>& op, std::string error);
   void find_attempt(const common::ComponentName& name,
                     const MagePromise<common::NodeId>& promise, int attempt);
 

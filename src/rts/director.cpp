@@ -223,8 +223,7 @@ void DirectoryClient::advance(const std::shared_ptr<Sweep>& sweep,
         std::to_string(kSweepRounds) + " rounds"));
     return;
   }
-  sim_.schedule_after(
-      kSweepPauseUs, [this, sweep] { attempt(sweep); }, sim::Wake::No);
+  sim_.schedule_after(kSweepPauseUs, [this, sweep] { attempt(sweep); });
 }
 
 void DirectoryClient::resolve(

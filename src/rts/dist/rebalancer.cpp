@@ -26,16 +26,15 @@ sim::Simulation& Rebalancer::sim() { return mover_.simulation(); }
 void Rebalancer::start() {
   // A rebalancer started mid-run ticks at once rather than in the past.
   sim().schedule_at(std::max(config_.start_at_us, sim().now()),
-                    [this] { tick(); }, sim::Wake::No);
+                    [this] { tick(); });
 }
 
 void Rebalancer::reschedule() {
   if (config_.max_ticks >= 0 && ticks_done_ >= config_.max_ticks) return;
-  sim().schedule_after(config_.tick_us, [this] { tick(); }, sim::Wake::No);
+  sim().schedule_after(config_.tick_us, [this] { tick(); });
 }
 
 void Rebalancer::tick() {
-  sim().wake();  // ticks() is driver-visible
   ++ticks_done_;
   ++*tick_counter_;
   // Never stack rounds: a round still chasing probes through a fault

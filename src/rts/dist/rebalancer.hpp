@@ -16,10 +16,9 @@
 //     from the hottest one.  Work follows data: migrating the partition
 //     moves the apply/expand service cost to the idle node.
 //
-// Every tick is scheduled sim::Wake::No on the owning node's shard and
-// wakes the simulation itself (ticks() is driver-visible), and every
-// decision consumes only same-shard state and facade futures, so the whole
-// policy replays bit-identically at any worker count.
+// Every tick is scheduled on the owning node's shard, and every decision
+// consumes only same-shard state and facade futures, so the whole policy
+// replays bit-identically at any worker count.
 #pragma once
 
 #include <cstdint>

@@ -47,9 +47,10 @@ void Election::arm_timeout() {
   const std::uint64_t gen = ++timeout_gen_;
   const common::SimDuration delay =
       config_.election_timeout_min_us +
-      static_cast<common::SimDuration>(sim().rng().next_below(
-          static_cast<std::uint64_t>(config_.election_timeout_span_us)));
-  sim().schedule_after(delay, [this, gen] { on_timeout(gen); }, sim::Wake::No);
+      static_cast<common::SimDuration>(
+          transport_.network().node_rng(self()).next_below(
+              static_cast<std::uint64_t>(config_.election_timeout_span_us)));
+  sim().schedule_after(delay, [this, gen] { on_timeout(gen); });
 }
 
 void Election::on_timeout(std::uint64_t gen) {
@@ -66,7 +67,6 @@ void Election::start_election() {
   votes_ = 1;  // own vote
   election_start_ = sim().now();
   ++*elections_held_;
-  sim().wake();
   // Re-arm: if this round splits or drowns, a fresh timeout starts the
   // next term.
   arm_timeout();
@@ -101,7 +101,6 @@ void Election::become_leader() {
   // Election latency in simulated time, from the term's first candidacy to
   // the majority landing.
   sim().stats().add("rts.election_time_us", sim().now() - election_start_);
-  sim().wake();
   if (on_leader_) on_leader_();
   send_heartbeats();
   schedule_heartbeat(++heartbeat_gen_);
@@ -115,7 +114,6 @@ void Election::become_follower(std::uint64_t term, common::NodeId leader) {
   if (role_ != Role::Follower) {
     role_ = Role::Follower;
     ++heartbeat_gen_;  // stop any leader heartbeat loop
-    sim().wake();
   }
   if (!common::is_no_node(leader)) leader_ = leader;
 }
@@ -127,8 +125,7 @@ void Election::schedule_heartbeat(std::uint64_t gen) {
         if (gen != heartbeat_gen_ || role_ != Role::Leader) return;
         send_heartbeats();
         schedule_heartbeat(gen);
-      },
-      sim::Wake::No);
+      });
 }
 
 void Election::send_heartbeats() {

@@ -7,14 +7,12 @@
 // see director.hpp).
 //
 // Everything runs in simulated time, and every random choice (the election
-// timeout) is drawn from the member's own per-shard RNG — so a 5-member
-// election under partitions and crashes replays bit-identically at any
-// worker count, for a given seed.  Timers are generation-counted rather
-// than cancelled: re-arming bumps `timeout_gen_`, and a stale timer firing
-// with an old generation is a no-op.  Timer events schedule with Wake::No
-// (they are internal); the simulation is woken explicitly exactly where a
-// role transition lands, so run_until predicates see every leadership
-// change.
+// timeout) is drawn from the member's own node stream (Network::node_rng)
+// — so a 5-member election under partitions and crashes replays
+// bit-identically at any worker count and under any node:shard mapping,
+// for a given seed.  Timers are generation-counted rather than cancelled:
+// re-arming bumps `timeout_gen_`, and a stale timer firing with an old
+// generation is a no-op.
 //
 // A crashed member's timers keep firing locally (the network refuses its
 // messages, the process model does not stop its clock).  That is

@@ -1,6 +1,5 @@
 #include "rts/system.hpp"
 
-#include <cassert>
 #include <sstream>
 
 namespace mage::rts {
@@ -21,32 +20,27 @@ common::NodeId MageSystem::add_node(const std::string& label) {
   return id;
 }
 
-MageSystem::NodeRuntime& MageSystem::runtime(common::NodeId node) {
-  assert(node.value() >= 1 && node.value() <= runtimes_.size());
-  return runtimes_[node.value() - 1];
-}
-
-const MageSystem::NodeRuntime& MageSystem::runtime(
-    common::NodeId node) const {
-  assert(node.value() >= 1 && node.value() <= runtimes_.size());
+MageSystem::NodeRuntime& MageSystem::runtime(common::NodeId node,
+                                             const char* what) {
+  network_.require_node(node, what);
   return runtimes_[node.value() - 1];
 }
 
 MageServer& MageSystem::server(common::NodeId node) {
-  return *runtime(node).server;
+  return *runtime(node, "server").server;
 }
 
 MageClient& MageSystem::client(common::NodeId node) {
-  return *runtime(node).client;
+  return *runtime(node, "client").client;
 }
 
 rmi::Transport& MageSystem::transport(common::NodeId node) {
-  return *runtime(node).transport;
+  return *runtime(node, "transport").transport;
 }
 
 void MageSystem::install_class(common::NodeId node,
                                const std::string& class_name) {
-  server(node).class_cache().install(class_name);
+  runtime(node, "install_class").server->class_cache().install(class_name);
 }
 
 void MageSystem::install_class_everywhere(const std::string& class_name) {
@@ -55,6 +49,7 @@ void MageSystem::install_class_everywhere(const std::string& class_name) {
 
 void MageSystem::assign_domain(common::NodeId node,
                                const std::string& domain) {
+  network_.require_node(node, "assign_domain");
   network_.set_domain(node, domain);
   refresh_domain_latencies();
 }
@@ -94,7 +89,7 @@ std::string MageSystem::describe() const {
      << directory_.size() << " components announced\n";
   for (std::uint32_t i = 1; i <= runtimes_.size(); ++i) {
     const common::NodeId id{i};
-    const auto& rt = runtime(id);
+    const NodeRuntime& rt = runtimes_[i - 1];
     os << "  [" << network_.label(id) << "] node " << i << ":";
     os << " objects={";
     bool first = true;

@@ -36,6 +36,8 @@ class MageSystem {
   [[nodiscard]] Directory& directory() { return directory_; }
   [[nodiscard]] common::StatsRegistry& stats() { return sim_.stats(); }
 
+  // server, client, transport, install_class and assign_domain throw
+  // MageError, naming the node, unless it is on this system.
   [[nodiscard]] MageServer& server(common::NodeId node);
   [[nodiscard]] MageClient& client(common::NodeId node);
   [[nodiscard]] rmi::Transport& transport(common::NodeId node);
@@ -79,8 +81,9 @@ class MageSystem {
     std::unique_ptr<MageClient> client;
   };
 
-  [[nodiscard]] NodeRuntime& runtime(common::NodeId node);
-  [[nodiscard]] const NodeRuntime& runtime(common::NodeId node) const;
+  // The node's runtime; throws, naming `what` and the node, unless the node
+  // is on this system.
+  [[nodiscard]] NodeRuntime& runtime(common::NodeId node, const char* what);
   void refresh_domain_latencies();
 
   sim::Simulation sim_;

@@ -5,7 +5,7 @@
 
 namespace mage::sim {
 
-EventId EventQueue::schedule(common::SimTime at, Action action, bool wake,
+EventId EventQueue::schedule(common::SimTime at, Action action,
                              std::uint32_t tie) {
   std::uint32_t slot;
   if (free_head_ != kNil) {
@@ -14,13 +14,12 @@ EventId EventQueue::schedule(common::SimTime at, Action action, bool wake,
     slab_[slot].action = std::move(action);
   } else {
     slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(Node{0, kNil, false, true, std::move(action)});
+    slab_.push_back(Node{0, kNil, false, std::move(action)});
   }
   const std::uint64_t seq = next_seq_++;
   Node& node = slab_[slot];
   node.seq = seq;
   node.live = true;
-  node.wake = wake;
   heap_.push_back(HeapEntry{at, seq, slot, tie});
   sift_up(heap_.size() - 1);
   ++live_;
@@ -39,7 +38,7 @@ bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-EventQueue::Action EventQueue::pop(common::SimTime& at, bool& wake) {
+EventQueue::Action EventQueue::pop(common::SimTime& at) {
   skip_stale();
   const HeapEntry top = heap_[0];
   at = top.at;
@@ -47,7 +46,6 @@ EventQueue::Action EventQueue::pop(common::SimTime& at, bool& wake) {
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
 
-  wake = slab_[top.slot].wake;
   Action action = std::move(slab_[top.slot].action);
   release_slot(top.slot);
   --live_;

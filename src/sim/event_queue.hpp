@@ -44,16 +44,11 @@ class EventQueue {
  public:
   using Action = common::UniqueFunction<void()>;
 
-  // Schedules `action` to fire at absolute simulated time `at`.  `wake`
-  // marks the event as driver-visible: Simulation::run_until re-evaluates
-  // its predicate only after waking events (or an explicit wake()), so
-  // internal bookkeeping events (retransmission timers, wire deliveries,
-  // marshalling delays) schedule with wake=false and the layers that invoke
-  // user code wake explicitly at the callback boundary.  `tie` orders
-  // same-instant events before the FIFO sequence number (see file comment);
-  // network deliveries pass their source node id, everything else 0.
-  EventId schedule(common::SimTime at, Action action, bool wake = true,
-                   std::uint32_t tie = 0);
+  // Schedules `action` to fire at absolute simulated time `at`.  `tie`
+  // orders same-instant events before the FIFO sequence number (see file
+  // comment); network deliveries pass their source node id, everything
+  // else 0.
+  EventId schedule(common::SimTime at, Action action, std::uint32_t tie = 0);
 
   // Cancels a scheduled event; a no-op if it already fired (or was already
   // cancelled).  Returns true when the event was live.
@@ -69,13 +64,8 @@ class EventQueue {
     return heap_[0].at;
   }
 
-  // Removes and returns the earliest pending event's action; `wake` reports
-  // the event's wake mark.
-  [[nodiscard]] Action pop(common::SimTime& at, bool& wake);
-  [[nodiscard]] Action pop(common::SimTime& at) {
-    bool wake = false;
-    return pop(at, wake);
-  }
+  // Removes and returns the earliest pending event's action.
+  [[nodiscard]] Action pop(common::SimTime& at);
 
   // Number of pooled event nodes currently allocated (grows to the peak
   // number of simultaneously pending events, then stays flat).
@@ -102,7 +92,6 @@ class EventQueue {
     std::uint64_t seq = 0;      // seq of the event occupying this slot
     std::uint32_t next_free = kNil;
     bool live = false;
-    bool wake = true;  // driver-visible event (see schedule())
     Action action;
   };
 

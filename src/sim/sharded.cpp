@@ -27,14 +27,6 @@ struct alignas(64) WorkerSlot {
   std::int64_t steals = 0;
 };
 
-// SplitMix64: spreads one master seed into decorrelated per-shard seeds.
-std::uint64_t splitmix64(std::uint64_t x) {
-  x += 0x9E3779B97F4A7C15ull;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBull;
-  return x ^ (x >> 31);
-}
-
 inline void cpu_relax() {
 #if defined(__x86_64__) || defined(__i386__)
   __builtin_ia32_pause();
@@ -131,7 +123,7 @@ ShardedSim::ShardedSim(std::size_t shard_count, std::uint64_t seed,
   }
   shards_.reserve(shard_count);
   for (std::size_t i = 0; i < shard_count; ++i) {
-    shards_.push_back(std::make_unique<Simulation>(splitmix64(seed + i)));
+    shards_.push_back(std::make_unique<Simulation>(seed));
   }
   std::iota(steal_order_.begin(), steal_order_.end(), std::size_t{0});
 }
@@ -169,8 +161,7 @@ void ShardedSim::set_boundary_hook(BoundaryHook hook, const void*) {
 }
 
 void ShardedSim::post(std::size_t from, std::size_t to, common::SimTime at,
-                      EventQueue::Action action, Wake wake,
-                      std::uint32_t tie) {
+                      EventQueue::Action action, std::uint32_t tie) {
   // Causality check, enforced rather than documented: a mid-run post that
   // lands inside the destination's conservative window would execute in
   // its past and silently break determinism (e.g. a cost model whose
@@ -189,7 +180,7 @@ void ShardedSim::post(std::size_t from, std::size_t to, common::SimTime at,
   }
   Mailbox& box = mailbox(from, to);
   auto& items = box.items[write_side_];
-  items.push_back(Posted{at, tie, wake == Wake::Yes, std::move(action)});
+  items.push_back(Posted{at, tie, std::move(action)});
   box.min_at[write_side_] = std::min(box.min_at[write_side_], at);
   inbound(write_side_, to).any.store(true, std::memory_order_relaxed);
 }
@@ -208,23 +199,21 @@ void ShardedSim::drain_shard(std::size_t s) {
     auto& items = box.items[drain_side];
     if (items.empty()) continue;
     for (Posted& p : items) {
-      (void)sim.schedule_at(p.at, std::move(p.action),
-                            p.wake ? Wake::Yes : Wake::No, p.tie);
+      (void)sim.schedule_at(p.at, std::move(p.action), p.tie);
     }
     items.clear();  // keeps capacity: steady-state drains allocate nothing
     box.min_at[drain_side] = Simulation::kNoDeadline;
   }
 }
 
-bool ShardedSim::run_shard(std::size_t s) {
+void ShardedSim::run_shard(std::size_t s) {
   drain_shard(s);
   Simulation& sim = *shards_[s];
   const std::int64_t before = sim.events_run();
-  const bool woke = sim.run_window(window_ends_[s]);
+  sim.run_window(window_ends_[s]);
   ShardSlot& slot = slots_[s];
   slot.last_events = sim.events_run() - before;
   slot.load.events += slot.last_events;
-  return woke;
 }
 
 void ShardedSim::control(const std::function<bool()>& done,
@@ -238,12 +227,10 @@ void ShardedSim::control(const std::function<bool()>& done,
   // reads of shard state and plain writes of the run-scoped fields are
   // ordered by the barrier itself.
   try {
-    if (any_woke_.exchange(false, std::memory_order_relaxed) && done) {
-      if (done()) {
-        stop_ = true;
-        success_ = true;
-        return;
-      }
+    if (done && done()) {
+      stop_ = true;
+      success_ = true;
+      return;
     }
     // The frontier folds the shard queues AND the not-yet-drained
     // mailboxes: control runs before the next round's drains, so an event
@@ -265,16 +252,11 @@ void ShardedSim::control(const std::function<bool()>& done,
         frontier = std::min(frontier, mailbox(from, to).min_at[write_side_]);
       }
     }
-    if (frontier == Simulation::kNoDeadline) {
-      // Every queue and mailbox drained.  Mirror Simulation::run_until's
-      // final re-check: never report false while done() holds.
+    // The predicate was checked above and nothing has run since: a run
+    // that drained succeeds only without one, one past its deadline never.
+    if (frontier == Simulation::kNoDeadline || frontier > deadline) {
       stop_ = true;
-      success_ = done ? done() : true;
-      return;
-    }
-    if (frontier > deadline) {
-      stop_ = true;
-      success_ = done ? done() : false;
+      success_ = frontier == Simulation::kNoDeadline && !done;
       return;
     }
     frontier_ = frontier;
@@ -351,7 +333,6 @@ bool ShardedSim::run_until(const std::function<bool()>& done, int threads,
   stop_ = false;
   success_ = false;
   windows_ = 0;
-  any_woke_.store(false, std::memory_order_relaxed);
   failed_.store(false, std::memory_order_relaxed);
   first_error_ = nullptr;
   for (ShardSlot& slot : slots_) slot.load = ShardLoad{};
@@ -380,9 +361,8 @@ bool ShardedSim::run_until(const std::function<bool()>& done, int threads,
     // `mark` is the end of the last interval charged: each clock read
     // closes one interval and opens the next.
     Clock::time_point mark = Clock::now();
-    bool woke = false;
     const auto run = [&](std::size_t s) {
-      woke = run_shard(s) || woke;
+      run_shard(s);
       const Clock::time_point t = Clock::now();
       slots_[s].load.busy_ns += elapsed_ns(mark, t);
       mark = t;
@@ -393,7 +373,6 @@ bool ShardedSim::run_until(const std::function<bool()>& done, int threads,
       me.load.wait_ns += elapsed_ns(mark, released);
       mark = released;
       if (stop_) return;
-      woke = false;
       try {
         for (std::size_t s : steal_order_) {
           if (s >= home_begin && s < home_end && claim(s)) run(s);
@@ -409,7 +388,6 @@ bool ShardedSim::run_until(const std::function<bool()>& done, int threads,
         fail(std::current_exception());
       }
       me.load.busy_ns += elapsed_ns(released, mark);
-      if (woke) any_woke_.store(true, std::memory_order_relaxed);
     }
   };
 

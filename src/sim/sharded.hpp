@@ -3,8 +3,8 @@
 //
 // The single-queue sim::Simulation executes an N-node federation on one
 // core; this driver runs a set of Simulation shards (private clock, event
-// queue, RNG, stats registry each) in parallel, synchronized in *windows*
-// of virtual time:
+// queue and stats registry each) in parallel, synchronized in *windows* of
+// virtual time:
 //
 //   frontier      = min over shards (queues + undrained mailboxes) of the
 //                   next pending event's time
@@ -67,7 +67,7 @@
 // order digest on every run.
 //
 // Threading contract (audited; see docs/ARCHITECTURE.md):
-//   * shard state (queue, clock, RNG, stats) is touched, in a round, only
+//   * shard state (queue, clock, stats) is touched, in a round, only
 //     by the one worker that claimed the shard that round, and only by the
 //     driver thread while stopped.  Successive rounds may run a shard on
 //     different workers; the round barrier orders one claimant's writes
@@ -103,8 +103,8 @@ class ShardedSim {
   // `lookahead` (>= 1 simulated microsecond: a zero lookahead makes every
   // window empty and the conservative driver cannot progress) seeds every
   // entry of the pair-lookahead matrix; widen individual pairs afterwards
-  // with set_pair_lookahead.  Shard i is seeded deterministically from
-  // `seed` and i.
+  // with set_pair_lookahead.  Every shard carries `seed`, from which
+  // net::Network derives its per-node streams.
   ShardedSim(std::size_t shard_count, std::uint64_t seed,
              common::SimDuration lookahead);
 
@@ -163,14 +163,19 @@ class ShardedSim {
   // >= the pair's lookahead entry).  `tie` is the EventQueue same-instant
   // key (deliveries pass their source node id).
   void post(std::size_t from, std::size_t to, common::SimTime at,
-            EventQueue::Action action, Wake wake = Wake::Yes,
-            std::uint32_t tie = 0);
+            EventQueue::Action action, std::uint32_t tie = 0);
+  // The Wake argument is ignored (see enum Wake).
+  void post(std::size_t from, std::size_t to, common::SimTime at,
+            EventQueue::Action action, Wake) {
+    post(from, to, at, std::move(action));
+  }
 
   // Runs all shards on `threads` workers until `done` returns true —
-  // checked at round barriers after any shard executed a waking event —
-  // or every queue and mailbox drains (returns done() then, or true when
-  // no predicate was given), or the frontier passes `deadline` (returns
-  // done()).  Driver-only; not reentrant.
+  // checked before the first window and at every round barrier, so the
+  // run stops at the first barrier where it holds — or every queue and
+  // mailbox drains (returns done() then, or true when no predicate was
+  // given), or the frontier passes `deadline` (returns done()).
+  // Driver-only; not reentrant.
   bool run_until(const std::function<bool()>& done, int threads,
                  common::SimTime deadline = Simulation::kNoDeadline);
 
@@ -212,7 +217,6 @@ class ShardedSim {
   struct Posted {
     common::SimTime at;
     std::uint32_t tie;
-    bool wake;
     EventQueue::Action action;
   };
 
@@ -264,11 +268,11 @@ class ShardedSim {
   // posts target the write side.
   void drain_shard(std::size_t s);
 
-  // Drains and runs shard `s`'s window; returns whether a waking event ran.
-  bool run_shard(std::size_t s);
+  // Drains and runs shard `s`'s window.
+  void run_shard(std::size_t s);
 
   // The control step, run by exactly one thread inside the round barrier
-  // (all workers parked): folds wake marks, evaluates the predicate,
+  // (all workers parked): evaluates the predicate,
   // computes the next window (frontier + per-shard bounds, swapping the
   // mailbox sides, opening a new claim round and ranking the steal order)
   // or decides to stop.
@@ -299,7 +303,6 @@ class ShardedSim {
   bool stop_ = false;
   bool success_ = false;
   std::int64_t windows_ = 0;
-  std::atomic<bool> any_woke_{false};
   std::atomic<bool> running_{false};
   std::atomic<bool> failed_{false};
   std::exception_ptr first_error_;

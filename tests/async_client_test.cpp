@@ -479,7 +479,7 @@ AsyncChaosRun run_async_chaos(std::uint64_t seed, int threads) {
   // Horizon ticks keep virtual time moving past the last schedule entry.
   const common::SimTime horizon = params.fault_t0_us + params.fault_span_us * 2;
   for (common::SimTime t = 500; t <= horizon; t += 500) {
-    net.node_sim(ids[0]).schedule_at(t, [] {}, sim::Wake::No);
+    net.node_sim(ids[0]).schedule_at(t, [] {});
   }
 
   struct Gen {
@@ -489,11 +489,13 @@ AsyncChaosRun run_async_chaos(std::uint64_t seed, int threads) {
     std::uint64_t digest = 0xcbf29ce484222325ull;
     std::vector<std::int64_t> issued_to;
     std::vector<std::int64_t> retsum;
+    common::Rng sessions;  // which session each invoke targets
   };
   std::vector<Gen> gens(kChaosNodes);
-  for (auto& g : gens) {
-    g.issued_to.assign(kChaosSessions, 0);
-    g.retsum.assign(kChaosSessions, 0);
+  for (std::size_t g = 0; g < gens.size(); ++g) {
+    gens[g].issued_to.assign(kChaosSessions, 0);
+    gens[g].retsum.assign(kChaosSessions, 0);
+    gens[g].sessions = common::Rng(common::SplitMix64(seed + g).next());
   }
 
   using storm::fold;
@@ -501,8 +503,7 @@ AsyncChaosRun run_async_chaos(std::uint64_t seed, int threads) {
     Gen& gen = gens[g];
     if (gen.issued >= kInvokesPerGen) return;
     ++gen.issued;
-    const int s = static_cast<int>(
-        net.node_sim(ids[g]).rng().next_below(kChaosSessions));
+    const int s = static_cast<int>(gen.sessions.next_below(kChaosSessions));
     ++gen.issued_to[s];
     auto& sim = net.node_sim(ids[g]);
     clients[g]
@@ -535,8 +536,7 @@ AsyncChaosRun run_async_chaos(std::uint64_t seed, int threads) {
           mover.move(chaos_session(k % kChaosSessions),
                      ids[static_cast<std::size_t>(k * 5 + 1) % kChaosNodes])
               .on_error([](const std::string&) {});
-        },
-        sim::Wake::No);
+        });
   }
 
   for (int g = 0; g < kChaosNodes; ++g) {

@@ -19,6 +19,7 @@
 //       the whole run replays bit-identically at 1, 2, and 8 workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
@@ -316,9 +317,16 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   ASSERT_TRUE(moved.has_value());
   EXPECT_EQ(moved->host, ids[1]);
   EXPECT_EQ(moved->epoch, 2u);
-  // And the failover latency counter accumulated the redirected announce
-  // (1,080us) and the failed-over resolve (4,440us).
-  EXPECT_EQ(sim.stats().counter("rmi.directory_failover_time_us"), 5'520);
+  // The election timeouts of this seed elect n2 first and n1 after the
+  // crash.  The resolve's sweep ended on n0, a follower, so the second
+  // announce is redirected too: failover three.  The failover latency
+  // counter accumulated, at 440us per warm round trip and 100us of setup
+  // per cold link:
+  //   the first announce   n0 (cold) redirects to n2 (cold)   1,080us
+  //   the resolve          see above                          4,440us
+  //   the second announce  n0 (warm) redirects to n1 (cold)     980us
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failovers"), 3);
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failover_time_us"), 6'500);
 }
 
 // The sync calls are driver-side waits, and the driver thread would run
@@ -397,12 +405,18 @@ struct HaStormRun {
 // exactly that link, while the directors take rolling crashes (at most one
 // down at a time — quorum always exists; every director, hence every
 // leader, crashes at some point) and one generator link runs 30% loss.
-HaStormRun run_ha_storm(std::uint64_t seed, int threads) {
+// `mapping` puts node i on shard mapping[i]; empty is the identity, one
+// shard per node.
+HaStormRun run_ha_storm(std::uint64_t seed, int threads,
+                        const std::vector<std::size_t>& mapping = {}) {
   const net::CostModel model = chaos_model();
   constexpr int kNodes = 8;
   constexpr std::int64_t kInvokesPerGen = 25;
-  sim::ShardedSim ssim(kNodes, seed, net::Network::min_link_latency(model));
-  net::Network net(ssim, model);
+  const std::size_t shards =
+      mapping.empty() ? kNodes
+                      : *std::max_element(mapping.begin(), mapping.end()) + 1;
+  sim::ShardedSim ssim(shards, seed, net::Network::min_link_latency(model));
+  net::Network net(ssim, model, mapping);
 
   rts::ClassWorld world;
   rts::ClassBuilder<Session>(world, "Session").method("work", &Session::work,
@@ -549,8 +563,7 @@ HaStormRun run_ha_storm(std::uint64_t seed, int threads) {
                   }
                   gp->invoke();
                 });
-          },
-          sim::Wake::No);
+          });
     };
     gens.push_back(std::move(gen));
   }
@@ -614,10 +627,10 @@ HaStormRun run_ha_storm(std::uint64_t seed, int threads) {
             prober.done = true;
             return;
           }
-          probe_sim.schedule_after(2'000, prober.probe, sim::Wake::No);
+          probe_sim.schedule_after(2'000, prober.probe);
         });
   };
-  probe_sim.schedule_at(500, [&prober] { prober.probe(); }, sim::Wake::No);
+  probe_sim.schedule_at(500, [&prober] { prober.probe(); });
 
   for (auto& gen : gens) gen->invoke();
 
@@ -714,6 +727,19 @@ TEST(HaChaosStorm, FailoverStormReplaysBitIdenticallyAt1_2_8Workers) {
     expect_ha_invariants(eight, seed, 8);
     EXPECT_TRUE(one.replay_equal(two)) << "seed " << seed;
     EXPECT_TRUE(one.replay_equal(eight)) << "seed " << seed;
+  }
+}
+
+// Every random draw is node-owned, election timeouts included, so the
+// storm does not depend on which nodes share a shard: the three directors
+// clustered on one shard replay the identity mapping.
+TEST(HaChaosStorm, ClusteredDirectorsReplayTheIdentityMapping) {
+  for (const std::uint64_t seed : kSeeds) {
+    const HaStormRun identity = run_ha_storm(seed, 2);
+    const HaStormRun clustered =
+        run_ha_storm(seed, 2, {0, 0, 0, 1, 2, 3, 4, 5});
+    expect_ha_invariants(clustered, seed, 2);
+    EXPECT_TRUE(identity.replay_equal(clustered)) << "seed " << seed;
   }
 }
 

@@ -2,8 +2,7 @@
 // scatter-gather body chains (BufferChain/ChainWriter/ChainReader),
 // zero-copy Reader views, verb interning, the pooled cancellable EventQueue
 // (determinism under interleaving), the open-addressed FlatMap64 behind the
-// transport's receive path, completion wakeups, the move-only one-shot
-// Replier contract — and the allocation budget: a steady-state send is
+// transport's receive path, the move-only one-shot Replier contract — and the allocation budget: a steady-state send is
 // exactly ONE heap allocation (counted via a replaced global operator new).
 #include <gtest/gtest.h>
 
@@ -537,34 +536,6 @@ TEST(PooledEventQueue, MoveOnlyActionsAreSupported) {
   EXPECT_EQ(seen, 42);
 }
 
-// --- completion wakeups -----------------------------------------------------
-
-TEST(CompletionWakeups, NonWakingEventsStillSatisfyRunUntilOnDrain) {
-  // A predicate flipped by a Wake::No event is caught by the final check
-  // when the queue drains — run_until never reports false while done()
-  // holds.
-  sim::Simulation sim;
-  bool flag = false;
-  sim.schedule_after(5, [&flag] { flag = true; }, sim::Wake::No);
-  EXPECT_TRUE(sim.run_until([&flag] { return flag; }));
-}
-
-TEST(CompletionWakeups, ExplicitWakeTriggersPredicateCheck) {
-  sim::Simulation sim;
-  bool flag = false;
-  sim.schedule_after(5,
-                     [&] {
-                       flag = true;
-                       sim.wake();
-                     },
-                     sim::Wake::No);
-  // A later event keeps the queue non-empty; the explicit wake must stop
-  // the loop at t=5, not at drain.
-  sim.schedule_after(500, [] {}, sim::Wake::No);
-  EXPECT_TRUE(sim.run_until([&flag] { return flag; }));
-  EXPECT_EQ(sim.now(), 5);
-}
-
 // --- transport zero-copy + Replier contract ---------------------------------
 
 struct HotpathRmiFixture : ::testing::Test {
@@ -728,21 +699,6 @@ TEST_F(HotpathRmiFixture, RetryTimersDoNotAccumulate) {
   sim.run_until_idle();
   EXPECT_LT(sim.now(), 150'000);
   EXPECT_EQ(sim.stats().counter("rmi.retransmissions"), 0);
-}
-
-TEST_F(HotpathRmiFixture, RunUntilChecksPredicatesOnCompletionsNotEvents) {
-  // Completion wakeups: a call_sync round trip runs ~5 internal events but
-  // only wakes the predicate at user-code boundaries (service dispatch,
-  // callback), so predicate checks stay a small multiple of calls instead
-  // of tracking event count.
-  const auto verb = common::intern_verb("hp.wake");
-  tb.register_service(verb, [](common::NodeId, const serial::BufferChain&,
-                               rmi::Replier replier) { replier.ok({}); });
-  (void)ta.call_sync(b, verb, {});  // warm
-  const auto checks_before = sim.stats().counter("sim.predicate_checks");
-  for (int i = 0; i < 100; ++i) (void)ta.call_sync(b, verb, {});
-  const auto checks = sim.stats().counter("sim.predicate_checks") - checks_before;
-  EXPECT_LE(checks, 100 * 4);
 }
 
 }  // namespace

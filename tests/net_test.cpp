@@ -260,6 +260,27 @@ TEST_F(NetFixture, AdHocFaultsRejectNodesOffTheNetwork) {
   EXPECT_THROW(net->set_node_down(common::kNoNode, true), common::MageError);
 }
 
+// The per-node accessors check the id as the fault mutators do: a node
+// off the network throws, naming it, instead of indexing out of bounds.
+TEST_F(NetFixture, PerNodeAccessorsRejectNodesOffTheNetwork) {
+  auto net = make(CostModel::zero());
+  for (const common::NodeId node : {common::NodeId{9}, common::kNoNode}) {
+    EXPECT_THROW(net->set_handler(node, [](Message) {}), common::MageError);
+    EXPECT_THROW((void)net->label(node), common::MageError);
+    EXPECT_THROW(net->set_load(node, 1.0), common::MageError);
+    EXPECT_THROW((void)net->load(node), common::MageError);
+    EXPECT_THROW(net->set_domain(node, "d"), common::MageError);
+    EXPECT_THROW((void)net->domain(node), common::MageError);
+  }
+  try {
+    (void)net->load(common::NodeId{9});
+    FAIL() << "load of node 9 on a 3-node network returned";
+  } catch (const common::MageError& e) {
+    EXPECT_STREQ(e.what(),
+                 "load: node 9 is not on this network (it has 3 nodes)");
+  }
+}
+
 // The wire-FIFO stamps need no opt-in: every non-loopback message carries
 // 1, 2, 3, ... on its directed link, each link counting on its own, and
 // the delivery-side check sees no violation.

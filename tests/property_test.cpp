@@ -30,7 +30,7 @@ TEST_P(RandomWalk, InvariantsHoldThroughRandomOps) {
   const auto& scenario = GetParam();
   auto system = make_logic_system(scenario.nodes, scenario.seed);
   system->network().set_loss_rate(scenario.loss_rate);
-  auto& rng = system->simulation().rng();
+  common::Rng rng(scenario.seed);
 
   const common::NodeId home{1};
   system->client(home).create_component("obj", "Counter", true);
@@ -92,7 +92,7 @@ TEST(Determinism, SameSeedSameFingerprint) {
     system->network().set_loss_rate(0.2);
     system->client(common::NodeId{1}).create_component("obj", "Counter",
                                                        true);
-    auto& rng = system->simulation().rng();
+    common::Rng rng(seed);
     for (int op = 0; op < 30; ++op) {
       const common::NodeId to{
           static_cast<std::uint32_t>(rng.next_below(4) + 1)};
@@ -115,7 +115,7 @@ class MultiObject : public ::testing::TestWithParam<int> {};
 TEST_P(MultiObject, IndependentObjectsKeepIndependentState) {
   const int object_count = GetParam();
   auto system = make_logic_system(4, 99 + object_count);
-  auto& rng = system->simulation().rng();
+  common::Rng rng(99 + object_count);
 
   for (int i = 0; i < object_count; ++i) {
     system->client(common::NodeId{1})
@@ -155,7 +155,7 @@ class NotebookFuzz : public ::testing::TestWithParam<int> {};
 
 TEST_P(NotebookFuzz, RandomStateSurvivesMigrationChain) {
   auto system = make_logic_system(4, GetParam());
-  auto& rng = system->simulation().rng();
+  common::Rng rng(GetParam());
   auto& c1 = system->client(common::NodeId{1});
   c1.create_component("nb", "Notebook");
 
@@ -199,7 +199,7 @@ class ChainCollapse : public ::testing::TestWithParam<int> {};
 TEST_P(ChainCollapse, AllForwardsPointAtLiveHostAfterFind) {
   const int hops = GetParam();
   auto system = make_logic_system(6, 77 + hops);
-  auto& rng = system->simulation().rng();
+  common::Rng rng(77 + hops);
   system->client(common::NodeId{1}).create_component("obj", "Counter", true);
 
   common::NodeId at{1};

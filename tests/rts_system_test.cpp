@@ -44,6 +44,25 @@ TEST(System, FindLocalObject) {
   EXPECT_EQ(client.find("counter"), common::NodeId{1});
 }
 
+// Every per-node call checks the id: a node off the system throws, naming
+// it, instead of indexing out of bounds.
+TEST(System, PerNodeCallsRejectNodesOffTheSystem) {
+  auto system = make_logic_system(3);
+  const common::NodeId absent{99};
+  EXPECT_THROW((void)system->server(absent), common::MageError);
+  EXPECT_THROW((void)system->client(absent), common::MageError);
+  EXPECT_THROW((void)system->transport(absent), common::MageError);
+  EXPECT_THROW(system->install_class(absent, "Counter"), common::MageError);
+  EXPECT_THROW(system->assign_domain(absent, "d"), common::MageError);
+  try {
+    (void)system->server(absent);
+    FAIL() << "server(node 99) on a 3-node system returned";
+  } catch (const common::MageError& e) {
+    EXPECT_STREQ(e.what(),
+                 "server: node 99 is not on this network (it has 3 nodes)");
+  }
+}
+
 TEST(System, FindUnknownThrows) {
   auto system = make_logic_system(2);
   auto& client = system->client(common::NodeId{1});

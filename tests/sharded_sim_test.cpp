@@ -155,16 +155,29 @@ TEST(ShardedSim, SameSeedSameOrderAtAnyThreadCount) {
   }
 }
 
-TEST(ShardedSim, DifferentSeedsDiverge) {
-  // The per-shard RNG streams (and so loss decisions, had any been
-  // configured) derive from the master seed; sanity-check the derivation
-  // by observing shard RNGs directly.
-  sim::ShardedSim a(2, 1, 100);
-  sim::ShardedSim b(2, 2, 100);
-  EXPECT_NE(a.shard(0).rng().next_below(1u << 30),
-            b.shard(0).rng().next_below(1u << 30));
-  EXPECT_NE(a.shard(0).rng().next_below(1u << 30),
-            a.shard(1).rng().next_below(1u << 30));
+TEST(ShardedSim, NodeStreamsDifferAcrossSeedsAndNodes) {
+  // Every random draw is node-owned: a node's stream is a function of the
+  // engine seed and its id only, so it is the same over one Simulation and
+  // over a ShardedSim, and differs across engine seeds and across nodes.
+  sim::Simulation one(1);
+  sim::ShardedSim seed_one(2, 1, 100);
+  sim::ShardedSim seed_two(2, 2, 100);
+  net::Network on_one(one, lan_model());
+  net::Network on_seed_one(seed_one, lan_model());
+  net::Network on_seed_two(seed_two, lan_model());
+  const auto first_draws = [](net::Network& network) {
+    std::vector<std::uint64_t> draws;
+    for (int i = 0; i < 2; ++i) {
+      draws.push_back(network.node_rng(network.add_node("n")).next());
+    }
+    return draws;
+  };
+  const auto seed_one_draws = first_draws(on_seed_one);
+  EXPECT_EQ(first_draws(on_one), seed_one_draws);
+  EXPECT_NE(seed_one_draws[0], seed_one_draws[1]);
+  const auto seed_two_draws = first_draws(on_seed_two);
+  EXPECT_NE(seed_one_draws[0], seed_two_draws[0]);
+  EXPECT_NE(seed_one_draws[1], seed_two_draws[1]);
 }
 
 TEST(ShardedSim, ZeroLookaheadRejected) {
@@ -187,6 +200,36 @@ TEST(ShardedSim, PostedEventsRunInTimeOrder) {
   ssim.run_until_idle(2);
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   EXPECT_EQ(ssim.shard(1).now(), 200);
+}
+
+// run_until checks its predicate at every barrier, so a run stops at the
+// first barrier after the event that satisfied it — here a cross-shard
+// delivery, posted through a mailbox, whose raw handler flips the flag —
+// while a later event is still queued.
+TEST(ShardedSim, RunUntilStopsAtTheBarrierAfterAPostedEvent) {
+  const net::CostModel model = lan_model();
+  sim::ShardedSim ssim(2, 7, net::Network::min_link_latency(model));
+  net::Network net(ssim, model);
+  const auto a = net.add_node("a");  // shard 0
+  const auto b = net.add_node("b");  // shard 1
+  common::SimTime delivered_at = -1;
+  net.set_handler(a, [](net::Message) {});
+  net.set_handler(b, [&net, &delivered_at, b](net::Message) {
+    delivered_at = net.node_sim(b).now();
+  });
+  bool later_ran = false;
+  net.node_sim(a).schedule_at(1'000'000, [&later_ran] { later_ran = true; });
+  net::Message probe;
+  probe.from = a;
+  probe.to = b;
+  probe.verb = common::intern_verb("probe");
+  net.send(std::move(probe));
+
+  EXPECT_TRUE(ssim.run_until([&delivered_at] { return delivered_at >= 0; },
+                             2));
+  EXPECT_EQ(ssim.windows(), 1);
+  EXPECT_EQ(ssim.frontier(), delivered_at);
+  EXPECT_FALSE(later_ran);
 }
 
 TEST(ShardedSim, ConfigFrozenWhileWorkersRun) {
@@ -420,7 +463,7 @@ WanTestResult run_wan_mesh(const WanTestParams& p) {
     const common::SimTime horizon =
         chaos_params.fault_t0_us + chaos_params.fault_span_us * 2;
     for (common::SimTime t = 5'000; t <= horizon; t += 5'000) {
-      net.node_sim(ids[0]).schedule_at(t, [] {}, sim::Wake::No);
+      net.node_sim(ids[0]).schedule_at(t, [] {});
     }
   }
 

@@ -13,7 +13,7 @@ using testing::make_logic_system;
 TEST(SystemStress, TwelveNodeChurn) {
   constexpr int kNodes = 12;
   auto system = make_logic_system(kNodes, 4242);
-  auto& rng = system->simulation().rng();
+  common::Rng rng(4242);
 
   // One shared component per node.
   for (int i = 1; i <= kNodes; ++i) {
@@ -89,7 +89,7 @@ TEST(SystemStress, StaticsExactUnderChurn) {
   system->world().set_statics_home("Counter", common::NodeId{2});
   system->client(common::NodeId{1})
       .create_component("obj", "Counter", /*is_public=*/true);
-  auto& rng = system->simulation().rng();
+  common::Rng rng(999);
 
   std::int64_t writes = 0;
   for (int op = 0; op < 120; ++op) {
@@ -165,7 +165,7 @@ TEST(SystemStress, LargeRunIsSeedDeterministic) {
     system->network().set_loss_rate(0.1);
     system->client(common::NodeId{1})
         .create_component("obj", "Counter", true);
-    auto& rng = system->simulation().rng();
+    common::Rng rng(seed);
     for (int op = 0; op < 60; ++op) {
       auto& client = system->client(common::NodeId{
           static_cast<std::uint32_t>(rng.next_below(6) + 1)});
