@@ -104,7 +104,7 @@ class PolicyCall : public std::enable_shared_from_this<PolicyCall> {
     if (!result.ok && (primary_ || hedge_)) return;  // the other may win
     if (result.ok && is_hedge) sim_.stats().add("rmi.hedge_wins");
     // The attempt is decided: silence everything else — a losing branch's
-    // callback (and its retransmission timer) never fires again.
+    // callback never fires, and nothing retransmits it.
     cancel_attempt();
     on_attempt(std::move(result));
   }
@@ -174,6 +174,9 @@ void call(Transport& transport, const CallPolicy& policy, common::NodeId dest,
                    policy.attempt_options());
     return;
   }
+  // Checked before any timer is armed: a throw from the first attempt
+  // would leave the deadline timer to complete a call that never started.
+  check_call_options(verb, policy.attempt_options());
   std::make_shared<PolicyCall>(transport, policy, dest, verb, std::move(body),
                                std::move(done))
       ->start();

@@ -14,8 +14,8 @@
 // not the shard), and completions are delivered on the calling node's
 // shard — a policy call replays bit-identically at any worker count and
 // under any node:shard mapping.  Cancellation rides Transport::cancel, so
-// a hedge winner silences the losing branch's retransmission timer
-// outright ("rmi.cancelled_calls").
+// a hedge winner silences the losing branch's retransmissions outright
+// ("rmi.cancelled_calls").
 //
 // At-most-once caveat — read before enabling retries or hedging: a retry
 // (or hedge) is a NEW request id, so the transport's duplicate suppression

@@ -30,6 +30,15 @@ void check_route(const net::Network& network, const char* what,
 
 }  // namespace
 
+void check_call_options(common::VerbId verb, const CallOptions& options) {
+  if (options.retry_timeout_us >= 1 && options.max_attempts >= 1) return;
+  throw common::MageError(
+      "call '" + common::verb_name(verb) + "' with retry_timeout_us " +
+      std::to_string(options.retry_timeout_us) + " and max_attempts " +
+      std::to_string(options.max_attempts) +
+      ": a call needs a timeout of at least 1us and at least 1 attempt");
+}
+
 ErrorKind error_kind(std::string_view error) {
   if (error.starts_with("rmi call")) return ErrorKind::Transport;
   if (error.starts_with("access denied")) return ErrorKind::AccessDenied;
@@ -174,6 +183,8 @@ common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
                                   serial::BufferChain body, Callback callback,
                                   CallOptions options) {
   check_route(network_, "call", dest, verb);
+  check_call_options(verb, options);
+  const std::uint32_t c = retry_class(options.retry_timeout_us);
   const common::RequestId id{next_request_++};
   const std::size_t body_size = body.size();
   auto [pc, inserted] = pending_.try_emplace(id.value());
@@ -183,7 +194,8 @@ common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
   pc->verb = verb;
   pc->body = std::move(body);
   pc->callback = std::move(callback);
-  pc->options = options;
+  pc->max_attempts = options.max_attempts;
+  pc->retry_class = c;
 
   ++*calls_;
   ++*verb_calls_counter(verb);
@@ -202,12 +214,12 @@ common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
 
 void Transport::cancel(common::RequestId id) {
   PendingCall* pc = pending_.find(id.value());
-  if (pc == nullptr || pc->done) return;
-  // The initial prep event (and any armed retry timer) may still reference
-  // this id; transmit() tolerates a missing entry, and the timer is
-  // cancelled outright so the queue does not keep a dead closure alive.
-  sim_.cancel(pc->retry_timer);
+  if (pc == nullptr) return;
+  // The initial prep event may still reference this id; transmit()
+  // tolerates a missing entry.
+  const std::uint32_t c = pc->retry_class;
   pending_.erase(id.value());
+  retire(c, id);
   ++*cancelled_calls_;
 }
 
@@ -240,14 +252,15 @@ void Transport::call_oneway(common::NodeId dest, common::VerbId verb,
 
 void Transport::transmit(common::RequestId id) {
   PendingCall* pc = pending_.find(id.value());
-  if (pc == nullptr || pc->done) return;
+  if (pc == nullptr) return;
 
-  if (pc->attempts >= pc->options.max_attempts) {
-    pc->done = true;
+  if (pc->attempts >= pc->max_attempts) {
+    // Its last deadline was popped by the event running this, so the
+    // class holds nothing of it.
     auto callback = std::move(pc->callback);
     const std::string message =
         "rmi call '" + common::verb_name(pc->verb) + "' timed out after " +
-        std::to_string(pc->options.max_attempts) + " attempts";
+        std::to_string(pc->max_attempts) + " attempts";
     pending_.erase(id.value());
     ++*failures_;
     callback(CallResult::failure(message));
@@ -257,13 +270,90 @@ void Transport::transmit(common::RequestId id) {
   ++pc->attempts;
   if (pc->attempts > 1) ++*retransmissions_;
 
+  const std::uint32_t c = pc->retry_class;
   Envelope env;
   env.kind = EnvelopeKind::Request;
   env.request_id = id;
   env.verb = pc->verb;
   env.body = pc->body;  // fragment refcounts, not a copy
   route(pc->dest, std::move(env), net::MsgKind::Request);
-  arm_retry_timer(id);
+  push_deadline(c, id);
+}
+
+std::uint32_t Transport::retry_class(common::SimDuration timeout_us) {
+  for (std::uint32_t c = 0; c < retry_classes_.size(); ++c) {
+    if (retry_classes_[c].timeout_us == timeout_us) return c;
+  }
+  retry_classes_.emplace_back().timeout_us = timeout_us;
+  return static_cast<std::uint32_t>(retry_classes_.size() - 1);
+}
+
+void Transport::RetryClass::push_back(const Deadline& d) {
+  if (count == ring.size()) {
+    std::vector<Deadline> grown(std::max<std::size_t>(16, 2 * ring.size()));
+    for (std::size_t i = 0; i < count; ++i) {
+      grown[i] = ring[(head + i) & (ring.size() - 1)];
+    }
+    ring = std::move(grown);
+    head = 0;
+  }
+  ring[(head + count) & (ring.size() - 1)] = d;
+  ++count;
+}
+
+void Transport::push_deadline(std::uint32_t c, common::RequestId request) {
+  RetryClass& rc = retry_classes_[c];
+  // The number a timer scheduled now would take: the retransmission fires
+  // in that timer's place among same-instant events.
+  rc.push_back(Deadline{sim_.now() + rc.timeout_us, sim_.reserve_seq(),
+                        request.value()});
+  if (!rc.armed) arm(c);
+}
+
+void Transport::arm(std::uint32_t c) {
+  RetryClass& rc = retry_classes_[c];
+  const Deadline& head = rc.front();
+  rc.event = sim_.schedule_reserved(head.at, head.seq,
+                                    [this, c] { on_retry_due(c); });
+  rc.armed = true;
+}
+
+void Transport::drop_completed(RetryClass& rc) {
+  while (!rc.empty() && pending_.find(rc.front().request) == nullptr) {
+    rc.pop_front();
+  }
+}
+
+void Transport::on_retry_due(std::uint32_t c) {
+  RetryClass& rc = retry_classes_[c];
+  assert(!rc.empty());
+  rc.armed = false;
+  // The head is always pending here (completions pop completed heads), but
+  // it is the entry this event was armed for only if that one is still
+  // pending; otherwise the event just moves on to the new head.
+  std::uint64_t due = 0;
+  if (rc.front().seq == rc.event.seq) {
+    due = rc.front().request;
+    rc.pop_front();
+    drop_completed(rc);
+  }
+  // Retransmitting pushes a fresh deadline (arming the event if the ring
+  // ran empty); giving up runs the callback, which may issue or cancel
+  // calls, and may add classes.
+  if (due != 0) transmit(common::RequestId{due});
+  RetryClass& after = retry_classes_[c];
+  if (!after.armed && !after.empty()) arm(c);
+}
+
+void Transport::retire(std::uint32_t c, common::RequestId request) {
+  RetryClass& rc = retry_classes_[c];
+  if (rc.empty() || rc.front().request != request.value()) return;
+  rc.pop_front();
+  drop_completed(rc);
+  if (rc.empty() && rc.armed) {
+    sim_.cancel(rc.event);
+    rc.armed = false;
+  }
 }
 
 void Transport::send_now(common::NodeId dest, Envelope env,
@@ -336,13 +426,6 @@ void Transport::flush_link(std::size_t dest_index) {
   queue.bytes = 0;
   network_.send(net::Message{self_, dest, batch_verb_, net::MsgKind::Batch,
                              std::move(frame), {}});
-}
-
-void Transport::arm_retry_timer(common::RequestId id) {
-  PendingCall* pc = pending_.find(id.value());
-  assert(pc != nullptr);
-  pc->retry_timer = sim_.schedule_after(pc->options.retry_timeout_us,
-                                        [this, id] { transmit(id); });
 }
 
 serial::BufferChain Transport::call_sync(common::NodeId dest,
@@ -636,16 +719,16 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
 
 void Transport::on_reply(Envelope& env) {
   PendingCall* pc = pending_.find(env.request_id.value());
-  if (pc == nullptr || pc->done) {
+  if (pc == nullptr) {
     ++*stale_replies_;
     return;
   }
-  pc->done = true;
-  sim_.cancel(pc->retry_timer);
   auto callback = std::move(pc->callback);
+  const std::uint32_t c = pc->retry_class;
   CallResult result = env.ok ? CallResult::success(std::move(env.body))
                              : CallResult::failure(std::move(env.error));
   pending_.erase(env.request_id.value());
+  retire(c, env.request_id);
   callback(std::move(result));
 }
 

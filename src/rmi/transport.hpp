@@ -15,6 +15,18 @@
 //     in-progress requests are ignored (the eventual reply will answer all
 //     copies).
 //
+// Retransmission (docs/ARCHITECTURE.md "Retransmission"): a call does not
+// arm a timer of its own.  Each distinct retry_timeout_us on a transport is
+// one timeout class with one FIFO of (deadline, event sequence number,
+// request id), one entry per transmission, kept in a ring reused across
+// calls, and at most one armed event, keyed like the class's head entry.
+// A transport sends on one shard clock, so deadlines within a class never
+// decrease.  A reply or cancel erases the pending call and pops completed
+// entries off the head; the event is cancelled only when no transmitted
+// call of the class is pending, so an idle transport holds no event.
+// Every entry leaves the ring by its deadline, so a class's ring holds at
+// most one timeout period's transmissions.
+//
 // Hot-path layout: verbs are interned VerbIds, so dispatch is a flat vector
 // index; bodies are scatter-gather serial::BufferChains of ref-counted
 // fragments, so a steady-state call deep-copies zero payload bytes
@@ -120,10 +132,16 @@ class Replier {
   common::VerbId verb_;
 };
 
+// Transport::call and rmi::call reject (MageError) a timeout below 1us or
+// fewer than 1 attempt.
 struct CallOptions {
   common::SimDuration retry_timeout_us = 150'000;  // 150 simulated ms
   int max_attempts = 24;
 };
+
+// Throws MageError, naming `verb` and both values, when `options` cannot be
+// honoured: retry_timeout_us < 1 or max_attempts < 1.
+void check_call_options(common::VerbId verb, const CallOptions& options);
 
 // Per-link invoke coalescing (docs/ARCHITECTURE.md "Flush quanta").  When
 // enabled, every outgoing envelope (requests, replies, one-ways) bound for
@@ -197,7 +215,8 @@ class Transport {
   // cancel()ed first, in which case it never fires.  The returned id is the
   // cancellation handle (rmi::call uses it; plain callers may ignore it).
   // Throws MageError, naming the verb and the node, when `dest` is not on
-  // the network (call_oneway likewise).
+  // the network (call_oneway likewise), and check_call_options' error for
+  // out-of-range options.
   common::RequestId call(common::NodeId dest, common::VerbId verb,
                          serial::BufferChain body, Callback callback,
                          CallOptions options = {});
@@ -208,14 +227,14 @@ class Transport {
                 std::move(callback), options);
   }
 
-  // Abandons an in-flight call: the retry timer is cancelled, the pending
-  // entry (and its callback, unfired) is destroyed, and a reply arriving
+  // Abandons an in-flight call: the pending entry (and its callback,
+  // unfired) is destroyed, so nothing retransmits it, and a reply arriving
   // later is dropped as stale.  No-op when the call already completed.
   // This is how a hedged call silences the losing branch.  Counted in
   // "rmi.cancelled_calls".
   void cancel(common::RequestId id);
 
-  // True one-way invoke: no pending-table entry, no retry timer, no reply
+  // True one-way invoke: no pending-table entry, no retransmission, no reply
   // — and on the receiving side no reply-cache or caller-marks traffic.
   // The service runs with an unarmed Replier (replier.armed() == false);
   // delivery is at-most-once (0 under loss, never 2: nothing retransmits).
@@ -264,10 +283,38 @@ class Transport {
     common::VerbId verb;
     serial::BufferChain body;  // retained (refcounts) for retransmission
     Callback callback;
-    CallOptions options;
     int attempts = 0;
-    bool done = false;
-    sim::EventId retry_timer;  // outstanding timer, cancelled on completion
+    int max_attempts = 0;
+    std::uint32_t retry_class = 0;  // index into retry_classes_
+  };
+
+  // One transmission awaiting its retransmission deadline.
+  struct Deadline {
+    common::SimTime at;
+    std::uint64_t seq;  // reserved when sent: orders same-instant events
+    std::uint64_t request;
+  };
+
+  // The transmissions of one retry_timeout_us, in deadline order: a ring
+  // over a power-of-two vector that doubles when full and never shrinks.
+  // `event` is armed while the ring is non-empty, under the number of the
+  // head it was armed for (event.seq); once that head completes, the event
+  // fires at its deadline anyway and re-arms at the new head.
+  struct RetryClass {
+    common::SimDuration timeout_us = 0;
+    std::vector<Deadline> ring;
+    std::size_t head = 0;
+    std::size_t count = 0;
+    sim::EventId event;
+    bool armed = false;
+
+    [[nodiscard]] bool empty() const { return count == 0; }
+    [[nodiscard]] const Deadline& front() const { return ring[head]; }
+    void pop_front() {
+      head = (head + 1) & (ring.size() - 1);
+      --count;
+    }
+    void push_back(const Deadline& d);
   };
 
   // Throws when the network has more than one shard: blocking here would
@@ -282,7 +329,19 @@ class Transport {
   void on_oneway(common::NodeId from, Envelope& env);
   void on_reply(Envelope& env);
   void transmit(common::RequestId id);
-  void arm_retry_timer(common::RequestId id);
+  // The class a call of `timeout_us` belongs to, created on first use.
+  std::uint32_t retry_class(common::SimDuration timeout_us);
+  // Queues the transmission of `request` just sent, arming the event if
+  // the class was idle.
+  void push_deadline(std::uint32_t c, common::RequestId request);
+  // The class's event fired: retransmits (or gives up on) the head it was
+  // armed for, if that call is still pending, then re-arms at the new head.
+  void on_retry_due(std::uint32_t c);
+  // After `request` completed or was cancelled: pops completed entries off
+  // the head when it was the head, and cancels the event when none is left.
+  void retire(std::uint32_t c, common::RequestId request);
+  void drop_completed(RetryClass& rc);
+  void arm(std::uint32_t c);
   void send_reply(common::NodeId to, common::RequestId id,
                   common::VerbId verb, bool ok, const std::string& error,
                   serial::BufferChain body);
@@ -329,6 +388,9 @@ class Transport {
   // Open-addressed, keyed by request id (ids start at 1, never 0).
   common::FlatMap64<PendingCall> pending_;
   std::uint64_t next_request_ = 1;
+  // One per distinct retry_timeout_us, in first-use order; never removed,
+  // so an index stays valid for the transport's lifetime.
+  std::vector<RetryClass> retry_classes_;
 
   // Hot-path counters (see StatsRegistry::counter_handle).
   std::int64_t* calls_;

@@ -70,7 +70,7 @@ void Director::replicate(const proto::PlacementRecord& record) {
     if (member == self()) continue;
     ++*replications_;
     // Fire-and-forget as a true transport-level one-way: no pending-table
-    // entry, no retry timer, no reply-cache slot on the follower.  A member
+    // entry, no retransmission, no reply-cache slot on the follower.  A member
     // that misses this update catches up on the next announce of the name
     // (higher epoch) or stays one epoch behind, which readers detect via
     // their own fence — exactly the semantics a replied call with an

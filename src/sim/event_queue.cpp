@@ -1,12 +1,24 @@
 #include "sim/event_queue.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <utility>
 
 namespace mage::sim {
 
 EventId EventQueue::schedule(common::SimTime at, Action action,
                              std::uint32_t tie) {
+  return insert(at, next_seq_++, tie, std::move(action));
+}
+
+EventId EventQueue::schedule_reserved(common::SimTime at, std::uint64_t seq,
+                                      Action action) {
+  assert(seq < next_seq_);
+  return insert(at, seq, 0, std::move(action));
+}
+
+EventId EventQueue::insert(common::SimTime at, std::uint64_t seq,
+                           std::uint32_t tie, Action action) {
   std::uint32_t slot;
   if (free_head_ != kNil) {
     slot = free_head_;
@@ -16,7 +28,6 @@ EventId EventQueue::schedule(common::SimTime at, Action action,
     slot = static_cast<std::uint32_t>(slab_.size());
     slab_.push_back(Node{0, kNil, false, std::move(action)});
   }
-  const std::uint64_t seq = next_seq_++;
   Node& node = slab_[slot];
   node.seq = seq;
   node.live = true;

@@ -22,8 +22,20 @@
 // Events can be cancelled (schedule() returns an EventId): the action is
 // destroyed and its slab node recycled immediately; the heap entry is
 // lazily skipped on pop, and the heap compacts itself when stale entries
-// outnumber live ones.  This keeps retry timers — armed per RMI attempt,
-// cancelled on completion — from growing the queue without bound.
+// outnumber live ones.  Cancellation serves the few timers that usually
+// lose their race: a hedge's losing branch, rmi::call's policy timers
+// (deadline, hedge, backoff), fault appliers, and a transport's
+// retransmission event once no call of its timeout class is pending.  RMI
+// calls do not arm a timer each (see rmi::Transport): while a class has
+// calls in flight, a fault-free call schedules and cancels nothing for
+// retransmission.
+//
+// A sequence number can be reserved ahead of its event
+// (reserve_seq/schedule_reserved): the event then orders among same-instant
+// events exactly as if it had been scheduled at reservation time.  A
+// transport reserves one per transmission and keys its one retransmission
+// event per timeout class with the head transmission's number, so every
+// retransmission fires in the order a timer per transmission would have.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +61,14 @@ class EventQueue {
   // comment); network deliveries pass their source node id, everything
   // else 0.
   EventId schedule(common::SimTime at, Action action, std::uint32_t tie = 0);
+
+  // Takes the sequence number the next schedule() would have used.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+  // Schedules `action` under a sequence number from reserve_seq(), with
+  // tie 0: it fires where an event scheduled at reservation time would.
+  // Each reserved number keys at most one pending event.
+  EventId schedule_reserved(common::SimTime at, std::uint64_t seq,
+                            Action action);
 
   // Cancels a scheduled event; a no-op if it already fired (or was already
   // cancelled).  Returns true when the event was live.
@@ -102,6 +122,8 @@ class EventQueue {
     return node.live && node.seq == e.seq;
   }
 
+  EventId insert(common::SimTime at, std::uint64_t seq, std::uint32_t tie,
+                 Action action);
   void release_slot(std::uint32_t slot);
   // Drops stale entries off the heap top.
   void skip_stale();
@@ -110,7 +132,7 @@ class EventQueue {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
-  std::vector<HeapEntry> heap_;  // binary min-heap by (at, seq)
+  std::vector<HeapEntry> heap_;  // binary min-heap by (at, tie, seq)
   std::vector<Node> slab_;       // pooled action storage
   std::uint32_t free_head_ = kNil;
   std::uint64_t next_seq_ = 0;

@@ -17,6 +17,7 @@
 // substrate.
 #pragma once
 
+#include <cassert>
 #include <functional>
 #include <limits>
 #include <utility>
@@ -63,6 +64,17 @@ class Simulation {
   EventId schedule_after(common::SimDuration delay, EventQueue::Action action,
                          Wake) {
     return schedule_after(delay, std::move(action));
+  }
+
+  // An event that fires where one scheduled now would (EventQueue::
+  // reserve_seq): reserve the number now, schedule the event later.  For
+  // internal callers that never schedule into the past (asserted, not
+  // thrown: `at` is computed, not a driver's input).
+  [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
+  EventId schedule_reserved(common::SimTime at, std::uint64_t seq,
+                            EventQueue::Action action) {
+    assert(at >= now_);
+    return queue_.schedule_reserved(at, seq, std::move(action));
   }
 
   // Cancels a scheduled event; no-op if it already fired.

@@ -45,11 +45,12 @@ TEST(ChaosSchedule, EverySeedContainsTheMandatoryFaultKinds) {
   for (const std::uint64_t seed : kSeeds) {
     const net::FaultSchedule schedule =
         random_fault_schedule(seed, ChaosParams{});
-    int loss_changes = 0, partitions = 0, heals = 0, crashes = 0,
-        restarts = 0;
+    int loss_changes = 0, link_losses = 0, partitions = 0, heals = 0,
+        crashes = 0, restarts = 0;
     for (const net::FaultEvent& e : schedule.events()) {
       switch (e.kind) {
         case net::FaultKind::LossRate: ++loss_changes; break;
+        case net::FaultKind::LinkLoss: ++link_losses; break;
         case net::FaultKind::Partition: ++partitions; break;
         case net::FaultKind::Heal: ++heals; break;
         case net::FaultKind::Crash: ++crashes; break;
@@ -58,6 +59,9 @@ TEST(ChaosSchedule, EverySeedContainsTheMandatoryFaultKinds) {
     }
     // A burst is a raise + a restore.
     EXPECT_GE(loss_changes, 2) << "seed " << seed;
+    // The generator draws no per-link loss; a change that adds some shows
+    // up here.
+    EXPECT_EQ(link_losses, 0) << "seed " << seed;
     EXPECT_GE(partitions, 1) << "seed " << seed;
     EXPECT_EQ(heals, partitions) << "seed " << seed;
     EXPECT_EQ(crashes, 1) << "seed " << seed;

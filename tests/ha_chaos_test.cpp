@@ -649,15 +649,22 @@ HaStormRun run_ha_storm(std::uint64_t seed, int threads,
     run.failed_calls += gen->failed;
   }
   // The data-plane completion stream alone can be seed-insensitive (the
-  // migration pins its timeline to the fault schedule), so fold the
-  // control plane's seed-driven trajectory — election terms and counts —
-  // into every digest.  Replays at different worker counts still match
-  // because elections are deterministic per seed.
+  // migration pins its timeline to the fault schedule), so fold what the
+  // seed drives into every digest: the elections (count, terms, and summed
+  // election time, which the seeded timeouts set) and the wire traffic
+  // (messages sent and dropped, which the seeded loss stream and the
+  // elections shape).  Seeds 0x7A11 and 0x5EEDED elect alike and differ
+  // only in the traffic.  Replays at different worker counts and mappings
+  // still match because all of these are deterministic per seed.
   for (auto& digest : run.digests) {
     using storm::fold;
     digest = fold(digest, static_cast<std::uint64_t>(
                               ssim.counter("rts.elections_held")));
     for (auto& d : directors) digest = fold(digest, d->election().term());
+    for (const char* key : {"rts.election_time_us", "net.messages_sent",
+                            "net.messages_dropped"}) {
+      digest = fold(digest, static_cast<std::uint64_t>(ssim.counter(key)));
+    }
   }
   run.migrations = ssim.counter("rts.migrations");
   for (int i = 0; i < kNodes; ++i) {
@@ -744,9 +751,14 @@ TEST(HaChaosStorm, ClusteredDirectorsReplayTheIdentityMapping) {
 }
 
 TEST(HaChaosStorm, DifferentSeedsProduceDifferentStorms) {
-  const HaStormRun a = run_ha_storm(kSeeds[0], 2);
-  const HaStormRun b = run_ha_storm(kSeeds[1], 2);
-  EXPECT_NE(a.digests, b.digests);
+  std::vector<HaStormRun> runs;
+  for (const std::uint64_t seed : kSeeds) runs.push_back(run_ha_storm(seed, 2));
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    for (std::size_t j = i + 1; j < runs.size(); ++j) {
+      EXPECT_NE(runs[i].digests, runs[j].digests)
+          << "seeds " << kSeeds[i] << " and " << kSeeds[j];
+    }
+  }
 }
 
 }  // namespace

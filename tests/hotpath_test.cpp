@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <numeric>
 #include <optional>
 #include <string>
@@ -686,19 +688,65 @@ TEST_F(HotpathRmiFixture, MovedFromReplierThrows) {
 }
 
 TEST_F(HotpathRmiFixture, RetryTimersDoNotAccumulate) {
-  // Completed calls cancel their retry timers, so a storm leaves the event
-  // queue empty instead of thousands of dead timers deep.
+  // Completed calls leave no retransmission event behind, so a storm leaves
+  // the event queue empty instead of thousands of dead timers deep.
   const auto verb = common::intern_verb("hp.clean");
   tb.register_service(verb, [](common::NodeId, const serial::BufferChain&,
                                rmi::Replier replier) { replier.ok({}); });
   for (int i = 0; i < 500; ++i) (void)ta.call_sync(b, verb, {});
   EXPECT_EQ(sim.stats().counter("rmi.calls"), 500);
-  // Everything completed, so every retry timer was cancelled: draining the
-  // queue must not advance the clock anywhere near the first retry timeout
-  // (un-cancelled timers would drag now() to >= 150'000).
+  // Everything completed, so nothing retransmission-related is armed:
+  // draining the queue must not advance the clock anywhere near the first
+  // retry timeout (a live timer would drag now() to >= 150'000).
   sim.run_until_idle();
   EXPECT_LT(sim.now(), 150'000);
   EXPECT_EQ(sim.stats().counter("rmi.retransmissions"), 0);
+}
+
+// The pipelined form: 8 calls in flight to each of 3 peers, 1,000 calls in
+// all, each completion issuing the next call to its peer.  Once the last
+// reply lands, nothing is left armed, so draining the queue leaves the
+// clock at that completion.
+TEST(HotpathRmi, PipelinedRetryStateDoesNotAccumulate) {
+  sim::Simulation sim{42};
+  net::Network net{sim, net::CostModel::zero()};
+  const common::NodeId caller = net.add_node("caller");
+  rmi::Transport tc{net, caller};
+  const auto verb = common::intern_verb("hp.pipelined");
+  std::vector<std::unique_ptr<rmi::Transport>> peers;
+  for (int p = 0; p < 3; ++p) {
+    peers.push_back(std::make_unique<rmi::Transport>(
+        net, net.add_node("peer" + std::to_string(p))));
+    peers.back()->register_service(
+        verb, [](common::NodeId, const serial::BufferChain&,
+                 rmi::Replier replier) { replier.ok({}); });
+  }
+
+  constexpr int kCalls = 1'000;
+  constexpr int kWindow = 8;
+  int issued = 0;
+  int completed = 0;
+  common::SimTime last_completion = -1;
+  std::function<void(common::NodeId)> issue = [&](common::NodeId dest) {
+    if (issued == kCalls) return;
+    ++issued;
+    tc.call(dest, verb, {}, [&, dest](rmi::CallResult r) {
+      EXPECT_TRUE(r.ok);
+      ++completed;
+      last_completion = sim.now();
+      issue(dest);
+    });
+  };
+  for (int w = 0; w < kWindow; ++w) {
+    for (const auto& peer : peers) issue(peer->self());
+  }
+  sim.run_until_idle();
+
+  EXPECT_EQ(completed, kCalls);
+  EXPECT_EQ(sim.stats().counter("rmi.calls"), kCalls);
+  EXPECT_EQ(sim.stats().counter("rmi.retransmissions"), 0);
+  EXPECT_GT(last_completion, 0);
+  EXPECT_EQ(sim.now(), last_completion);
 }
 
 }  // namespace

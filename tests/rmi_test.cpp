@@ -7,6 +7,7 @@
 
 #include "common/error.hpp"
 #include "net/network.hpp"
+#include "rmi/call_policy.hpp"
 #include "rmi/envelope.hpp"
 #include "rmi/transport.hpp"
 #include "sim/simulation.hpp"
@@ -195,6 +196,49 @@ TEST_F(RmiFixture, CallToANodeOffTheNetworkThrows) {
   EXPECT_EQ(sim.stats().counter("net.messages_sent"), 0);
 }
 
+// A timeout below 1us or fewer than 1 attempt is refused where the call
+// is issued, naming the verb and both values, before anything is queued —
+// rmi::call's policy path too, whose deadline timer would otherwise
+// complete a call that never started.
+TEST_F(RmiFixture, OutOfRangeCallOptionsAreRejected) {
+  const common::VerbId echo = common::intern_verb("echo");
+  const auto expect_refused = [&](CallOptions options, const char* value) {
+    SCOPED_TRACE(value);
+    try {
+      ta.call(b, echo, {}, [](CallResult) { ADD_FAILURE() << "completed"; },
+              options);
+      ADD_FAILURE() << "call returned";
+    } catch (const common::MageError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("'echo'"), std::string::npos) << what;
+      EXPECT_NE(what.find(value), std::string::npos) << what;
+    }
+  };
+  expect_refused(CallOptions{0, 24}, "retry_timeout_us 0");
+  expect_refused(CallOptions{-5, 24}, "retry_timeout_us -5");
+  expect_refused(CallOptions{1'000, 0}, "max_attempts 0");
+  expect_refused(CallOptions{1'000, -1}, "max_attempts -1");
+
+  CallPolicy policy;
+  policy.deadline_us = 10'000;
+  policy.attempt_timeout_us = 0;
+  bool completed = false;
+  EXPECT_THROW(rmi::call(ta, policy, b, echo, {},
+                         [&completed](CallResult) { completed = true; }),
+               common::MageError);
+  policy.attempt_timeout_us = 1'000;
+  policy.attempt_transmissions = 0;
+  EXPECT_THROW(rmi::call(ta, policy, b, echo, {},
+                         [&completed](CallResult) { completed = true; }),
+               common::MageError);
+
+  sim.run_until_idle();
+  EXPECT_FALSE(completed);
+  EXPECT_EQ(sim.now(), 0);
+  EXPECT_EQ(sim.stats().counter("rmi.calls"), 0);
+  EXPECT_EQ(sim.stats().counter("net.messages_sent"), 0);
+}
+
 TEST_F(RmiFixture, EchoCall) {
   tb.register_service("echo", [](common::NodeId, const auto& body,
                                  Replier replier) { replier.ok(body); });
@@ -360,6 +404,160 @@ TEST_F(LossyRmiFixture, StaleRepliesAreIgnored) {
   parked->ok({});  // late reply
   sim.run_until_idle();
   EXPECT_GE(sim.stats().counter("rmi.stale_replies"), 1);
+}
+
+// --- the retransmission contract ------------------------------------------
+//
+// Every transmission of a call leaves at issue + k * retry_timeout_us, and
+// same-instant transmissions, give-ups and other events keep one fixed
+// order.  The peer is partitioned, so every transmission shows in the
+// network trace as a drop; each call has its own verb, so the trace names
+// the call.
+
+struct RetransmissionFixture : ::testing::Test {
+  sim::Simulation sim{5};
+  net::Network net{sim, net::CostModel::zero()};
+  common::NodeId a = net.add_node("a");
+  common::NodeId b = net.add_node("b");
+  Transport ta{net, a};
+  Transport tb{net, b};
+  std::vector<std::string> completions;  // "<time> <verb> <ok|failed>"
+
+  RetransmissionFixture() {
+    net.set_partitioned(a, b, true);
+    net.set_tracing(true);
+  }
+
+  common::RequestId issue(const std::string& verb, common::SimDuration timeout,
+                          int attempts) {
+    return ta.call(
+        b, verb, {},
+        [this, verb](CallResult r) {
+          completions.push_back(std::to_string(sim.now()) + " " + verb +
+                                (r.ok ? " ok" : " failed"));
+        },
+        CallOptions{timeout, attempts});
+  }
+
+  // "<sent_at> <verb>" for every message the network saw, in send order.
+  [[nodiscard]] std::vector<std::string> sends() const {
+    std::vector<std::string> out;
+    for (const net::TraceEntry& e : net.trace()) {
+      out.push_back(std::to_string(e.sent_at) + " " + e.verb);
+    }
+    return out;
+  }
+
+  // The sent_at times of `verb`'s transmissions.
+  [[nodiscard]] std::vector<common::SimTime> sent_times(
+      const std::string& verb) const {
+    std::vector<common::SimTime> out;
+    for (const net::TraceEntry& e : net.trace()) {
+      if (e.verb == verb) out.push_back(e.sent_at);
+    }
+    return out;
+  }
+};
+
+// Two timeout classes (3ms and 5ms) on one transport, two calls per class,
+// issued at different instants, with deadlines that coincide within a
+// class (p3/r3), across classes (11ms, 15ms) and with other events
+// scheduled for those instants before and after the transmissions were
+// sent (markers, which send a raw message the trace records).
+TEST_F(RetransmissionFixture, EveryTransmissionLeavesAtIssuePlusKTimeouts) {
+  const common::VerbId marker = common::intern_verb("rt.marker");
+  const auto mark_at = [&](common::SimTime at) {
+    sim.schedule_at(at, [this, marker] {
+      net.send(net::Message{a, b, marker, net::MsgKind::OneWay, {}, {}});
+    });
+  };
+  mark_at(9'000);  // scheduled before any transmission
+  issue("rt.p3", 3'000, 5);
+  issue("rt.q5", 5'000, 3);
+  issue("rt.r3", 3'000, 5);
+  sim.schedule_at(1'000, [&] { issue("rt.s5", 5'000, 3); });
+  sim.schedule_at(2'000, [&] { issue("rt.t3", 3'000, 4); });
+  // Scheduled after the transmissions that are due at 6ms and 11ms.
+  sim.schedule_at(4'000, [&] {
+    mark_at(6'000);
+    mark_at(11'000);
+  });
+  sim.run_until_idle();
+
+  // Same-instant order: the transmission sent first leaves first, and a
+  // marker fires where it was scheduled relative to the transmissions
+  // (before those sent after it, after those sent before it).
+  const std::vector<std::string> expected{
+      "0 rt.p3",     "0 rt.q5",     "0 rt.r3",     "1000 rt.s5",
+      "2000 rt.t3",  "3000 rt.p3",  "3000 rt.r3",  "5000 rt.q5",
+      "5000 rt.t3",  "6000 rt.s5",  "6000 rt.p3",  "6000 rt.r3",
+      "6000 rt.marker.oneway",      "8000 rt.t3",
+      "9000 rt.marker.oneway",      "9000 rt.p3",  "9000 rt.r3",
+      "10000 rt.q5", "11000 rt.marker.oneway",     "11000 rt.s5",
+      "11000 rt.t3", "12000 rt.p3", "12000 rt.r3"};
+  EXPECT_EQ(sends(), expected);
+  const std::vector<std::string> expected_completions{
+      "14000 rt.t3 failed", "15000 rt.q5 failed", "15000 rt.p3 failed",
+      "15000 rt.r3 failed", "16000 rt.s5 failed"};
+  EXPECT_EQ(completions, expected_completions);
+  EXPECT_EQ(sim.now(), 16'000);
+
+  const std::vector<std::pair<std::string, common::SimTime>> issued{
+      {"rt.p3", 0}, {"rt.q5", 0}, {"rt.r3", 0}, {"rt.s5", 1'000},
+      {"rt.t3", 2'000}};
+  for (const auto& [verb, at] : issued) {
+    const common::SimDuration timeout = verb.back() == '3' ? 3'000 : 5'000;
+    const std::vector<common::SimTime> times = sent_times(verb);
+    for (std::size_t k = 0; k < times.size(); ++k) {
+      EXPECT_EQ(times[k], at + static_cast<common::SimTime>(k) * timeout)
+          << verb << " transmission " << k;
+    }
+  }
+}
+
+// A give-up callback that cancels a sibling of its own class and issues a
+// new call: each callback fires once, the cancelled call's never; the new
+// call retransmits on its own schedule; and once it gives up, nothing is
+// left armed, so draining the queue stops at its give-up.
+TEST_F(RetransmissionFixture, GiveUpCallbackMayIssueAndCancelCalls) {
+  common::RequestId sibling;
+  ta.call(
+      b, "rt.x", {},
+      [&](CallResult r) {
+        completions.push_back(std::to_string(sim.now()) + " rt.x " +
+                              (r.ok ? "ok" : "failed"));
+        ta.cancel(sibling);
+        issue("rt.z", 1'000, 3);
+      },
+      CallOptions{1'000, 2});
+  sibling = issue("rt.y", 1'000, 5);
+  sim.run_until_idle();
+
+  EXPECT_EQ(sent_times("rt.x"), (std::vector<common::SimTime>{0, 1'000}));
+  EXPECT_EQ(sent_times("rt.y"), (std::vector<common::SimTime>{0, 1'000}));
+  EXPECT_EQ(sent_times("rt.z"),
+            (std::vector<common::SimTime>{2'000, 3'000, 4'000}));
+  EXPECT_EQ(completions, (std::vector<std::string>{"2000 rt.x failed",
+                                                   "5000 rt.z failed"}));
+  EXPECT_EQ(sim.now(), 5'000);
+  EXPECT_EQ(sim.stats().counter("rmi.failures"), 2);
+  EXPECT_EQ(sim.stats().counter("rmi.cancelled_calls"), 1);
+}
+
+// Cancelling the call at the head of a class leaves the next call's
+// retransmissions where they were.
+TEST_F(RetransmissionFixture, CancellingTheHeadDoesNotDelayTheNext) {
+  const common::RequestId head = issue("rt.head", 3'000, 4);
+  sim.schedule_at(1'000, [&] { issue("rt.next", 3'000, 3); });
+  sim.schedule_at(1'500, [&] { ta.cancel(head); });
+  sim.run_until_idle();
+
+  EXPECT_EQ(sent_times("rt.head"), (std::vector<common::SimTime>{0}));
+  EXPECT_EQ(sent_times("rt.next"),
+            (std::vector<common::SimTime>{1'000, 4'000, 7'000}));
+  EXPECT_EQ(completions,
+            (std::vector<std::string>{"10000 rt.next failed"}));
+  EXPECT_EQ(sim.now(), 10'000);
 }
 
 // Cost accounting: with the classic model, a warm trivial call should land

@@ -34,6 +34,24 @@ TEST(EventQueue, TieBreaksFifo) {
   for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
+// A reserved number orders its event as if it had been scheduled at
+// reservation time: after same-instant events scheduled before the
+// reservation, before those scheduled after it.  Its tie is 0, so it also
+// runs before a same-instant event with a higher tie (a delivery).
+TEST(EventQueue, ReservedEventsFireWhereTheyWereReserved) {
+  EventQueue q;
+  std::vector<int> order;
+  q.schedule(5, [&] { order.push_back(1); });
+  const std::uint64_t seq = q.reserve_seq();
+  q.schedule(5, [&] { order.push_back(3); });
+  q.schedule(5, [&] { order.push_back(4); }, /*tie=*/1);
+  q.schedule(4, [&] { order.push_back(0); });
+  q.schedule_reserved(5, seq, [&] { order.push_back(2); });
+  common::SimTime at = 0;
+  while (!q.empty()) q.pop(at)();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+}
+
 TEST(EventQueue, PopReportsTime) {
   EventQueue q;
   q.schedule(42, [] {});
