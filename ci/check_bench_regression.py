@@ -8,7 +8,8 @@ threshold.  Also re-enforces the hard contracts the bench itself asserts,
 so a tampered or truncated JSON cannot slip through:
 
   * zero payload bytes deep-copied per call,
-  * at most one heap allocation per steady-state send.
+  * zero heap allocations per steady-state send (envelope headers and
+    small bodies are inline serial::Buffers; payloads travel by refcount).
 
 Usage:
   check_bench_regression.py <committed.json> <fresh.json> [--max-regression-pct N]
@@ -64,7 +65,7 @@ def main():
     if fresh.get("payload_bytes_copied_per_call", 0) != 0:
         failures.append("zero-copy contract broken: payload bytes copied "
                         f"per call = {fresh['payload_bytes_copied_per_call']}")
-    if fresh.get("allocations_per_send", 99) > 1.0:
+    if fresh.get("allocations_per_send", 99) > 0:
         failures.append("allocation contract broken: "
                         f"{fresh['allocations_per_send']} allocations/send")
 

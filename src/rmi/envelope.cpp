@@ -1,6 +1,5 @@
 #include "rmi/envelope.hpp"
 
-#include <atomic>
 #include <limits>
 #include <utility>
 
@@ -11,12 +10,10 @@
 namespace mage::rmi {
 namespace {
 
-// Upper bound on header size for Writer pre-reservation: tag + id + verb +
-// ok + fragment framing plus a typical error string.
-constexpr std::size_t kHeaderReserve = 64;
-
-std::atomic<std::uint64_t> g_fast_headers{0};
-std::atomic<std::uint64_t> g_list_headers{0};
+// Per thread, so no send from any worker writes a shared cache line; read
+// on the encoding thread (see Envelope::fast_path_headers()).
+thread_local std::uint64_t t_fast_headers = 0;
+thread_local std::uint64_t t_list_headers = 0;
 
 // Exact framing-byte count write_header() will emit for `e`.
 std::size_t header_size(const Envelope& e) {
@@ -49,14 +46,14 @@ void write_header(serial::Writer& w, const Envelope& e) {
     // Fast path: the dominant single-buffer body skips the count byte and
     // the per-fragment loop.
     w.write_u32(static_cast<std::uint32_t>(e.body.fragment(0).size()));
-    g_fast_headers.fetch_add(1, std::memory_order_relaxed);
+    ++t_fast_headers;
     return;
   }
   w.write_u8(static_cast<std::uint8_t>(e.body.fragments()));
   for (std::size_t i = 0; i < e.body.fragments(); ++i) {
     w.write_u32(static_cast<std::uint32_t>(e.body.fragment(i).size()));
   }
-  g_list_headers.fetch_add(1, std::memory_order_relaxed);
+  ++t_list_headers;
 }
 
 // Parsed fragment declarations from a header.
@@ -116,7 +113,9 @@ FragmentList read_header(serial::Reader& r, Envelope& e) {
 }  // namespace
 
 serial::Buffer Envelope::encode_header() const {
-  serial::Writer w(kHeaderReserve);
+  // Exact, so a header of up to two fragments (at most 23 bytes) builds
+  // inline in the Writer and the Buffer: no allocation.
+  serial::Writer w(header_size(*this));
   write_header(w, *this);
   return w.take();
 }
@@ -156,17 +155,13 @@ Envelope Envelope::decode(const serial::Buffer& header,
   return e;
 }
 
-std::uint64_t Envelope::fast_path_headers() {
-  return g_fast_headers.load(std::memory_order_relaxed);
-}
+std::uint64_t Envelope::fast_path_headers() { return t_fast_headers; }
 
-std::uint64_t Envelope::list_path_headers() {
-  return g_list_headers.load(std::memory_order_relaxed);
-}
+std::uint64_t Envelope::list_path_headers() { return t_list_headers; }
 
 void Envelope::reset_header_counters() {
-  g_fast_headers.store(0, std::memory_order_relaxed);
-  g_list_headers.store(0, std::memory_order_relaxed);
+  t_fast_headers = 0;
+  t_list_headers = 0;
 }
 
 bool Envelope::is_batch(const serial::Buffer& wire) {
@@ -189,7 +184,8 @@ serial::Buffer Envelope::encode_batch(const std::vector<Envelope>& envelopes) {
 }
 
 std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
-  serial::Reader r(wire);
+  // Sub-envelopes are sliced from `wire` itself, which outlives `r`.
+  serial::Reader r(wire.span());
   const std::uint8_t tag = r.read_u8();
   if (tag != kBatchTag) {
     throw common::SerializationError("not a batch frame: tag " +
@@ -219,7 +215,8 @@ std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
 }
 
 Envelope Envelope::decode(const serial::Buffer& flat) {
-  serial::Reader r(flat);
+  // Fragments are sliced from `flat` itself, which outlives `r`.
+  serial::Reader r(flat.span());
   Envelope e;
   const FragmentList frags = read_header(r, e);
   if (r.remaining() != frags.total) {

@@ -98,8 +98,8 @@ struct Envelope {
   static Envelope decode(const serial::Buffer& header,
                          serial::BufferChain body);
 
-  // Decodes the concatenated form; body fragments are zero-copy slices of
-  // `flat`.
+  // Decodes the concatenated form; body fragments are slices of `flat`
+  // (aliasing it when it is shared, serial/buffer.hpp).
   static Envelope decode(const serial::Buffer& flat);
 
   // --- batch container ------------------------------------------------------
@@ -112,15 +112,18 @@ struct Envelope {
       const std::vector<Envelope>& envelopes);
 
   // Splits a batch frame back into envelopes; each sub-envelope's body
-  // fragments are zero-copy slices of `wire`.  Rejects nested batches.
+  // fragments are slices of `wire` (aliasing it when it is shared).
+  // Rejects nested batches.
   [[nodiscard]] static std::vector<Envelope> decode_batch(
       const serial::Buffer& wire);
 
   // --- fast-path accounting (bench_hotpath's assertion hook) ---------------
 
   // Headers encoded via the single-fragment fast path vs the general
-  // fragment-list path since the last reset.  Thread-safe (relaxed
-  // atomics), like serial::Buffer's deep-copy counters.
+  // fragment-list path by the calling thread since its last reset.  Per
+  // thread, so the send path shares no counter between workers: read them
+  // on the thread that runs the simulation (a one-shard run, or a
+  // ShardedSim at one worker, runs inline on the caller).
   [[nodiscard]] static std::uint64_t fast_path_headers();
   [[nodiscard]] static std::uint64_t list_path_headers();
   static void reset_header_counters();

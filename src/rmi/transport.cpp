@@ -118,10 +118,11 @@ Transport::Transport(net::Network& network, common::NodeId self,
         "live entry per in-flight request)");
   }
   // Pre-size the slim probe index so steady-state inserts never rehash.
-  // The fat entries ring grows on demand (append-only up to capacity, then
-  // in-place overwrite), so an idle transport does not pre-commit
-  // capacity * sizeof(ReplyCacheEntry) bytes — once the ring has wrapped,
-  // the receive path is allocation-free.
+  // The fat entries ring is reserved at its first insert and filled
+  // append-only up to capacity, then overwritten in place, so an idle
+  // transport does not pre-commit capacity * sizeof(ReplyCacheEntry)
+  // bytes — once the ring has wrapped, the receive path is
+  // allocation-free.
   reply_cache_index_.reserve(reply_cache_capacity_);
   *reply_cache_capacity_stat_ = static_cast<std::int64_t>(reply_cache_capacity_);
   *reply_cache_capacity_high_water_ =
@@ -217,9 +218,8 @@ void Transport::cancel(common::RequestId id) {
   if (pc == nullptr) return;
   // The initial prep event may still reference this id; transmit()
   // tolerates a missing entry.
-  const std::uint32_t c = pc->retry_class;
+  retire(*pc);
   pending_.erase(id.value());
-  retire(c, id);
   ++*cancelled_calls_;
 }
 
@@ -277,7 +277,7 @@ void Transport::transmit(common::RequestId id) {
   env.verb = pc->verb;
   env.body = pc->body;  // fragment refcounts, not a copy
   route(pc->dest, std::move(env), net::MsgKind::Request);
-  push_deadline(c, id);
+  pc->ticket = push_deadline(c, id);
 }
 
 std::uint32_t Transport::retry_class(common::SimDuration timeout_us) {
@@ -288,7 +288,7 @@ std::uint32_t Transport::retry_class(common::SimDuration timeout_us) {
   return static_cast<std::uint32_t>(retry_classes_.size() - 1);
 }
 
-void Transport::RetryClass::push_back(const Deadline& d) {
+std::uint32_t Transport::RetryClass::push_back(const Deadline& d) {
   if (count == ring.size()) {
     std::vector<Deadline> grown(std::max<std::size_t>(16, 2 * ring.size()));
     for (std::size_t i = 0; i < count; ++i) {
@@ -299,15 +299,18 @@ void Transport::RetryClass::push_back(const Deadline& d) {
   }
   ring[(head + count) & (ring.size() - 1)] = d;
   ++count;
+  return popped + static_cast<std::uint32_t>(count - 1);
 }
 
-void Transport::push_deadline(std::uint32_t c, common::RequestId request) {
+std::uint32_t Transport::push_deadline(std::uint32_t c,
+                                       common::RequestId request) {
   RetryClass& rc = retry_classes_[c];
   // The number a timer scheduled now would take: the retransmission fires
   // in that timer's place among same-instant events.
-  rc.push_back(Deadline{sim_.now() + rc.timeout_us, sim_.reserve_seq(),
-                        request.value()});
+  const std::uint32_t ticket = rc.push_back(Deadline{
+      sim_.now() + rc.timeout_us, sim_.reserve_seq(), request.value()});
   if (!rc.armed) arm(c);
+  return ticket;
 }
 
 void Transport::arm(std::uint32_t c) {
@@ -319,9 +322,7 @@ void Transport::arm(std::uint32_t c) {
 }
 
 void Transport::drop_completed(RetryClass& rc) {
-  while (!rc.empty() && pending_.find(rc.front().request) == nullptr) {
-    rc.pop_front();
-  }
+  while (!rc.empty() && rc.front().request == 0) rc.pop_front();
 }
 
 void Transport::on_retry_due(std::uint32_t c) {
@@ -345,10 +346,14 @@ void Transport::on_retry_due(std::uint32_t c) {
   if (!after.armed && !after.empty()) arm(c);
 }
 
-void Transport::retire(std::uint32_t c, common::RequestId request) {
-  RetryClass& rc = retry_classes_[c];
-  if (rc.empty() || rc.front().request != request.value()) return;
-  rc.pop_front();
+void Transport::retire(const PendingCall& pc) {
+  // No entry before the first transmission, nor once the event running a
+  // retransmission popped it.
+  if (pc.attempts == 0) return;
+  RetryClass& rc = retry_classes_[pc.retry_class];
+  Deadline* entry = rc.find(pc.ticket);
+  if (entry == nullptr) return;
+  entry->request = 0;
   drop_completed(rc);
   if (rc.empty() && rc.armed) {
     sim_.cancel(rc.event);
@@ -582,6 +587,13 @@ Transport::ReplyCacheEntry* Transport::reply_cache_insert(std::uint64_t key) {
   }
   std::uint32_t slot;
   if (reply_cache_entries_.size() < reply_cache_capacity_) {
+    // The whole ring at once: growing it by doubling frees a block per
+    // step, and with nothing else allocated per call those frees let
+    // glibc trim the heap, so the next federation's setup faults its
+    // pages back in.
+    if (reply_cache_entries_.empty()) {
+      reply_cache_entries_.reserve(reply_cache_capacity_);
+    }
     slot = static_cast<std::uint32_t>(reply_cache_entries_.size());
     reply_cache_entries_.emplace_back();
   } else {
@@ -724,11 +736,10 @@ void Transport::on_reply(Envelope& env) {
     return;
   }
   auto callback = std::move(pc->callback);
-  const std::uint32_t c = pc->retry_class;
   CallResult result = env.ok ? CallResult::success(std::move(env.body))
                              : CallResult::failure(std::move(env.error));
+  retire(*pc);
   pending_.erase(env.request_id.value());
-  retire(c, env.request_id);
   callback(std::move(result));
 }
 

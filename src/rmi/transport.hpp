@@ -21,9 +21,10 @@
 // request id), one entry per transmission, kept in a ring reused across
 // calls, and at most one armed event, keyed like the class's head entry.
 // A transport sends on one shard clock, so deadlines within a class never
-// decrease.  A reply or cancel erases the pending call and pops completed
-// entries off the head; the event is cancelled only when no transmitted
-// call of the class is pending, so an idle transport holds no event.
+// decrease.  A reply or cancel erases the pending call, tombstones its
+// entry through the ticket the call kept, and pops tombstones off the
+// head; the event is cancelled only when no transmitted call of the class
+// is pending, so an idle transport holds no event.
 // Every entry leaves the ring by its deadline, so a class's ring holds at
 // most one timeout period's transmissions.
 //
@@ -286,9 +287,14 @@ class Transport {
     int attempts = 0;
     int max_attempts = 0;
     std::uint32_t retry_class = 0;  // index into retry_classes_
+    // The class ring entry of its latest transmission (RetryClass::find),
+    // once attempts > 0.  32 bits fill the padding after retry_class, so
+    // every pending-table slot keeps its size.
+    std::uint32_t ticket = 0;
   };
 
-  // One transmission awaiting its retransmission deadline.
+  // One transmission awaiting its retransmission deadline.  `request` is 0
+  // (ids start at 1) once the call completed or was cancelled: a tombstone.
   struct Deadline {
     common::SimTime at;
     std::uint64_t seq;  // reserved when sent: orders same-instant events
@@ -297,6 +303,12 @@ class Transport {
 
   // The transmissions of one retry_timeout_us, in deadline order: a ring
   // over a power-of-two vector that doubles when full and never shrinks.
+  // The entry with ticket t (the t-th ever pushed, from 0, mod 2^32) sits
+  // at ring[(head + (t - popped) mod 2^32) & (ring.size() - 1)] while
+  // (t - popped) mod 2^32 < count; growth re-lays the ring in order from
+  // head 0, which keeps that formula valid.  A pending call's ticket is
+  // stale only between the pop of its entry and its retransmission, so
+  // the modular window never aliases.
   // `event` is armed while the ring is non-empty, under the number of the
   // head it was armed for (event.seq); once that head completes, the event
   // fires at its deadline anyway and re-arms at the new head.
@@ -305,16 +317,25 @@ class Transport {
     std::vector<Deadline> ring;
     std::size_t head = 0;
     std::size_t count = 0;
+    std::uint32_t popped = 0;  // entries ever popped: the head's ticket
     sim::EventId event;
     bool armed = false;
 
     [[nodiscard]] bool empty() const { return count == 0; }
     [[nodiscard]] const Deadline& front() const { return ring[head]; }
+    // The entry of `ticket`, or nullptr once it has left the ring.
+    [[nodiscard]] Deadline* find(std::uint32_t ticket) {
+      const std::uint32_t pos = ticket - popped;
+      if (pos >= count) return nullptr;
+      return &ring[(head + pos) & (ring.size() - 1)];
+    }
     void pop_front() {
       head = (head + 1) & (ring.size() - 1);
       --count;
+      ++popped;
     }
-    void push_back(const Deadline& d);
+    // Appends `d` and returns its ticket.
+    std::uint32_t push_back(const Deadline& d);
   };
 
   // Throws when the network has more than one shard: blocking here would
@@ -332,14 +353,14 @@ class Transport {
   // The class a call of `timeout_us` belongs to, created on first use.
   std::uint32_t retry_class(common::SimDuration timeout_us);
   // Queues the transmission of `request` just sent, arming the event if
-  // the class was idle.
-  void push_deadline(std::uint32_t c, common::RequestId request);
+  // the class was idle; returns the entry's ticket.
+  std::uint32_t push_deadline(std::uint32_t c, common::RequestId request);
   // The class's event fired: retransmits (or gives up on) the head it was
   // armed for, if that call is still pending, then re-arms at the new head.
   void on_retry_due(std::uint32_t c);
-  // After `request` completed or was cancelled: pops completed entries off
-  // the head when it was the head, and cancels the event when none is left.
-  void retire(std::uint32_t c, common::RequestId request);
+  // After `pc` completed or was cancelled: tombstones its entry, pops
+  // tombstones off the head, and cancels the event when none is left.
+  void retire(const PendingCall& pc);
   void drop_completed(RetryClass& rc);
   void arm(std::uint32_t c);
   void send_reply(common::NodeId to, common::RequestId id,
@@ -443,9 +464,9 @@ class Transport {
   // when its request is addressed.  The ring slot being overwritten on
   // insert is the entry evicted.  The index is pre-sized to
   // reply_cache_capacity_ (no rehash, no backward-shift of anything
-  // bigger than 16 bytes); the entries ring grows append-only to capacity
-  // and is then overwritten in place, so once it has wrapped the receive
-  // path never allocates.
+  // bigger than 16 bytes); the entries ring is reserved at its first
+  // insert, filled append-only to capacity and then overwritten in place,
+  // so once it has wrapped the receive path never allocates.
   struct ReplyCacheEntry {
     std::uint64_t key = 0;  // pack_key of the request this slot caches
     common::RequestId request_id;

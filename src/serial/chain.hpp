@@ -1,7 +1,8 @@
 // Scatter-gather payload chain: the envelope body as a fragment list.
 //
-// A BufferChain is an ordered list of ref-counted serial::Buffer fragments
-// whose concatenation is the logical byte stream.  It is what lets the rts
+// A BufferChain is an ordered list of serial::Buffer fragments (inline or
+// ref-counted, serial/buffer.hpp) whose concatenation is the logical byte
+// stream.  It is what lets the rts
 // proto layer append an already-serialized payload (InvokeRequest::args, a
 // migrating object's state, an InvokeReply result) to a message body by
 // refcount instead of re-copying it at encode time:
@@ -75,9 +76,9 @@ class BufferChain {
   }
   ~BufferChain() { clear(); }
 
-  // Appends a fragment (refcount, never a copy).  Empty fragments are legal
-  // (the wire carries a zero size).  Throws SerializationError past
-  // kMaxFragments.
+  // Appends a fragment (a handle copy, never a deep copy).  Empty
+  // fragments are legal (the wire carries a zero size).  Throws
+  // SerializationError past kMaxFragments.
   void append(Buffer fragment);
 
   [[nodiscard]] std::size_t fragments() const { return count_; }
@@ -149,6 +150,9 @@ class BufferChain {
   std::size_t total_ = 0;
 };
 
+static_assert(sizeof(BufferChain) == 144,
+              "a chain is four 32-byte handles, a count and a size");
+
 // Writer for scatter-gather bodies: primitives accumulate in a Writer
 // region; append_payload() closes the region as a fragment and splices the
 // payload in by refcount.  take() yields the chain.
@@ -196,8 +200,9 @@ class ChainWriter {
 // fragment boundaries with block boundaries.
 class ChainReader {
  public:
-  // Both constructors retain the fragments (refcounts), so sub-slices
-  // returned by read_bytes() outlive the reader.
+  // Both constructors keep their own chain and read only through it (the
+  // bytes of inline fragments live in its handles), so a moved reader
+  // reads on and sub-slices returned by read_bytes() outlive the reader.
   explicit ChainReader(BufferChain chain)
       : chain_(std::move(chain)), remaining_(chain_.size()) {}
   explicit ChainReader(const Buffer& buffer)

@@ -26,14 +26,30 @@ void Writer::grow_to(std::size_t min_capacity) {
   std::size_t capacity = capacity_ < kMinCapacity ? kMinCapacity : capacity_;
   while (capacity < min_capacity) capacity *= 2;
   auto grown = std::make_shared_for_overwrite<std::uint8_t[]>(capacity);
-  if (size_ > 0) std::memcpy(grown.get(), storage_.get(), size_);
-  storage_ = std::move(grown);
+  if (size_ > 0) std::memcpy(grown.get(), data_, size_);
+  block_ = std::move(grown);
+  data_ = block_.get();
   capacity_ = capacity;
 }
 
 std::uint8_t* Writer::make_room(std::size_t extra) {
   if (size_ + extra > capacity_) grow_to(size_ + extra);
-  return storage_.get() + size_;
+  return data_ + size_;
+}
+
+void Writer::steal(Writer& other) noexcept {
+  block_ = std::move(other.block_);
+  size_ = other.size_;
+  capacity_ = other.capacity_;
+  if (block_ != nullptr) {
+    data_ = block_.get();
+  } else {
+    std::memcpy(small_, other.small_, size_);
+    data_ = small_;
+  }
+  other.data_ = other.small_;
+  other.size_ = 0;
+  other.capacity_ = Buffer::kInlineCapacity;
 }
 
 template <typename T>
@@ -109,10 +125,13 @@ void Writer::write_fill(std::uint8_t value, std::size_t count) {
 }
 
 Buffer Writer::take() {
-  Buffer out = Buffer::adopt_shared(std::move(storage_), size_);
-  storage_ = nullptr;
+  Buffer out = size_ <= Buffer::kInlineCapacity
+                   ? Buffer::inline_copy(data_, size_)
+                   : Buffer::adopt_shared(std::move(block_), size_);
+  block_ = nullptr;
+  data_ = small_;
   size_ = 0;
-  capacity_ = 0;
+  capacity_ = Buffer::kInlineCapacity;
   return out;
 }
 

@@ -2,8 +2,9 @@
 // scatter-gather body chains (BufferChain/ChainWriter/ChainReader),
 // zero-copy Reader views, verb interning, the pooled cancellable EventQueue
 // (determinism under interleaving), the open-addressed FlatMap64 behind the
-// transport's receive path, the move-only one-shot Replier contract — and the allocation budget: a steady-state send is
-// exactly ONE heap allocation (counted via a replaced global operator new).
+// transport's receive path, the move-only one-shot Replier contract — and
+// the allocation budget: a steady-state call round trip makes NO heap
+// allocation (counted via a replaced global operator new).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,6 +28,7 @@
 #include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "sim/event_queue.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
 
 // Replaces global operator new/delete for this binary so steady-state tests
@@ -105,20 +107,54 @@ TEST(Writer, TakeIsSingleAllocation) {
   // one make_shared<uint8_t[]> block, no vector, no separate control block.
   const auto before = alloc_count();
   serial::Writer w(64);
-  w.write_u64(0x1122334455667788ull);
-  w.write_u32(7);
+  for (std::uint64_t i = 0; i < 4; ++i) w.write_u64(0x1122334455667788ull);
   serial::Buffer out = w.take();
   EXPECT_EQ(alloc_count() - before, 1u);
-  EXPECT_EQ(out.size(), 12u);
+  EXPECT_EQ(out.size(), 32u);
+}
+
+TEST(InlineBuffer, SizeAloneSelectsTheStorage) {
+  // At most kInlineCapacity bytes live in the handle: Writer::take() and
+  // Buffer::copy() of such a payload allocate nothing.
+  for (const std::size_t n : {0, 1, 24, 25}) {
+    SCOPED_TRACE(std::to_string(n) + " bytes");
+    const bool small = n <= serial::Buffer::kInlineCapacity;
+    std::vector<std::uint8_t> bytes(n);
+    std::iota(bytes.begin(), bytes.end(), std::uint8_t{1});
+
+    auto before = alloc_count();
+    serial::Writer w;
+    w.write_raw(bytes.data(), bytes.size());
+    const serial::Buffer taken = w.take();
+    EXPECT_EQ(alloc_count() - before, small ? 0u : 1u);
+    EXPECT_EQ(taken.is_inline(), small);
+    EXPECT_EQ(taken, bytes);
+
+    serial::Buffer::reset_copy_counters();
+    before = alloc_count();
+    const serial::Buffer copied = serial::Buffer::copy(bytes);
+    EXPECT_EQ(alloc_count() - before, small ? 0u : 1u);
+    EXPECT_EQ(copied.is_inline(), small);
+    EXPECT_EQ(copied, bytes);
+    // A deep copy is counted whichever storage it lands in.
+    EXPECT_EQ(serial::Buffer::deep_copy_count(), 1u);
+    EXPECT_EQ(serial::Buffer::deep_copy_bytes(), n);
+
+    before = alloc_count();
+    const serial::Buffer again = copied;  // a handle copy: never allocates
+    EXPECT_EQ(alloc_count() - before, 0u);
+    EXPECT_EQ(again, bytes);
+  }
 }
 
 // --- scatter-gather chains ---------------------------------------------------
 
 TEST(BufferChain, SingleFragmentImplicitConversion) {
-  serial::Buffer payload{1, 2, 3};
+  // Larger than Buffer::kInlineCapacity, so the storage is shared.
+  const serial::Buffer payload(std::vector<std::uint8_t>(32, 3));
   serial::BufferChain chain = payload;
   EXPECT_EQ(chain.fragments(), 1u);
-  EXPECT_EQ(chain.size(), 3u);
+  EXPECT_EQ(chain.size(), 32u);
   EXPECT_EQ(chain, payload);
   EXPECT_EQ(chain.flatten().data(), payload.data());  // shares storage
 }
@@ -177,7 +213,8 @@ TEST(ChainWriter, PayloadRidesAsFragmentWithoutCopy) {
 }
 
 TEST(ChainWriter, FieldsAfterPayloadGetTheirOwnFragment) {
-  const serial::Buffer args{9, 9};
+  // Larger than Buffer::kInlineCapacity, so the storage is shared.
+  const serial::Buffer args(std::vector<std::uint8_t>(32, 9));
   serial::ChainWriter w;
   w.write_string("obj");
   w.append_payload(args);
@@ -247,7 +284,8 @@ TEST(EnvelopeChain, MultiFragmentRoundTrip) {
   e.request_id = common::RequestId{7};
   e.verb = common::intern_verb("hp.frag");
   e.body.append(serial::Buffer{1, 2});
-  e.body.append(serial::Buffer{3, 4, 5});
+  // Larger than Buffer::kInlineCapacity, so the storage is shared.
+  e.body.append(serial::Buffer(std::vector<std::uint8_t>(32, 4)));
   e.body.append(serial::Buffer{6});
 
   // Scatter-gather form: fragments pass through untouched.
@@ -567,14 +605,15 @@ TEST_F(HotpathRmiFixture, SteadyStateCallIsZeroPayloadCopies) {
   EXPECT_EQ(serial::Buffer::deep_copy_count(), 0u);
 }
 
-TEST(HotpathAllocation, SteadyStateSendIsExactlyOneAllocation) {
-  // The allocation budget the spine promises: a steady-state send costs ONE
-  // heap allocation — the envelope header block.  A call round trip is two
-  // sends (request + reply), so a call is exactly two allocations: pending
-  // calls and the reply-cache index live in pre-sized flat tables, the
-  // entries ring is full and overwritten in place, event nodes come from
-  // the pooled slab, captures stay inline in UniqueFunction storage, and
-  // the payload travels by refcount.
+TEST(HotpathAllocation, SteadyStateCallMakesNoAllocation) {
+  // The allocation budget the spine promises: a steady-state call round
+  // trip makes NO heap allocation.  Both headers (17 and 18 bytes) and a
+  // small body are inline Buffers, a large payload travels by refcount,
+  // pending calls and the reply-cache index live in pre-sized flat tables,
+  // the entries ring is full and overwritten in place, event nodes come
+  // from the pooled slab, and captures stay inline in UniqueFunction
+  // storage.  Two body shapes: an 8-byte body a Writer builds per call
+  // (the echo storm's) and a shared 512-byte payload.
   //
   // A small reply cache, warmed past its capacity, puts the measured loop
   // in the long-run regime — ring wrapped, continuously evicting — which
@@ -592,19 +631,64 @@ TEST(HotpathAllocation, SteadyStateSendIsExactlyOneAllocation) {
                       [](common::NodeId, const serial::BufferChain& body,
                          rmi::Replier replier) { replier.ok(body); });
   const serial::Buffer payload(std::vector<std::uint8_t>(512, 0x11));
+  std::uint64_t seq = 0;
+  const auto call = [&](bool small) {
+    if (!small) return ta.call_sync(b, echo, payload);
+    serial::Writer body(8);
+    body.write_u64(++seq);
+    return ta.call_sync(b, echo, body.take());
+  };
   // Warm-up: connection setup, stats handles, event slab, verb counters,
   // and 2x the ring capacity so both ends' entry rings have wrapped.
-  for (std::size_t i = 0; i < 2 * kCacheCapacity; ++i) {
-    (void)ta.call_sync(b, echo, payload);
-  }
+  for (std::size_t i = 0; i < 2 * kCacheCapacity; ++i) (void)call(i % 2 == 0);
   ASSERT_GT(sim.stats().counter("rmi.reply_cache_evictions"), 0);
 
-  constexpr std::uint64_t kCalls = 100;
-  const auto before = alloc_count();
-  for (std::uint64_t i = 0; i < kCalls; ++i) {
-    (void)ta.call_sync(b, echo, payload);
+  for (const bool small : {true, false}) {
+    SCOPED_TRACE(small ? "8-byte body" : "512-byte payload");
+    constexpr std::uint64_t kCalls = 100;
+    const auto before = alloc_count();
+    for (std::uint64_t i = 0; i < kCalls; ++i) (void)call(small);
+    EXPECT_EQ(alloc_count() - before, 0u);
   }
-  EXPECT_EQ(alloc_count() - before, 2 * kCalls);
+}
+
+// Inline bodies hold their bytes in the handle, so a cross-shard echo moves
+// them between workers by value: 8- and 25-byte bodies (inline and shared)
+// must come back intact at 2 workers.
+TEST(InlineBuffer, SmallEchoBodiesCrossShardsIntact) {
+  net::CostModel model = net::CostModel::zero();
+  model.propagation_us = 200;
+  sim::ShardedSim ssim(2, 7, net::Network::min_link_latency(model));
+  net::Network net(ssim, model);
+  const common::NodeId a = net.add_node("a");  // shard 0
+  const common::NodeId b = net.add_node("b");  // shard 1
+  rmi::Transport ta(net, a);
+  rmi::Transport tb(net, b);
+  const auto echo = common::intern_verb("hp.cross");
+  tb.register_service(echo,
+                      [](common::NodeId, const serial::BufferChain& body,
+                         rmi::Replier replier) { replier.ok(body); });
+
+  constexpr int kCallsPerSize = 64;
+  int completed = 0;
+  int intact = 0;
+  for (const std::size_t size : {std::size_t{8}, std::size_t{25}}) {
+    for (int i = 0; i < kCallsPerSize; ++i) {
+      serial::Writer w(size);
+      w.write_fill(static_cast<std::uint8_t>(i), size);
+      std::vector<std::uint8_t> expected(size, static_cast<std::uint8_t>(i));
+      ta.call(b, echo, w.take(),
+              [&completed, &intact, expected = std::move(expected)](
+                  rmi::CallResult r) {
+                ++completed;
+                if (r.ok && r.body == expected) ++intact;
+              });
+    }
+  }
+  ASSERT_TRUE(ssim.run_until(
+      [&completed] { return completed == 2 * kCallsPerSize; }, 2));
+  EXPECT_EQ(intact, 2 * kCallsPerSize);
+  EXPECT_EQ(ssim.counter("rmi.calls"), 2 * kCallsPerSize);
 }
 
 TEST_F(HotpathRmiFixture, ScatterGatherBodyTravelsIntact) {

@@ -3,12 +3,18 @@
 
 #include <limits>
 #include <map>
+#include <memory>
+#include <numeric>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "serial/buffer.hpp"
+#include "serial/chain.hpp"
 #include "serial/reader.hpp"
 #include "serial/serializable.hpp"
 #include "serial/traits.hpp"
@@ -275,6 +281,198 @@ TEST(TypeRegistry, RegisteredNamesSorted) {
   ASSERT_EQ(names.size(), 2u);
   EXPECT_EQ(names[0], "a");
   EXPECT_EQ(names[1], "b");
+}
+
+// --- inline buffers (at most Buffer::kInlineCapacity bytes) ----------------
+
+std::vector<std::uint8_t> counting_bytes(std::size_t n) {
+  std::vector<std::uint8_t> bytes(n);
+  std::iota(bytes.begin(), bytes.end(), std::uint8_t{1});
+  return bytes;
+}
+
+TEST(InlineBuffer, CopyMoveAndAssignKeepTheBytes) {
+  for (const std::size_t n : {std::size_t{8}, std::size_t{64}}) {
+    SCOPED_TRACE(std::to_string(n) + " bytes");
+    const std::vector<std::uint8_t> bytes = counting_bytes(n);
+    const Buffer original = Buffer::copy(bytes);
+    ASSERT_EQ(original.is_inline(), n <= Buffer::kInlineCapacity);
+
+    Buffer copied(original);
+    EXPECT_EQ(copied, bytes);
+    EXPECT_EQ(copied.is_inline(), original.is_inline());
+    // Shared storage is shared; inline bytes are the copy's own.
+    EXPECT_EQ(copied.data() == original.data(), !original.is_inline());
+
+    Buffer assigned{9};
+    assigned = original;
+    EXPECT_EQ(assigned, bytes);
+
+    Buffer moved(std::move(copied));
+    EXPECT_EQ(moved, bytes);
+    EXPECT_TRUE(copied.empty());  // NOLINT(bugprone-use-after-move)
+    EXPECT_EQ(copied.span().size(), 0u);  // NOLINT(bugprone-use-after-move)
+
+    Buffer target(counting_bytes(40));  // shared; released by the move
+    target = std::move(moved);
+    EXPECT_EQ(target, bytes);
+    EXPECT_TRUE(moved.empty());  // NOLINT(bugprone-use-after-move)
+
+    Buffer& alias = target;
+    target = alias;
+    EXPECT_EQ(target, bytes);
+    target = std::move(alias);
+    EXPECT_EQ(target, bytes);
+
+    copied = original;  // a moved-from buffer takes a new value
+    EXPECT_EQ(copied, bytes);
+  }
+}
+
+TEST(InlineBuffer, WriterMoveAndCopyKeepTheBytes) {
+  for (const std::size_t n : {std::size_t{8}, std::size_t{40}}) {
+    SCOPED_TRACE(std::to_string(n) + " bytes");
+    Writer w;
+    w.write_fill(0x5A, n);
+    Writer copied(w);
+    Writer moved(std::move(w));
+    EXPECT_EQ(w.size(), 0u);  // NOLINT(bugprone-use-after-move)
+    Writer assigned;
+    assigned = copied;
+    // Each cursor carries on where its bytes end.
+    copied.write_u8(1);
+    moved.write_u8(1);
+    assigned.write_u8(1);
+    w.write_u8(2);  // NOLINT(bugprone-use-after-move)
+    std::vector<std::uint8_t> expected(n, 0x5A);
+    expected.push_back(1);
+    EXPECT_EQ(copied.take(), expected);
+    EXPECT_EQ(moved.take(), expected);
+    EXPECT_EQ(assigned.take(), expected);
+    EXPECT_EQ(w.take(), (std::vector<std::uint8_t>{2}));
+  }
+}
+
+TEST(InlineBuffer, SliceOfAnInlineBufferIsInline) {
+  const Buffer small = Buffer::copy(counting_bytes(24));
+  ASSERT_TRUE(small.is_inline());
+  const Buffer part = small.slice(20, 4);
+  EXPECT_TRUE(part.is_inline());
+  EXPECT_EQ(part, (std::vector<std::uint8_t>{21, 22, 23, 24}));
+  // A small slice of a shared buffer still aliases the block.
+  const Buffer shared = Buffer::copy(counting_bytes(25));
+  ASSERT_FALSE(shared.is_inline());
+  const Buffer tail = shared.slice(23, 2);
+  EXPECT_FALSE(tail.is_inline());
+  EXPECT_EQ(tail.data(), shared.data() + 23);
+}
+
+TEST(InlineBuffer, SizesPastTheU32FieldThrow) {
+  // The handle's size field is 32 bits wide: a larger buffer is refused,
+  // not truncated.  The check comes before any byte is read, so a
+  // fabricated oversized span is safe to pass.
+  Buffer::reset_copy_counters();
+  const std::uint8_t byte = 0;
+  const std::span<const std::uint8_t> huge(&byte, (std::size_t{1} << 32) + 1);
+  EXPECT_THROW((void)Buffer::copy(huge), common::SerializationError);
+  EXPECT_EQ(Buffer::deep_copy_count(), 0u);
+  std::shared_ptr<const std::uint8_t[]> block(new std::uint8_t[1]{0});
+  EXPECT_THROW((void)Buffer::adopt_shared(block, (std::size_t{1} << 32) + 1),
+               common::SerializationError);
+}
+
+// An 18-byte record, so its Buffer is inline.
+Buffer small_record() {
+  Writer w;
+  w.write_string("abc");
+  w.write_bytes(std::vector<std::uint8_t>{7, 8, 9});
+  w.write_u32(0xC0FFEE);
+  return w.take();
+}
+
+// Reads small_record() back, checking that the view and the slice taken
+// first are still intact after the reads that follow them.
+void expect_small_record(Reader& r) {
+  const std::string_view view = r.read_view();
+  const Buffer nested = r.read_bytes();
+  EXPECT_EQ(r.read_u32(), 0xC0FFEEu);
+  EXPECT_TRUE(r.at_end());
+  EXPECT_EQ(view, "abc");
+  EXPECT_EQ(nested, (std::vector<std::uint8_t>{7, 8, 9}));
+}
+
+// A Buffer-built Reader reads its own copy of the handle, so its views
+// live as long as the reader, whatever happens to the argument.
+TEST(ReaderLifetime, ReaderOverATemporaryInlineBuffer) {
+  ASSERT_TRUE(small_record().is_inline());
+  Reader r(small_record());
+  expect_small_record(r);
+}
+
+TEST(ReaderLifetime, ArgumentDestroyedBeforeTheReads) {
+  auto source = std::make_unique<Buffer>(small_record());
+  Reader r(*source);
+  source.reset();
+  expect_small_record(r);
+}
+
+TEST(ReaderLifetime, ArgumentLeftScopeBeforeTheReads) {
+  std::optional<Reader> r;
+  {
+    const Buffer source = small_record();
+    r.emplace(source);
+  }
+  expect_small_record(*r);
+}
+
+TEST(ReaderLifetime, ViewsOutliveTheArgument) {
+  std::optional<Reader> r;
+  std::string_view view;
+  Buffer nested;
+  {
+    const Buffer source = small_record();
+    r.emplace(source);
+    view = r->read_view();
+    nested = r->read_bytes();
+  }
+  EXPECT_EQ(view, "abc");  // still the reader's bytes
+  EXPECT_EQ(nested, (std::vector<std::uint8_t>{7, 8, 9}));
+  EXPECT_EQ(r->read_u32(), 0xC0FFEEu);
+}
+
+TEST(ChainReaderLifetime, InlineFragmentsReadAcrossEveryCut) {
+  Writer flat;
+  flat.write_u32(0xDEADBEEF);
+  flat.write_bytes(std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6});
+  flat.write_u64(42);
+  const Buffer bytes = flat.take();
+  ASSERT_TRUE(bytes.is_inline());
+
+  for (std::size_t cut = 1; cut < bytes.size(); ++cut) {
+    SCOPED_TRACE("cut at " + std::to_string(cut));
+    Buffer nested;
+    {
+      BufferChain chain;
+      chain.append(bytes.slice(0, cut));
+      chain.append(bytes.slice(cut, bytes.size() - cut));
+      ASSERT_TRUE(chain.fragment(0).is_inline());
+      ChainReader r(std::move(chain));
+      EXPECT_EQ(r.read_u32(), 0xDEADBEEFu);
+      ChainReader moved(std::move(r));  // the fragments move with it
+      nested = moved.read_bytes();
+      EXPECT_EQ(moved.read_u64(), 42u);
+      EXPECT_TRUE(moved.at_end());
+    }
+    EXPECT_EQ(nested, (std::vector<std::uint8_t>{1, 2, 3, 4, 5, 6}));
+  }
+}
+
+TEST(ChainReaderLifetime, ReaderOverATemporaryInlineBuffer) {
+  ChainReader r(small_record());
+  EXPECT_EQ(r.read_string(), "abc");
+  EXPECT_EQ(r.read_bytes(), (std::vector<std::uint8_t>{7, 8, 9}));
+  EXPECT_EQ(r.read_u32(), 0xC0FFEEu);
+  EXPECT_TRUE(r.at_end());
 }
 
 }  // namespace
