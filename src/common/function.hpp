@@ -2,12 +2,15 @@
 //
 // The event queue stores one of these per scheduled event.  Two properties
 // matter there: (1) move-only, so actions can capture move-only state
-// (serial::Buffer, rmi::Replier) without the shared_ptr<std::function>
-// indirection the queue used to pay per event; (2) inline storage, so a
-// steady-state event (captures up to kInlineSize bytes) allocates nothing —
-// the pooled event slab plus this inline storage is what makes scheduling
-// allocation-free.  Callables larger than the inline buffer fall back to a
-// single heap allocation, exactly like std::function.
+// (serial::Buffer, rmi::Replier); (2) inline storage, so a steady-state
+// event allocates nothing.  Callables larger than the inline buffer fall
+// back to a single heap allocation, exactly like std::function.
+//
+// The inline size depends on the signature.  An event action (void()) holds
+// the largest steady-state event capture on the bench/e2e workloads,
+// MageServer::handle_invoke's (128 bytes): messages and parked envelopes
+// wait in slots (common::Slab), so their events capture a slot number.  A
+// completion callback keeps room for a BufferChain body and a Replier.
 #pragma once
 
 #include <cstddef>
@@ -18,15 +21,18 @@
 namespace mage::common {
 
 template <typename Sig>
+inline constexpr std::size_t kInlineCapacity = 232;
+template <>
+inline constexpr std::size_t kInlineCapacity<void()> = 128;
+
+template <typename Sig>
 class UniqueFunction;
 
 template <typename R, typename... Args>
 class UniqueFunction<R(Args...)> {
  public:
-  // Captures up to this many bytes live inline (no heap allocation).  Sized
-  // so the transport's largest steady-state capture — a scatter-gather
-  // BufferChain body riding with a Replier or an Envelope — stays inline.
-  static constexpr std::size_t kInlineSize = 232;
+  // Captures up to this many bytes live inline (no heap allocation).
+  static constexpr std::size_t kInlineSize = kInlineCapacity<R(Args...)>;
 
   UniqueFunction() = default;
   UniqueFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)

@@ -58,11 +58,8 @@ struct Message {
   // start over — cannot trip a spurious violation.  Simulation-side only.
   std::int64_t link_epoch = 0;
 
-  [[nodiscard]] std::size_t payload_size() const {
-    return header.size() + body.size();
-  }
   [[nodiscard]] std::size_t wire_size() const {
-    return payload_size() + kHeaderBytes;
+    return header.size() + body.size() + kHeaderBytes;
   }
 
   // Trace/debug label: the verb name plus the kind suffix.

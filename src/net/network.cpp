@@ -5,12 +5,11 @@
 #include <limits>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace mage::net {
 
 Network::Network(sim::Simulation& sim, CostModel model)
-    : shards_{&sim}, seed_(sim.seed()), model_(model), faults_(1) {
+    : shards_{&sim}, seed_(sim.seed()), model_(model), slots_(1), faults_(1) {
   faults_applied_ = sim.stats().counter_handle("net.faults_applied");
 }
 
@@ -20,6 +19,8 @@ Network::Network(sim::ShardedSim& sharded, CostModel model,
       seed_(sharded.seed()),
       model_(model),
       shard_map_(std::move(node_to_shard)),
+      slots_(sharded.shard_count()),
+      columns_(sharded.shard_count() * sharded.shard_count()),
       faults_(sharded.shard_count()) {
   if (min_link_latency(model_) < sharded.lookahead()) {
     throw common::MageError(
@@ -49,11 +50,15 @@ Network::Network(sim::ShardedSim& sharded, CostModel model,
   }
   faults_applied_ = sharded.shard(0).stats().counter_handle(
       "net.faults_applied");
+  nodes_.reserve(shard_map_.size());
+  sharded.set_lander(
+      [this](std::size_t to, std::size_t side) { land(to, side); });
 }
 
 Network::~Network() {
   // Schedule appliers capture `this`; leaving them behind would dangle.
   cancel_fault_appliers();
+  if (sharded_ != nullptr) sharded_->set_lander(nullptr);
 }
 
 void Network::cancel_fault_appliers() {
@@ -102,9 +107,13 @@ common::NodeId Network::add_node(std::string label) {
   state.loss_rng = common::Rng(seed_ ^ (0x9E3779B97F4A7C15ull * id.value()));
   // The node's own stream, by the same rule with its own odd multiplier.
   state.node_rng = common::Rng(seed_ ^ (0xD1B54A32D192ED03ull * id.value()));
+  // Records cover every peer the network can hold: over a ShardedSim its
+  // capacity, sized at the first add; over one Simulation, the nodes so far.
+  const std::size_t peers = shard_map_.size() + 1;
+  state.links.resize(peers);
   nodes_.push_back(std::move(state));
-  for (NodeState& node : nodes_) node.links.resize(nodes_.size() + 1);
-  for (FaultState& faults : faults_) faults.down.resize(nodes_.size() + 1);
+  for (NodeState& node : nodes_) node.links.resize(peers);
+  for (FaultState& faults : faults_) faults.down.resize(peers);
   NodeState& stored = nodes_.back();
   auto& stats = node_sim(id).stats();
   stored.messages_sent = stats.counter_handle("net.messages_sent");
@@ -249,8 +258,6 @@ void Network::send(Message msg) {
       return;
     }
     if (faults.loss_rate > 0.0 && from.loss_rng.next_bool(faults.loss_rate)) {
-      MAGE_DEBUG() << "dropped " << msg.label() << " " << msg.from << " -> "
-                   << msg.to;
       drop(faults.loss_cause == Cause::Scheduled);
       return;
     }
@@ -259,8 +266,6 @@ void Network::send(Message msg) {
     // per-link faults replay the exact same random stream as before.
     if (link.loss_rate > 0.0 && from.loss_rng.next_bool(link.loss_rate)) {
       ++*from.messages_dropped_by_link_loss;
-      MAGE_DEBUG() << "link-dropped " << msg.label() << " " << msg.from
-                   << " -> " << msg.to;
       drop(link.loss_cause == Cause::Scheduled);
       return;
     }
@@ -292,57 +297,85 @@ void Network::send(Message msg) {
                                 msg.label(), msg.wire_size(), false});
   }
 
-  auto deliver = [this, msg = std::move(msg)]() mutable {
-    auto& node = state(msg.to);
-    if (!node.handler) {
-      throw common::TransportError("node '" + node.label +
-                                   "' has no message handler installed");
-    }
-    ++*node.messages_delivered;
-    // The receiver accepts the connection: its replies ride it free.
-    LinkState& back = node.links[msg.from.value()];
-    back.warm = true;
-    if (msg.wire_seq != 0) {  // loopback carries no stamp
-      // Receiver-owned monotonicity check (this runs on the destination's
-      // shard).  Gaps are fine — drops consume no stamp — but any
-      // reordering on a directed link is a violation.  A new link epoch
-      // means the sender crashed/restarted (or the link was cut and
-      // healed) since the last delivery: its counters may have started
-      // over, so the expectation resets instead of flagging a spurious
-      // violation.
-      if (msg.link_epoch != back.seen_epoch) {
-        back.seen_epoch = msg.link_epoch;
-        back.seen_seq = 0;
-      }
-      if (msg.wire_seq <= back.seen_seq) {
-        ++*node.fifo_violations;
-      } else {
-        back.seen_seq = msg.wire_seq;
-      }
-    }
-    node.handler(std::move(msg));
-  };
-  // Every delivery carries its source node id as the event-queue tie key:
-  // same-instant arrivals at one node execute in source order no matter
-  // which mechanism (direct schedule below vs. mailbox drain) inserted
-  // them — the keystone of the mapping-independence contract.
-  const std::uint32_t tie = msg.from.value();
   if (to_shard == shard) {
-    // Sender and receiver share a shard (always, over one Simulation):
-    // schedule straight into its queue.  This is the affinity-mapping
-    // payoff — an intra-shard message costs no mailbox, no barrier wait,
-    // and does not constrain the lookahead matrix.  Its TIMING is
-    // identical to the cross-shard path below, so the mapping never
-    // changes when a message arrives, only what carries it.
-    sender_sim.schedule_at(deliver_at, std::move(deliver), tie);
+    // Same shard (always, over one Simulation): the message takes its slot
+    // now, with no mailbox and no barrier wait (the affinity-mapping
+    // payoff).  Timing is the same on either path: the mapping changes
+    // what carries a message, never when it arrives.
+    schedule_delivery(shard, deliver_at, std::move(msg));
   } else {
-    // Cross-shard: into the shard-pair mailbox; the destination shard
-    // drains it at the next window boundary.  deliver_at >= sent_at + the
-    // pair's lookahead entry (validate_pair_lookaheads enforces the matrix
-    // never over-promises), so the event always lands outside the current
-    // conservative window.
-    sharded_->post(shard, to_shard, deliver_at, std::move(deliver), tie);
+    // Into the (from, to) mailbox column, for the destination's next drain.
+    // deliver_at >= sent_at + the pair's lookahead entry
+    // (validate_pair_lookaheads), so it lands outside the current window.
+    sharded_->mark_post(shard, to_shard, deliver_at);
+    columns_[shard * shards_.size() + to_shard]
+        .side[sharded_->write_side()]
+        .emplace_back(deliver_at, std::move(msg));
   }
+}
+
+void Network::schedule_delivery(std::size_t shard, common::SimTime at,
+                                Message&& msg) {
+  // The source node id is the event-queue tie key: same-instant arrivals at
+  // one node run in source order whichever path scheduled them.
+  const std::uint32_t tie = msg.from.value();
+  const std::uint32_t slot = slots_[shard].held.emplace(std::move(msg));
+  shards_[shard]->schedule_at(
+      at,
+      [this, shard = static_cast<std::uint32_t>(shard), slot] {
+        deliver(shard, slot);
+      },
+      tie);
+}
+
+void Network::land(std::size_t to, std::size_t side) {
+  const std::size_t count = shards_.size();
+  for (std::size_t from = 0; from < count; ++from) {
+    std::vector<InFlight>& items = columns_[from * count + to].side[side];
+    for (InFlight& item : items) {
+      schedule_delivery(to, item.at, std::move(item.msg));
+    }
+    items.clear();  // keeps capacity: steady-state drains allocate nothing
+  }
+}
+
+void Network::deliver(std::size_t shard, std::uint32_t slot) {
+  Message& msg = slots_[shard].held[slot];
+  auto& node = state(msg.to);
+  if (!node.handler) {
+    throw common::TransportError("node '" + node.label +
+                                 "' has no message handler installed");
+  }
+  ++*node.messages_delivered;
+  // The receiver accepts the connection: its replies ride it free.
+  LinkState& back = node.links[msg.from.value()];
+  back.warm = true;
+  if (msg.wire_seq != 0) {  // loopback carries no stamp
+    // Receiver-owned monotonicity check (this runs on the destination's
+    // shard).  Gaps are fine — drops consume no stamp — but any
+    // reordering on a directed link is a violation.  A new link epoch
+    // means the sender crashed/restarted (or the link was cut and healed)
+    // since the last delivery: its counters may have started over, so the
+    // expectation resets instead of flagging a spurious violation.
+    if (msg.link_epoch != back.seen_epoch) {
+      back.seen_epoch = msg.link_epoch;
+      back.seen_seq = 0;
+    }
+    if (msg.wire_seq <= back.seen_seq) {
+      ++*node.fifo_violations;
+    } else {
+      back.seen_seq = msg.wire_seq;
+    }
+  }
+  node.handler(msg);
+  slots_[shard].held.release(slot);
+}
+
+std::size_t Network::messages_held() const {
+  std::size_t held = 0;
+  for (const ShardSlots& shard : slots_) held += shard.held.live();
+  for (const Column& c : columns_) held += c.side[0].size() + c.side[1].size();
+  return held;
 }
 
 void Network::apply_everywhere(const FaultEvent& event) {

@@ -25,13 +25,14 @@
 // node:shard mapping assigns it (identity — node i on shard i — by
 // default; pass an affinity mapping to cluster chatty nodes, see
 // net/affinity.hpp).  One set of rules covers every layout:
-//   * a message between nodes that share a shard is scheduled directly
-//     into that shard's queue; a cross-shard message is posted through the
-//     ShardedSim per-link mailboxes, and every cross-shard delay is >= the
-//     shard pair's lookahead matrix entry (refresh_pair_lookaheads derives
-//     the matrix from the cost model + per-link extra latency).  Message
-//     TIMING is identical either way, and deliveries carry their source
-//     node id as the event-queue tie key;
+//   * a message lives in one place from send to handler: a slot of its
+//     receiver's shard (common::Slab), and its delivery event captures the
+//     slot.  Between nodes that share a shard it takes the slot at send;
+//     across shards it is written once into its (from, to) mailbox column
+//     and the receiving shard's drain moves it into a slot.  Every
+//     cross-shard delay is >= the shard pair's lookahead entry
+//     (refresh_pair_lookaheads), timing is the same on either path, and
+//     deliveries carry their source node id as the event-queue tie key;
 //   * each node keeps one record per directed link it sends on (warmth,
 //     ordering floor, extra latency, link faults, FIFO stamps), indexed
 //     by peer id; a delivery writes only the receiver's record for the
@@ -44,13 +45,9 @@
 //     to that shard's own copy of the fault state and the link records of
 //     that shard's nodes.
 // So per-node event order is bit-identical under any mapping and any
-// worker count, one Simulation included.
-// The threading contract (enforced, not advisory): all configuration —
-// adding nodes, handlers, ad-hoc fault injection, tracing — throws while
-// ShardedSim workers run; per-node state (counters, link records, the
-// random streams, the load metric) is only ever touched from the owning
-// node's shard, and a shard reads only its own copy of the fault state.
-// See docs/ARCHITECTURE.md.
+// worker count, one Simulation included.  Threading contract: all
+// configuration throws while ShardedSim workers run, and per-node state is
+// touched only from the owning node's shard (docs/ARCHITECTURE.md).
 #pragma once
 
 #include <cassert>
@@ -61,6 +58,7 @@
 
 #include "common/ids.hpp"
 #include "common/rng.hpp"
+#include "common/slab.hpp"
 #include "net/cost_model.hpp"
 #include "net/fault_schedule.hpp"
 #include "net/message.hpp"
@@ -71,7 +69,9 @@ namespace mage::net {
 
 class Network {
  public:
-  using Handler = std::function<void(Message)>;
+  // Reads the message in place in its slot, where it stays while the
+  // handler sends; it is destroyed when the handler returns.
+  using Handler = std::function<void(Message&)>;
 
   // One shard: every node on `sim`, no node limit.
   Network(sim::Simulation& sim, CostModel model);
@@ -88,7 +88,8 @@ class Network {
   Network(const Network&) = delete;
   Network& operator=(const Network&) = delete;
 
-  // Cancels this network's fault appliers that have not fired yet.
+  // Cancels this network's fault appliers that have not fired yet.  Queued
+  // messages die with it: their delivery events must not run afterwards.
   ~Network();
 
   // --- topology -------------------------------------------------------
@@ -117,6 +118,10 @@ class Network {
   // (true by construction: sends originate from transports, whose events
   // run on their own shard).
   void send(Message msg);
+
+  // Messages sent and not yet handled: held in a slot, or in a mailbox
+  // column until the next drain.  Driver-only.
+  [[nodiscard]] std::size_t messages_held() const;
 
   // --- fault injection --------------------------------------------------
   //
@@ -340,6 +345,28 @@ class Network {
   void apply_fault(std::size_t shard, const FaultEvent& event, bool scheduled);
   // Cancels every shard's applier events that have not fired yet.
   void cancel_fault_appliers();
+  // Moves `msg` into a slot of `shard` and schedules its delivery at `at`.
+  void schedule_delivery(std::size_t shard, common::SimTime at, Message&& msg);
+  // Runs the handler on the message in `slot`, then frees the slot.
+  void deliver(std::size_t shard, std::uint32_t slot);
+  // ShardedSim's lander: schedules the messages on side `side` of every
+  // column into shard `to`, from shard 0 up, FIFO within a column.
+  void land(std::size_t to, std::size_t side);
+
+  struct InFlight {
+    common::SimTime at;
+    Message msg;
+  };
+  static_assert(sizeof(InFlight) == 216,
+                "a mailbox column entry is a time and a 208-byte message");
+  // One shard pair's messages on the ShardedSim's two mailbox sides, and
+  // one shard's slots; padded, as each is written by one worker.
+  struct alignas(64) Column {
+    std::vector<InFlight> side[2];
+  };
+  struct alignas(64) ShardSlots {
+    common::Slab<Message> held;
+  };
 
   sim::ShardedSim* sharded_ = nullptr;  // null over one Simulation
   std::vector<sim::Simulation*> shards_;
@@ -349,6 +376,8 @@ class Network {
   // node capacity; over one Simulation it grows with add_node.
   std::vector<std::size_t> shard_map_;
   std::vector<NodeState> nodes_;
+  std::vector<ShardSlots> slots_;  // one per shard
+  std::vector<Column> columns_;  // [from shard * shards + to shard]
   std::vector<FaultState> faults_;  // one copy per shard
   std::vector<FaultEvent> fault_events_;  // the installed schedule, sorted
   std::int64_t* faults_applied_ = nullptr;  // shard 0's registry

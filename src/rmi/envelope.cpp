@@ -136,7 +136,7 @@ void Envelope::encode_into(serial::Writer& w) const {
 }
 
 Envelope Envelope::decode(const serial::Buffer& header,
-                          serial::BufferChain body) {
+                          serial::BufferChain&& body) {
   serial::Reader r(header.span());
   Envelope e;
   const FragmentList frags = read_header(r, e);
@@ -192,6 +192,14 @@ std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
                                      std::to_string(tag));
   }
   const std::uint32_t count = r.read_u32();
+  // Each sub-envelope needs at least its 4-byte size prefix: refuse a count
+  // the frame cannot hold before reserving room for it.
+  if (count > r.remaining() / 4) {
+    throw common::SerializationError(
+        "batch frame declares " + std::to_string(count) +
+        " sub-envelopes, but its " + std::to_string(r.remaining()) +
+        " remaining bytes hold at most " + std::to_string(r.remaining() / 4));
+  }
   std::vector<Envelope> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {

@@ -94,9 +94,14 @@ struct Envelope {
   void encode_into(serial::Writer& w) const;
 
   // Decodes a scatter-gather pair; validates the body's fragment count and
-  // sizes against the header's declarations.
+  // sizes against the header's declarations.  The envelope takes `body`
+  // (one move); the const overload copies it.
   static Envelope decode(const serial::Buffer& header,
-                         serial::BufferChain body);
+                         serial::BufferChain&& body);
+  static Envelope decode(const serial::Buffer& header,
+                         const serial::BufferChain& body) {
+    return decode(header, serial::BufferChain(body));
+  }
 
   // Decodes the concatenated form; body fragments are slices of `flat`
   // (aliasing it when it is shared, serial/buffer.hpp).

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace mage::rmi {
 namespace {
@@ -127,8 +126,7 @@ Transport::Transport(net::Network& network, common::NodeId self,
   *reply_cache_capacity_stat_ = static_cast<std::int64_t>(reply_cache_capacity_);
   *reply_cache_capacity_high_water_ =
       static_cast<std::int64_t>(reply_cache_capacity_);
-  network_.set_handler(self_,
-                       [this](net::Message msg) { on_message(std::move(msg)); });
+  network_.set_handler(self_, [this](net::Message& msg) { on_message(msg); });
 }
 
 void Transport::set_batching(BatchOptions options) {
@@ -229,25 +227,29 @@ void Transport::call_oneway(common::NodeId dest, common::VerbId verb,
   ++*oneway_calls_;
   ++*verb_calls_counter(verb);
 
-  Envelope env;
+  const std::uint32_t slot = parked_.emplace();
+  Envelope& env = parked_[slot];
   env.kind = EnvelopeKind::OneWay;
   // Ids keep the global sequence so traces stay unambiguous; one-way ids
   // never enter the pending table or the at-most-once key space.
   env.request_id = common::RequestId{next_request_++};
   env.verb = verb;
-  const std::size_t body_size = body.size();
   env.body = std::move(body);
 
   const auto& model = network_.cost_model();
   const common::SimDuration prep =
-      model.rmi_client_overhead_us + model.marshal_time(body_size);
+      model.rmi_client_overhead_us + model.marshal_time(env.body.size());
   // An event for the same reason as call(): keep the driver's window to
   // mutate faults before the send reaches the wire.
-  sim_.schedule_after(
-      prep,
-      [this, dest, env = std::move(env)]() mutable {
-        route(dest, std::move(env), net::MsgKind::OneWay);
-      });
+  route_after(prep, dest, slot, net::MsgKind::OneWay);
+}
+
+void Transport::route_after(common::SimDuration delay, common::NodeId dest,
+                            std::uint32_t slot, net::MsgKind kind) {
+  sim_.schedule_after(delay, [this, dest, slot, kind] {
+    route(dest, parked_[slot], kind);
+    parked_.release(slot);
+  });
 }
 
 void Transport::transmit(common::RequestId id) {
@@ -276,7 +278,7 @@ void Transport::transmit(common::RequestId id) {
   env.request_id = id;
   env.verb = pc->verb;
   env.body = pc->body;  // fragment refcounts, not a copy
-  route(pc->dest, std::move(env), net::MsgKind::Request);
+  route(pc->dest, env, net::MsgKind::Request);
   pc->ticket = push_deadline(c, id);
 }
 
@@ -361,17 +363,17 @@ void Transport::retire(const PendingCall& pc) {
   }
 }
 
-void Transport::send_now(common::NodeId dest, Envelope env,
+void Transport::send_now(common::NodeId dest, Envelope& env,
                          net::MsgKind kind) {
   network_.send(net::Message{self_, dest, env.verb, kind, env.encode_header(),
                              std::move(env.body)});
 }
 
-void Transport::route(common::NodeId dest, Envelope env, net::MsgKind kind) {
+void Transport::route(common::NodeId dest, Envelope& env, net::MsgKind kind) {
   if (!batch_options_.enabled || dest.value() == self_.value() ||
       env.body.size() > batch_options_.max_inline_body) {
     // Loopback and oversized bodies keep the scatter-gather direct path.
-    send_now(dest, std::move(env), kind);
+    send_now(dest, env, kind);
     return;
   }
   if (batch_queues_.size() <= dest.value()) {
@@ -415,11 +417,10 @@ void Transport::flush_link(std::size_t dest_index) {
   if (count == 1) {
     // Single-invoke degenerate case: collapse to the plain envelope so the
     // single-fragment fast path (and its header counter) still applies.
-    Envelope env = std::move(queue.envelopes.front());
+    ++*batch_singletons_;
+    send_now(dest, queue.envelopes.front(), queue.first_kind);
     queue.envelopes.clear();
     queue.bytes = 0;
-    ++*batch_singletons_;
-    send_now(dest, std::move(env), queue.first_kind);
     return;
   }
   // One flat frame for every queued envelope (one allocation), sent as one
@@ -468,12 +469,11 @@ void Transport::require_one_shard(common::VerbId awaited) const {
   }
 }
 
-void Transport::on_message(net::Message msg) {
+void Transport::on_message(net::Message& msg) {
   if (Envelope::is_batch(msg.header)) {
     // One mailbox push carried the whole flush; unpack (zero-copy slices)
     // and dispatch the sub-envelopes in their sent order.
-    std::vector<Envelope> envelopes = Envelope::decode_batch(msg.header);
-    for (Envelope& env : envelopes) {
+    for (Envelope& env : Envelope::decode_batch(msg.header)) {
       dispatch_envelope(msg.from, env);
     }
     return;
@@ -507,13 +507,32 @@ void Transport::on_oneway(common::NodeId from, Envelope& env) {
     return;
   }
   ++*oneway_executions_;
+  serve(from, env, /*armed=*/false);
+}
+
+void Transport::serve(common::NodeId from, Envelope& env, bool armed) {
   const auto& model = network_.cost_model();
-  const common::SimDuration prep =
+  const common::SimDuration cost =
       model.rmi_server_dispatch_us + model.marshal_time(env.body.size());
-  after_cpu(prep, [this, verb_index, from,
-                   body = std::move(env.body)]() mutable {
-    services_[verb_index](from, body, Replier{});
+  if (cost == 0) {
+    run_service(from, env, armed);
+    return;
+  }
+  const std::uint32_t slot = parked_.emplace(std::move(env));
+  sim_.schedule_after(cost, [this, from, slot, armed] {
+    run_service(from, parked_[slot], armed);
+    parked_.release(slot);
   });
+}
+
+void Transport::run_service(common::NodeId from, const Envelope& env,
+                            bool armed) {
+  // Resolved when it runs: the table may have grown since dispatch (deque
+  // growth leaves the entry in place even if the service itself registers
+  // new verbs).
+  services_[env.verb.value()](
+      from, env.body,
+      armed ? Replier(this, from, env.request_id, env.verb) : Replier{});
 }
 
 void Transport::mark_evicted(std::uint64_t key, common::RequestId id) {
@@ -624,7 +643,7 @@ void Transport::on_request(common::NodeId from, Envelope& env) {
     ++*duplicates_suppressed_;
     if (cached->completed) {
       Envelope reply = cached->reply;  // fragment refcounts, not a copy
-      route(from, std::move(reply), net::MsgKind::ReplyDup);
+      route(from, reply, net::MsgKind::ReplyDup);
     }
     return;
   }
@@ -680,24 +699,15 @@ void Transport::on_request(common::NodeId from, Envelope& env) {
   entry->reply = {};
 
   // Server-side overhead: skeleton dispatch + argument unmarshalling.
-  const auto& model = network_.cost_model();
-  const common::SimDuration prep =
-      model.rmi_server_dispatch_us + model.marshal_time(env.body.size());
-  Replier replier(this, from, env.request_id, env.verb);
-  after_cpu(prep, [this, verb_index, from, body = std::move(env.body),
-                   replier = std::move(replier)]() mutable {
-    // Re-resolve the service at fire time: the table may have grown
-    // between dispatch and execution (deque growth leaves the entry in
-    // place even if the handler itself registers new verbs).
-    services_[verb_index](from, body, std::move(replier));
-  });
+  serve(from, env, /*armed=*/true);
 }
 
 void Transport::send_reply(common::NodeId to, common::RequestId id,
                            common::VerbId verb, bool ok,
                            const std::string& error,
                            serial::BufferChain body) {
-  Envelope reply;
+  const std::uint32_t slot = parked_.emplace();
+  Envelope& reply = parked_[slot];
   reply.kind = EnvelopeKind::Reply;
   reply.request_id = id;
   reply.verb = verb;
@@ -706,14 +716,16 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
   reply.body = std::move(body);
 
   const std::uint64_t key = pack_key(to, id);
-  if (const std::uint32_t* slot = reply_cache_index_.find(key);
-      slot != nullptr && reply_cache_entries_[*slot].request_id == id) {
-    ReplyCacheEntry& entry = reply_cache_entries_[*slot];
+  if (const std::uint32_t* cached = reply_cache_index_.find(key);
+      cached != nullptr && reply_cache_entries_[*cached].request_id == id) {
+    ReplyCacheEntry& entry = reply_cache_entries_[*cached];
     entry.completed = true;
     entry.reply = reply;  // fragment refcounts, not a payload copy
   }
 
-  // Result marshalling charged on the serving side before the wire.
+  // No result marshalling is charged: every simulated figure (the paper
+  // benches' goldens, bench/e2e's sim-time latencies) is calibrated
+  // without it (ROADMAP item 10).
   // Always an event, even at zero cost: a reply may be sent from user code
   // (service dispatch or a parked Replier), after which the driver regains
   // control at once — and drivers legitimately mutate faults in that
@@ -721,12 +733,7 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
   // partitions a link between execution and reply to force a
   // retransmission storm).  Inlining here would leak the reply onto the
   // wire before the driver runs.
-  const auto& model = network_.cost_model();
-  sim_.schedule_after(
-      model.marshal_time(reply.body.size()),
-      [this, to, reply = std::move(reply)]() mutable {
-        route(to, std::move(reply), net::MsgKind::Reply);
-      });
+  route_after(0, to, slot, net::MsgKind::Reply);
 }
 
 void Transport::on_reply(Envelope& env) {
@@ -736,8 +743,8 @@ void Transport::on_reply(Envelope& env) {
     return;
   }
   auto callback = std::move(pc->callback);
-  CallResult result = env.ok ? CallResult::success(std::move(env.body))
-                             : CallResult::failure(std::move(env.error));
+  // A failed reply carries an empty body, a successful one an empty error.
+  CallResult result{env.ok, std::move(env.error), std::move(env.body)};
   retire(*pc);
   pending_.erase(env.request_id.value());
   callback(std::move(result));

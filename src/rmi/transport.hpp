@@ -17,30 +17,22 @@
 //
 // Retransmission (docs/ARCHITECTURE.md "Retransmission"): a call does not
 // arm a timer of its own.  Each distinct retry_timeout_us on a transport is
-// one timeout class with one FIFO of (deadline, event sequence number,
-// request id), one entry per transmission, kept in a ring reused across
-// calls, and at most one armed event, keyed like the class's head entry.
-// A transport sends on one shard clock, so deadlines within a class never
-// decrease.  A reply or cancel erases the pending call, tombstones its
-// entry through the ticket the call kept, and pops tombstones off the
-// head; the event is cancelled only when no transmitted call of the class
-// is pending, so an idle transport holds no event.
-// Every entry leaves the ring by its deadline, so a class's ring holds at
-// most one timeout period's transmissions.
+// one timeout class: a FIFO ring of (deadline, event sequence number,
+// request id), one entry per transmission, and at most one armed event,
+// keyed like the head entry.  A reply or cancel tombstones its entry; the
+// event is cancelled only when no transmitted call of the class is pending.
 //
-// Hot-path layout: verbs are interned VerbIds, so dispatch is a flat vector
-// index; bodies are scatter-gather serial::BufferChains of ref-counted
-// fragments, so a steady-state call deep-copies zero payload bytes
-// (retransmission and the reply cache hold refcounts, not copies); pending
-// calls and the reply cache are open-addressed flat tables
-// (common::FlatMap64 — no per-insert node allocation), the reply cache
-// keyed by a packed (node, request) word with a ring-buffer eviction order
-// and pre-sized to its ring capacity so the receive path never allocates.
+// Hot-path layout: verbs are interned VerbIds (dispatch is a vector index);
+// bodies are BufferChains of ref-counted fragments, so a steady-state call
+// copies no payload bytes; pending calls and the reply cache are
+// open-addressed flat tables pre-sized so the receive path never
+// allocates; envelopes waiting out a CPU cost sit in slots (parked_).
 //
 // Cost accounting per the CostModel: the caller is charged client overhead
 // plus marshalling before the request hits the wire; the callee is charged
-// dispatch plus unmarshalling before the service runs.  Every successful
-// call increments "rmi.calls" — the unit the paper uses to explain Table 3.
+// dispatch plus unmarshalling before the service runs, and nothing for its
+// reply.  Every successful call increments "rmi.calls" — the unit the
+// paper uses to explain Table 3.
 #pragma once
 
 #include <cstdint>
@@ -53,6 +45,7 @@
 #include "common/flat_map.hpp"
 #include "common/function.hpp"
 #include "common/ids.hpp"
+#include "common/slab.hpp"
 #include "common/verb.hpp"
 #include "net/network.hpp"
 #include "rmi/envelope.hpp"
@@ -67,9 +60,6 @@ struct CallResult {
   std::string error;          // set when !ok
   serial::BufferChain body;   // set when ok
 
-  static CallResult success(serial::BufferChain body) {
-    return CallResult{true, {}, std::move(body)};
-  }
   static CallResult failure(std::string error) {
     return CallResult{false, std::move(error), {}};
   }
@@ -98,7 +88,7 @@ class Replier {
   Replier() = default;
   Replier(Transport* transport, common::NodeId to, common::RequestId id,
           common::VerbId verb)
-      : transport_(transport), to_(to), id_(id), verb_(verb) {}
+      : transport_(transport), id_(id), to_(to), verb_(verb) {}
 
   Replier(Replier&& other) noexcept { steal(other); }
   Replier& operator=(Replier&& other) noexcept {
@@ -128,8 +118,8 @@ class Replier {
   Transport* fire();
 
   Transport* transport_ = nullptr;
-  common::NodeId to_;
   common::RequestId id_;
+  common::NodeId to_;
   common::VerbId verb_;
 };
 
@@ -343,7 +333,7 @@ class Transport {
   // progress, a deadlock by construction.
   void require_one_shard(common::VerbId awaited) const;
 
-  void on_message(net::Message msg);
+  void on_message(net::Message& msg);
   // The envelope is consumed (its body moved out) by the handlers.
   void dispatch_envelope(common::NodeId from, Envelope& env);
   void on_request(common::NodeId from, Envelope& env);
@@ -366,29 +356,24 @@ class Transport {
   void send_reply(common::NodeId to, common::RequestId id,
                   common::VerbId verb, bool ok, const std::string& error,
                   serial::BufferChain body);
+  // Routes the parked envelope in `slot` after `delay`, then frees the slot.
+  void route_after(common::SimDuration delay, common::NodeId dest,
+                   std::uint32_t slot, net::MsgKind kind);
   std::int64_t* verb_calls_counter(common::VerbId verb);
 
-  // Runs `fn` after `cost` simulated CPU microseconds — inline when the
-  // cost model charges nothing (zero-cost benches otherwise pay an event
-  // round-trip per call), an event otherwise.  RECEIVER SIDE ONLY:
-  // inlining is safe only where no driver code can interleave at the same
-  // timestamp (message delivery -> service dispatch).  Sender-side steps
-  // (call prep, reply marshalling) must stay events even at zero cost, so
-  // drivers keep their window to mutate faults before a send reaches the
-  // wire.
-  template <typename Fn>
-  void after_cpu(common::SimDuration cost, Fn&& fn) {
-    if (cost == 0) {
-      fn();
-    } else {
-      sim_.schedule_after(cost, std::forward<Fn>(fn));
-    }
-  }
+  // Runs the envelope's service (with an armed Replier for a request)
+  // after the dispatch and unmarshalling cost: inline, reading `env` in
+  // place, when the cost model charges nothing, else from a parked slot.
+  // RECEIVER SIDE ONLY: sender-side steps (call prep, replies) stay events
+  // even at zero cost, so drivers keep their window to mutate faults.
+  void serve(common::NodeId from, Envelope& env, bool armed);
+  void run_service(common::NodeId from, const Envelope& env, bool armed);
 
   // All outgoing envelopes funnel through here: batched links queue the
-  // envelope for the next flush boundary, everything else sends now.
-  void route(common::NodeId dest, Envelope env, net::MsgKind kind);
-  void send_now(common::NodeId dest, Envelope env, net::MsgKind kind);
+  // envelope for the next flush boundary, everything else sends now.  Both
+  // take the envelope's body.
+  void route(common::NodeId dest, Envelope& env, net::MsgKind kind);
+  void send_now(common::NodeId dest, Envelope& env, net::MsgKind kind);
   void schedule_flush();
   void flush_all();
   void flush_link(std::size_t dest_index);
@@ -412,6 +397,10 @@ class Transport {
   // One per distinct retry_timeout_us, in first-use order; never removed,
   // so an index stays valid for the transport's lifetime.
   std::vector<RetryClass> retry_classes_;
+  // Envelopes waiting out a simulated CPU cost (a request before its
+  // service runs, a reply or one-way before it reaches the wire): the
+  // event captures the slot.
+  common::Slab<Envelope> parked_;
 
   // Hot-path counters (see StatsRegistry::counter_handle).
   std::int64_t* calls_;

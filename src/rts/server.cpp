@@ -3,7 +3,6 @@
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/log.hpp"
 
 namespace mage::rts {
 

@@ -52,12 +52,8 @@ class BufferChain {
       : BufferChain(Buffer(std::move(bytes))) {}
 
   // Fragments live in raw inline storage, placement-constructed on append
-  // (a fixed-capacity small-vector).  A chain is constructed, moved, and
-  // destroyed roughly ten times per message on its way through envelope ->
-  // wire message -> event capture -> handler, so every special member must
-  // cost O(active fragments) — usually one — not O(kMaxFragments):
-  // default-initializing four Buffer slots per construction measurably
-  // throttled the RMI storm when this type was introduced.
+  // (a fixed-capacity small-vector), so every special member costs
+  // O(active fragments), usually one, not O(kMaxFragments).
   BufferChain(const BufferChain& other) { assign_from(other); }
   BufferChain& operator=(const BufferChain& other) {
     if (this != &other) {

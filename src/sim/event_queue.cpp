@@ -6,29 +6,29 @@
 
 namespace mage::sim {
 
-EventId EventQueue::schedule(common::SimTime at, Action action,
+EventId EventQueue::schedule(common::SimTime at, Action&& action,
                              std::uint32_t tie) {
   return insert(at, next_seq_++, tie, std::move(action));
 }
 
 EventId EventQueue::schedule_reserved(common::SimTime at, std::uint64_t seq,
-                                      Action action) {
+                                      Action&& action) {
   assert(seq < next_seq_);
   return insert(at, seq, 0, std::move(action));
 }
 
 EventId EventQueue::insert(common::SimTime at, std::uint64_t seq,
-                           std::uint32_t tie, Action action) {
+                           std::uint32_t tie, Action&& action) {
   std::uint32_t slot;
   if (free_head_ != kNil) {
     slot = free_head_;
     free_head_ = slab_[slot].next_free;
-    slab_[slot].action = std::move(action);
   } else {
     slot = static_cast<std::uint32_t>(slab_.size());
-    slab_.push_back(Node{0, kNil, false, std::move(action)});
+    slab_.emplace_back();
   }
   Node& node = slab_[slot];
+  node.action = std::move(action);
   node.seq = seq;
   node.live = true;
   heap_.push_back(HeapEntry{at, seq, slot, tie});

@@ -5,30 +5,22 @@
 // sequence number, so a seed plus a program fully determines a simulation
 // run — a property every test in this repository leans on.
 //
-// The tie key exists for the sharded engine's mapping-independence
-// contract: a network delivery is stamped with its SOURCE node id, so two
-// messages arriving at one node at the same instant from different peers
-// execute in source-node order no matter when (or through which mechanism
-// — direct schedule vs. boundary mailbox drain) each was inserted.  Local
-// events keep the default tie of 0 and so run before any same-instant
-// delivery, matching the classic insertion-order behaviour.
+// The tie key serves the sharded engine's mapping independence: a network
+// delivery carries its SOURCE node id, so same-instant arrivals at one node
+// run in source order whichever path (direct schedule or mailbox drain)
+// inserted them.  Local events keep tie 0 and run before any delivery.
 //
 // Steady-state scheduling is allocation-free: actions are move-only
 // callables with inline storage (common::UniqueFunction) parked in a pooled
 // slab of event nodes (free-list reuse), and the heap itself orders small
-// POD entries {time, seq, slot} in a plain vector.  The old implementation
-// paid one shared_ptr<std::function> heap allocation per event.
+// POD entries {time, seq, slot} in a plain vector.
 //
 // Events can be cancelled (schedule() returns an EventId): the action is
 // destroyed and its slab node recycled immediately; the heap entry is
 // lazily skipped on pop, and the heap compacts itself when stale entries
 // outnumber live ones.  Cancellation serves the few timers that usually
-// lose their race: a hedge's losing branch, rmi::call's policy timers
-// (deadline, hedge, backoff), fault appliers, and a transport's
-// retransmission event once no call of its timeout class is pending.  RMI
-// calls do not arm a timer each (see rmi::Transport): while a class has
-// calls in flight, a fault-free call schedules and cancels nothing for
-// retransmission.
+// lose their race: a hedge's losing branch, rmi::call's policy timers,
+// fault appliers, and an idle retransmission class's event.
 //
 // A sequence number can be reserved ahead of its event
 // (reserve_seq/schedule_reserved): the event then orders among same-instant
@@ -60,7 +52,7 @@ class EventQueue {
   // orders same-instant events before the FIFO sequence number (see file
   // comment); network deliveries pass their source node id, everything
   // else 0.
-  EventId schedule(common::SimTime at, Action action, std::uint32_t tie = 0);
+  EventId schedule(common::SimTime at, Action&& action, std::uint32_t tie = 0);
 
   // Takes the sequence number the next schedule() would have used.
   [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
@@ -68,7 +60,7 @@ class EventQueue {
   // tie 0: it fires where an event scheduled at reservation time would.
   // Each reserved number keys at most one pending event.
   EventId schedule_reserved(common::SimTime at, std::uint64_t seq,
-                            Action action);
+                            Action&& action);
 
   // Cancels a scheduled event; a no-op if it already fired (or was already
   // cancelled).  Returns true when the event was live.
@@ -114,6 +106,8 @@ class EventQueue {
     bool live = false;
     Action action;
   };
+  static_assert(sizeof(Node) == 160,
+                "an event node is 16 bytes of metadata and a 144-byte action");
 
   // True when the heap entry still refers to a live event (its slab node
   // has not been cancelled or recycled).
@@ -123,7 +117,7 @@ class EventQueue {
   }
 
   EventId insert(common::SimTime at, std::uint64_t seq, std::uint32_t tie,
-                 Action action);
+                 Action&& action);
   void release_slot(std::uint32_t slot);
   // Drops stale entries off the heap top.
   void skip_stale();

@@ -160,8 +160,22 @@ void ShardedSim::set_boundary_hook(BoundaryHook hook, const void*) {
   boundary_hook_ = std::move(hook);
 }
 
+void ShardedSim::set_lander(Lander lander) {
+  if (running() || (lander && lander_)) {
+    throw common::MageError(
+        "ShardedSim::set_lander is driver-only and takes one lander");
+  }
+  lander_ = std::move(lander);
+}
+
 void ShardedSim::post(std::size_t from, std::size_t to, common::SimTime at,
-                      EventQueue::Action action, std::uint32_t tie) {
+                      EventQueue::Action&& action, std::uint32_t tie) {
+  mark_post(from, to, at);
+  mailbox(from, to).items[write_side_].emplace_back(at, tie, std::move(action));
+}
+
+void ShardedSim::mark_post(std::size_t from, std::size_t to,
+                           common::SimTime at) {
   // Causality check, enforced rather than documented: a mid-run post that
   // lands inside the destination's conservative window would execute in
   // its past and silently break determinism (e.g. a cost model whose
@@ -179,8 +193,6 @@ void ShardedSim::post(std::size_t from, std::size_t to, common::SimTime at,
         "lookahead");
   }
   Mailbox& box = mailbox(from, to);
-  auto& items = box.items[write_side_];
-  items.push_back(Posted{at, tie, std::move(action)});
   box.min_at[write_side_] = std::min(box.min_at[write_side_], at);
   inbound(write_side_, to).any.store(true, std::memory_order_relaxed);
 }
@@ -196,14 +208,14 @@ void ShardedSim::drain_shard(std::size_t s) {
   Simulation& sim = *shards_[s];
   for (std::size_t from = 0; from < count; ++from) {
     Mailbox& box = mailbox(from, s);
+    box.min_at[drain_side] = Simulation::kNoDeadline;
     auto& items = box.items[drain_side];
-    if (items.empty()) continue;
     for (Posted& p : items) {
       (void)sim.schedule_at(p.at, std::move(p.action), p.tie);
     }
     items.clear();  // keeps capacity: steady-state drains allocate nothing
-    box.min_at[drain_side] = Simulation::kNoDeadline;
   }
+  if (lander_) lander_(s, drain_side);
 }
 
 void ShardedSim::run_shard(std::size_t s) {

@@ -1,10 +1,9 @@
 // Sharded simulation: event-queue shards driven by a worker-thread pool
-// under conservative-lookahead synchronization.
+// under conservative-lookahead synchronization (docs/ARCHITECTURE.md,
+// "Concurrency — the sharded simulation", has the full account).
 //
-// The single-queue sim::Simulation executes an N-node federation on one
-// core; this driver runs a set of Simulation shards (private clock, event
-// queue and stats registry each) in parallel, synchronized in *windows* of
-// virtual time:
+// Each shard is a Simulation (private clock, event queue and stats
+// registry).  The shards run in parallel, in *windows* of virtual time:
 //
 //   frontier      = min over shards (queues + undrained mailboxes) of the
 //                   next pending event's time
@@ -12,23 +11,14 @@
 //
 // where lookahead(p, s) is the minimum latency any interaction from shard
 // p can add to shard s (for the simulated network: the smallest delay of
-// any cross-shard link from a node on p to a node on s).  Shard s may
-// safely execute every event with time < window_end(s), because any
-// message another shard p sends this window was sent at a time >= frontier
-// and therefore arrives at >= frontier + lookahead(p, s) >= window_end(s)
-// — outside s's window.  That is the classic conservative
-// (Chandy–Misra-style) bound with a barrier instead of null messages,
-// generalized to a per-pair lookahead matrix: a WAN-scale link widens the
-// windows of the shards behind it instead of the slowest link throttling
-// everyone.  The matrix defaults to the uniform construction-time
-// lookahead; set_pair_lookahead() widens individual pairs (net::Network
-// derives entries from its CostModel + per-link extra latency).
-//
-// More than one simulated node may live on one shard (an affinity-aware
-// node:shard mapping — see net::Network): traffic between co-located nodes
-// is scheduled directly into the shared shard queue with no mailbox or
-// barrier involvement and does NOT constrain the lookahead matrix, which
-// is what makes clustering chatty node pairs profitable.
+// any cross-shard link from a node on p to a node on s).  A message another
+// shard sends this window leaves at >= frontier, so it arrives at >=
+// window_end(s): outside s's window.  That is the conservative
+// (Chandy–Misra-style) bound with a barrier instead of null messages, over
+// a per-pair lookahead matrix (set_pair_lookahead; net::Network derives
+// the entries from its CostModel + per-link extra latency), so a WAN-scale
+// link widens the windows of the shards behind it.  Traffic between nodes
+// that share a shard touches no mailbox and does not constrain the matrix.
 //
 // Cross-shard sends travel through per-link mailboxes, double-buffered by
 // round: during a round the worker running the source shard appends to
@@ -36,51 +26,37 @@
 // destination shard drains the read side (everything posted last round).
 // The sides swap inside the round barrier, so no mailbox is touched by two
 // threads in one round — the one barrier per round is the only
-// synchronization.  (The previous design
-// needed two full barriers per round to separate the drain and run phases;
-// double-buffering removes that ordering requirement and halves the
-// barrier cost.)  The barrier itself is a centralized sense-reversing
-// barrier that spins briefly and then parks with exponential backoff —
-// oversubscribed runs (more workers than hardware threads) park almost
-// immediately instead of burning each other's quantum.
+// synchronization.  A layer may keep mailbox columns of its own on the
+// same sides (net::Network's messages; see set_lander).  The barrier spins
+// briefly and then parks with exponential backoff, so oversubscribed runs
+// do not burn each other's quantum.
 //
-// Work balancing: each worker has a fixed *home* block of shards, which it
-// runs first every round, heaviest first — balanced runs keep every shard
-// on one core.  A worker whose home shards are done then steals the other
-// workers' still-unclaimed shards, heaviest first.  "Heaviest" is the
-// number of events the shard executed in its previous window (a
-// deterministic signal); control() sorts that steal order inside the
-// barrier.  A claim is one atomic exchange of the shard's round stamp, so
-// exactly one worker runs each shard per round.  Load that migrates with
-// MAGE objects onto a few hot nodes therefore spreads over all workers
-// instead of stalling every round on the one worker whose block holds
-// them.
+// Work balancing: each worker runs its fixed *home* block of shards first,
+// then steals the other workers' still-unclaimed shards, both heaviest
+// first ("heaviest": most events executed in the previous window, a
+// deterministic signal that control() sorts inside the barrier).  A claim
+// is one atomic exchange of the shard's round stamp, so exactly one worker
+// runs each shard per round.
 //
 // Determinism: the window sequence is a pure function of event timestamps,
-// so it does not depend on the worker count, nor on which worker claimed
-// which shard.  Within a window each shard executes its own queue
-// sequentially; equal-time events are ordered by
-// the EventQueue tie key (deliveries carry their source node id), so the
-// events of every NODE fire in an identical order at any thread count AND
-// under any node:shard mapping — a property tests/sharded_sim_test.cpp
-// enforces and BENCH_storm's threaded mode re-asserts with a per-node
-// order digest on every run.
+// and equal-time events are ordered by the EventQueue tie key (deliveries
+// carry their source node id), so the events of every NODE fire in one
+// order at any thread count and under any node:shard mapping — enforced by
+// tests/sharded_sim_test.cpp and by per-node digests on every bench_storm
+// run.
 //
-// Threading contract (audited; see docs/ARCHITECTURE.md):
-//   * shard state (queue, clock, stats) is touched, in a round, only
-//     by the one worker that claimed the shard that round, and only by the
-//     driver thread while stopped.  Successive rounds may run a shard on
-//     different workers; the round barrier orders one claimant's writes
-//     before the next claimant's reads;
-//   * post() may be called only from the worker running the source shard
-//     (or from the driver while stopped);
-//   * the driver predicate runs at round barriers with all workers
-//     parked, so it may read anything the shards wrote — but state it
-//     reads that is written from multiple shards' callbacks must be
+// Threading contract:
+//   * shard state (queue, clock, stats) is touched, in a round, only by
+//     the one worker that claimed the shard, and by the driver thread only
+//     while stopped; the round barrier orders successive claimants;
+//   * post() and mark_post() may be called only from the worker running
+//     the source shard (or from the driver while stopped);
+//   * the driver predicate runs at round barriers with all workers parked;
+//     state it reads that several shards' callbacks write must be
 //     per-shard or atomic;
 //   * configuration (adding nodes, handlers, fault injection, the
-//     lookahead matrix) is frozen while workers run — net::Network and
-//     set_pair_lookahead enforce this by throwing.
+//     lookahead matrix, the lander) is frozen while workers run: the
+//     setters throw.
 #pragma once
 
 #include <atomic>
@@ -154,21 +130,29 @@ class ShardedSim {
   using BoundaryHook = std::function<void(common::SimTime window_start)>;
   void set_boundary_hook(BoundaryHook hook, const void* /*owner*/ = nullptr);
 
-  // Schedules `action` at absolute time `at` on shard `to`.  Callable from
-  // shard `from`'s worker during a window (the action lands in the write
-  // side of the (from, to) mailbox and is drained next round), or from the
-  // driver thread while stopped.  `at` must be >= the posting shard's
-  // current time + pair_lookahead(from, to) when posting mid-run; the
-  // network layer guarantees this by construction (every cross-shard delay
-  // >= the pair's lookahead entry).  `tie` is the EventQueue same-instant
-  // key (deliveries pass their source node id).
+  // Schedules `action` at absolute time `at` on shard `to`: from shard
+  // `from`'s worker during a window (the (from, to) mailbox is drained next
+  // round), or from the driver while stopped.  Mid-run, `at` must be >= the
+  // posting shard's time + pair_lookahead(from, to) (it throws otherwise).
+  // `tie` is the EventQueue same-instant key.
   void post(std::size_t from, std::size_t to, common::SimTime at,
-            EventQueue::Action action, std::uint32_t tie = 0);
+            EventQueue::Action&& action, std::uint32_t tie = 0);
   // The Wake argument is ignored (see enum Wake).
   void post(std::size_t from, std::size_t to, common::SimTime at,
-            EventQueue::Action action, Wake) {
+            EventQueue::Action&& action, Wake) {
     post(from, to, at, std::move(action));
   }
+
+  // Items a layer keeps in mailbox columns of its own (net::Network writes
+  // a message for another shard once, into its (from, to) column on side
+  // write_side()): mark_post() records one at `at` for the frontier and the
+  // drain, with post()'s causality check, and the drain of shard `to` calls
+  // the lander with `to` and the side to drain, after the posted actions.
+  // set_lander is driver-only and takes one lander (nullptr removes it).
+  using Lander = std::function<void(std::size_t to, std::size_t side)>;
+  void set_lander(Lander lander);
+  void mark_post(std::size_t from, std::size_t to, common::SimTime at);
+  [[nodiscard]] std::size_t write_side() const { return write_side_; }
 
   // Runs all shards on `threads` workers until `done` returns true —
   // checked before the first window and at every round barrier, so the
@@ -219,6 +203,8 @@ class ShardedSim {
     std::uint32_t tie;
     EventQueue::Action action;
   };
+  static_assert(sizeof(Posted) == 160,
+                "a mailbox entry is a time, a tie and a 144-byte action");
 
   // One direction of one link, double-buffered by round parity: posts go
   // to side `write_side_`, drains read the other side — so the one round
@@ -289,6 +275,7 @@ class ShardedSim {
   std::vector<common::SimDuration> la_;
   std::vector<common::SimDuration> min_in_la_;
   BoundaryHook boundary_hook_;
+  Lander lander_;
 
   // Run-scoped state.  Written by control() inside the barrier or by
   // workers under the phase discipline above; the barrier provides the

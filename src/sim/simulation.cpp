@@ -8,7 +8,8 @@ namespace mage::sim {
 
 Simulation::Simulation(std::uint64_t seed) : seed_(seed) {}
 
-EventId Simulation::schedule_at(common::SimTime at, EventQueue::Action action,
+EventId Simulation::schedule_at(common::SimTime at,
+                                EventQueue::Action&& action,
                                 std::uint32_t tie) {
   if (at < now_) [[unlikely]] {
     throw common::MageError("cannot schedule an event into the past: at " +
@@ -19,7 +20,7 @@ EventId Simulation::schedule_at(common::SimTime at, EventQueue::Action action,
 }
 
 EventId Simulation::schedule_after(common::SimDuration delay,
-                                   EventQueue::Action action,
+                                   EventQueue::Action&& action,
                                    std::uint32_t tie) {
   return schedule_at(now_ + (delay < 0 ? 0 : delay), std::move(action), tie);
 }

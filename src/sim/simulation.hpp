@@ -48,21 +48,19 @@ class Simulation {
   [[nodiscard]] std::uint64_t seed() const { return seed_; }
 
   // Throws MageError when `at` is before now(): the clock never runs
-  // backwards.  `tie` orders same-instant events deterministically before
-  // insertion order (EventQueue tie key): the network stamps deliveries
-  // with their source node id so a node observes equal-time arrivals in
-  // source order regardless of the node:shard mapping.  Ordinary events
-  // leave it 0 and run before any same-instant delivery.
-  EventId schedule_at(common::SimTime at, EventQueue::Action action,
+  // backwards.  `tie` orders same-instant events before insertion order
+  // (EventQueue's tie key: deliveries pass their source node id, ordinary
+  // events 0).
+  EventId schedule_at(common::SimTime at, EventQueue::Action&& action,
                       std::uint32_t tie = 0);
-  EventId schedule_after(common::SimDuration delay, EventQueue::Action action,
-                         std::uint32_t tie = 0);
+  EventId schedule_after(common::SimDuration delay,
+                         EventQueue::Action&& action, std::uint32_t tie = 0);
   // The Wake argument is ignored (see enum Wake).
-  EventId schedule_at(common::SimTime at, EventQueue::Action action, Wake) {
+  EventId schedule_at(common::SimTime at, EventQueue::Action&& action, Wake) {
     return schedule_at(at, std::move(action));
   }
-  EventId schedule_after(common::SimDuration delay, EventQueue::Action action,
-                         Wake) {
+  EventId schedule_after(common::SimDuration delay,
+                         EventQueue::Action&& action, Wake) {
     return schedule_after(delay, std::move(action));
   }
 
@@ -72,7 +70,7 @@ class Simulation {
   // thrown: `at` is computed, not a driver's input).
   [[nodiscard]] std::uint64_t reserve_seq() { return queue_.reserve_seq(); }
   EventId schedule_reserved(common::SimTime at, std::uint64_t seq,
-                            EventQueue::Action action) {
+                            EventQueue::Action&& action) {
     assert(at >= now_);
     return queue_.schedule_reserved(at, seq, std::move(action));
   }

@@ -198,6 +198,26 @@ TEST(BatchFraming, RejectsMalformedFrames) {
     EXPECT_THROW((void)Envelope::decode_batch(w.take()),
                  common::SerializationError);
   }
+  // A count the frame cannot hold is refused before anything is reserved
+  // for it (each sub-envelope needs at least its 4-byte size prefix), so a
+  // 5-byte frame declaring 2^32 - 1 of them, or one declaring 50 million
+  // over 16 bytes, is a SerializationError, not a bad_alloc.
+  for (const std::uint32_t count : {0xFFFFFFFFu, 50'000'000u}) {
+    serial::Writer w(5);
+    w.write_u8(rmi::kBatchTag);
+    w.write_u32(count);
+    if (count == 50'000'000u) w.write_fill(0, 16);
+    try {
+      (void)Envelope::decode_batch(w.take());
+      ADD_FAILURE() << "count " << count << " accepted";
+    } catch (const common::SerializationError& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find(std::to_string(count)), std::string::npos) << what;
+      EXPECT_NE(what.find(count == 50'000'000u ? " 16 " : " 0 "),
+                std::string::npos)
+          << what;
+    }
+  }
 }
 
 TEST(BatchFraming, EncodeBatchIsExactlyOneAllocation) {

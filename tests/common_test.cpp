@@ -1,4 +1,4 @@
-// Unit tests for src/common: strong ids, RNG, stats, logging, errors.
+// Unit tests for src/common: strong ids, RNG, stats, errors.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "common/ids.hpp"
-#include "common/log.hpp"
 #include "common/rng.hpp"
 #include "common/stats.hpp"
 #include "common/time.hpp"
@@ -170,34 +169,6 @@ TEST(Stats, ToStringContainsKeys) {
   stats.add("net.messages", 3);
   const auto text = stats.to_string();
   EXPECT_NE(text.find("net.messages = 3"), std::string::npos);
-}
-
-// --- log --------------------------------------------------------------------------
-
-TEST(Log, SinkCapturesAtOrAboveLevel) {
-  auto& logger = Logger::instance();
-  const auto old_level = logger.level();
-  std::vector<std::pair<LogLevel, std::string>> captured;
-  logger.set_sink([&captured](LogLevel level, const std::string& message) {
-    captured.emplace_back(level, message);
-  });
-  logger.set_level(LogLevel::Info);
-
-  MAGE_DEBUG() << "hidden";
-  MAGE_INFO() << "hello " << 42;
-  MAGE_ERROR() << "boom";
-
-  logger.set_sink(nullptr);
-  logger.set_level(old_level);
-
-  ASSERT_EQ(captured.size(), 2u);
-  EXPECT_EQ(captured[0].second, "hello 42");
-  EXPECT_EQ(captured[1].first, LogLevel::Error);
-}
-
-TEST(Log, LevelNames) {
-  EXPECT_STREQ(log_level_name(LogLevel::Trace), "TRACE");
-  EXPECT_STREQ(log_level_name(LogLevel::Error), "ERROR");
 }
 
 // --- errors ------------------------------------------------------------------------

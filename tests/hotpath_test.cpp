@@ -691,6 +691,42 @@ TEST(InlineBuffer, SmallEchoBodiesCrossShardsIntact) {
   EXPECT_EQ(ssim.counter("rmi.calls"), 2 * kCallsPerSize);
 }
 
+// A handler reads its message in place: the header and body it sees are
+// the sender's shared buffers themselves, whether the message was
+// scheduled on one shard or crossed a mailbox column to another.
+TEST(InPlaceDelivery, HandlerSeesTheSendersSharedFragments) {
+  net::CostModel model = net::CostModel::zero();
+  model.propagation_us = 100;
+  sim::Simulation sim{3};
+  sim::ShardedSim ssim(2, 3, net::Network::min_link_latency(model));
+  const serial::Buffer header(std::vector<std::uint8_t>(40, 0x01));
+  const serial::Buffer body(std::vector<std::uint8_t>(512, 0x02));
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "cross-shard" : "same shard");
+    auto net = sharded ? std::make_unique<net::Network>(ssim, model)
+                       : std::make_unique<net::Network>(sim, model);
+    const common::NodeId a = net->add_node("a");  // shard 0
+    const common::NodeId b = net->add_node("b");  // shard 1 when sharded
+    const std::uint8_t* seen_header = nullptr;
+    const std::uint8_t* seen_body = nullptr;
+    net->set_handler(b, [&](net::Message& m) {
+      seen_header = m.header.data();
+      seen_body = m.body.fragment(0).data();
+    });
+    serial::Buffer::reset_copy_counters();
+    net->send(net::Message{a, b, common::intern_verb("hp.inplace"),
+                           net::MsgKind::Request, header, body});
+    if (sharded) {
+      ssim.run_until_idle(2);
+    } else {
+      sim.run_until_idle();
+    }
+    EXPECT_EQ(seen_header, header.data());
+    EXPECT_EQ(seen_body, body.data());
+    EXPECT_EQ(serial::Buffer::deep_copy_count(), 0u);
+  }
+}
+
 TEST_F(HotpathRmiFixture, ScatterGatherBodyTravelsIntact) {
   // A multi-fragment body (the proto layer's [fields, payload] shape)
   // arrives as the same fragments, payload storage shared end to end.

@@ -4,6 +4,7 @@
 
 #include <memory>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
@@ -474,6 +475,128 @@ INSTANTIATE_TEST_SUITE_P(EveryKind, FaultProvenance,
                                            FaultKind::Partition,
                                            FaultKind::Crash),
                          kind_name);
+
+// --- message slots ----------------------------------------------------------
+
+Message hop(common::NodeId from, common::NodeId to, std::uint8_t hops) {
+  return Message{from, to, common::intern_verb("hop"), MsgKind::Request, {},
+                 serial::Buffer(std::vector<std::uint8_t>{hops})};
+}
+
+// A message holds one place from send to handler: a slot on its receiver's
+// shard, or its mailbox column until the drain.  Under loss, a partition
+// and a crash/restart at 2 workers, a run that drains leaves none held:
+// dropped messages never take a slot, and delivered ones, loopback
+// included, free theirs when the handler returns.
+TEST(MessageSlots, ChaosRunDrainsWithNoMessageHeld) {
+  CostModel m = CostModel::zero();
+  m.propagation_us = 100;
+  sim::ShardedSim ssim(2, 11, Network::min_link_latency(m));
+  Network net(ssim, m, {0, 1, 0, 1});
+  std::vector<common::NodeId> ids;
+  for (int i = 0; i < 4; ++i) ids.push_back(net.add_node("n"));
+  // Node i forwards each message to node i+1 with one hop less, and every
+  // third hop also to itself.  Each counter is written on its node's shard.
+  std::vector<std::int64_t> loopbacks(ids.size(), 0);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const common::NodeId self = ids[i];
+    const common::NodeId next = ids[(i + 1) % ids.size()];
+    net.set_handler(self, [&net, &loopbacks, i, self, next](Message& msg) {
+      if (msg.from == self) ++loopbacks[i];
+      const std::uint8_t left = msg.body.fragment(0).data()[0];
+      if (left == 0) return;
+      net.send(hop(self, next, left - 1));
+      if (left % 3 == 0) net.send(hop(self, self, left - 1));
+    });
+  }
+  FaultSchedule faults;
+  faults.loss_burst(500, 0.2, 2'000)
+      .partition_for(1'000, ids[0], ids[1], 1'500)
+      .crash_for(1'200, ids[3], 1'000);
+  net.set_fault_schedule(std::move(faults));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    for (int k = 0; k < 8; ++k) {
+      net.send(hop(ids[i], ids[(i + 1 + k) % ids.size()], 30));
+    }
+  }
+  EXPECT_EQ(net.messages_held(), ids.size() * 8);
+
+  ssim.run_until_idle(2);
+  EXPECT_EQ(net.messages_held(), 0u);
+  const std::int64_t dropped = ssim.counter("net.messages_dropped");
+  EXPECT_GT(dropped, 0);
+  EXPECT_GT(ssim.counter("net.messages_dropped_by_schedule"), 0);
+  EXPECT_GT(loopbacks[0] + loopbacks[1] + loopbacks[2] + loopbacks[3], 0);
+  EXPECT_EQ(ssim.counter("net.messages_sent"),
+            ssim.counter("net.messages_delivered") + dropped);
+  EXPECT_EQ(ssim.counter("net.fifo_violations"), 0);
+}
+
+// The handler reads its message in place, and the message does not move
+// while the handler sends: 40 sends from inside it take 40 more slots of
+// the same shard (several new chunks), yet it reads on intact.
+TEST(MessageSlots, HandlerThatSendsReadsItsMessageIntact) {
+  CostModel m = CostModel::zero();
+  m.propagation_us = 100;
+  sim::Simulation sim{5};
+  sim::ShardedSim ssim(2, 5, Network::min_link_latency(m));
+  for (const bool sharded : {false, true}) {
+    SCOPED_TRACE(sharded ? "2 shards" : "one Simulation");
+    auto net = sharded ? std::make_unique<Network>(ssim, m)
+                       : std::make_unique<Network>(sim, m);
+    const auto a = net->add_node("a");  // shard 0
+    const auto b = net->add_node("b");  // shard 1 when sharded
+    const auto payload = common::intern_verb("payload");
+    const std::vector<std::uint8_t> bytes(64, 0x5A);
+    int intact = 0;
+    int loopbacks = 0;
+    net->set_handler(b, [&](Message& msg) {
+      if (msg.verb != payload) {
+        ++loopbacks;
+        return;
+      }
+      for (int i = 0; i < 40; ++i) net->send(hop(b, b, 0));
+      if (msg.from == a && msg.to == b && msg.body == bytes &&
+          msg.wire_seq == 1) {
+        ++intact;
+      }
+    });
+    net->send(Message{a, b, payload, MsgKind::Request, {},
+                      serial::Buffer(std::vector<std::uint8_t>(bytes))});
+    if (sharded) {
+      ssim.run_until_idle(2);
+    } else {
+      sim.run_until_idle();
+    }
+    EXPECT_EQ(intact, 1);
+    EXPECT_EQ(loopbacks, 40);
+    EXPECT_EQ(net->messages_held(), 0u);
+  }
+}
+
+// A network destroyed with deliveries still queued (in slots and in a
+// mailbox column) destroys their messages with it: the ASan lane's leak
+// check holds this.  The queued events must then never run.
+TEST(MessageSlots, DestroyedNetworkFreesQueuedMessages) {
+  CostModel m = CostModel::zero();
+  m.propagation_us = 100;
+  sim::Simulation sim{5};
+  sim::ShardedSim ssim(2, 5, Network::min_link_latency(m));
+  const serial::Buffer shared(std::vector<std::uint8_t>(100, 1));
+  for (const bool sharded : {false, true}) {
+    auto net = sharded ? std::make_unique<Network>(ssim, m)
+                       : std::make_unique<Network>(sim, m);
+    const auto a = net->add_node("a");
+    const auto b = net->add_node("b");
+    for (int i = 0; i < 20; ++i) {
+      net->send(Message{a, b, common::intern_verb("q"), MsgKind::Request, {},
+                        serial::Buffer(std::vector<std::uint8_t>(64, 2))});
+      net->send(Message{a, a, common::intern_verb("q"), MsgKind::Request, {},
+                        shared});
+    }
+    EXPECT_EQ(net->messages_held(), 40u);
+  }
+}
 
 // --- cost model presets -----------------------------------------------------
 
