@@ -8,9 +8,10 @@
 // sentinel (request ids start at 1 and packed (node, request) keys carry a
 // non-zero node in the high bits, so 0 never occurs), and backward-shift
 // deletion instead of tombstones so lookups never degrade.  Steady-state
-// insert/erase touches no allocator; the vector reallocates only on growth,
-// and reserve() pins capacity up front for tables with a known bound (the
-// reply cache's ring capacity).
+// insert/erase touches no allocator; the vector reallocates only on growth
+// (a table whose live size stops growing stops allocating, as the reply
+// cache's index does once its ring has wrapped), and reserve() sizes a
+// table for a known number of live entries up front.
 //
 // find()/try_emplace() return raw value pointers that are invalidated by
 // any subsequent insert (rehash) or erase (backward shift) — use, then

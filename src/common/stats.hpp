@@ -25,6 +25,13 @@ class StatsRegistry {
     return &counters_[key];
   }
 
+  // Bumps the counter behind `slot`, taking the handle on first use: a
+  // path never taken adds no zero-valued key to the dump, as with add().
+  void bump(std::int64_t*& slot, const char* key) {
+    if (slot == nullptr) slot = counter_handle(key);
+    ++*slot;
+  }
+
   [[nodiscard]] std::int64_t counter(const std::string& key) const;
 
   [[nodiscard]] const std::map<std::string, std::int64_t>& counters() const {

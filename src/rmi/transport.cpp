@@ -116,13 +116,17 @@ Transport::Transport(net::Network& network, common::NodeId self,
         "reply cache capacity must be at least 1 (at-most-once needs a "
         "live entry per in-flight request)");
   }
-  // Pre-size the slim probe index so steady-state inserts never rehash.
-  // The fat entries ring is reserved at its first insert and filled
-  // append-only up to capacity, then overwritten in place, so an idle
-  // transport does not pre-commit capacity * sizeof(ReplyCacheEntry)
-  // bytes — once the ring has wrapped, the receive path is
-  // allocation-free.
-  reply_cache_index_.reserve(reply_cache_capacity_);
+  // The slim probe index is pre-sized for at most kIndexPresize entries
+  // and otherwise grows with the live ones: a large cache (a 32,768-entry
+  // one has a 1 MB index) commits only what its traffic fills, while a
+  // small one keeps the allocation pattern of a fully pre-sized index
+  // (growing it by doubling let glibc trim the heap between benchmark
+  // rounds, so the next setup faulted pages back in).  The fat entries
+  // ring is reserved at its first insert, filled append-only up to
+  // capacity, then overwritten in place.  Once the ring has wrapped the
+  // index holds exactly capacity keys, so the receive path never
+  // allocates.
+  reply_cache_index_.reserve(std::min(reply_cache_capacity_, kIndexPresize));
   *reply_cache_capacity_stat_ = static_cast<std::int64_t>(reply_cache_capacity_);
   *reply_cache_capacity_high_water_ =
       static_cast<std::int64_t>(reply_cache_capacity_);
@@ -571,9 +575,11 @@ void Transport::resize_reply_cache(std::size_t new_capacity) {
     ++*reply_cache_shrinks_;
   }
   reply_cache_capacity_ = new_capacity;
-  // Rebuild the slim index over the survivors (pre-sized, no rehash).
+  // Rebuild the slim index over the survivors, sized like a new one's;
+  // it grows with the ring from there.
   reply_cache_index_ = common::FlatMap64<std::uint32_t>();
-  reply_cache_index_.reserve(new_capacity);
+  reply_cache_index_.reserve(std::max(reply_cache_entries_.size(),
+                                     std::min(new_capacity, kIndexPresize)));
   for (std::size_t i = 0; i < reply_cache_entries_.size(); ++i) {
     *reply_cache_index_.try_emplace(reply_cache_entries_[i].key).first =
         static_cast<std::uint32_t>(i);

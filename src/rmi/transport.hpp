@@ -25,8 +25,9 @@
 // Hot-path layout: verbs are interned VerbIds (dispatch is a vector index);
 // bodies are BufferChains of ref-counted fragments, so a steady-state call
 // copies no payload bytes; pending calls and the reply cache are
-// open-addressed flat tables pre-sized so the receive path never
-// allocates; envelopes waiting out a CPU cost sit in slots (parked_).
+// open-addressed flat tables that stop growing once the reply cache has
+// wrapped, so the steady-state receive path never allocates; envelopes
+// waiting out a CPU cost sit in slots (parked_).
 //
 // Cost accounting per the CostModel: the caller is charged client overhead
 // plus marshalling before the request hits the wire; the callee is charged
@@ -451,11 +452,13 @@ class Transport {
   // a few slots per cache line — while the fat entries (cached reply
   // envelopes) sit in a ring array in insertion order, each touched only
   // when its request is addressed.  The ring slot being overwritten on
-  // insert is the entry evicted.  The index is pre-sized to
-  // reply_cache_capacity_ (no rehash, no backward-shift of anything
-  // bigger than 16 bytes); the entries ring is reserved at its first
-  // insert, filled append-only to capacity and then overwritten in place,
-  // so once it has wrapped the receive path never allocates.
+  // insert is the entry evicted.  The index is pre-sized for at most
+  // kIndexPresize entries; past that it grows with its live entries (by
+  // rehash, moving 16-byte slots) while the ring fills, and then holds
+  // capacity keys, one erased per key inserted.  The entries ring is
+  // reserved at its first insert, filled append-only to capacity and then
+  // overwritten in place, so once it has wrapped the receive path never
+  // allocates.
   struct ReplyCacheEntry {
     std::uint64_t key = 0;  // pack_key of the request this slot caches
     common::RequestId request_id;
@@ -470,6 +473,7 @@ class Transport {
   // entry once the ring is full) and indexes it.
   ReplyCacheEntry* reply_cache_insert(std::uint64_t key);
 
+  static constexpr std::size_t kIndexPresize = 1024;
   common::FlatMap64<std::uint32_t> reply_cache_index_;  // key -> ring slot
   std::vector<ReplyCacheEntry> reply_cache_entries_;    // insertion order
   std::size_t reply_cache_head_ = 0;

@@ -17,8 +17,8 @@ constexpr common::SimDuration kChaseBackoffUs = 10'000;
 // suppressed server-side.
 constexpr int kLockTransmissions = 64;
 
-// One in-flight chase: the state machine shared by the call callbacks and
-// the relocation events that advance it.
+// One in-flight chase: the state machine the call callbacks and the
+// relocation events advance, each holding the one handle in turn.
 struct AsyncClient::ChaseOp {
   ChaseKind kind = ChaseKind::Invoke;
   common::ComponentName name;
@@ -27,9 +27,25 @@ struct AsyncClient::ChaseOp {
   common::NodeId to;            // Move
   common::NodeId at = common::kNoNode;
   int attempts = 0;
+
   // Exactly one of these runs, once: it completes the caller's future.
-  common::UniqueFunction<void(Chased&)> on_done;
-  common::UniqueFunction<void(std::string)> on_error;
+  // (An op is destroyed as its ChaseInto, through the block it shares.)
+  virtual void done(Chased& chased) = 0;
+  virtual void fail(std::string error) = 0;
+};
+
+// The op and the caller's future state in one block.
+template <typename R, typename Take>
+struct AsyncClient::ChaseInto final : ChaseOp {
+  explicit ChaseInto(Take t) : take(std::move(t)) {}
+
+  void done(Chased& chased) override { future.set_value(take(chased)); }
+  void fail(std::string error) override {
+    future.set_error(std::move(error));
+  }
+
+  detail::FutureState<R> future;
+  Take take;
 };
 
 AsyncClient::AsyncClient(MageServer& server, rmi::CallPolicy policy)
@@ -38,11 +54,6 @@ AsyncClient::AsyncClient(MageServer& server, rmi::CallPolicy policy)
       sim_(transport_.network().node_sim(transport_.self())),
       policy_(policy) {
   policy_.register_counters(sim_.stats());
-}
-
-void AsyncClient::count(std::int64_t*& slot, const char* key) {
-  if (slot == nullptr) slot = sim_.stats().counter_handle(key);
-  ++*slot;
 }
 
 template <typename R, typename OnOk>
@@ -82,24 +93,23 @@ bool AsyncClient::accept_hint(const common::ComponentName& name,
   // client has already confirmed — an older hint points into a placement
   // history segment we know is obsolete (e.g. a forwarding loop left
   // behind by a crashed-and-restarted ex-home).
-  if (hint_epoch != 0 && hint_epoch < known_epoch(name)) {
-    sim_.stats().add("rts.stale_hints_rejected");
+  auto& known = known_epochs_[name];
+  if (hint_epoch != 0 && hint_epoch < known) {
+    sim_.stats().bump(stale_hints_, "rts.stale_hints_rejected");
     return false;
   }
-  note_epoch(name, hint_epoch);
+  if (hint_epoch > known) known = hint_epoch;
   return true;
 }
 
 common::NodeId AsyncClient::believed_host(
     const common::ComponentName& name) const {
-  if (server_.registry().has_local(name) && !server_.in_transit(name)) {
-    return transport_.self();
+  if (const Registry::Record* record = server_.registry().find(name)) {
+    if (record->hosted()) return transport_.self();
+    if (record->forward) return *record->forward;
   }
-  if (auto fwd = server_.registry().forward(name)) return *fwd;
-  if (server_.directory().contains(name)) {
-    return server_.directory().info(name).home;
-  }
-  return common::kNoNode;
+  const ComponentInfo* info = server_.directory().find(name);
+  return info == nullptr ? common::kNoNode : info->home;
 }
 
 // --- locate -----------------------------------------------------------------
@@ -158,28 +168,29 @@ MageFuture<common::NodeId> AsyncClient::walk(const common::ComponentName& name,
 
 MageFuture<common::NodeId> AsyncClient::locate(
     const common::ComponentName& name) {
-  if (server_.registry().has_local(name) && !server_.in_transit(name)) {
+  const Registry::Record* record = server_.registry().find(name);
+  if (record != nullptr && record->hosted()) {
     MagePromise<common::NodeId> promise;
     promise.set_value(transport_.self());
     return promise.future();
   }
 
-  const bool shared = server_.directory().contains(name) &&
-                      server_.directory().info(name).is_public;
+  const ComponentInfo* info = server_.directory().find(name);
+  const bool shared = info != nullptr && info->is_public;
   common::NodeId start = common::kNoNode;
-  if (auto fwd = server_.registry().forward(name)) {
+  if (record != nullptr && record->forward) {
     // Private objects move only through their owner, so the forwarding
     // address is authoritative ("if the object is private, cloc always
     // accurately represents the bound object's current location", Section
     // 3.5); shared ones verify by walking the chain.
     if (!shared) {
       MagePromise<common::NodeId> promise;
-      promise.set_value(*fwd);
+      promise.set_value(*record->forward);
       return promise.future();
     }
-    start = *fwd;
-  } else if (server_.directory().contains(name)) {
-    start = server_.directory().info(name).home;
+    start = *record->forward;
+  } else if (info != nullptr) {
+    start = info->home;
   }
   if (common::is_no_node(start) || start == transport_.self()) {
     return directory_fallback(name);
@@ -207,7 +218,7 @@ MageFuture<common::NodeId> AsyncClient::locate(
                 failed(error);
                 return;
               }
-              sim_.stats().add("rts.unfenced_walks");
+              sim_.stats().bump(unfenced_walks_, "rts.unfenced_walks");
               walk(name, start, 0).then(found).on_error(failed);
             });
       });
@@ -250,18 +261,13 @@ void AsyncClient::find_attempt(const common::ComponentName& name,
 
 template <typename R, typename Take>
 MageFuture<R> AsyncClient::chase_into(Chase request, Take take) {
-  // The caller's promise is completed straight from the chase — no
-  // intermediate future per op.
-  MagePromise<R> promise;
-  auto op = std::make_shared<ChaseOp>();
-  op->on_done = [promise, take = std::move(take)](Chased& done) mutable {
-    promise.set_value(take(done));
-  };
-  op->on_error = [promise](std::string error) {
-    promise.set_error(std::move(error));
-  };
-  start_chase(op, std::move(request));
-  return promise.future();
+  // The caller's future is completed straight from the chase, and one
+  // block holds both.
+  auto op = std::make_shared<ChaseInto<R, Take>>(std::move(take));
+  MageFuture<R> future(
+      std::shared_ptr<detail::FutureState<R>>(op, &op->future));
+  start_chase(std::move(op), std::move(request));
+  return future;
 }
 
 MageFuture<AsyncClient::Chased> AsyncClient::chase(Chase request) {
@@ -269,26 +275,29 @@ MageFuture<AsyncClient::Chased> AsyncClient::chase(Chase request) {
                             [](Chased& done) { return std::move(done); });
 }
 
-void AsyncClient::start_chase(const std::shared_ptr<ChaseOp>& op,
-                              Chase request) {
+void AsyncClient::start_chase(OpHandle op, Chase request) {
   op->kind = request.kind;
-  op->name = std::move(request.name);
   switch (op->kind) {
     case ChaseKind::Invoke:
-    case ChaseKind::InvokeOneway:
+    case ChaseKind::InvokeOneway: {
       op->verb = op->kind == ChaseKind::Invoke ? proto_verbs::kInvoke
                                                : proto_verbs::kInvokeOneway;
-      op->request = proto::InvokeRequest{op->name, std::move(request.method),
-                                         std::move(request.args)}
-                        .encode();
+      proto::InvokeRequest invoke{std::move(request.name),
+                                  std::move(request.method),
+                                  std::move(request.args)};
+      op->request = invoke.encode();
+      op->name = std::move(invoke.name);
       break;
+    }
     case ChaseKind::Move:
       op->verb = proto_verbs::kMove;
+      op->name = std::move(request.name);
       op->to = request.to;
       op->request = proto::MoveRequest{op->name, request.to}.encode();
       break;
     case ChaseKind::Lock:
       op->verb = proto_verbs::kLock;
+      op->name = std::move(request.name);
       op->request =
           proto::LockRequest{op->name, request.target, request.activity}
               .encode();
@@ -297,18 +306,21 @@ void AsyncClient::start_chase(const std::shared_ptr<ChaseOp>& op,
   op->at = common::is_no_node(request.start) ? believed_host(op->name)
                                              : request.start;
   if (common::is_no_node(op->at)) {
-    relocate_and_resume(op, "no local knowledge of '" + op->name + "'");
+    std::string why = "no local knowledge of '" + op->name + "'";
+    relocate_and_resume(std::move(op), std::move(why));
   } else {
-    send_op(op);
+    send_op(std::move(op));
   }
 }
 
-void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op) {
-  rmi::Transport::Callback done = [this, op](rmi::CallResult result) {
-    on_reply(op, std::move(result));
-  };
-  if (op->kind == ChaseKind::Invoke || op->kind == ChaseKind::Move) {
-    rmi::call(transport_, policy_, op->at, op->verb, op->request,
+void AsyncClient::send_op(OpHandle op) {
+  const ChaseOp& chase = *op;
+  rmi::Transport::Callback done =
+      [this, op = std::move(op)](rmi::CallResult result) mutable {
+        on_reply(std::move(op), std::move(result));
+      };
+  if (chase.kind == ChaseKind::Invoke || chase.kind == ChaseKind::Move) {
+    rmi::call(transport_, policy_, chase.at, chase.verb, chase.request,
               std::move(done));
     return;
   }
@@ -316,12 +328,12 @@ void AsyncClient::send_op(const std::shared_ptr<ChaseOp>& op) {
   // re-run the agent method), and a lock waits out its queue on its own
   // transmission budget: both are bare transport calls.
   rmi::CallOptions options = policy_.attempt_options();
-  if (op->kind == ChaseKind::Lock) options.max_attempts = kLockTransmissions;
-  transport_.call(op->at, op->verb, op->request, std::move(done), options);
+  if (chase.kind == ChaseKind::Lock) options.max_attempts = kLockTransmissions;
+  transport_.call(chase.at, chase.verb, chase.request, std::move(done),
+                  options);
 }
 
-void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
-                           rmi::CallResult result) {
+void AsyncClient::on_reply(OpHandle op, rmi::CallResult result) {
   if (!result.ok) {
     // A move converges: if it actually completed, the retry at the stale
     // host is answered with a Moved hint and the chase ends at the target.
@@ -329,9 +341,9 @@ void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
     // could run it twice.  Remote rejections fail every kind.
     if (op->kind == ChaseKind::Move &&
         rmi::error_kind(result.error) == rmi::ErrorKind::Transport) {
-      relocate_and_resume(op, std::move(result.error));
+      relocate_and_resume(std::move(op), std::move(result.error));
     } else {
-      op->on_error(std::move(result.error));
+      op->fail(std::move(result.error));
     }
     return;
   }
@@ -341,106 +353,104 @@ void AsyncClient::on_reply(const std::shared_ptr<ChaseOp>& op,
     case ChaseKind::InvokeOneway: {
       auto reply = proto::InvokeReply::decode(result.body);
       ok.result = std::move(reply.result);
-      on_status(op, reply, std::move(ok));
+      on_status(std::move(op), reply, std::move(ok));
       return;
     }
     case ChaseKind::Move:
-      on_status(op, proto::SimpleReply::decode(result.body), std::move(ok));
+      on_status(std::move(op), proto::SimpleReply::decode(result.body),
+                std::move(ok));
       return;
     case ChaseKind::Lock: {
       const auto reply = proto::LockReply::decode(result.body);
       ok.lock_id = reply.lock_id;
       ok.lock_kind = reply.kind;
-      on_status(op, reply, std::move(ok));
+      on_status(std::move(op), reply, std::move(ok));
       return;
     }
   }
 }
 
 template <typename ProtoReply>
-void AsyncClient::on_status(const std::shared_ptr<ChaseOp>& op,
-                            const ProtoReply& reply, Chased ok) {
+void AsyncClient::on_status(OpHandle op, const ProtoReply& reply, Chased ok) {
   switch (reply.status) {
     case proto::Status::Ok:
-      complete(op, std::move(ok), reply.hint_epoch);
+      complete(*op, std::move(ok), reply.hint_epoch);
       return;
     case proto::Status::Moved:
       if (accept_hint(op->name, reply.hint, reply.hint_epoch)) {
-        count(async_redirects_, "rts.async_redirects");
+        sim_.stats().bump(async_redirects_, "rts.async_redirects");
         if (++op->attempts >= kMaxChaseAttempts) {
-          give_up(op, "redirect chain exceeded the chase budget");
+          give_up(*op, "redirect chain exceeded the chase budget");
           return;
         }
         op->at = reply.hint;
-        send_op(op);  // fresh hint: follow immediately, no backoff
+        send_op(std::move(op));  // fresh hint: follow immediately
         return;
       }
-      relocate_and_resume(op, "stale Moved hint rejected");
+      relocate_and_resume(std::move(op), "stale Moved hint rejected");
       return;
-    case proto::Status::NotFound:
-      relocate_and_resume(op, "object is mid-flight or unknown at " +
-                                  std::to_string(op->at.value()));
+    case proto::Status::NotFound: {
+      std::string why = "object is mid-flight or unknown at " +
+                        std::to_string(op->at.value());
+      relocate_and_resume(std::move(op), std::move(why));
       return;
+    }
     case proto::Status::Error:
-      op->on_error(reply.error);
+      op->fail(reply.error);
       return;
   }
 }
 
-void AsyncClient::complete(const std::shared_ptr<ChaseOp>& op, Chased ok,
-                           std::uint64_t epoch) {
-  ok.host = op->at;
-  if (op->kind == ChaseKind::Move) {
+void AsyncClient::complete(ChaseOp& op, Chased ok, std::uint64_t epoch) {
+  ok.host = op.at;
+  if (op.kind == ChaseKind::Move) {
     // The source's Ok carries the new placement epoch; record it so stale
     // chains left behind by the old placement are fenced off.
-    note_epoch(op->name, epoch);
-    server_.registry().update_forward(op->name, op->to, epoch);
+    note_epoch(op.name, epoch);
+    server_.registry().update_forward(op.name, op.to, epoch);
     if (directory_client_ != nullptr) {
       // Asynchronous announce (fire-and-forget): readers that race it are
       // protected by the epoch fence.
+      const ComponentInfo* info = server_.directory().find(op.name);
       directory_client_->announce(
-          proto::PlacementRecord{op->name, std::string{}, op->to,
-                                 server_.directory().contains(op->name) &&
-                                     server_.directory()
-                                         .info(op->name)
-                                         .is_public,
-                                 epoch},
+          proto::PlacementRecord{op.name, std::string{}, op.to,
+                                 info != nullptr && info->is_public, epoch},
           [](bool) {});
     }
-    ok.host = op->to;
+    ok.host = op.to;
   }
-  op->on_done(ok);
+  op.done(ok);
 }
 
-void AsyncClient::relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
-                                      std::string why) {
+void AsyncClient::relocate_and_resume(OpHandle op, std::string why) {
   if (++op->attempts >= kMaxChaseAttempts) {
-    give_up(op, why);
+    give_up(*op, why);
     return;
   }
-  count(async_relocates_, "rts.async_relocates");
+  sim_.stats().bump(async_relocates_, "rts.async_relocates");
   // The object may be mid-flight between namespaces; back off, re-locate
-  // from fresh knowledge, then resume the chase.
+  // from fresh knowledge, then resume the chase.  Only one of the two
+  // locate continuations runs, but both need the op.
   sim_.schedule_after(
       kChaseBackoffUs,
-      [this, op, why = std::move(why)]() mutable {
+      [this, op = std::move(op), why = std::move(why)]() mutable {
         locate(op->name)
-            .then([this, op](common::NodeId host) {
+            .then([this, op](common::NodeId host) mutable {
               op->at = host;
-              send_op(op);
+              send_op(std::move(op));
             })
             .on_error([this, op, why = std::move(why)](
                           const std::string& locate_error) mutable {
-              relocate_and_resume(op, why + "; then " + locate_error);
+              relocate_and_resume(std::move(op),
+                                  why + "; then " + locate_error);
             });
       });
 }
 
-void AsyncClient::give_up(const std::shared_ptr<ChaseOp>& op,
-                          const std::string& why) {
-  op->on_error("'" + common::verb_name(op->verb) + "' for '" + op->name +
-               "' did not converge after " + std::to_string(op->attempts) +
-               " attempts: " + why);
+void AsyncClient::give_up(ChaseOp& op, const std::string& why) {
+  op.fail("'" + common::verb_name(op.verb) + "' for '" + op.name +
+          "' did not converge after " + std::to_string(op.attempts) +
+          " attempts: " + why);
 }
 
 // --- the typed ops ----------------------------------------------------------
@@ -453,7 +463,7 @@ MageFuture<serial::Buffer> AsyncClient::invoke_raw(
   op.method = method;
   op.args = std::move(args);
   return chase_into<serial::Buffer>(std::move(op), [this](Chased& done) {
-    count(async_invokes_, "rts.async_invokes");
+    sim_.stats().bump(async_invokes_, "rts.async_invokes");
     return std::move(done.result);
   });
 }
@@ -467,7 +477,7 @@ MageFuture<Unit> AsyncClient::invoke_oneway_raw(
   op.method = method;
   op.args = std::move(args);
   return chase_into<Unit>(std::move(op), [this](Chased&) {
-    count(async_invokes_, "rts.async_invokes");
+    sim_.stats().bump(async_invokes_, "rts.async_invokes");
     return Unit{};
   });
 }
@@ -479,7 +489,7 @@ MageFuture<common::NodeId> AsyncClient::move(const common::ComponentName& name,
   op.name = name;
   op.to = to;
   return chase_into<common::NodeId>(std::move(op), [this](Chased& done) {
-    count(async_moves_, "rts.async_moves");
+    sim_.stats().bump(async_moves_, "rts.async_moves");
     return done.host;
   });
 }

@@ -33,9 +33,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -196,6 +196,8 @@ class AsyncClient {
 
  private:
   struct ChaseOp;
+  template <typename R, typename Take>
+  struct ChaseInto;
 
   // One single-host call under this client's policy: a failure fails the
   // future with its error, and `on_ok(body, promise)` completes it from an
@@ -210,24 +212,24 @@ class AsyncClient {
                    std::uint64_t hint_epoch);
 
   // chase() with the caller's future typed by `take`, which maps the
-  // converged Chased to the result.
+  // converged Chased to the result.  The op and the future's state share
+  // one allocation; the op handle then moves from step to step (send,
+  // reply, redirect, backoff) rather than being copied into each.
+  using OpHandle = std::shared_ptr<ChaseOp>;
   template <typename R, typename Take>
   MageFuture<R> chase_into(Chase request, Take take);
-  void start_chase(const std::shared_ptr<ChaseOp>& op, Chase request);
-  void send_op(const std::shared_ptr<ChaseOp>& op);
-  void on_reply(const std::shared_ptr<ChaseOp>& op, rmi::CallResult result);
+  void start_chase(OpHandle op, Chase request);
+  void send_op(OpHandle op);
+  void on_reply(OpHandle op, rmi::CallResult result);
   // The one status handler: InvokeReply, SimpleReply and LockReply share
   // the status/hint/hint_epoch/error fields it acts on.
   template <typename ProtoReply>
-  void on_status(const std::shared_ptr<ChaseOp>& op, const ProtoReply& reply,
-                 Chased ok);
-  void complete(const std::shared_ptr<ChaseOp>& op, Chased ok,
-                std::uint64_t epoch);
+  void on_status(OpHandle op, const ProtoReply& reply, Chased ok);
+  void complete(ChaseOp& op, Chased ok, std::uint64_t epoch);
   // Backoff, re-locate, resume — or fail the op once the chase budget is
   // spent.  `why` explains the last setback in the final error.
-  void relocate_and_resume(const std::shared_ptr<ChaseOp>& op,
-                           std::string why);
-  void give_up(const std::shared_ptr<ChaseOp>& op, const std::string& why);
+  void relocate_and_resume(OpHandle op, std::string why);
+  void give_up(ChaseOp& op, const std::string& why);
   void find_attempt(const common::ComponentName& name,
                     const MagePromise<common::NodeId>& promise, int attempt);
 
@@ -247,10 +249,6 @@ class AsyncClient {
                                   common::NodeId start,
                                   std::uint64_t min_epoch);
 
-  // Bumps a counter, registering it on first use: a client that never
-  // takes a path adds no zero-valued key to the stats dump.
-  void count(std::int64_t*& slot, const char* key);
-
   MageServer& server_;
   rmi::Transport& transport_;
   sim::Simulation& sim_;
@@ -259,13 +257,15 @@ class AsyncClient {
   const rmi::CallPolicy policy_;
 
   // Highest confirmed placement epoch per name (see note_epoch).
-  std::map<common::ComponentName, std::uint64_t> known_epochs_;
+  std::unordered_map<common::ComponentName, std::uint64_t> known_epochs_;
 
   // Completions of the future-API ops, and every chase's detours.
   std::int64_t* async_invokes_ = nullptr;    // "rts.async_invokes"
   std::int64_t* async_moves_ = nullptr;      // "rts.async_moves"
   std::int64_t* async_redirects_ = nullptr;  // "rts.async_redirects"
   std::int64_t* async_relocates_ = nullptr;  // "rts.async_relocates"
+  std::int64_t* stale_hints_ = nullptr;      // "rts.stale_hints_rejected"
+  std::int64_t* unfenced_walks_ = nullptr;   // "rts.unfenced_walks"
 };
 
 }  // namespace mage::rts

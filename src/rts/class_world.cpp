@@ -42,4 +42,12 @@ const MethodEntry& ClassWorld::method(const std::string& class_name,
   return it->second;
 }
 
+const MethodEntry* ClassWorld::find_method(
+    const std::string& class_name, const std::string& method_name) const {
+  const auto d = descriptors_.find(class_name);
+  if (d == descriptors_.end()) return nullptr;
+  const auto it = d->second.methods.find(method_name);
+  return it == d->second.methods.end() ? nullptr : &it->second;
+}
+
 }  // namespace mage::rts

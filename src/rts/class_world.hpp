@@ -17,10 +17,10 @@
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <vector>
 
 #include "common/error.hpp"
@@ -47,7 +47,7 @@ struct ClassDescriptor {
   // class file extending UnicastRemoteObject — the paper's test object —
   // is about 2 KB.
   std::uint32_t code_size = 2048;
-  std::map<std::string, MethodEntry> methods;
+  std::unordered_map<std::string, MethodEntry> methods;
   // Namespace holding the class's static fields (Section 4.2: "handling
   // classes with static fields would require extending MAGE to provide
   // coherency for class data" — we provide home-station coherency: every
@@ -97,10 +97,16 @@ class ClassWorld {
   // Looks up a method; throws RemoteInvocationError when missing.
   [[nodiscard]] const MethodEntry& method(
       const std::string& class_name, const std::string& method_name) const;
+  // The same lookup without the throw: nullptr when the class or the
+  // method is unknown.
+  [[nodiscard]] const MethodEntry* find_method(
+      const std::string& class_name, const std::string& method_name) const;
 
  private:
   serial::TypeRegistry types_;
-  std::map<std::string, ClassDescriptor> descriptors_;
+  // Hashed, filled before the run and read by every shard: no lazily
+  // filled state.
+  std::unordered_map<std::string, ClassDescriptor> descriptors_;
 };
 
 namespace detail {

@@ -11,11 +11,13 @@
 // consulting it costs nothing at runtime.  Everything *dynamic* — where the
 // object currently lives — is tracked by the per-node registries and their
 // forwarding chains, never here.
+//
+// The table is hashed and filled before the run; every shard reads it
+// concurrently, so it keeps no lazily filled state.
 #pragma once
 
-#include <map>
-#include <optional>
 #include <string>
+#include <unordered_map>
 
 #include "common/error.hpp"
 #include "rts/component.hpp"
@@ -30,19 +32,27 @@ class Directory {
     return entries_.contains(name);
   }
 
+  // The entry of `name`, or nullptr: one probe where contains() + info()
+  // take two.
+  [[nodiscard]] const ComponentInfo* find(
+      const common::ComponentName& name) const {
+    const auto it = entries_.find(name);
+    return it == entries_.end() ? nullptr : &it->second;
+  }
+
   [[nodiscard]] const ComponentInfo& info(
       const common::ComponentName& name) const {
-    auto it = entries_.find(name);
-    if (it == entries_.end()) {
+    const ComponentInfo* entry = find(name);
+    if (entry == nullptr) {
       throw common::NotFoundError(name, "no directory entry");
     }
-    return it->second;
+    return *entry;
   }
 
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
 
  private:
-  std::map<common::ComponentName, ComponentInfo> entries_;
+  std::unordered_map<common::ComponentName, ComponentInfo> entries_;
 };
 
 }  // namespace mage::rts

@@ -12,7 +12,10 @@
 //     simulation event.
 //   * allocation-conscious — one shared state per future; continuations
 //     are move-only common::UniqueFunction (inline SBO, no std::function
-//     boxing); .then() adds exactly one state for its derived future.
+//     boxing) and a state holds its first one in place, so a chain of
+//     single consumers allocates no vectors; .then() adds exactly one
+//     state for its derived future.  A producer may embed the state in its
+//     own block (AsyncClient's chase does) and hand out aliasing futures.
 //   * single-completion — completing a promise twice throws MageError;
 //     attaching a continuation after completion runs it immediately (same
 //     shard, still deterministic).
@@ -47,10 +50,15 @@ namespace detail {
 
 template <typename R>
 struct FutureState {
+  using Continuation = common::UniqueFunction<void(FutureState&)>;
+
   std::optional<R> value;
   std::string error;
   bool failed = false;
-  std::vector<common::UniqueFunction<void(FutureState&)>> continuations;
+  // Continuations in attachment order: the first in place, the rest in
+  // `more`.
+  Continuation first;
+  std::vector<Continuation> more;
 
   [[nodiscard]] bool completed() const { return value.has_value() || failed; }
 
@@ -71,23 +79,31 @@ struct FutureState {
     settle();
   }
 
-  void attach(common::UniqueFunction<void(FutureState&)> continuation) {
+  void attach(Continuation continuation) {
     if (completed()) {
       continuation(*this);  // late attach: run inline, same shard
       return;
     }
-    continuations.push_back(std::move(continuation));
+    if (!first) {
+      first = std::move(continuation);
+      return;
+    }
+    more.push_back(std::move(continuation));
   }
 
  private:
   void settle() {
-    // A continuation may attach further continuations (a .then() inside a
-    // .then()); drain in waves so they all run, in attachment order.
-    while (!continuations.empty()) {
-      auto wave = std::move(continuations);
-      continuations.clear();
-      for (auto& continuation : wave) continuation(*this);
+    // Runs each continuation once, in attachment order, and destroys it
+    // (its captures may hold futures of this very state).  One attached
+    // from inside another finds the state completed and runs at once.
+    if (first) {
+      first(*this);
+      first = nullptr;
     }
+    if (more.empty()) return;
+    auto rest = std::move(more);
+    more.clear();
+    for (auto& continuation : rest) continuation(*this);
   }
 };
 
@@ -139,17 +155,18 @@ class MageFuture {
   auto then(F&& fn) const {
     using Ret = std::invoke_result_t<std::decay_t<F>&, R&>;
     if constexpr (std::is_void_v<Ret>) {
-      MagePromise<Unit> next;
-      state_->attach([fn = std::forward<F>(fn),
-                      next](detail::FutureState<R>& st) mutable {
+      auto next = std::make_shared<detail::FutureState<Unit>>();
+      MageFuture<Unit> derived(next);
+      state_->attach([fn = std::forward<F>(fn), next = std::move(next)](
+                         detail::FutureState<R>& st) mutable {
         if (st.failed) {
-          next.set_error(st.error);
+          next->set_error(st.error);
           return;
         }
         fn(*st.value);
-        next.set_value(Unit{});
+        next->set_value(Unit{});
       });
-      return next.future();
+      return derived;
     } else if constexpr (detail::IsFuture<Ret>::value) {
       using U = typename Ret::Value;
       MagePromise<U> next;
@@ -167,28 +184,32 @@ class MageFuture {
       });
       return next.future();
     } else {
-      MagePromise<Ret> next;
-      state_->attach([fn = std::forward<F>(fn),
-                      next](detail::FutureState<R>& st) mutable {
+      auto next = std::make_shared<detail::FutureState<Ret>>();
+      MageFuture<Ret> derived(next);
+      state_->attach([fn = std::forward<F>(fn), next = std::move(next)](
+                         detail::FutureState<R>& st) mutable {
         if (st.failed) {
-          next.set_error(st.error);
+          next->set_error(st.error);
           return;
         }
-        next.set_value(fn(*st.value));
+        next->set_value(fn(*st.value));
       });
-      return next.future();
+      return derived;
     }
   }
 
   // Observe a failure (fn(const std::string&)).  Returns the same future
-  // so success chains can continue past it.
+  // so success chains can continue past it (a temporary hands its state
+  // on instead of sharing it).
   template <typename F>
-  MageFuture<R> on_error(F&& fn) const {
-    state_->attach(
-        [fn = std::forward<F>(fn)](detail::FutureState<R>& st) mutable {
-          if (st.failed) fn(st.error);
-        });
+  MageFuture<R> on_error(F&& fn) const& {
+    attach_on_error(std::forward<F>(fn));
     return *this;
+  }
+  template <typename F>
+  MageFuture<R> on_error(F&& fn) && {
+    attach_on_error(std::forward<F>(fn));
+    return std::move(*this);
   }
 
  private:
@@ -200,6 +221,14 @@ class MageFuture {
   template <typename T>
   friend MageFuture<std::pair<std::size_t, T>> when_any(
       const std::vector<MageFuture<T>>& futures);
+
+  template <typename F>
+  void attach_on_error(F&& fn) const {
+    state_->attach(
+        [fn = std::forward<F>(fn)](detail::FutureState<R>& st) mutable {
+          if (st.failed) fn(st.error);
+        });
+  }
 
   std::shared_ptr<detail::FutureState<R>> state_;
 };

@@ -12,12 +12,18 @@
 // here, plus forwarding addresses for objects that left.  The chain walk
 // itself is a network protocol and lives in MageServer; path collapsing
 // calls back into update_forward().
+//
+// Everything the namespace knows about one name is one Record in one
+// hashed table, so a verb resolves its name with a single probe.  Records
+// are never erased (the epoch outlives the binding and the forward), so a
+// Record pointer stays valid for the registry's lifetime.
 #pragma once
 
-#include <map>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -28,7 +34,32 @@ namespace mage::rts {
 
 class Registry {
  public:
+  struct Record {
+    std::unique_ptr<MageObject> object;      // bound here, or null
+    std::optional<common::NodeId> forward;   // where the object went
+    // Destination of a transfer in flight (MageServer::migrate): the
+    // object is still bound here but already leaving.
+    std::optional<common::NodeId> in_transit;
+    // Highest placement epoch seen (local bind or fenced forward); 0 = no
+    // epoch knowledge.
+    std::uint64_t epoch = 0;
+    // Bumped by every bind: tells a rebinding from the same object.
+    std::uint32_t binding = 0;
+    // Mobile-agent result parked for a later fetch (Section 3.5).
+    std::optional<serial::Buffer> result;
+
+    // Bound here and not leaving: the one test of "here" every located
+    // verb applies.
+    [[nodiscard]] bool hosted() const {
+      return object != nullptr && !in_transit.has_value();
+    }
+  };
+
   explicit Registry(common::NodeId self) : self_(self) {}
+
+  // The record of `name`, or nullptr when this namespace never heard of it.
+  [[nodiscard]] Record* find(const common::ComponentName& name);
+  [[nodiscard]] const Record* find(const common::ComponentName& name) const;
 
   // --- local bindings -----------------------------------------------------
 
@@ -45,13 +76,16 @@ class Registry {
       const common::ComponentName& name);
 
   [[nodiscard]] bool has_local(const common::ComponentName& name) const {
-    return objects_.contains(name);
+    const Record* record = find(name);
+    return record != nullptr && record->object != nullptr;
   }
 
   // Borrow the live object; throws NotFoundError when not local.
   [[nodiscard]] MageObject& local(const common::ComponentName& name);
 
+  // The names bound here, sorted.
   [[nodiscard]] std::vector<common::ComponentName> local_names() const;
+  [[nodiscard]] std::size_t local_count() const { return bound_; }
 
   // --- forwarding chain -----------------------------------------------------
 
@@ -73,6 +107,16 @@ class Registry {
   // or fenced forward); 0 = no epoch knowledge.
   [[nodiscard]] std::uint64_t epoch_of(const common::ComponentName& name) const;
 
+  // --- transfers in flight --------------------------------------------------
+
+  // Marks `name`'s object as leaving toward `to`, or no longer leaving.
+  void set_in_transit(const common::ComponentName& name,
+                      std::optional<common::NodeId> to);
+  [[nodiscard]] bool in_transit(const common::ComponentName& name) const {
+    const Record* record = find(name);
+    return record != nullptr && record->in_transit.has_value();
+  }
+
   // --- MA result store ------------------------------------------------------
 
   // Under the mobile-agent model the invocation result "stays at the remote
@@ -85,12 +129,8 @@ class Registry {
 
  private:
   common::NodeId self_;
-  std::map<common::ComponentName, std::unique_ptr<MageObject>> objects_;
-  std::map<common::ComponentName, common::NodeId> forwards_;
-  // Placement-epoch knowledge per name; outlives both the binding and the
-  // forward (an erased forward must not forget how recent it was).
-  std::map<common::ComponentName, std::uint64_t> epochs_;
-  std::map<common::ComponentName, serial::Buffer> results_;
+  std::unordered_map<common::ComponentName, Record> records_;
+  std::size_t bound_ = 0;  // records holding an object
 };
 
 }  // namespace mage::rts

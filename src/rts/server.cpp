@@ -129,23 +129,23 @@ bool MageServer::check_access(Operation op, common::NodeId caller,
   return false;
 }
 
-MageServer::Hint MageServer::locate_hint(
-    const common::ComponentName& name) const {
-  if (auto it = in_transit_.find(name); it != in_transit_.end()) {
+MageServer::Hint MageServer::locate_hint(const Registry::Record* record) {
+  if (record == nullptr) return {};
+  if (record->in_transit) {
     // The in-flight transfer will bind at our epoch + 1 on arrival.
-    return {proto::Status::Moved, it->second, registry_.epoch_of(name) + 1};
+    return {proto::Status::Moved, *record->in_transit, record->epoch + 1};
   }
-  if (auto fwd = registry_.forward(name)) {
-    return {proto::Status::Moved, *fwd, registry_.epoch_of(name)};
+  if (record->forward) {
+    return {proto::Status::Moved, *record->forward, record->epoch};
   }
-  return {proto::Status::NotFound, common::kNoNode, 0};
+  return {};
 }
 
 template <typename Reply>
-bool MageServer::here_or_hint(const common::ComponentName& name,
+bool MageServer::here_or_hint(const Registry::Record* record,
                               rmi::Replier& replier, const char* why) {
-  if (hosts(name)) return true;
-  const Hint hint = locate_hint(name);
+  if (record != nullptr && record->hosted()) return true;
+  const Hint hint = locate_hint(record);
   Reply reply;
   reply.status = hint.status;
   reply.hint = hint.node;
@@ -161,15 +161,16 @@ void MageServer::handle_lookup(common::NodeId caller, const Body& body,
                                rmi::Replier replier) {
   if (!check_access(Operation::Lookup, caller, replier)) return;
   auto request = proto::LookupRequest::decode(body);
-  sim().stats().add("rts.lookups");
+  sim().stats().bump(lookups_, "rts.lookups");
+  const Registry::Record* record = registry_.find(request.name);
 
   // An in-transit object still has a local binding, but answering "here"
   // would hand out a namespace it is about to leave; chase the transfer.
-  if (hosts(request.name)) {
+  if (record != nullptr && record->hosted()) {
     proto::LookupReply reply;
     reply.status = proto::Status::Ok;
     reply.host = self();
-    reply.epoch = registry_.epoch_of(request.name);
+    reply.epoch = record->epoch;
     replier.ok(reply.encode());
     return;
   }
@@ -183,7 +184,7 @@ void MageServer::handle_lookup(common::NodeId caller, const Body& body,
     return;
   }
 
-  auto hint = locate_hint(request.name);
+  const Hint hint = locate_hint(record);
   if (hint.status != proto::Status::Moved ||
       (request.min_epoch != 0 && hint.epoch != 0 &&
        hint.epoch < request.min_epoch)) {
@@ -207,7 +208,7 @@ void MageServer::handle_lookup(common::NodeId caller, const Body& body,
   forwarded.name = request.name;
   forwarded.hops = request.hops + 1;
   forwarded.min_epoch = request.min_epoch;
-  sim().stats().add("rts.lookup_hops");
+  sim().stats().bump(lookup_hops_, "rts.lookup_hops");
   transport_.call(
       hint.node, proto_verbs::kLookup, forwarded.encode(),
       [this, name = request.name,
@@ -316,7 +317,7 @@ template <typename Reply, typename Then>
 void MageServer::arrive(common::NodeId caller, Arrival arrival,
                         rmi::Replier replier, Then then) {
   const std::size_t state_bytes = arrival.state ? arrival.state->size() : 0;
-  if (!resources_.admits_object(registry_.local_names().size()) ||
+  if (!resources_.admits_object(registry_.local_count()) ||
       !resources_.admits_transfer(state_bytes)) {
     replier.error(
         "capacity exceeded: node " + std::to_string(self().value()) +
@@ -422,17 +423,17 @@ void MageServer::migrate(const common::ComponentName& name, common::NodeId to,
   proto::TransferRequest transfer;
   transfer.name = name;
   transfer.class_name = object.class_name();
-  transfer.is_public =
-      directory_.contains(name) && directory_.info(name).is_public;
+  const ComponentInfo* info = directory_.find(name);
+  transfer.is_public = info != nullptr && info->is_public;
   transfer.epoch = epoch;
   transfer.state = state.take();
 
-  in_transit_[name] = to;
+  registry_.set_in_transit(name, to);
   transport_.call(
       to, proto_verbs::kTransfer, transfer.encode(),
       [this, name, to, epoch,
        done = std::move(done)](rmi::CallResult result) mutable {
-        in_transit_.erase(name);
+        registry_.set_in_transit(name, std::nullopt);
         if (!result.ok) {
           done({std::move(result.error), false, 0});
           return;
@@ -456,12 +457,13 @@ void MageServer::handle_move(common::NodeId caller, const Body& body,
                              rmi::Replier replier) {
   if (!check_access(Operation::MoveOut, caller, replier)) return;
   auto request = proto::MoveRequest::decode(body);
-  if (!here_or_hint<proto::SimpleReply>(request.name, replier)) return;
+  const Registry::Record* record = registry_.find(request.name);
+  if (!here_or_hint<proto::SimpleReply>(record, replier)) return;
 
   if (request.to == self()) {
     proto::SimpleReply reply;  // already at the target: nothing to move
     reply.hint = self();
-    reply.hint_epoch = registry_.epoch_of(request.name);
+    reply.hint_epoch = record->epoch;
     replier.ok(reply.encode());
     return;
   }
@@ -487,13 +489,14 @@ void MageServer::handle_move(common::NodeId caller, const Body& body,
 
 // --- invocation -------------------------------------------------------------------
 
-proto::InvokeReply MageServer::run_method(const proto::InvokeRequest& request) {
+proto::InvokeReply MageServer::run_method(MageObject& object,
+                                          const MethodEntry* entry,
+                                          const std::string& method,
+                                          const serial::Buffer& args) {
   proto::InvokeReply reply;
   try {
-    MageObject& object = registry_.local(request.name);
-    const MethodEntry& entry =
-        world_.method(object.class_name(), request.method);
-    reply.result = entry.fn(object, request.args);
+    if (entry == nullptr) entry = &world_.method(object.class_name(), method);
+    reply.result = entry->fn(object, args);
     reply.status = proto::Status::Ok;
   } catch (const common::MageError& e) {
     reply.status = proto::Status::Error;
@@ -502,45 +505,72 @@ proto::InvokeReply MageServer::run_method(const proto::InvokeRequest& request) {
   return reply;
 }
 
-common::SimDuration MageServer::method_cost(const common::ComponentName& name,
-                                            const std::string& method) {
+proto::InvokeReply MageServer::run_method(const proto::InvokeRequest& request) {
   try {
-    return world_.method(registry_.local(name).class_name(), method).cost_us;
-  } catch (const common::MageError&) {
-    return 0;
+    return run_method(registry_.local(request.name), nullptr, request.method,
+                      request.args);
+  } catch (const common::MageError& e) {  // not bound here
+    proto::InvokeReply reply;
+    reply.status = proto::Status::Error;
+    reply.error = e.what();
+    return reply;
   }
+}
+
+common::SimDuration MageServer::method_cost(const common::ComponentName& name,
+                                            const std::string& method) const {
+  const Registry::Record* record = registry_.find(name);
+  if (record == nullptr || record->object == nullptr) return 0;
+  const MethodEntry* entry =
+      world_.find_method(record->object->class_name(), method);
+  return entry == nullptr ? 0 : entry->cost_us;
 }
 
 void MageServer::handle_invoke(common::NodeId caller, const Body& body,
                                rmi::Replier replier) {
   if (!check_access(Operation::Invoke, caller, replier)) return;
   auto request = proto::InvokeRequest::decode(body);
-  if (!here_or_hint<proto::InvokeReply>(request.name, replier)) return;
+  Registry::Record* record = registry_.find(request.name);
+  if (!here_or_hint<proto::InvokeReply>(record, replier)) return;
 
-  sim().stats().add("rts.invocations");
-  const common::SimDuration cost = method_cost(request.name, request.method);
-  sim().schedule_after(cost, [this, request = std::move(request),
-                              replier = std::move(replier)]() mutable {
+  sim().stats().bump(invocations_, "rts.invocations");
+  // Resolved once: the record, the bound object's class and its method.
+  // The CPU cost is the method's of the object bound now (0 when the class
+  // or method is unknown: run_method then produces the error reply).
+  const MethodEntry* entry =
+      world_.find_method(record->object->class_name(), request.method);
+  auto execute = [this, record, entry, binding = record->binding,
+                  method = std::move(request.method),
+                  args = std::move(request.args),
+                  replier = std::move(replier)]() mutable {
     // Re-validate at execution time: a migration that started while this
     // invocation waited its CPU turn has already serialized the object's
     // state, so executing now would mutate a doomed local copy and the
     // update would silently vanish at the new host.  Redirect instead —
     // the method has not run, so the caller's retry at the destination is
-    // still exactly-once.
+    // still exactly-once.  A name rebound meanwhile runs the method of
+    // the object bound now.
     if (!here_or_hint<proto::InvokeReply>(
-            request.name, replier,
-            "object left while the invocation awaited CPU")) {
+            record, replier, "object left while the invocation awaited CPU")) {
       return;
     }
-    replier.ok(run_method(request).encode());
-  });
+    if (record->binding != binding) entry = nullptr;
+    replier.ok(run_method(*record->object, entry, method, args).encode());
+  };
+  static_assert(sizeof(execute) <= common::kInlineCapacity<void()>,
+                "the invoke's CPU-cost event must not spill to the heap");
+  sim().schedule_after(entry == nullptr ? 0 : entry->cost_us,
+                       std::move(execute));
 }
 
 void MageServer::handle_invoke_oneway(common::NodeId caller, const Body& body,
                                       rmi::Replier replier) {
   if (!check_access(Operation::Invoke, caller, replier)) return;
   auto request = proto::InvokeRequest::decode(body);
-  if (!here_or_hint<proto::InvokeReply>(request.name, replier)) return;
+  if (!here_or_hint<proto::InvokeReply>(registry_.find(request.name),
+                                        replier)) {
+    return;
+  }
 
   // Mobile-agent semantics (Section 3.5): the invocation is asynchronous
   // and "the result stays at the remote host".  Acknowledge first, execute
@@ -580,7 +610,9 @@ void MageServer::handle_lock(common::NodeId caller, const Body& body,
                              rmi::Replier replier) {
   if (!check_access(Operation::Lock, caller, replier)) return;
   auto request = proto::LockRequest::decode(body);
-  if (!here_or_hint<proto::LockReply>(request.name, replier)) return;
+  if (!here_or_hint<proto::LockReply>(registry_.find(request.name), replier)) {
+    return;
+  }
 
   // Exactly one of the two callbacks fires; the one-shot Replier is shared
   // between them (LockManager callbacks must be copyable std::functions).
@@ -639,8 +671,9 @@ void MageServer::handle_manifest(common::NodeId caller, const Body& body,
     if (name.rfind(request.prefix, 0) != 0) continue;
     // A component mid-transfer away from here is already leaving; offering
     // it as a migration victim would race its own move.
-    if (in_transit_.contains(name)) continue;
-    reply.entries.emplace_back(name, registry_.epoch_of(name));
+    const Registry::Record* record = registry_.find(name);
+    if (record->in_transit) continue;
+    reply.entries.emplace_back(name, record->epoch);
   }
   replier.ok(reply.encode());
 }

@@ -59,13 +59,14 @@ class MageServer {
 
   // True while `name`'s object is mid-transfer away from this node.
   [[nodiscard]] bool in_transit(const common::ComponentName& name) const {
-    return in_transit_.contains(name);
+    return registry_.in_transit(name);
   }
 
   // True when `name`'s object is bound here and not leaving: the one test
-  // of "here" that every located verb applies.
+  // of "here" that every located verb applies (Registry::Record::hosted).
   [[nodiscard]] bool hosts(const common::ComponentName& name) const {
-    return registry_.has_local(name) && !in_transit(name);
+    const Registry::Record* record = registry_.find(name);
+    return record != nullptr && record->hosted();
   }
 
   // How a migrate() ended.  An empty `error` means the object now lives at
@@ -185,31 +186,39 @@ class MageServer {
               Then then);
 
   // Executes a method on a locally bound object; returns an InvokeReply.
+  // A missing object or method, or a body that throws, answers
+  // Status::Error.  The second form runs `entry` when the caller resolved
+  // it, else looks `method` up on the object's class.
   proto::InvokeReply run_method(const proto::InvokeRequest& request);
+  proto::InvokeReply run_method(MageObject& object, const MethodEntry* entry,
+                                const std::string& method,
+                                const serial::Buffer& args);
 
   // Simulated CPU cost of `method` on the local object `name` (0 when
   // either is unknown: run_method then produces the error reply).
   [[nodiscard]] common::SimDuration method_cost(
-      const common::ComponentName& name, const std::string& method);
+      const common::ComponentName& name, const std::string& method) const;
 
-  // Answers "where should the caller look next" for a non-local component:
-  // Moved + hint when we know where it went, NotFound otherwise.  `epoch`
-  // is the placement epoch backing the hint, so callers can fence stale
-  // forwarding knowledge (an in-transit hint is one epoch ahead of the
-  // local binding — the destination binds at epoch + 1).
+  // Answers "where should the caller look next" for a non-local component
+  // (`record` null: never heard of): Moved + hint when we know where it
+  // went, NotFound otherwise.  `epoch` is the placement epoch backing the
+  // hint, so callers can fence stale forwarding knowledge (an in-transit
+  // hint is one epoch ahead of the local binding — the destination binds
+  // at epoch + 1).
   struct Hint {
     proto::Status status = proto::Status::NotFound;
     common::NodeId node = common::kNoNode;
     std::uint64_t epoch = 0;
   };
-  [[nodiscard]] Hint locate_hint(const common::ComponentName& name) const;
+  [[nodiscard]] static Hint locate_hint(const Registry::Record* record);
 
-  // The one "not here" answer of the located verbs: true when this node
-  // hosts `name`; otherwise replies a `Reply` carrying locate_hint() and
-  // `why`, and returns false.
+  // The one "not here" answer of the located verbs: true when `record`'s
+  // object is hosted here; otherwise replies a `Reply` carrying
+  // locate_hint() and `why`, and returns false.
   template <typename Reply>
-  bool here_or_hint(const common::ComponentName& name, rmi::Replier& replier,
-                    const char* why = "object is not at this node");
+  static bool here_or_hint(const Registry::Record* record,
+                           rmi::Replier& replier,
+                           const char* why = "object is not at this node");
 
   sim::Simulation& sim();
   [[nodiscard]] const net::CostModel& model() const {
@@ -223,13 +232,14 @@ class MageServer {
   ClassCache class_cache_;
   LockManager locks_;
   bool warmed_ = false;
-  // name -> destination, for objects mid-transfer away from this node.
-  std::map<common::ComponentName, common::NodeId> in_transit_;
   AccessController access_;
   ResourceModel resources_;
   ResourceBoard resource_board_;
   // class -> key -> serialized value, for classes homed here.
   std::map<std::string, std::map<std::string, serial::Buffer>> statics_;
+  std::int64_t* invocations_ = nullptr;  // "rts.invocations"
+  std::int64_t* lookups_ = nullptr;      // "rts.lookups"
+  std::int64_t* lookup_hops_ = nullptr;  // "rts.lookup_hops"
 };
 
 }  // namespace mage::rts

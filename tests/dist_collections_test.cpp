@@ -269,6 +269,25 @@ TEST(ManifestTest, ListsPrefixedComponentsWithEpochs) {
   EXPECT_EQ(all.size(), 2u);  // m.p1 + other.p0
 }
 
+// The rebalancer picks its victim from the manifest's order and the system
+// describe prints local_names(): both list names sorted as strings, whatever
+// the bind order.
+TEST(ManifestTest, NamesAreListedInLexicographicOrder) {
+  Cluster cluster(2);
+  AsyncClient client(*cluster.servers[0]);
+  for (const std::size_t p : {10u, 2u, 1u}) {
+    IntMap::bind_partition(*cluster.servers[1], cluster.directory,
+                           "IntMapPart", "m", p);
+  }
+  const std::vector<std::string> sorted{"m.p1", "m.p10", "m.p2"};
+
+  EXPECT_EQ(cluster.servers[1]->registry().local_names(), sorted);
+  const auto entries = cluster.settle(client.manifest(cluster.ids[1], "m.p"));
+  std::vector<std::string> listed;
+  for (const auto& [name, epoch] : entries) listed.push_back(name);
+  EXPECT_EQ(listed, sorted);
+}
+
 // --- central Rebalancer ----------------------------------------------------
 
 TEST(RebalancerTest, CentralPolicyMovesHotPartitionToCoolNode) {

@@ -3,8 +3,9 @@
 // zero-copy Reader views, verb interning, the pooled cancellable EventQueue
 // (determinism under interleaving), the open-addressed FlatMap64 behind the
 // transport's receive path, the move-only one-shot Replier contract — and
-// the allocation budget: a steady-state call round trip makes NO heap
-// allocation (counted via a replaced global operator new).
+// the allocation budgets: a steady-state call round trip makes NO heap
+// allocation, and a steady-state MAGE invoke an exact number (counted via
+// a replaced global operator new).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -23,6 +24,10 @@
 #include "net/network.hpp"
 #include "rmi/envelope.hpp"
 #include "rmi/transport.hpp"
+#include "rts/async_client.hpp"
+#include "rts/class_world.hpp"
+#include "rts/directory.hpp"
+#include "rts/server.hpp"
 #include "serial/buffer.hpp"
 #include "serial/chain.hpp"
 #include "serial/reader.hpp"
@@ -650,6 +655,87 @@ TEST(HotpathAllocation, SteadyStateCallMakesNoAllocation) {
     for (std::uint64_t i = 0; i < kCalls; ++i) (void)call(small);
     EXPECT_EQ(alloc_count() - before, 0u);
   }
+}
+
+// A session of bench/e2e `mobile`'s shape: "work" answers 8 bytes.
+class AllocSession : public rts::MageObject {
+ public:
+  [[nodiscard]] std::string class_name() const override { return "Session"; }
+  void serialize(serial::Writer& w) const override { w.write_u64(served); }
+  void deserialize(serial::Reader& r) override { served = r.read_u64(); }
+  std::uint64_t served = 0;
+};
+
+TEST(HotpathAllocation, SteadyStateInvokeAllocations) {
+  // The exact allocation budget of a steady-state MAGE invoke, through the
+  // call chain bench/e2e `mobile` makes (invoke_raw(...).then(...)
+  // .on_error(...)) with 64-byte args, per round of one invoke to each of
+  // 64 sessions:
+  //   64  the caller's args Writers (64 bytes: a shared block each);
+  //   64  the chase ops, each sharing its block with the caller's future;
+  //   64  the futures .then() derives;
+  //   54  the InvokeRequest regions of the two-digit names ("session10" to
+  //       "session63": 25 bytes, one over Buffer's inline capacity).
+  // Everything else is inline or reused: names resolve by hashed probes,
+  // the first continuation of a future lives in its state, and the reply
+  // cache (64 entries, so the warm-up wraps it) overwrites in place.
+  constexpr std::size_t kSessions = 64;
+  constexpr std::size_t kTwoDigitNames = kSessions - 10;
+  constexpr std::size_t kCacheCapacity = 64;
+  sim::Simulation sim{5};
+  net::Network net{sim, net::CostModel::modern_lan()};
+  const common::NodeId a = net.add_node("a");
+  const common::NodeId b = net.add_node("b");
+  rmi::Transport ta{net, a, kCacheCapacity};
+  rmi::Transport tb{net, b, kCacheCapacity};
+  rts::ClassWorld world;
+  world.register_class<AllocSession>("Session").methods["work"] =
+      rts::MethodEntry{
+          [](rts::MageObject& object, const serial::Buffer& args) {
+            ++static_cast<AllocSession&>(object).served;
+            serial::Writer result(8);
+            result.write_u64(args.size());
+            return result.take();
+          },
+          20};
+  rts::Directory directory;
+  rts::MageServer sa{ta, world, directory};
+  rts::MageServer sb{tb, world, directory};
+  sa.class_cache().install("Session");
+  sb.class_cache().install("Session");
+  rts::AsyncClient client{sa};
+  std::vector<std::string> names;
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    names.push_back("session" + std::to_string(s));
+    directory.announce({names.back(), "Session", b, true});
+    sb.registry().bind(names.back(), std::make_unique<AllocSession>());
+  }
+
+  std::uint64_t completed = 0;
+  std::uint64_t failed = 0;
+  const auto round = [&] {
+    const std::uint64_t target = completed + kSessions;
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      serial::Writer args(64);
+      args.write_fill(static_cast<std::uint8_t>(s), 64);
+      client.invoke_raw(names[s], "work", args.take())
+          .then([&completed](serial::Buffer& result) {
+            if (result.size() == 8) ++completed;
+          })
+          .on_error([&failed](const std::string&) { ++failed; });
+    }
+    ASSERT_TRUE(sim.run_until([&] { return completed == target; }));
+  };
+  // Warm-up: stats handles, event and slab pools, the pending table, and
+  // 4x the reply-cache capacity so the server's entry ring has wrapped.
+  for (int i = 0; i < 4; ++i) round();
+  ASSERT_GT(sim.stats().counter("rmi.reply_cache_evictions"), 0);
+
+  constexpr std::uint64_t kRounds = 10;
+  const auto before = alloc_count();
+  for (std::uint64_t i = 0; i < kRounds; ++i) round();
+  EXPECT_EQ(alloc_count() - before, kRounds * (3 * kSessions + kTwoDigitNames));
+  EXPECT_EQ(failed, 0u);
 }
 
 // Inline bodies hold their bytes in the handle, so a cross-shard echo moves
