@@ -13,6 +13,10 @@
 // cache's index does once its ring has wrapped), and reserve() sizes a
 // table for a known number of live entries up front.
 //
+// Values are trivially copyable (checked): a backward shift or a rehash
+// copies plain slots, and a table of large or resource-holding records
+// keeps them elsewhere (a common::Slab) and maps to their slot numbers.
+//
 // find()/try_emplace() return raw value pointers that are invalidated by
 // any subsequent insert (rehash) or erase (backward shift) — use, then
 // re-look-up, exactly like the transport does.
@@ -20,6 +24,7 @@
 
 #include <cassert>
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -27,7 +32,16 @@ namespace mage::common {
 
 template <typename V>
 class FlatMap64 {
+  static_assert(std::is_trivially_copyable_v<V>,
+                "FlatMap64 values move by plain copy");
+
  public:
+  // One probe slot; its size is what a probe or a shift touches.
+  struct Slot {
+    std::uint64_t key = 0;  // 0 = empty
+    V value{};
+  };
+
   explicit FlatMap64(std::size_t min_slots = 16) {
     slots_.resize(pow2_at_least(min_slots));
     mask_ = slots_.size() - 1;
@@ -79,23 +93,16 @@ class FlatMap64 {
     for (std::size_t i = next(hole); slots_[i].key != 0; i = next(i)) {
       const std::size_t home = index(slots_[i].key);
       if (((i - home) & mask_) >= ((i - hole) & mask_)) {
-        slots_[hole].key = slots_[i].key;
-        slots_[hole].value = std::move(slots_[i].value);
+        slots_[hole] = slots_[i];
         hole = i;
       }
     }
-    slots_[hole].key = 0;
-    slots_[hole].value = V{};  // release held resources now
+    slots_[hole] = Slot{};  // try_emplace hands out an empty slot's value
     --size_;
     return true;
   }
 
  private:
-  struct Slot {
-    std::uint64_t key = 0;  // 0 = empty
-    V value{};
-  };
-
   static std::size_t pow2_at_least(std::size_t n) {
     std::size_t p = 16;
     while (p < n) p *= 2;
@@ -127,7 +134,7 @@ class FlatMap64 {
     mask_ = new_slot_count - 1;
     size_ = 0;
     for (Slot& s : old) {
-      if (s.key != 0) *try_emplace(s.key).first = std::move(s.value);
+      if (s.key != 0) *try_emplace(s.key).first = s.value;
     }
   }
 

@@ -184,6 +184,14 @@ serial::Buffer Envelope::encode_batch(const std::vector<Envelope>& envelopes) {
 }
 
 std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
+  std::vector<Envelope> out;
+  decode_batch(wire, out);
+  return out;
+}
+
+void Envelope::decode_batch(const serial::Buffer& wire,
+                            std::vector<Envelope>& out) {
+  out.clear();
   // Sub-envelopes are sliced from `wire` itself, which outlives `r`.
   serial::Reader r(wire.span());
   const std::uint8_t tag = r.read_u8();
@@ -200,7 +208,6 @@ std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
         " sub-envelopes, but its " + std::to_string(r.remaining()) +
         " remaining bytes hold at most " + std::to_string(r.remaining() / 4));
   }
-  std::vector<Envelope> out;
   out.reserve(count);
   for (std::uint32_t i = 0; i < count; ++i) {
     const std::uint32_t size = r.read_u32();
@@ -219,7 +226,6 @@ std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
         "batch frame has " + std::to_string(r.remaining()) +
         " trailing bytes after " + std::to_string(count) + " sub-envelopes");
   }
-  return out;
 }
 
 Envelope Envelope::decode(const serial::Buffer& flat) {

@@ -121,6 +121,11 @@ struct Envelope {
   // Rejects nested batches.
   [[nodiscard]] static std::vector<Envelope> decode_batch(
       const serial::Buffer& wire);
+  // The same into `out`, replacing its contents: a receiver that keeps
+  // `out` decodes frame after frame with no allocation once its capacity
+  // covers the largest frame.
+  static void decode_batch(const serial::Buffer& wire,
+                           std::vector<Envelope>& out);
 
   // --- fast-path accounting (bench_hotpath's assertion hook) ---------------
 

@@ -2,11 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
+#include <new>
 #include <optional>
 #include <sstream>
 #include <utility>
 
 #include "common/error.hpp"
+#include "serial/writer.hpp"
 
 namespace mage::rmi {
 namespace {
@@ -121,11 +124,10 @@ Transport::Transport(net::Network& network, common::NodeId self,
   // one has a 1 MB index) commits only what its traffic fills, while a
   // small one keeps the allocation pattern of a fully pre-sized index
   // (growing it by doubling let glibc trim the heap between benchmark
-  // rounds, so the next setup faulted pages back in).  The fat entries
-  // ring is reserved at its first insert, filled append-only up to
-  // capacity, then overwritten in place.  Once the ring has wrapped the
-  // index holds exactly capacity keys, so the receive path never
-  // allocates.
+  // rounds, so the next setup faulted pages back in).  The entries ring
+  // is reserved at its first insert, filled append-only up to capacity,
+  // then overwritten in place.  Once the ring has wrapped the index holds
+  // exactly capacity keys, so the receive path never allocates.
   reply_cache_index_.reserve(std::min(reply_cache_capacity_, kIndexPresize));
   *reply_cache_capacity_stat_ = static_cast<std::int64_t>(reply_cache_capacity_);
   *reply_cache_capacity_high_water_ =
@@ -190,15 +192,18 @@ common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
   const std::uint32_t c = retry_class(options.retry_timeout_us);
   const common::RequestId id{next_request_++};
   const std::size_t body_size = body.size();
-  auto [pc, inserted] = pending_.try_emplace(id.value());
+  const std::uint32_t slot = pending_calls_.emplace();
+  auto [indexed, inserted] = pending_.try_emplace(id.value());
   assert(inserted);
   (void)inserted;
-  pc->dest = dest;
-  pc->verb = verb;
-  pc->body = std::move(body);
-  pc->callback = std::move(callback);
-  pc->max_attempts = options.max_attempts;
-  pc->retry_class = c;
+  *indexed = slot;
+  PendingCall& pc = pending_calls_[slot];
+  pc.dest = dest;
+  pc.verb = verb;
+  pc.body = std::move(body);
+  pc.callback = std::move(callback);
+  pc.max_attempts = options.max_attempts;
+  pc.retry_class = c;
 
   ++*calls_;
   ++*verb_calls_counter(verb);
@@ -216,13 +221,18 @@ common::RequestId Transport::call(common::NodeId dest, common::VerbId verb,
 }
 
 void Transport::cancel(common::RequestId id) {
-  PendingCall* pc = pending_.find(id.value());
-  if (pc == nullptr) return;
+  const std::uint32_t* slot = pending_.find(id.value());
+  if (slot == nullptr) return;
   // The initial prep event may still reference this id; transmit()
   // tolerates a missing entry.
-  retire(*pc);
-  pending_.erase(id.value());
+  retire(pending_calls_[*slot]);
+  erase_pending(id, *slot);
   ++*cancelled_calls_;
+}
+
+void Transport::erase_pending(common::RequestId id, std::uint32_t slot) {
+  pending_.erase(id.value());
+  pending_calls_.release(slot);
 }
 
 void Transport::call_oneway(common::NodeId dest, common::VerbId verb,
@@ -257,33 +267,34 @@ void Transport::route_after(common::SimDuration delay, common::NodeId dest,
 }
 
 void Transport::transmit(common::RequestId id) {
-  PendingCall* pc = pending_.find(id.value());
-  if (pc == nullptr) return;
+  const std::uint32_t* found = pending_.find(id.value());
+  if (found == nullptr) return;
+  const std::uint32_t slot = *found;
+  PendingCall& pc = pending_calls_[slot];
 
-  if (pc->attempts >= pc->max_attempts) {
+  if (pc.attempts >= pc.max_attempts) {
     // Its last deadline was popped by the event running this, so the
     // class holds nothing of it.
-    auto callback = std::move(pc->callback);
+    auto callback = std::move(pc.callback);
     const std::string message =
-        "rmi call '" + common::verb_name(pc->verb) + "' timed out after " +
-        std::to_string(pc->max_attempts) + " attempts";
-    pending_.erase(id.value());
+        "rmi call '" + common::verb_name(pc.verb) + "' timed out after " +
+        std::to_string(pc.max_attempts) + " attempts";
+    erase_pending(id, slot);
     ++*failures_;
     callback(CallResult::failure(message));
     return;
   }
 
-  ++pc->attempts;
-  if (pc->attempts > 1) ++*retransmissions_;
+  ++pc.attempts;
+  if (pc.attempts > 1) ++*retransmissions_;
 
-  const std::uint32_t c = pc->retry_class;
   Envelope env;
   env.kind = EnvelopeKind::Request;
   env.request_id = id;
-  env.verb = pc->verb;
-  env.body = pc->body;  // fragment refcounts, not a copy
-  route(pc->dest, env, net::MsgKind::Request);
-  pc->ticket = push_deadline(c, id);
+  env.verb = pc.verb;
+  env.body = pc.body;  // fragment refcounts, not a copy
+  route(pc.dest, env, net::MsgKind::Request);
+  pc.ticket = push_deadline(pc.retry_class, id);
 }
 
 std::uint32_t Transport::retry_class(common::SimDuration timeout_us) {
@@ -475,11 +486,15 @@ void Transport::require_one_shard(common::VerbId awaited) const {
 
 void Transport::on_message(net::Message& msg) {
   if (Envelope::is_batch(msg.header)) {
-    // One mailbox push carried the whole flush; unpack (zero-copy slices)
-    // and dispatch the sub-envelopes in their sent order.
-    for (Envelope& env : Envelope::decode_batch(msg.header)) {
-      dispatch_envelope(msg.from, env);
-    }
+    // One mailbox push carried the whole flush: decode and validate the
+    // whole frame (zero-copy slices), then dispatch the sub-envelopes in
+    // their sent order.  The vector is moved out while it dispatches, so
+    // a delivery nested inside a service decodes into a vector of its own.
+    std::vector<Envelope> batch = std::move(batch_rx_);
+    Envelope::decode_batch(msg.header, batch);
+    for (Envelope& env : batch) dispatch_envelope(msg.from, env);
+    batch.clear();  // drops the slices of the frame, keeps the capacity
+    batch_rx_ = std::move(batch);
     return;
   }
   Envelope env = Envelope::decode(msg.header, std::move(msg.body));
@@ -563,6 +578,7 @@ void Transport::resize_reply_cache(std::size_t new_capacity) {
     if (i < drop) {
       ++*reply_cache_evictions_;
       mark_evicted(entry.key, entry.request_id);
+      entry.reply.clear(reply_spill_);
       continue;
     }
     rebuilt.push_back(std::move(entry));
@@ -625,12 +641,13 @@ Transport::ReplyCacheEntry* Transport::reply_cache_insert(std::uint64_t key) {
     // Ring full: this slot's previous occupant is the entry evicted.
     slot = static_cast<std::uint32_t>(reply_cache_head_);
     reply_cache_head_ = (reply_cache_head_ + 1) % reply_cache_capacity_;
-    reply_cache_index_.erase(reply_cache_entries_[slot].key);
+    ReplyCacheEntry& evicted = reply_cache_entries_[slot];
+    reply_cache_index_.erase(evicted.key);
     ++*reply_cache_evictions_;
     ++evictions_since_resize_;
     last_eviction_us_ = sim_.now();
-    mark_evicted(reply_cache_entries_[slot].key,
-                 reply_cache_entries_[slot].request_id);
+    mark_evicted(evicted.key, evicted.request_id);
+    evicted.reply.clear(reply_spill_);
   }
   *reply_cache_index_.try_emplace(key).first = slot;
   ReplyCacheEntry* entry = &reply_cache_entries_[slot];
@@ -647,8 +664,8 @@ void Transport::on_request(common::NodeId from, Envelope& env) {
     // Duplicate (retransmission).  If we already answered, answer again
     // from the cache; if the service is still working, stay silent.
     ++*duplicates_suppressed_;
-    if (cached->completed) {
-      Envelope reply = cached->reply;  // fragment refcounts, not a copy
+    if (cached->reply.completed()) {
+      Envelope reply = cached->reply.rebuild(cached->request_id, reply_spill_);
       route(from, reply, net::MsgKind::ReplyDup);
     }
     return;
@@ -697,12 +714,11 @@ void Transport::on_request(common::NodeId from, Envelope& env) {
     // Alias overwrite is an eviction in disguise: the previous occupant's
     // at-most-once entry is gone the moment we reuse its slot.
     mark_evicted(cached->key, cached->request_id);
+    cached->reply.clear(reply_spill_);
   }
   ReplyCacheEntry* entry =
       cached != nullptr ? cached : reply_cache_insert(key);
   entry->request_id = env.request_id;
-  entry->completed = false;
-  entry->reply = {};
 
   // Server-side overhead: skeleton dispatch + argument unmarshalling.
   serve(from, env, /*armed=*/true);
@@ -724,9 +740,7 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
   const std::uint64_t key = pack_key(to, id);
   if (const std::uint32_t* cached = reply_cache_index_.find(key);
       cached != nullptr && reply_cache_entries_[*cached].request_id == id) {
-    ReplyCacheEntry& entry = reply_cache_entries_[*cached];
-    entry.completed = true;
-    entry.reply = reply;  // fragment refcounts, not a payload copy
+    reply_cache_entries_[*cached].reply.store(reply, reply_spill_);
   }
 
   // No result marshalling is charged: every simulated figure (the paper
@@ -743,17 +757,114 @@ void Transport::send_reply(common::NodeId to, common::RequestId id,
 }
 
 void Transport::on_reply(Envelope& env) {
-  PendingCall* pc = pending_.find(env.request_id.value());
-  if (pc == nullptr) {
+  const std::uint32_t* found = pending_.find(env.request_id.value());
+  if (found == nullptr) {
     ++*stale_replies_;
     return;
   }
-  auto callback = std::move(pc->callback);
+  const std::uint32_t slot = *found;
+  PendingCall& pc = pending_calls_[slot];
+  auto callback = std::move(pc.callback);
   // A failed reply carries an empty body, a successful one an empty error.
   CallResult result{env.ok, std::move(env.error), std::move(env.body)};
-  retire(*pc);
-  pending_.erase(env.request_id.value());
+  retire(pc);
+  erase_pending(env.request_id, slot);
   callback(std::move(result));
+}
+
+// --- CachedReply -------------------------------------------------------------
+
+Transport::CachedReply::CachedReply(CachedReply&& other) noexcept
+    : verb_(other.verb_),
+      form_(other.form_),
+      fragments_(other.fragments_),
+      sizes_{other.sizes_[0], other.sizes_[1]} {
+  switch (form_) {
+    case Form::Running:
+      break;
+    case Form::Packed:
+      std::memcpy(packed_, other.packed_, kPackedBytes);
+      break;
+    case Form::Handle:
+      ::new (&handle_) serial::Buffer(std::move(other.handle_));
+      other.handle_.~Buffer();
+      break;
+    case Form::Spilled:
+      spill_ = other.spill_;
+      break;
+  }
+  other.form_ = Form::Running;
+}
+
+void Transport::CachedReply::store(const Envelope& reply,
+                                   common::Slab<Envelope>& spill) {
+  // A request re-executed after its entry was evicted can reply twice
+  // (both executions hold a Replier); the later reply is the one kept.
+  clear(spill);
+  verb_ = reply.verb;
+  const serial::BufferChain& body = reply.body;
+  bool packs =
+      reply.ok && body.fragments() <= 2 && body.size() <= kPackedBytes;
+  for (std::size_t i = 0; packs && i < body.fragments(); ++i) {
+    packs = body.fragment(i).size() <= serial::Buffer::kInlineCapacity;
+  }
+  if (packs) {
+    fragments_ = static_cast<std::uint8_t>(body.fragments());
+    std::size_t at = 0;
+    for (std::size_t i = 0; i < fragments_; ++i) {
+      const serial::Buffer& fragment = body.fragment(i);
+      sizes_[i] = static_cast<std::uint8_t>(fragment.size());
+      if (!fragment.empty()) {
+        std::memcpy(packed_ + at, fragment.data(), fragment.size());
+      }
+      at += fragment.size();
+    }
+    form_ = Form::Packed;
+  } else if (reply.ok && body.fragments() == 1) {
+    ::new (&handle_) serial::Buffer(body.fragment(0));
+    form_ = Form::Handle;
+  } else {
+    spill_ = spill.emplace(reply);  // fragment refcounts, not a copy
+    form_ = Form::Spilled;
+  }
+}
+
+Envelope Transport::CachedReply::rebuild(
+    common::RequestId id, common::Slab<Envelope>& spill) const {
+  assert(completed());
+  if (form_ == Form::Spilled) return spill[spill_];
+  Envelope reply;
+  reply.kind = EnvelopeKind::Reply;
+  reply.request_id = id;
+  reply.verb = verb_;
+  if (form_ == Form::Handle) {
+    reply.body.append(handle_);
+    return reply;
+  }
+  // Each packed fragment becomes an inline Buffer of its own size again.
+  serial::Writer writer;
+  std::size_t at = 0;
+  for (std::size_t i = 0; i < fragments_; ++i) {
+    writer.write_raw(packed_ + at, sizes_[i]);
+    reply.body.append(writer.take());
+    at += sizes_[i];
+  }
+  return reply;
+}
+
+void Transport::CachedReply::clear(common::Slab<Envelope>& spill) {
+  switch (form_) {
+    case Form::Running:
+    case Form::Packed:
+      break;
+    case Form::Handle:
+      handle_.~Buffer();
+      break;
+    case Form::Spilled:
+      spill.release(spill_);
+      break;
+  }
+  form_ = Form::Running;
 }
 
 }  // namespace mage::rmi

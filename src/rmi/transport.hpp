@@ -24,10 +24,12 @@
 //
 // Hot-path layout: verbs are interned VerbIds (dispatch is a vector index);
 // bodies are BufferChains of ref-counted fragments, so a steady-state call
-// copies no payload bytes; pending calls and the reply cache are
-// open-addressed flat tables that stop growing once the reply cache has
-// wrapped, so the steady-state receive path never allocates; envelopes
-// waiting out a CPU cost sit in slots (parked_).
+// copies no payload bytes.  Transport bookkeeping is one cache line per
+// request: a pending call is a 16-byte slot of an open-addressed index
+// over a slab whose slots never move, and an at-most-once entry is 64
+// bytes in a ring that is overwritten in place once it has wrapped, so
+// the steady-state receive path never allocates; envelopes waiting out a
+// CPU cost sit in slots (parked_).
 //
 // Cost accounting per the CostModel: the caller is charged client overhead
 // plus marshalling before the request hits the wire; the callee is charged
@@ -279,8 +281,7 @@ class Transport {
     int max_attempts = 0;
     std::uint32_t retry_class = 0;  // index into retry_classes_
     // The class ring entry of its latest transmission (RetryClass::find),
-    // once attempts > 0.  32 bits fill the padding after retry_class, so
-    // every pending-table slot keeps its size.
+    // once attempts > 0.
     std::uint32_t ticket = 0;
   };
 
@@ -341,6 +342,8 @@ class Transport {
   void on_oneway(common::NodeId from, Envelope& env);
   void on_reply(Envelope& env);
   void transmit(common::RequestId id);
+  // Forgets pending call `id`, which sits in `slot` of pending_calls_.
+  void erase_pending(common::RequestId id, std::uint32_t slot);
   // The class a call of `timeout_us` belongs to, created on first use.
   std::uint32_t retry_class(common::SimDuration timeout_us);
   // Queues the transmission of `request` just sent, arming the event if
@@ -392,8 +395,12 @@ class Transport {
   // from inside its own handler while its std::function is mid-invocation
   // (re-registering the SAME verb from its own handler is still undefined).
   std::deque<Service> services_;
-  // Open-addressed, keyed by request id (ids start at 1, never 0).
-  common::FlatMap64<PendingCall> pending_;
+  // Pending calls: an open-addressed index keyed by request id (ids start
+  // at 1, never 0) of 16-byte slots naming the call's slot in
+  // pending_calls_, where it never moves, so an erase shifts slim slots
+  // and a reference to a call survives other calls being added.
+  common::FlatMap64<std::uint32_t> pending_;
+  common::Slab<PendingCall> pending_calls_;
   std::uint64_t next_request_ = 1;
   // One per distinct retry_timeout_us, in first-use order; never removed,
   // so an index stays valid for the transport's lifetime.
@@ -402,6 +409,9 @@ class Transport {
   // service runs, a reply or one-way before it reaches the wire): the
   // event captures the slot.
   common::Slab<Envelope> parked_;
+  // A batch frame's sub-envelopes, decoded and dispatched in place; reused
+  // from frame to frame (see on_message).
+  std::vector<Envelope> batch_rx_;
 
   // Hot-path counters (see StatsRegistry::counter_handle).
   std::int64_t* calls_;
@@ -448,23 +458,74 @@ class Transport {
   // a low-32-bit wraparound can never alias two live requests.  The key is
   // never 0 (node ids start at 1), as FlatMap64 requires.
   //
-  // Layout: the open-addressed index probes slim (key, ring slot) pairs —
-  // a few slots per cache line — while the fat entries (cached reply
-  // envelopes) sit in a ring array in insertion order, each touched only
-  // when its request is addressed.  The ring slot being overwritten on
-  // insert is the entry evicted.  The index is pre-sized for at most
-  // kIndexPresize entries; past that it grows with its live entries (by
-  // rehash, moving 16-byte slots) while the ring fills, and then holds
-  // capacity keys, one erased per key inserted.  The entries ring is
+  // Layout: the open-addressed index probes 16-byte (key, ring slot)
+  // pairs, and the entries sit in a ring array in insertion order, one
+  // 64-byte cache line each, touched only when their request is addressed.
+  // The ring slot being overwritten on insert is the entry evicted.  The
+  // index is pre-sized for at most kIndexPresize entries; past that it
+  // grows with its live entries (by rehash) while the ring fills, and then
+  // holds capacity keys, one erased per key inserted.  The ring is
   // reserved at its first insert, filled append-only to capacity and then
   // overwritten in place, so once it has wrapped the receive path never
   // allocates.
-  struct ReplyCacheEntry {
+
+  // The reply of a completed request as its entry keeps it, in one of
+  // three forms:
+  //   * packed  — an ok body of at most two fragments, each at most
+  //     Buffer::kInlineCapacity bytes and kPackedBytes together: the bytes
+  //     and fragment sizes themselves, copied in the way a small block is
+  //     copied into an inline Buffer (not a deep copy), so the entry pins
+  //     no shared block (a batch frame, say) — every echo reply;
+  //   * handle  — any other ok body of one fragment: that Buffer;
+  //   * spilled — anything else (an error reply, a longer chain): the
+  //     whole reply in a slot of the transport's spill slab, released by
+  //     clear() when the entry is evicted, overwritten or dropped.
+  // rebuild() gives back a reply with the first one's exact wire bytes:
+  // the same fields, fragment count, fragment sizes and bytes.
+  class CachedReply {
+   public:
+    CachedReply() noexcept {}  // = default is deleted: the union holds a Buffer
+    CachedReply(CachedReply&& other) noexcept;
+    CachedReply& operator=(CachedReply&&) = delete;
+    // Leaves a spilled slot to its slab, which dies with the transport.
+    ~CachedReply() {
+      if (form_ == Form::Handle) handle_.~Buffer();
+    }
+
+    // False while the request is still executing.
+    [[nodiscard]] bool completed() const { return form_ != Form::Running; }
+    // Keeps `reply` (replacing a reply kept before).
+    void store(const Envelope& reply, common::Slab<Envelope>& spill);
+    // The kept reply, as the reply to request `id`.
+    [[nodiscard]] Envelope rebuild(common::RequestId id,
+                                   common::Slab<Envelope>& spill) const;
+    // Back to running, releasing a handle or a spilled slot.
+    void clear(common::Slab<Envelope>& spill);
+
+   private:
+    enum class Form : std::uint8_t { Running, Packed, Handle, Spilled };
+    static constexpr std::size_t kPackedBytes = 40;
+
+    common::VerbId verb_;  // packed and handle forms
+    Form form_ = Form::Running;
+    std::uint8_t fragments_ = 0;  // packed: count and sizes
+    std::uint8_t sizes_[2] = {};
+    union {
+      std::uint32_t spill_ = 0;  // spilled: the slab slot
+      std::uint8_t packed_[kPackedBytes];
+      serial::Buffer handle_;
+    };
+  };
+
+  struct alignas(64) ReplyCacheEntry {
     std::uint64_t key = 0;  // pack_key of the request this slot caches
     common::RequestId request_id;
-    bool completed = false;  // false => execution still in progress
-    Envelope reply;          // valid when completed
+    CachedReply reply;
   };
+  static_assert(sizeof(ReplyCacheEntry) == 64,
+                "an at-most-once entry is one cache line");
+  static_assert(sizeof(common::FlatMap64<std::uint32_t>::Slot) == 16,
+                "a pending-table or reply-cache index slot is 16 bytes");
   static std::uint64_t pack_key(common::NodeId node, common::RequestId id) {
     return (static_cast<std::uint64_t>(node.value()) << 32) |
            (id.value() & 0xFFFFFFFFull);
@@ -478,6 +539,8 @@ class Transport {
   std::vector<ReplyCacheEntry> reply_cache_entries_;    // insertion order
   std::size_t reply_cache_head_ = 0;
   std::size_t reply_cache_capacity_;
+  // Spilled replies; at most one slot per ring entry.
+  common::Slab<Envelope> reply_spill_;
 
   // Per-caller-node marks backing the "rmi.evicted_reexecutions" counter
   // (ROADMAP: surface eviction-caused re-executions).  Keyed by the

@@ -40,6 +40,7 @@
 #include "serial/writer.hpp"
 #include "sim/simulation.hpp"
 #include "support/chaos_harness.hpp"
+#include "support/reply_cache_check.hpp"
 
 // Replaces global operator new/delete for this binary (one TU only) so the
 // single-allocation-per-flush budget is asserted, not assumed.
@@ -364,6 +365,17 @@ TEST(BatchTransport, RequestAndReplyStreamsPipelinePerQuantum) {
   EXPECT_GE(p.counter("rmi.batched_invokes"),
             2 * p.counter("rmi.batches_sent"));
   EXPECT_EQ(p.counter("net.fifo_violations"), 0);
+}
+
+// The same duplicate-reply check as rmi_test's, on a batched link: the
+// requests, replies and duplicates ride batch frames, and each duplicate
+// still carries the first reply's bytes.
+TEST(BatchTransport, DuplicateGetsTheFirstReplyBytesFromEveryCacheForm) {
+  Pair p;
+  p.enable_batching();
+  const int frames = testing::expect_duplicates_get_first_reply_bytes(
+      p.sim, p.net, p.ta, p.tb, p.a, p.b);
+  EXPECT_GE(frames, 2);
 }
 
 TEST(BatchTransport, ValidatesOptions) {

@@ -614,11 +614,13 @@ TEST(HotpathAllocation, SteadyStateCallMakesNoAllocation) {
   // The allocation budget the spine promises: a steady-state call round
   // trip makes NO heap allocation.  Both headers (17 and 18 bytes) and a
   // small body are inline Buffers, a large payload travels by refcount,
-  // pending calls and the reply-cache index live in pre-sized flat tables,
-  // the entries ring is full and overwritten in place, event nodes come
-  // from the pooled slab, and captures stay inline in UniqueFunction
-  // storage.  Two body shapes: an 8-byte body a Writer builds per call
-  // (the echo storm's) and a shared 512-byte payload.
+  // pending calls sit in slab slots that freed calls hand back, the
+  // pending and reply-cache indexes stop growing once warm, the entries
+  // ring is full and overwritten in place, event nodes come from the
+  // pooled slab, and captures stay inline in UniqueFunction storage.  Two
+  // body shapes: an 8-byte body a Writer builds per call (the echo
+  // storm's, whose reply the cache keeps packed) and a shared 512-byte
+  // payload (kept as its handle, with no side slot).
   //
   // A small reply cache, warmed past its capacity, puts the measured loop
   // in the long-run regime — ring wrapped, continuously evicting — which
@@ -655,6 +657,112 @@ TEST(HotpathAllocation, SteadyStateCallMakesNoAllocation) {
     for (std::uint64_t i = 0; i < kCalls; ++i) (void)call(small);
     EXPECT_EQ(alloc_count() - before, 0u);
   }
+}
+
+TEST(HotpathAllocation, SpilledReplyReusesItsSlots) {
+  // A reply the at-most-once cache cannot keep in its entry takes a slot
+  // of a side slab.  Echoing one such shape through a 64-entry ring, every
+  // insert evicts an entry whose slot the next reply takes: once a warm-up
+  // has wrapped the ring with that shape, the cache allocates nothing, so
+  // the slab holds at most the ring's capacity.  Two spilled shapes: two
+  // 24-byte fragments (inline, 48 bytes together), whose round trip makes
+  // no allocation at all, and a three-fragment chain, whose headers (26
+  // and 27 bytes, over Buffer's inline capacity) are the round trip's only
+  // two allocations.
+  constexpr std::size_t kCacheCapacity = 64;
+  sim::Simulation sim{78};
+  net::Network net{sim, net::CostModel::zero()};
+  const common::NodeId a = net.add_node("a");
+  const common::NodeId b = net.add_node("b");
+  rmi::Transport ta{net, a, kCacheCapacity};
+  rmi::Transport tb{net, b, kCacheCapacity};
+
+  const auto echo = common::intern_verb("hp.spill");
+  tb.register_service(echo,
+                      [](common::NodeId, const serial::BufferChain& body,
+                         rmi::Replier replier) { replier.ok(body); });
+  const auto fragment = [](std::size_t size, std::uint8_t fill) {
+    return serial::Buffer(std::vector<std::uint8_t>(size, fill));
+  };
+  serial::BufferChain two;
+  two.append(fragment(24, 0x21));
+  two.append(fragment(24, 0x22));
+  serial::BufferChain three;
+  three.append(fragment(8, 0x23));
+  three.append(fragment(100, 0x24));
+  three.append(fragment(8, 0x25));
+
+  struct Shape {
+    const char* name;
+    const serial::BufferChain& body;
+    std::uint64_t header_allocations;
+  };
+  for (const Shape& shape : {Shape{"two 24-byte fragments", two, 0},
+                             Shape{"three fragments", three, 2}}) {
+    SCOPED_TRACE(shape.name);
+    for (std::size_t i = 0; i < 2 * kCacheCapacity; ++i) {
+      (void)ta.call_sync(b, echo, shape.body);
+    }
+    constexpr std::uint64_t kCalls = 100;
+    const auto before = alloc_count();
+    for (std::uint64_t i = 0; i < kCalls; ++i) {
+      const serial::BufferChain result = ta.call_sync(b, echo, shape.body);
+      ASSERT_EQ(result.fragments(), shape.body.fragments());
+    }
+    EXPECT_EQ(alloc_count() - before, kCalls * shape.header_allocations);
+  }
+  EXPECT_GT(sim.stats().counter("rmi.reply_cache_evictions"), 0);
+}
+
+TEST(HotpathAllocation, BatchFrameIsTheOnlyAllocationPerFrame) {
+  // A batched link in steady state: 16 calls per flush quantum ride one
+  // request frame, their replies one reply frame, and the frame's encode
+  // is the one allocation either makes.  The receiver decodes every frame
+  // into a vector it keeps, and its reply cache keeps the echoed bodies
+  // packed, not as slices pinning the request frame.
+  constexpr std::size_t kCacheCapacity = 64;
+  constexpr int kCallsPerQuantum = 16;
+  sim::Simulation sim{79};
+  net::Network net{sim, net::CostModel::zero()};
+  const common::NodeId a = net.add_node("a");
+  const common::NodeId b = net.add_node("b");
+  rmi::Transport ta{net, a, kCacheCapacity};
+  rmi::Transport tb{net, b, kCacheCapacity};
+  rmi::BatchOptions batching;
+  batching.enabled = true;
+  ta.set_batching(batching);
+  tb.set_batching(batching);
+
+  const auto echo = common::intern_verb("hp.batch");
+  tb.register_service(echo,
+                      [](common::NodeId, const serial::BufferChain& body,
+                         rmi::Replier replier) { replier.ok(body); });
+  std::uint64_t seq = 0;
+  std::uint64_t completed = 0;
+  const auto round = [&] {
+    const std::uint64_t target = completed + kCallsPerQuantum;
+    for (int i = 0; i < kCallsPerQuantum; ++i) {
+      serial::Writer body(8);
+      body.write_u64(++seq);
+      ta.call(b, echo, body.take(), [&completed](rmi::CallResult r) {
+        if (r.ok) ++completed;
+      });
+    }
+    ASSERT_TRUE(sim.run_until([&] { return completed == target; }));
+  };
+  // Warm-up: 8 rounds wrap both 64-entry rings twice.
+  for (int i = 0; i < 8; ++i) round();
+  ASSERT_GT(sim.stats().counter("rmi.reply_cache_evictions"), 0);
+
+  constexpr int kRounds = 10;
+  const std::int64_t frames_before = sim.stats().counter("rmi.batches_sent");
+  const auto before = alloc_count();
+  for (int i = 0; i < kRounds; ++i) round();
+  const auto allocations = alloc_count() - before;
+  const std::int64_t frames =
+      sim.stats().counter("rmi.batches_sent") - frames_before;
+  EXPECT_EQ(frames, 2 * kRounds);
+  EXPECT_EQ(allocations, static_cast<std::uint64_t>(frames));
 }
 
 // A session of bench/e2e `mobile`'s shape: "work" answers 8 bytes.

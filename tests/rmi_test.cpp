@@ -11,6 +11,7 @@
 #include "rmi/envelope.hpp"
 #include "rmi/transport.hpp"
 #include "sim/simulation.hpp"
+#include "support/reply_cache_check.hpp"
 
 namespace mage::rmi {
 namespace {
@@ -370,6 +371,14 @@ TEST_F(LossyRmiFixture, DuplicateRequestsAreSuppressed) {
   EXPECT_TRUE(result->ok);
   EXPECT_EQ(executions, 1);
   EXPECT_GT(sim.stats().counter("rmi.duplicates_suppressed"), 0);
+}
+
+// A duplicate is answered from the at-most-once cache with the first
+// reply's header bytes and fragments, whatever form the cache kept it in.
+TEST_F(RmiFixture, DuplicateGetsTheFirstReplyBytesFromEveryCacheForm) {
+  const int frames = mage::testing::expect_duplicates_get_first_reply_bytes(
+      sim, net, ta, tb, a, b);
+  EXPECT_EQ(frames, 0);
 }
 
 TEST_F(LossyRmiFixture, ExhaustedRetriesFailTheCall) {
