@@ -146,7 +146,6 @@ struct Record {
   std::int64_t reply_cache_evictions = 0;
   std::int64_t evicted_reexecutions = 0;
   std::int64_t reply_cache_grows = 0;
-  std::int64_t reply_cache_shrinks = 0;
   std::int64_t batches_sent = 0;
   std::int64_t batched_invokes = 0;
   std::int64_t batch_singletons = 0;
@@ -200,7 +199,6 @@ inline constexpr std::pair<const char*, std::int64_t Record::*> kCounters[] = {
     {"rmi.reply_cache_evictions", &Record::reply_cache_evictions},
     {"rmi.evicted_reexecutions", &Record::evicted_reexecutions},
     {"rmi.reply_cache_grows", &Record::reply_cache_grows},
-    {"rmi.reply_cache_shrinks", &Record::reply_cache_shrinks},
     {"rmi.batches_sent", &Record::batches_sent},
     {"rmi.batched_invokes", &Record::batched_invokes},
     {"rmi.batch_singletons", &Record::batch_singletons},

@@ -58,7 +58,7 @@ class TransportError : public MageError {
   explicit TransportError(const std::string& what) : MageError(what) {}
 };
 
-// Serialization framing or type-registry problems (unknown class name on
+// Serialization framing or class-world problems (an unknown class name on
 // deserialization models Java's ClassNotFoundException and is what forces
 // MAGE to ship class images before object state).
 class SerializationError : public MageError {

@@ -106,13 +106,12 @@ Transport::Transport(net::Network& network, common::NodeId self,
       batch_singletons_(sim_.stats().counter_handle("rmi.batch_singletons")),
       reply_cache_grows_(
           sim_.stats().counter_handle("rmi.reply_cache_grows")),
-      reply_cache_shrinks_(
-          sim_.stats().counter_handle("rmi.reply_cache_shrinks")),
       reply_cache_capacity_stat_(
           sim_.stats().counter_handle("rmi.reply_cache_capacity")),
       reply_cache_capacity_high_water_(
           sim_.stats().counter_handle("rmi.reply_cache_capacity_highwater")),
       batch_verb_(common::intern_verb("rmi.batch")),
+      reply_cache_ceiling_(reply_cache_capacity),
       reply_cache_capacity_(reply_cache_capacity) {
   if (reply_cache_capacity_ == 0) {
     throw common::MageError(
@@ -136,10 +135,8 @@ Transport::Transport(net::Network& network, common::NodeId self,
 }
 
 void Transport::set_batching(BatchOptions options) {
-  if (options.enabled &&
-      (options.flush_quantum_us < 1 || options.max_batch_invokes < 1)) {
-    throw common::MageError(
-        "batching needs a flush quantum and invoke budget of at least 1");
+  if (options.enabled && options.flush_quantum_us < 1) {
+    throw common::MageError("batching needs a flush quantum of at least 1");
   }
   // Never strand queued envelopes under the old policy.
   flush_all();
@@ -147,20 +144,22 @@ void Transport::set_batching(BatchOptions options) {
 }
 
 void Transport::set_adaptive_reply_cache(AdaptiveCacheOptions options) {
-  if (options.enabled &&
-      (options.floor < 1 || options.ceiling < options.floor ||
-       options.grow_threshold < 1 || options.idle_shrink_us < 1)) {
+  if (!options.enabled) {
+    reply_cache_ceiling_ = reply_cache_capacity_;
+    return;
+  }
+  if (options.floor < 1 || options.ceiling < options.floor) {
     throw common::MageError(
-        "adaptive reply cache needs 1 <= floor <= ceiling, a positive grow "
-        "threshold, and a positive idle-shrink period");
+        "adaptive reply cache needs 1 <= floor <= ceiling");
   }
-  adaptive_cache_ = options;
-  if (options.enabled) {
-    const std::size_t clamped = std::clamp(reply_cache_capacity_,
-                                           options.floor, options.ceiling);
-    if (clamped != reply_cache_capacity_) resize_reply_cache(clamped);
-    last_eviction_us_ = sim_.now();
+  if (options.ceiling < reply_cache_capacity_) {
+    throw common::MageError(
+        "adaptive reply cache ceiling " + std::to_string(options.ceiling) +
+        " is below the current capacity " +
+        std::to_string(reply_cache_capacity_) + ": the ring never shrinks");
   }
+  reply_cache_ceiling_ = options.ceiling;
+  if (options.floor > reply_cache_capacity_) grow_reply_cache(options.floor);
 }
 
 void Transport::register_service(common::VerbId verb, Service service) {
@@ -386,7 +385,7 @@ void Transport::send_now(common::NodeId dest, Envelope& env,
 
 void Transport::route(common::NodeId dest, Envelope& env, net::MsgKind kind) {
   if (!batch_options_.enabled || dest.value() == self_.value() ||
-      env.body.size() > batch_options_.max_inline_body) {
+      env.body.size() > kMaxInlineBody) {
     // Loopback and oversized bodies keep the scatter-gather direct path.
     send_now(dest, env, kind);
     return;
@@ -398,8 +397,8 @@ void Transport::route(common::NodeId dest, Envelope& env, net::MsgKind kind) {
   if (queue.envelopes.empty()) queue.first_kind = kind;
   queue.bytes += env.encoded_size();
   queue.envelopes.push_back(std::move(env));
-  if (queue.envelopes.size() >= batch_options_.max_batch_invokes ||
-      queue.bytes >= batch_options_.max_batch_bytes) {
+  if (queue.envelopes.size() >= kMaxBatchInvokes ||
+      queue.bytes >= kMaxBatchBytes) {
     flush_link(dest.value());
     return;
   }
@@ -559,48 +558,26 @@ void Transport::mark_evicted(std::uint64_t key, common::RequestId id) {
   marks->evicted_max = std::max(marks->evicted_max, id.value());
 }
 
-void Transport::resize_reply_cache(std::size_t new_capacity) {
-  assert(new_capacity >= 1);
-  if (new_capacity == reply_cache_capacity_) return;
+void Transport::grow_reply_cache(std::size_t new_capacity) {
   const std::size_t live = reply_cache_entries_.size();
-  const std::size_t keep = std::min(live, new_capacity);
-  const std::size_t drop = live - keep;
-  // Walk the ring oldest-first so the rebuilt vector is exact FIFO order;
-  // a shrink evicts the oldest entries with the same accounting as a ring
-  // wrap (their at-most-once protection is genuinely gone).
   const std::size_t start =
       live == reply_cache_capacity_ ? reply_cache_head_ : 0;
   std::vector<ReplyCacheEntry> rebuilt;
-  rebuilt.reserve(keep);
+  rebuilt.reserve(new_capacity);
   for (std::size_t i = 0; i < live; ++i) {
-    ReplyCacheEntry& entry =
-        reply_cache_entries_[(start + i) % reply_cache_capacity_];
-    if (i < drop) {
-      ++*reply_cache_evictions_;
-      mark_evicted(entry.key, entry.request_id);
-      entry.reply.clear(reply_spill_);
-      continue;
-    }
-    rebuilt.push_back(std::move(entry));
+    rebuilt.push_back(
+        std::move(reply_cache_entries_[(start + i) % reply_cache_capacity_]));
+    // A grow keeps every key; only its slot moves.
+    *reply_cache_index_.find(rebuilt.back().key) =
+        static_cast<std::uint32_t>(i);
   }
   reply_cache_entries_ = std::move(rebuilt);
   reply_cache_head_ = 0;
-  if (new_capacity > reply_cache_capacity_) {
-    ++*reply_cache_grows_;
-  } else {
-    ++*reply_cache_shrinks_;
-  }
   reply_cache_capacity_ = new_capacity;
-  // Rebuild the slim index over the survivors, sized like a new one's;
-  // it grows with the ring from there.
-  reply_cache_index_ = common::FlatMap64<std::uint32_t>();
-  reply_cache_index_.reserve(std::max(reply_cache_entries_.size(),
-                                     std::min(new_capacity, kIndexPresize)));
-  for (std::size_t i = 0; i < reply_cache_entries_.size(); ++i) {
-    *reply_cache_index_.try_emplace(reply_cache_entries_[i].key).first =
-        static_cast<std::uint32_t>(i);
-  }
-  evictions_since_resize_ = 0;
+  // Sized like a new index; it grows with the ring from there.
+  reply_cache_index_.reserve(std::min(new_capacity, kIndexPresize));
+  ++*reply_cache_grows_;
+  evictions_since_grow_ = 0;
   *reply_cache_capacity_stat_ = static_cast<std::int64_t>(new_capacity);
   *reply_cache_capacity_high_water_ =
       std::max(*reply_cache_capacity_high_water_,
@@ -608,23 +585,12 @@ void Transport::resize_reply_cache(std::size_t new_capacity) {
 }
 
 Transport::ReplyCacheEntry* Transport::reply_cache_insert(std::uint64_t key) {
-  if (adaptive_cache_.enabled) {
-    if (reply_cache_entries_.size() == reply_cache_capacity_ &&
-        reply_cache_capacity_ < adaptive_cache_.ceiling &&
-        evictions_since_resize_ >= adaptive_cache_.grow_threshold) {
-      // Sustained eviction pressure: double before this insert evicts yet
-      // another live entry.
-      resize_reply_cache(
-          std::min(adaptive_cache_.ceiling, reply_cache_capacity_ * 2));
-    } else if (reply_cache_capacity_ > adaptive_cache_.floor &&
-               sim_.now() - last_eviction_us_ >=
-                   adaptive_cache_.idle_shrink_us) {
-      // Idle: no eviction for a full shrink period — halve toward the
-      // floor, one step per period.
-      resize_reply_cache(
-          std::max(adaptive_cache_.floor, reply_cache_capacity_ / 2));
-      last_eviction_us_ = sim_.now();
-    }
+  if (reply_cache_entries_.size() == reply_cache_capacity_ &&
+      reply_cache_capacity_ < reply_cache_ceiling_ &&
+      evictions_since_grow_ >= kGrowThreshold) {
+    // Double before this insert evicts yet another live entry.
+    grow_reply_cache(
+        std::min(reply_cache_ceiling_, reply_cache_capacity_ * 2));
   }
   std::uint32_t slot;
   if (reply_cache_entries_.size() < reply_cache_capacity_) {
@@ -644,8 +610,7 @@ Transport::ReplyCacheEntry* Transport::reply_cache_insert(std::uint64_t key) {
     ReplyCacheEntry& evicted = reply_cache_entries_[slot];
     reply_cache_index_.erase(evicted.key);
     ++*reply_cache_evictions_;
-    ++evictions_since_resize_;
-    last_eviction_us_ = sim_.now();
+    ++evictions_since_grow_;
     mark_evicted(evicted.key, evicted.request_id);
     evicted.reply.clear(reply_spill_);
   }
@@ -695,12 +660,9 @@ void Transport::on_request(common::NodeId from, Envelope& env) {
       marks->high_water = env.request_id.value();
     } else if (env.request_id.value() <= marks->evicted_max) {
       ++*evicted_reexecutions_;
-      if (adaptive_cache_.enabled) {
-        // An at-most-once violation is the strongest pressure signal there
-        // is: trip the grow threshold immediately.
-        evictions_since_resize_ =
-            std::max(evictions_since_resize_, adaptive_cache_.grow_threshold);
-      }
+      // An at-most-once violation is the strongest pressure signal there
+      // is: trip the grow threshold immediately.
+      evictions_since_grow_ = std::max(evictions_since_grow_, kGrowThreshold);
     }
   }
 

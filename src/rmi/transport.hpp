@@ -13,7 +13,8 @@
 //   * at-most-once execution: duplicate requests (retransmissions) never
 //     re-execute a service; completed requests re-send the cached reply,
 //     in-progress requests are ignored (the eventual reply will answer all
-//     copies).
+//     copies).  The reply cache is a ring of fixed capacity, or with
+//     adaptive sizing one that only grows, up to its ceiling.
 //
 // Retransmission (docs/ARCHITECTURE.md "Retransmission"): a call does not
 // arm a timer of its own.  Each distinct retry_timeout_us on a transport is
@@ -145,35 +146,25 @@ void check_call_options(common::VerbId verb, const CallOptions& options);
 // single net::Message (one mailbox push, one wire_seq).  Quantum boundaries
 // are absolute multiples of `flush_quantum_us`, which lines batch flushes
 // up with the sharded engine's conservative-lookahead windows when the
-// quantum equals the lookahead.
+// quantum equals the lookahead.  A link flushes early at
+// Transport::kMaxBatchInvokes envelopes or kMaxBatchBytes encoded bytes,
+// and a body above kMaxInlineBody bypasses its queue to keep the
+// scatter-gather zero-copy send (a batch frame gathers payload bytes by
+// copy).
 struct BatchOptions {
   bool enabled = false;
-  // Flush at the next absolute multiple of this quantum (>= 1).
-  common::SimDuration flush_quantum_us = 500;
-  // Flush immediately once a link's queue holds this many envelopes...
-  std::size_t max_batch_invokes = 1024;
-  // ...or this many encoded bytes, whichever trips first.
-  std::size_t max_batch_bytes = 256 * 1024;
-  // Bodies larger than this bypass batching and keep the scatter-gather
-  // zero-copy send path (batch frames gather payload bytes by copy).
-  std::size_t max_inline_body = 4096;
+  common::SimDuration flush_quantum_us = 500;  // >= 1
 };
 
 // Adaptive at-most-once reply-cache sizing (ROADMAP item 1).  Opt-in: the
-// ring doubles when eviction pressure accumulates (or instantly on an
-// observed eviction-caused re-execution) up to `ceiling`, and halves back
-// toward `floor` after an idle period with no evictions.  Growth/shrink
-// both preserve exact FIFO eviction order.
+// ring starts at no less than `floor` and doubles, keeping exact FIFO
+// eviction order, once Transport::kGrowThreshold evictions accumulate (or
+// at once on an observed eviction-caused re-execution), up to `ceiling`.
+// It never shrinks.
 struct AdaptiveCacheOptions {
   bool enabled = false;
   std::size_t floor = 512;
   std::size_t ceiling = 8192;
-  // Evictions accumulated since the last resize that trigger a doubling.
-  // Kept low: every eviction below the ceiling risks a duplicate
-  // re-execution, so the ring should double after minimal evidence.
-  std::int64_t grow_threshold = 2;
-  // Halve (toward floor) when no eviction happened for this long.
-  common::SimDuration idle_shrink_us = 250'000;
 };
 
 class Transport {
@@ -188,6 +179,13 @@ class Transport {
 
   // At-most-once reply-cache depth (cached replies retained per node).
   static constexpr std::size_t kReplyCacheCapacity = 8192;
+  // Batching bounds (see BatchOptions).
+  static constexpr std::size_t kMaxBatchInvokes = 1024;
+  static constexpr std::size_t kMaxBatchBytes = 256 * 1024;
+  static constexpr std::size_t kMaxInlineBody = 4096;
+  // Evictions since the last grow that double an adaptive ring.  Low,
+  // because every eviction below the ceiling risks a re-execution.
+  static constexpr std::int64_t kGrowThreshold = 2;
 
   // `reply_cache_capacity` bounds the at-most-once cache; benches shrink it
   // to exercise ring eviction under load without 8k-call warmups.
@@ -242,10 +240,11 @@ class Transport {
   // Enables/disables per-link batching (see BatchOptions).  Any queued
   // envelopes are flushed before the new options take effect.
   void set_batching(BatchOptions options);
-  [[nodiscard]] const BatchOptions& batching() const { return batch_options_; }
 
-  // Enables/disables adaptive reply-cache sizing (see AdaptiveCacheOptions).
-  // The current capacity is clamped into [floor, ceiling] immediately.
+  // Enables/disables adaptive reply-cache sizing (see AdaptiveCacheOptions):
+  // the capacity rises to `floor` at once.  Throws MageError, naming both
+  // values, when `ceiling` is below the current capacity.  Disabled, the
+  // ring keeps its current capacity.
   void set_adaptive_reply_cache(AdaptiveCacheOptions options);
   [[nodiscard]] std::size_t reply_cache_capacity() const {
     return reply_cache_capacity_;
@@ -382,10 +381,9 @@ class Transport {
   void flush_all();
   void flush_link(std::size_t dest_index);
 
-  // Rebuilds the at-most-once ring at `new_capacity`, keeping the newest
-  // entries in exact FIFO order (shrink evicts oldest-first, with the same
-  // accounting as a ring wrap).
-  void resize_reply_cache(std::size_t new_capacity);
+  // Re-lays the at-most-once ring in exact FIFO order into a vector that
+  // holds `new_capacity` entries, and points the index at the new slots.
+  void grow_reply_cache(std::size_t new_capacity);
 
   net::Network& network_;
   sim::Simulation& sim_;
@@ -429,7 +427,6 @@ class Transport {
   std::int64_t* batched_invokes_;
   std::int64_t* batch_singletons_;
   std::int64_t* reply_cache_grows_;
-  std::int64_t* reply_cache_shrinks_;
   std::int64_t* reply_cache_capacity_stat_;
   std::int64_t* reply_cache_capacity_high_water_;
   // Per-verb "rmi.calls.<verb>" counters, indexed by VerbId.
@@ -448,9 +445,9 @@ class Transport {
   bool flush_scheduled_ = false;         // one flush event serves all links
 
   // --- adaptive reply-cache state (see AdaptiveCacheOptions) ---------------
-  AdaptiveCacheOptions adaptive_cache_;
-  std::int64_t evictions_since_resize_ = 0;
-  common::SimTime last_eviction_us_ = 0;
+  // A fixed ring's ceiling is its capacity.
+  std::size_t reply_cache_ceiling_;
+  std::int64_t evictions_since_grow_ = 0;
 
   // At-most-once receiver state, keyed by (caller, request id) packed into
   // one 64-bit word (caller in the high bits, request id in the low 32).

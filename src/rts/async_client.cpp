@@ -2,8 +2,6 @@
 
 #include <utility>
 
-#include "rts/director.hpp"
-
 namespace mage::rts {
 
 namespace proto_verbs = proto::verbs;
@@ -114,36 +112,6 @@ common::NodeId AsyncClient::believed_host(
 
 // --- locate -----------------------------------------------------------------
 
-MageFuture<common::NodeId> AsyncClient::directory_fallback(
-    const common::ComponentName& name) {
-  MagePromise<common::NodeId> promise;
-  if (directory_client_ == nullptr) {
-    promise.set_error("'" + name + "' is not known here (no forwarding "
-                      "address, no static-directory entry, no replicated "
-                      "directory configured)");
-    return promise.future();
-  }
-  directory_client_->resolve(
-      name, [this, name, promise](
-                std::optional<DirectoryClient::Resolution> resolution) {
-        if (!resolution) {
-          promise.set_error("directory has no record of '" + name + "'");
-          return;
-        }
-        if (resolution->epoch < known_epoch(name)) {
-          // The quorum lags our own confirmed knowledge (an announce is
-          // still in flight); treat as not-yet-found so the chase retries.
-          promise.set_error("directory record of '" + name + "' is stale");
-          return;
-        }
-        note_epoch(name, resolution->epoch);
-        server_.registry().update_forward(name, resolution->host,
-                                          resolution->epoch);
-        promise.set_value(resolution->host);
-      });
-  return promise.future();
-}
-
 MageFuture<common::NodeId> AsyncClient::walk(const common::ComponentName& name,
                                              common::NodeId start,
                                              std::uint64_t min_epoch) {
@@ -192,11 +160,13 @@ MageFuture<common::NodeId> AsyncClient::locate(
   } else if (info != nullptr) {
     start = info->home;
   }
+  MagePromise<common::NodeId> promise;
   if (common::is_no_node(start) || start == transport_.self()) {
-    return directory_fallback(name);
+    promise.set_error("'" + name + "' is not known here (no forwarding "
+                      "address, no static-directory entry)");
+    return promise.future();
   }
 
-  MagePromise<common::NodeId> promise;
   const auto found = [promise](common::NodeId host) {
     promise.set_value(host);
   };
@@ -206,21 +176,15 @@ MageFuture<common::NodeId> AsyncClient::locate(
   walk(name, start, known_epoch(name))
       .then(found)
       .on_error([this, name, start, found, failed](const std::string& error) {
-        // Chain start unreachable or the walk dead-ended; the replicated
-        // directory (when configured) may still know the placement.  After
-        // a dead-end an unfenced walk is the final fallback (see walk());
-        // an unreachable start gets no second walk, which would fail the
-        // same way.
-        directory_fallback(name).then(found).on_error(
-            [this, name, start, found, failed,
-             error](const std::string&) {
-              if (rmi::error_kind(error) == rmi::ErrorKind::Transport) {
-                failed(error);
-                return;
-              }
-              sim_.stats().bump(unfenced_walks_, "rts.unfenced_walks");
-              walk(name, start, 0).then(found).on_error(failed);
-            });
+        // After a dead-end an unfenced walk is the final fallback (see
+        // walk()); an unreachable start gets no second walk, which would
+        // fail the same way.
+        if (rmi::error_kind(error) == rmi::ErrorKind::Transport) {
+          failed(error);
+          return;
+        }
+        sim_.stats().bump(unfenced_walks_, "rts.unfenced_walks");
+        walk(name, start, 0).then(found).on_error(failed);
       });
   return promise.future();
 }
@@ -408,15 +372,6 @@ void AsyncClient::complete(ChaseOp& op, Chased ok, std::uint64_t epoch) {
     // chains left behind by the old placement are fenced off.
     note_epoch(op.name, epoch);
     server_.registry().update_forward(op.name, op.to, epoch);
-    if (directory_client_ != nullptr) {
-      // Asynchronous announce (fire-and-forget): readers that race it are
-      // protected by the epoch fence.
-      const ComponentInfo* info = server_.directory().find(op.name);
-      directory_client_->announce(
-          proto::PlacementRecord{op.name, std::string{}, op.to,
-                                 info != nullptr && info->is_public, epoch},
-          [](bool) {});
-    }
     ok.host = op.to;
   }
   op.done(ok);

@@ -14,8 +14,8 @@
 //     counted in "rts.stale_hints_rejected"), back off and re-locate on
 //     NotFound, and fail at once on a remote rejection.  The typed ops
 //     below are adapters over it.
-//   * locate()/find() resolve a name by an async lookup walk with a
-//     replicated-directory fallback.
+//   * locate()/find() resolve a name by an async lookup walk: fenced, and
+//     after a dead-end once more unfenced.
 //   * load_of()/ping()/manifest() are plain single-host calls.
 //
 // Invokes, moves, lookup walks and probes are each one rmi::call under
@@ -48,8 +48,6 @@
 
 namespace mage::rts {
 
-class DirectoryClient;
-
 class AsyncClient {
  public:
   // `server` provides the transport, registry, and static directory of the
@@ -61,14 +59,6 @@ class AsyncClient {
   AsyncClient& operator=(const AsyncClient&) = delete;
 
   [[nodiscard]] common::NodeId self() const { return transport_.self(); }
-
-  // Opt-in high-availability naming: when set, locate() falls back to the
-  // replicated director quorum when the static directory's lead (or a
-  // forwarding chain) dead-ends, and a completed move announces the new
-  // placement to it.  Null by default.  Not owned.
-  void set_directory_client(DirectoryClient* dclient) {
-    directory_client_ = dclient;
-  }
 
   // --- the chase ----------------------------------------------------------
 
@@ -148,14 +138,12 @@ class AsyncClient {
   // --- placement ----------------------------------------------------------
 
   // Moves the component to `to`; completes with the new host once the
-  // migration converged.  Records the new placement epoch and (when a
-  // DirectoryClient is set) announces the placement asynchronously.
+  // migration converged, and records the new placement epoch.
   MageFuture<common::NodeId> move(const common::ComponentName& name,
                                   common::NodeId to);
 
   // Async resolve: where is `name` now?  (Epoch-fenced lookup walk, then
-  // directory fallback, then one unfenced walk; does not chase
-  // invocations anywhere.)
+  // one unfenced walk; does not chase invocations anywhere.)
   MageFuture<common::NodeId> locate(const common::ComponentName& name);
 
   // locate() with patience: while the walk dead-ends (the object may be
@@ -233,8 +221,6 @@ class AsyncClient {
   void find_attempt(const common::ComponentName& name,
                     const MagePromise<common::NodeId>& promise, int attempt);
 
-  MageFuture<common::NodeId> directory_fallback(
-      const common::ComponentName& name);
   // One lookup walk from `start`, recording the epoch and forwarding
   // address it finds.  locate() walks fenced (min_epoch = known_epoch)
   // and, after a dead-end, once more unfenced (min_epoch 0, counted in
@@ -252,7 +238,6 @@ class AsyncClient {
   MageServer& server_;
   rmi::Transport& transport_;
   sim::Simulation& sim_;
-  DirectoryClient* directory_client_ = nullptr;
 
   const rmi::CallPolicy policy_;
 

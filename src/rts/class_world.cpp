@@ -13,14 +13,7 @@ const ClassDescriptor& ClassWorld::descriptor(const std::string& name) const {
 
 std::unique_ptr<MageObject> ClassWorld::instantiate(
     const std::string& class_name) const {
-  auto object = types_.create(class_name);
-  auto* mage_object = dynamic_cast<MageObject*>(object.get());
-  if (mage_object == nullptr) {
-    throw common::SerializationError("class '" + class_name +
-                                     "' is not a MageObject");
-  }
-  object.release();
-  return std::unique_ptr<MageObject>(mage_object);
+  return descriptor(class_name).make();
 }
 
 std::unique_ptr<MageObject> ClassWorld::deserialize(

@@ -26,7 +26,6 @@
 #include "common/error.hpp"
 #include "rts/component.hpp"
 #include "serial/traits.hpp"
-#include "serial/type_registry.hpp"
 
 namespace mage::rts {
 
@@ -53,19 +52,24 @@ struct ClassDescriptor {
   // coherency for class data" — we provide home-station coherency: every
   // static read/write is served at this node).  kNoNode = no statics.
   common::NodeId statics_home = common::kNoNode;
+  // Makes a default-constructed instance, for instantiate or deserialize.
+  std::unique_ptr<MageObject> (*make)() = nullptr;
 };
 
 class ClassWorld {
  public:
-  // Registers a class: factory into the type registry, descriptor here.
+  // Registers class T under `name` (again: replaces its factory and code
+  // size, keeps its methods).
   template <typename T>
   ClassDescriptor& register_class(const std::string& name,
                                   std::uint32_t code_size = 2048) {
     static_assert(std::is_base_of_v<MageObject, T>);
-    types_.register_type(name, [] { return std::make_unique<T>(); });
     auto& d = descriptors_[name];
     d.name = name;
     d.code_size = code_size;
+    d.make = []() -> std::unique_ptr<MageObject> {
+      return std::make_unique<T>();
+    };
     return d;
   }
 
@@ -86,7 +90,8 @@ class ClassWorld {
   [[nodiscard]] const ClassDescriptor& descriptor(
       const std::string& name) const;
 
-  // Instantiates a default-constructed object of `class_name`.
+  // Instantiates a default-constructed object of `class_name`; throws
+  // SerializationError when the class is not registered.
   [[nodiscard]] std::unique_ptr<MageObject> instantiate(
       const std::string& class_name) const;
 
@@ -103,7 +108,6 @@ class ClassWorld {
       const std::string& class_name, const std::string& method_name) const;
 
  private:
-  serial::TypeRegistry types_;
   // Hashed, filled before the run and read by every shard: no lazily
   // filled state.
   std::unordered_map<std::string, ClassDescriptor> descriptors_;

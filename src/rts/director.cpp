@@ -12,10 +12,9 @@ namespace proto_verbs = proto::verbs;
 // --- Director ----------------------------------------------------------------
 
 Director::Director(rmi::Transport& transport,
-                   std::vector<common::NodeId> members,
-                   Election::Config config)
+                   std::vector<common::NodeId> members)
     : transport_(transport),
-      election_(transport, std::move(members), config),
+      election_(transport, std::move(members)),
       announces_(sim().stats().counter_handle("rts.dir_announces")),
       resolves_(sim().stats().counter_handle("rts.dir_resolves")),
       replications_(sim().stats().counter_handle("rts.dir_replications")) {}

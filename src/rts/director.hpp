@@ -41,8 +41,7 @@ namespace mage::rts {
 // One member of the director quorum; lives on its own node's transport.
 class Director {
  public:
-  Director(rmi::Transport& transport, std::vector<common::NodeId> members,
-           Election::Config config = {});
+  Director(rmi::Transport& transport, std::vector<common::NodeId> members);
 
   Director(const Director&) = delete;
   Director& operator=(const Director&) = delete;
@@ -84,8 +83,7 @@ class Director {
 };
 
 // Client-side view of the quorum: resolve/announce with leader-chasing
-// failover.  One per node that needs HA naming (wired into AsyncClient via
-// set_directory_client, or used directly by benches/tests).
+// failover.  One per node that needs HA naming.
 //
 // Each call is a member sweep: any member may answer; a verdict accepts a
 // reply or names the member to try next (a leader redirect); the list is

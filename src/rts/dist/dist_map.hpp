@@ -272,10 +272,6 @@ class DistMap {
   [[nodiscard]] PartitionTable& table() { return table_; }
   [[nodiscard]] AsyncClient& client() { return client_; }
 
-  [[nodiscard]] std::size_t partition_of_key(const K& key) const {
-    return partition_of(key, table_.partitions());
-  }
-
  private:
   // Routes a key: partition index -> component name (touching the table so
   // repairs are observed).

@@ -30,17 +30,4 @@ common::NodeId PartitionTable::route(std::size_t index) {
   return now;
 }
 
-MageFuture<common::NodeId> PartitionTable::refresh(std::size_t index) {
-  return client_.locate(names_[index]).then([this, index](common::NodeId h) {
-    if (h != common::kNoNode) {
-      if (cached_[index] != common::kNoNode && cached_[index] != h) {
-        ++repairs_observed_;
-        ++*repairs_;
-      }
-      cached_[index] = h;
-    }
-    return h;
-  });
-}
-
 }  // namespace mage::rts::dist

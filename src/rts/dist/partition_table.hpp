@@ -5,8 +5,8 @@
 // the rts::AsyncClient facade.  `route()` consults the facade's best local
 // knowledge (local binding, forwarding address, static-directory home);
 // the facade's chase machinery (Moved hints, epoch fences, async lookup
-// walk, replicated-directory fallback) is what actually repairs a route
-// when a partition relocates mid-operation.  The table's job is the
+// walk) is what actually repairs a route when a partition relocates
+// mid-operation.  The table's job is the
 // name/index bookkeeping plus observability: it counts how often a
 // partition's believed host changed under it ("rts.dist_table_repairs"),
 // which is the client-visible footprint of rebalancing.
@@ -19,7 +19,6 @@
 
 #include "common/ids.hpp"
 #include "rts/async_client.hpp"
-#include "rts/future.hpp"
 
 namespace mage::rts::dist {
 
@@ -41,9 +40,6 @@ class PartitionTable {
   // repair when the answer differs from what this table last handed out
   // (the partition moved and a hint/lookup taught the facade).
   common::NodeId route(std::size_t index);
-
-  // Authoritative async refresh: lookup walk + directory fallback.
-  MageFuture<common::NodeId> refresh(std::size_t index);
 
   [[nodiscard]] std::int64_t repairs() const { return repairs_observed_; }
 

@@ -11,15 +11,17 @@ namespace proto_verbs = proto::verbs;
 // attempt with a short timeout keeps a partitioned member cheap.
 constexpr rmi::CallOptions kElectionCall{2'000, 1};
 
-Election::Election(rmi::Transport& transport,
-                   std::vector<common::NodeId> members)
-    : Election(transport, std::move(members), Config{}) {}
+// The leader's liveness signal, well under the election timeout.
+constexpr common::SimDuration kHeartbeatIntervalUs = 1'500;
+// Election timeout = min + rng.next_below(span): the randomized spread is
+// what breaks split votes deterministically.
+constexpr common::SimDuration kElectionTimeoutMinUs = 4'000;
+constexpr common::SimDuration kElectionTimeoutSpanUs = 4'000;
 
 Election::Election(rmi::Transport& transport,
-                   std::vector<common::NodeId> members, Config config)
+                   std::vector<common::NodeId> members)
     : transport_(transport),
       members_(std::move(members)),
-      config_(config),
       elections_held_(sim().stats().counter_handle("rts.elections_held")),
       leader_changes_(sim().stats().counter_handle("rts.leader_changes")) {}
 
@@ -46,10 +48,10 @@ void Election::start() {
 void Election::arm_timeout() {
   const std::uint64_t gen = ++timeout_gen_;
   const common::SimDuration delay =
-      config_.election_timeout_min_us +
+      kElectionTimeoutMinUs +
       static_cast<common::SimDuration>(
           transport_.network().node_rng(self()).next_below(
-              static_cast<std::uint64_t>(config_.election_timeout_span_us)));
+              static_cast<std::uint64_t>(kElectionTimeoutSpanUs)));
   sim().schedule_after(delay, [this, gen] { on_timeout(gen); });
 }
 
@@ -101,7 +103,6 @@ void Election::become_leader() {
   // Election latency in simulated time, from the term's first candidacy to
   // the majority landing.
   sim().stats().add("rts.election_time_us", sim().now() - election_start_);
-  if (on_leader_) on_leader_();
   send_heartbeats();
   schedule_heartbeat(++heartbeat_gen_);
 }
@@ -120,7 +121,7 @@ void Election::become_follower(std::uint64_t term, common::NodeId leader) {
 
 void Election::schedule_heartbeat(std::uint64_t gen) {
   sim().schedule_after(
-      config_.heartbeat_interval_us,
+      kHeartbeatIntervalUs,
       [this, gen] {
         if (gen != heartbeat_gen_ || role_ != Role::Leader) return;
         send_heartbeats();

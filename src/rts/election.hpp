@@ -6,13 +6,14 @@
 // writes, so the directory state machine converges without log ordering;
 // see director.hpp).
 //
-// Everything runs in simulated time, and every random choice (the election
-// timeout) is drawn from the member's own node stream (Network::node_rng)
-// — so a 5-member election under partitions and crashes replays
-// bit-identically at any worker count and under any node:shard mapping,
-// for a given seed.  Timers are generation-counted rather than cancelled:
-// re-arming bumps `timeout_gen_`, and a stale timer firing with an old
-// generation is a no-op.
+// Everything runs in simulated time on fixed timing: a leader heartbeats
+// every 1.5 ms, and a member's election timeout is 4 ms plus a draw below
+// 4 ms from the member's own node stream (Network::node_rng) — so a
+// 5-member election under partitions and crashes replays bit-identically
+// at any worker count and under any node:shard mapping, for a given seed.
+// Timers are generation-counted rather than cancelled: re-arming bumps
+// `timeout_gen_`, and a stale timer firing with an old generation is a
+// no-op.
 //
 // A crashed member's timers keep firing locally (the network refuses its
 // messages, the process model does not stop its clock).  That is
@@ -22,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -35,22 +35,9 @@ class Election {
  public:
   enum class Role { Follower, Candidate, Leader };
 
-  struct Config {
-    // Leader liveness signal; well under the election timeout.
-    common::SimDuration heartbeat_interval_us = 1'500;
-    // Election timeout = min + rng.next_below(span): the randomized spread
-    // is what breaks split votes deterministically.
-    common::SimDuration election_timeout_min_us = 4'000;
-    common::SimDuration election_timeout_span_us = 4'000;
-  };
-
   // `members` is the full quorum (including self), identical on every
-  // member — the majority threshold is members/2 + 1.  (Two overloads
-  // rather than a defaulted Config argument: GCC rejects `= {}` for a
-  // nested class with member initializers inside its encloser.)
+  // member — the majority threshold is members/2 + 1.
   Election(rmi::Transport& transport, std::vector<common::NodeId> members);
-  Election(rmi::Transport& transport, std::vector<common::NodeId> members,
-           Config config);
 
   Election(const Election&) = delete;
   Election& operator=(const Election&) = delete;
@@ -68,9 +55,6 @@ class Election {
   [[nodiscard]] const std::vector<common::NodeId>& members() const {
     return members_;
   }
-
-  // Fires on every transition *to* leader (after the role is set).
-  void set_on_leader(std::function<void()> cb) { on_leader_ = std::move(cb); }
 
  private:
   void arm_timeout();
@@ -93,7 +77,6 @@ class Election {
 
   rmi::Transport& transport_;
   std::vector<common::NodeId> members_;
-  Config config_;
 
   Role role_ = Role::Follower;
   std::uint64_t term_ = 0;
@@ -106,8 +89,6 @@ class Election {
   // of that family (cheaper and simpler than cancel bookkeeping).
   std::uint64_t timeout_gen_ = 0;
   std::uint64_t heartbeat_gen_ = 0;
-
-  std::function<void()> on_leader_;
 
   std::int64_t* elections_held_;  // "rts.elections_held"
   std::int64_t* leader_changes_;  // "rts.leader_changes"

@@ -479,7 +479,7 @@ void MageServer::handle_move(common::NodeId caller, const Body& body,
                             moved.error;
             } else {
               // The Ok reply tells the mover where the object now is and
-              // at which epoch (so it can announce the move).
+              // at which epoch (so it can fence older hints).
               reply.hint = to;
               reply.hint_epoch = moved.epoch;
             }

@@ -6,16 +6,17 @@
 //       rejected; encode_batch is exactly ONE heap allocation.
 //   (2) transport — a window of invokes toward one link rides one batch
 //       frame (one net::Message, one wire_seq), their replies ride one
-//       frame back, and a lone invoke in a quantum collapses to the plain
+//       frame back, a lone invoke in a quantum collapses to the plain
 //       envelope so the single-fragment fast path still applies
-//       (asserted via Envelope::fast_path_headers).
+//       (asserted via Envelope::fast_path_headers), and a queue that
+//       reaches its invoke or byte budget flushes before the boundary.
 //   (3) one-way   — call_oneway executes with an unarmed Replier, touches
 //       neither the pending table (no retransmissions ever) nor the reply
 //       cache, and is at-most-once by construction.
 //   (4) adaptive  — the at-most-once ring doubles under eviction pressure
-//       (instantly on an observed eviction-caused re-execution), halves
-//       back to the floor when idle, and at small-storm scale keeps
-//       evictions to the handful spent discovering each capacity step.
+//       (instantly on an observed eviction-caused re-execution) up to its
+//       ceiling, and at small-storm scale keeps evictions to the handful
+//       spent discovering each capacity step.
 //   (5) chaos     — batched + one-way traffic replayed through the PR 5
 //       fault harness: per-node digests bit-identical at 1/2/8 workers
 //       across 3 seeds, every echo exactly-once, every one-way note
@@ -378,14 +379,81 @@ TEST(BatchTransport, DuplicateGetsTheFirstReplyBytesFromEveryCacheForm) {
   EXPECT_GE(frames, 2);
 }
 
+// Issues `calls` echo calls of `body_bytes`-byte bodies toward one peer
+// at once, inside one 20 ms quantum.  A link queue flushes the moment it
+// holds `per_frame` envelopes, so the first `per_frame` requests, and
+// then their replies, each ride a frame sent before the boundary: those
+// calls complete before it, and the rest ride the boundary's frames.
+void expect_early_flush(std::size_t calls, std::size_t body_bytes,
+                        std::size_t per_frame) {
+  constexpr common::SimDuration kQuantum = 20'000;
+  Pair p;
+  p.enable_batching(kQuantum);
+  std::vector<int> executions(calls, 0);
+  p.tb.register_service("batch.burst",
+                        [&executions](common::NodeId,
+                                      const serial::BufferChain& body,
+                                      rmi::Replier replier) {
+                          serial::ChainReader r(body);
+                          ++executions.at(r.read_u64());
+                          replier.ok(body);
+                        });
+  std::vector<int> completions(calls, 0);
+  for (std::uint64_t seq = 0; seq < calls; ++seq) {
+    serial::Writer w(body_bytes);
+    w.write_u64(seq);
+    w.write_fill(0, body_bytes - 8);
+    p.ta.call(p.b, "batch.burst", w.take(),
+              [&completions, seq](rmi::CallResult r) {
+                ASSERT_TRUE(r.ok) << r.error;
+                ++completions[seq];
+              });
+  }
+
+  p.sim.run_window(kQuantum);
+  EXPECT_EQ(p.counter("rmi.batches_sent"), 2);
+  EXPECT_EQ(p.counter("rmi.batched_invokes"),
+            2 * static_cast<std::int64_t>(per_frame));
+  for (std::size_t seq = 0; seq < calls; ++seq) {
+    const int expected = seq < per_frame ? 1 : 0;
+    ASSERT_EQ(executions[seq], expected) << "call " << seq;
+    ASSERT_EQ(completions[seq], expected) << "call " << seq;
+  }
+
+  p.sim.run_until_idle();
+  EXPECT_EQ(p.counter("rmi.batches_sent"), 4);
+  EXPECT_EQ(p.counter("rmi.batched_invokes"),
+            2 * static_cast<std::int64_t>(calls));
+  EXPECT_EQ(p.counter("rmi.retransmissions"), 0);
+  for (std::size_t seq = 0; seq < calls; ++seq) {
+    ASSERT_EQ(executions[seq], 1) << "call " << seq;
+    ASSERT_EQ(completions[seq], 1) << "call " << seq;
+  }
+}
+
+TEST(BatchTransport, InvokeBudgetFlushesBeforeTheQuantumBoundary) {
+  expect_early_flush(rmi::Transport::kMaxBatchInvokes + 100, 8,
+                     rmi::Transport::kMaxBatchInvokes);
+}
+
+TEST(BatchTransport, ByteBudgetFlushesBeforeTheQuantumBoundary) {
+  constexpr std::size_t kBody = 4'000;
+  static_assert(kBody <= rmi::Transport::kMaxInlineBody);
+  Envelope request;
+  request.kind = EnvelopeKind::Request;
+  request.body.append(serial::Buffer(std::vector<std::uint8_t>(kBody)));
+  const std::size_t size = request.encoded_size();
+  const std::size_t per_frame =
+      (rmi::Transport::kMaxBatchBytes + size - 1) / size;
+  ASSERT_LT(per_frame, rmi::Transport::kMaxBatchInvokes);
+  expect_early_flush(per_frame + 10, kBody, per_frame);
+}
+
 TEST(BatchTransport, ValidatesOptions) {
   Pair p;
   rmi::BatchOptions bad;
   bad.enabled = true;
   bad.flush_quantum_us = 0;
-  EXPECT_THROW(p.ta.set_batching(bad), common::MageError);
-  bad.flush_quantum_us = 100;
-  bad.max_batch_invokes = 0;
   EXPECT_THROW(p.ta.set_batching(bad), common::MageError);
 }
 
@@ -486,8 +554,6 @@ struct AdaptivePair {
     o.enabled = true;
     o.floor = 8;
     o.ceiling = 64;
-    o.grow_threshold = 2;
-    o.idle_shrink_us = 50'000;
     return o;
   }
 
@@ -503,12 +569,12 @@ TEST(AdaptiveReplyCache, GrowsUnderEvictionPressureToTheCeiling) {
   AdaptivePair p;
   ASSERT_EQ(p.tb.reply_cache_capacity(), 8u);
   p.calls(50);
-  // Each capacity step costs exactly grow_threshold evictions before the
+  // Each capacity step costs exactly kGrowThreshold evictions before the
   // ring doubles: 8 -> 16 -> 32 -> 64, then pressure stops (50 < 64 live).
   EXPECT_EQ(p.tb.reply_cache_capacity(), 64u);
   EXPECT_EQ(p.counter("rmi.reply_cache_grows"), 3);
-  EXPECT_EQ(p.counter("rmi.reply_cache_shrinks"), 0);
-  EXPECT_EQ(p.counter("rmi.reply_cache_evictions"), 3 * 2);
+  EXPECT_EQ(p.counter("rmi.reply_cache_evictions"),
+            3 * rmi::Transport::kGrowThreshold);
   EXPECT_EQ(p.counter("rmi.evicted_reexecutions"), 0);
   EXPECT_EQ(p.counter("rmi.reply_cache_capacity"), 64);
   EXPECT_EQ(p.counter("rmi.reply_cache_capacity_highwater"), 64);
@@ -518,7 +584,7 @@ TEST(AdaptiveReplyCache, FixedCacheChurnsWhereAdaptiveStaysQuiet) {
   // The contrast the bench asserts at storm scale, reproduced small: a
   // 200-call hammer against a FIXED 8-entry ring evicts on nearly every
   // call; an adaptive ring whose ceiling covers the working set pays
-  // grow_threshold evictions per capacity step and then goes quiet.
+  // kGrowThreshold evictions per capacity step and then goes quiet.
   AdaptivePair fixed{[] {
     rmi::AdaptiveCacheOptions off;
     off.enabled = false;
@@ -540,36 +606,15 @@ TEST(AdaptiveReplyCache, FixedCacheChurnsWhereAdaptiveStaysQuiet) {
   EXPECT_LT(adaptive_evictions * 10, fixed_evictions);
 }
 
-TEST(AdaptiveReplyCache, ShrinksBackToTheFloorWhenIdle) {
-  AdaptivePair p;
-  p.calls(50);
-  ASSERT_EQ(p.tb.reply_cache_capacity(), 64u);
-
-  // One halving per idle period, each triggered by the next insert after
-  // the period elapses: 64 -> 32 -> 16 -> 8, then pinned at the floor.
-  for (std::size_t expect : {32u, 16u, 8u, 8u}) {
-    p.sim.run_for(60'000);  // > idle_shrink_us since the last eviction
-    p.calls(1);
-    EXPECT_EQ(p.tb.reply_cache_capacity(), expect);
-  }
-  EXPECT_EQ(p.counter("rmi.reply_cache_shrinks"), 3);
-  // High water remembers the peak even after the shrink.
-  EXPECT_EQ(p.counter("rmi.reply_cache_capacity_highwater"), 64);
-  EXPECT_EQ(p.counter("rmi.reply_cache_capacity"), 8);
-}
-
 TEST(AdaptiveReplyCache, EvictedReexecutionTriggersAnImmediateGrow) {
   // An eviction-caused re-execution is the harm the cache exists to
   // prevent: one observed instance must trip the growth threshold
-  // instantly, not after `grow_threshold` more evictions.
-  AdaptivePair p{[] {
-    rmi::AdaptiveCacheOptions o = AdaptivePair::default_options();
-    o.grow_threshold = 1000;  // passive growth effectively disabled
-    return o;
-  }()};
-  p.calls(10);  // fills the 8-ring; ids 1 and 2 evicted
+  // instantly, not after kGrowThreshold evictions.
+  AdaptivePair p;
+  p.calls(9);  // fills the 8-ring; id 1 evicted, below the threshold
   ASSERT_EQ(p.tb.reply_cache_capacity(), 8u);
-  ASSERT_GE(p.counter("rmi.reply_cache_evictions"), 2);
+  ASSERT_EQ(p.counter("rmi.reply_cache_evictions"), 1);
+  static_assert(rmi::Transport::kGrowThreshold > 1);
 
   // Hand-craft a retransmission of evicted request 1 (mirrors the
   // chaos_test eviction probe): it re-executes AND flags the ring.
@@ -581,12 +626,13 @@ TEST(AdaptiveReplyCache, EvictedReexecutionTriggersAnImmediateGrow) {
                           env.encode_header(), env.body});
   p.sim.run_until_idle();
   EXPECT_EQ(p.counter("rmi.evicted_reexecutions"), 1);
-  EXPECT_EQ(p.executions, 11);
+  EXPECT_EQ(p.executions, 10);
 
   // The re-execution's own insert found the ring full and doubled it
-  // despite the sky-high passive threshold.
+  // after a single eviction.
   EXPECT_EQ(p.tb.reply_cache_capacity(), 16u);
   EXPECT_EQ(p.counter("rmi.reply_cache_grows"), 1);
+  EXPECT_EQ(p.counter("rmi.reply_cache_evictions"), 1);
 }
 
 TEST(AdaptiveReplyCache, ValidatesOptions) {
@@ -598,9 +644,17 @@ TEST(AdaptiveReplyCache, ValidatesOptions) {
   bad.floor = 64;
   bad.ceiling = 8;
   EXPECT_THROW(p.tb.set_adaptive_reply_cache(bad), common::MageError);
+  // The ring never shrinks, so a ceiling below the capacity is refused.
   bad.ceiling = 128;
-  bad.grow_threshold = 0;
-  EXPECT_THROW(p.tb.set_adaptive_reply_cache(bad), common::MageError);
+  try {
+    p.tb.set_adaptive_reply_cache(bad);
+    ADD_FAILURE() << "a ceiling of 128 under 8192 entries was accepted";
+  } catch (const common::MageError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("128"), std::string::npos) << what;
+    EXPECT_NE(what.find("8192"), std::string::npos) << what;
+  }
+  EXPECT_EQ(p.tb.reply_cache_capacity(), rmi::Transport::kReplyCacheCapacity);
 }
 
 // --- (5) chaos regressions: batched + one-way under faults ------------------

@@ -38,6 +38,10 @@ TEST_F(WorldFixture, UnknownDescriptorThrows) {
   EXPECT_THROW((void)world.descriptor("Nope"), common::SerializationError);
 }
 
+TEST_F(WorldFixture, InstantiateUnknownClassThrows) {
+  EXPECT_THROW((void)world.instantiate("Nope"), common::SerializationError);
+}
+
 TEST_F(WorldFixture, InstantiateProducesFreshObject) {
   auto a = world.instantiate("Counter");
   auto b = world.instantiate("Counter");

@@ -765,6 +765,55 @@ TEST(HotpathAllocation, BatchFrameIsTheOnlyAllocationPerFrame) {
   EXPECT_EQ(allocations, static_cast<std::uint64_t>(frames));
 }
 
+TEST(HotpathAllocation, AdaptiveGrowMovesTheRingOnce) {
+  // The call whose insert doubles an adaptive ring makes two allocations:
+  // the grown ring, laid out for its new capacity at once so the inserts
+  // that fill it never move it again, and the index's larger table (it
+  // keeps its keys and learns their new slots).  The calls around it make
+  // none.
+  constexpr std::size_t kFloor = 8;
+  sim::Simulation sim{80};
+  net::Network net{sim, net::CostModel::zero()};
+  const common::NodeId a = net.add_node("a");
+  const common::NodeId b = net.add_node("b");
+  rmi::Transport ta{net, a};
+  rmi::Transport tb{net, b, kFloor};
+  rmi::AdaptiveCacheOptions adaptive;
+  adaptive.enabled = true;
+  adaptive.floor = kFloor;
+  adaptive.ceiling = 8 * kFloor;
+  tb.set_adaptive_reply_cache(adaptive);
+
+  const auto echo = common::intern_verb("hp.grow");
+  tb.register_service(echo,
+                      [](common::NodeId, const serial::BufferChain& body,
+                         rmi::Replier replier) { replier.ok(body); });
+  std::uint64_t seq = 0;
+  const auto call_allocations = [&] {
+    serial::Writer body(8);
+    body.write_u64(++seq);
+    const auto before = alloc_count();
+    (void)ta.call_sync(b, echo, body.take());
+    return alloc_count() - before;
+  };
+  // Fill the ring (the calls that warm the link up), then evict up to the
+  // grow threshold.
+  for (std::size_t i = 0; i < kFloor; ++i) (void)call_allocations();
+  for (int i = 0; i < rmi::Transport::kGrowThreshold; ++i) {
+    EXPECT_EQ(call_allocations(), 0u) << "evicting call " << i;
+  }
+  ASSERT_EQ(tb.reply_cache_capacity(), kFloor);
+  ASSERT_EQ(sim.stats().counter("rmi.reply_cache_evictions"),
+            rmi::Transport::kGrowThreshold);
+
+  EXPECT_EQ(call_allocations(), 2u);
+  ASSERT_EQ(tb.reply_cache_capacity(), 2 * kFloor);
+  for (std::size_t i = kFloor + 1; i < 2 * kFloor; ++i) {
+    EXPECT_EQ(call_allocations(), 0u) << "filling entry " << i;
+  }
+  EXPECT_EQ(sim.stats().counter("rmi.reply_cache_grows"), 1);
+}
+
 // A session of bench/e2e `mobile`'s shape: "work" answers 8 bytes.
 class AllocSession : public rts::MageObject {
  public:

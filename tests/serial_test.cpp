@@ -1,4 +1,4 @@
-// Unit tests for src/serial: writer/reader, codecs, type registry.
+// Unit tests for src/serial: writer/reader, codecs, buffers and chains.
 #include <gtest/gtest.h>
 
 #include <limits>
@@ -16,9 +16,7 @@
 #include "serial/buffer.hpp"
 #include "serial/chain.hpp"
 #include "serial/reader.hpp"
-#include "serial/serializable.hpp"
 #include "serial/traits.hpp"
-#include "serial/type_registry.hpp"
 #include "serial/writer.hpp"
 
 namespace mage::serial {
@@ -231,57 +229,6 @@ TEST_P(VectorRoundTrip, RandomPayload) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, VectorRoundTrip, ::testing::Range(0, 10));
-
-// --- type registry ------------------------------------------------------------
-
-class Blob : public Serializable {
- public:
-  std::string class_name() const override { return "Blob"; }
-  void serialize(Writer& w) const override { w.write_i64(x); }
-  void deserialize(Reader& r) override { x = r.read_i64(); }
-  std::int64_t x = 0;
-};
-
-TEST(TypeRegistry, RegisterAndCreate) {
-  TypeRegistry reg;
-  EXPECT_TRUE(reg.register_type<Blob>());
-  EXPECT_TRUE(reg.contains("Blob"));
-  auto obj = reg.create("Blob");
-  EXPECT_EQ(obj->class_name(), "Blob");
-}
-
-TEST(TypeRegistry, ReRegistrationReturnsFalse) {
-  TypeRegistry reg;
-  EXPECT_TRUE(reg.register_type<Blob>());
-  EXPECT_FALSE(reg.register_type<Blob>());
-}
-
-TEST(TypeRegistry, UnknownClassThrows) {
-  TypeRegistry reg;
-  EXPECT_THROW((void)reg.create("Nope"), common::SerializationError);
-}
-
-TEST(TypeRegistry, DeserializeObjectRestoresState) {
-  TypeRegistry reg;
-  reg.register_type<Blob>();
-  Blob original;
-  original.x = 77;
-  Writer w;
-  original.serialize(w);
-  Reader r(w.bytes());
-  auto restored = reg.deserialize_object("Blob", r);
-  EXPECT_EQ(dynamic_cast<Blob&>(*restored).x, 77);
-}
-
-TEST(TypeRegistry, RegisteredNamesSorted) {
-  TypeRegistry reg;
-  reg.register_type("b", [] { return std::make_unique<Blob>(); });
-  reg.register_type("a", [] { return std::make_unique<Blob>(); });
-  const auto names = reg.registered_names();
-  ASSERT_EQ(names.size(), 2u);
-  EXPECT_EQ(names[0], "a");
-  EXPECT_EQ(names[1], "b");
-}
 
 // --- inline buffers (at most Buffer::kInlineCapacity bytes) ----------------
 
