@@ -43,6 +43,7 @@
 #include "net/network.hpp"
 #include "rmi/transport.hpp"
 #include "rts/director.hpp"
+#include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "sim/sharded.hpp"
 #include "sim/simulation.hpp"
@@ -354,7 +355,7 @@ class Mesh {
           echo_, [self, clock](common::NodeId caller,
                                const serial::BufferChain& body,
                                rmi::Replier replier) {
-            serial::ChainReader r(body);
+            serial::Reader r(body);
             const std::uint64_t seq = r.read_u64();
             NodeState::Inbound& in = self->from[caller.value() - 1];
             ++in.executions[seq];
@@ -378,7 +379,7 @@ class Mesh {
               replier.error("storm.note must arrive one-way");
               return;
             }
-            serial::ChainReader r(body);
+            serial::Reader r(body);
             const std::uint64_t seq = r.read_u64();
             ++self->from[caller.value() - 1].notes[seq];
             self->digest = fold(

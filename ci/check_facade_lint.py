@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Facade lint: application code must not speak the raw rts protocol.
+"""Facade lint: one way in for application code and for decoding.
 
 `rts::AsyncClient` (docs/API.md) is the way to program MAGE; the raw
 protocol structs (`proto::InvokeRequest`, `proto::LookupRequest`,
@@ -21,7 +21,11 @@ build when:
     The allowlist is matched by path relative to src/rts/, so the
     distributed-collections layer (src/rts/dist/) can never opt out —
     partitions and rebalancers are applications of the facade, not
-    extensions of the protocol.
+    extensions of the protocol; or
+  * a C++ file names `ChainReader` anywhere but under bench/e2e/ and on
+    the alias line in src/serial/chain.hpp.  `serial::Reader` reads every
+    byte stream, flat or chained; the old name is kept only because
+    bench/e2e still spells it, so it must gain no new caller.
 
 Usage: python3 ci/check_facade_lint.py [repo-root]
 """
@@ -49,12 +53,20 @@ RTS_ALLOWLIST = {
 }
 
 
-def scan(path: pathlib.Path) -> list[tuple[int, str]]:
+# The one line allowed to name the chain reader's old name.
+ALIAS_TOKEN = re.compile(r"\bChainReader\b")
+ALIAS_FILE = "src/serial/chain.hpp"
+ALIAS_LINE = "using ChainReader = Reader;"
+ALIAS_DIRS = ("src", "tests", "bench", "examples")
+ALIAS_EXEMPT = "bench/e2e/"
+
+
+def scan(path: pathlib.Path, tokens=TOKENS) -> list[tuple[int, str]]:
     hits = []
     for lineno, line in enumerate(
         path.read_text(encoding="utf-8").splitlines(), start=1
     ):
-        if TOKENS.search(line):
+        if tokens.search(line):
             hits.append((lineno, line.strip()))
     return hits
 
@@ -83,16 +95,35 @@ def main() -> int:
                 f"outside the facade/protocol allowlist: {line}"
             )
 
+    for top in ALIAS_DIRS:
+        for path in sorted((root / top).glob("**/*")):
+            rel = path.relative_to(root).as_posix()
+            if path.suffix not in (".cpp", ".hpp"):
+                continue
+            if rel.startswith(ALIAS_EXEMPT):
+                continue
+            for lineno, line in scan(path, ALIAS_TOKEN):
+                if rel == ALIAS_FILE and line == ALIAS_LINE:
+                    continue
+                failures.append(
+                    f"{rel}:{lineno}: ChainReader outside bench/e2e and its "
+                    f"alias line (say serial::Reader): {line}"
+                )
+
     if failures:
         print("facade lint FAILED:")
         for failure in failures:
             print("  " + failure)
         print(
             "\nRoute invocations through rts::AsyncClient (docs/API.md); "
-            "only the protocol/server/async-client files may touch these structs."
+            "only the protocol/server/async-client files may touch these structs; "
+            "read every byte stream with serial::Reader."
         )
         return 1
-    print("facade lint OK: no raw protocol structs outside the allowlist")
+    print(
+        "facade lint OK: no raw protocol structs outside the allowlist, "
+        "no ChainReader outside bench/e2e and its alias"
+    )
     return 0
 
 

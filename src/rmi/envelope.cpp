@@ -135,9 +135,9 @@ void Envelope::encode_into(serial::Writer& w) const {
   body.write_to(w);
 }
 
-Envelope Envelope::decode(const serial::Buffer& header,
+Envelope Envelope::decode(serial::Buffer header,
                           serial::BufferChain&& body) {
-  serial::Reader r(header.span());
+  serial::Reader r(std::move(header));
   Envelope e;
   const FragmentList frags = read_header(r, e);
   bool match = r.at_end() && frags.count == body.fragments();
@@ -183,17 +183,16 @@ serial::Buffer Envelope::encode_batch(const std::vector<Envelope>& envelopes) {
   return w.take();
 }
 
-std::vector<Envelope> Envelope::decode_batch(const serial::Buffer& wire) {
+std::vector<Envelope> Envelope::decode_batch(serial::Buffer wire) {
   std::vector<Envelope> out;
-  decode_batch(wire, out);
+  decode_batch(std::move(wire), out);
   return out;
 }
 
-void Envelope::decode_batch(const serial::Buffer& wire,
+void Envelope::decode_batch(serial::Buffer wire,
                             std::vector<Envelope>& out) {
   out.clear();
-  // Sub-envelopes are sliced from `wire` itself, which outlives `r`.
-  serial::Reader r(wire.span());
+  serial::Reader r(std::move(wire));
   const std::uint8_t tag = r.read_u8();
   if (tag != kBatchTag) {
     throw common::SerializationError("not a batch frame: tag " +
@@ -217,9 +216,7 @@ void Envelope::decode_batch(const serial::Buffer& wire,
           std::to_string(size) + " bytes, " + std::to_string(r.remaining()) +
           " remain");
     }
-    const std::size_t at = r.offset();
-    (void)r.read_span(size);
-    out.push_back(decode(wire.slice(at, size)));
+    out.push_back(decode(r.read_slice(size)));
   }
   if (!r.at_end()) {
     throw common::SerializationError(
@@ -228,9 +225,8 @@ void Envelope::decode_batch(const serial::Buffer& wire,
   }
 }
 
-Envelope Envelope::decode(const serial::Buffer& flat) {
-  // Fragments are sliced from `flat` itself, which outlives `r`.
-  serial::Reader r(flat.span());
+Envelope Envelope::decode(serial::Buffer flat) {
+  serial::Reader r(std::move(flat));
   Envelope e;
   const FragmentList frags = read_header(r, e);
   if (r.remaining() != frags.total) {
@@ -239,10 +235,8 @@ Envelope Envelope::decode(const serial::Buffer& flat) {
         std::to_string(frags.total) + " body bytes, " +
         std::to_string(r.remaining()) + " follow");
   }
-  std::size_t offset = r.offset();
   for (std::uint8_t i = 0; i < frags.count; ++i) {
-    e.body.append(flat.slice(offset, frags.sizes[i]));
-    offset += frags.sizes[i];
+    e.body.append(r.read_slice(frags.sizes[i]));
   }
   return e;
 }

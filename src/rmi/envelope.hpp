@@ -44,6 +44,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -95,17 +96,17 @@ struct Envelope {
 
   // Decodes a scatter-gather pair; validates the body's fragment count and
   // sizes against the header's declarations.  The envelope takes `body`
-  // (one move); the const overload copies it.
-  static Envelope decode(const serial::Buffer& header,
-                         serial::BufferChain&& body);
-  static Envelope decode(const serial::Buffer& header,
+  // (one move); the const overload copies it.  `header` becomes the
+  // reader's own copy (serial/reader.hpp): move it in.
+  static Envelope decode(serial::Buffer header, serial::BufferChain&& body);
+  static Envelope decode(serial::Buffer header,
                          const serial::BufferChain& body) {
-    return decode(header, serial::BufferChain(body));
+    return decode(std::move(header), serial::BufferChain(body));
   }
 
   // Decodes the concatenated form; body fragments are slices of `flat`
   // (aliasing it when it is shared, serial/buffer.hpp).
-  static Envelope decode(const serial::Buffer& flat);
+  static Envelope decode(serial::Buffer flat);
 
   // --- batch container ------------------------------------------------------
 
@@ -120,12 +121,11 @@ struct Envelope {
   // fragments are slices of `wire` (aliasing it when it is shared).
   // Rejects nested batches.
   [[nodiscard]] static std::vector<Envelope> decode_batch(
-      const serial::Buffer& wire);
+      serial::Buffer wire);
   // The same into `out`, replacing its contents: a receiver that keeps
   // `out` decodes frame after frame with no allocation once its capacity
   // covers the largest frame.
-  static void decode_batch(const serial::Buffer& wire,
-                           std::vector<Envelope>& out);
+  static void decode_batch(serial::Buffer wire, std::vector<Envelope>& out);
 
   // --- fast-path accounting (bench_hotpath's assertion hook) ---------------
 

@@ -490,13 +490,13 @@ void Transport::on_message(net::Message& msg) {
     // their sent order.  The vector is moved out while it dispatches, so
     // a delivery nested inside a service decodes into a vector of its own.
     std::vector<Envelope> batch = std::move(batch_rx_);
-    Envelope::decode_batch(msg.header, batch);
+    Envelope::decode_batch(std::move(msg.header), batch);
     for (Envelope& env : batch) dispatch_envelope(msg.from, env);
     batch.clear();  // drops the slices of the frame, keeps the capacity
     batch_rx_ = std::move(batch);
     return;
   }
-  Envelope env = Envelope::decode(msg.header, std::move(msg.body));
+  Envelope env = Envelope::decode(std::move(msg.header), std::move(msg.body));
   dispatch_envelope(msg.from, env);
 }
 

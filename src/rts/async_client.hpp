@@ -110,7 +110,7 @@ class AsyncClient {
     serial::Writer w;
     (serial::put(w, args), ...);
     return invoke_raw(name, method, w.take()).then([](serial::Buffer& b) {
-      serial::Reader r(b);
+      serial::Reader r(std::move(b));
       return serial::get<R>(r);
     });
   }

@@ -21,6 +21,7 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -138,7 +139,7 @@ class MageClient {
     serial::Writer w;
     (serial::put(w, args), ...);
     auto result = invoke_raw(cloc, name, method, w.take());
-    serial::Reader r(result);
+    serial::Reader r(std::move(result));
     return serial::get<R>(r);
   }
 
@@ -156,7 +157,7 @@ class MageClient {
   template <typename R>
   R fetch_result(common::NodeId& cloc, const common::ComponentName& name) {
     auto result = fetch_result_raw(cloc, name);
-    serial::Reader r(result);
+    serial::Reader r(std::move(result));
     return serial::get<R>(r);
   }
 
@@ -182,7 +183,7 @@ class MageClient {
     (serial::put(w, args), ...);
     auto result = exec_at_raw(target, class_name, object_name, method,
                               w.take());
-    serial::Reader r(result);
+    serial::Reader r(std::move(result));
     return serial::get<R>(r);
   }
 
@@ -212,7 +213,7 @@ class MageClient {
   template <typename T>
   T static_get(const std::string& class_name, const std::string& key) {
     auto bytes = static_get_raw(class_name, key);
-    serial::Reader r(bytes);
+    serial::Reader r(std::move(bytes));
     return serial::get<T>(r);
   }
 

@@ -22,8 +22,8 @@
 //
 // Errors are strings (the wire's error currency).  They propagate through
 // .then() chains without invoking the mapped functions; .on_error()
-// observes them.  `Unit` stands in for void results so combinators stay
-// regular.
+// observes them.  `Unit` (serial::Unit, the wire's "no result") stands in
+// for void results so combinators stay regular.
 #pragma once
 
 #include <cstddef>
@@ -36,10 +36,11 @@
 
 #include "common/error.hpp"
 #include "common/function.hpp"
+#include "serial/traits.hpp"
 
 namespace mage::rts {
 
-struct Unit {};
+using serial::Unit;
 
 template <typename R>
 class MageFuture;

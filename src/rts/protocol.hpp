@@ -15,9 +15,9 @@
 // by refcount instead of being copied into the body.  Every other struct
 // encodes through one flat Writer to a serial::Buffer.  The logical byte
 // stream is the same either way (the chain just fragments it), so decode()
-// accepts a flat Buffer (tests, tools), the BufferChain a service
-// receives, or a ChainReader.  docs/WIRE_FORMAT.md records the byte-level
-// layouts.
+// reads either through one serial::Reader: it takes a flat Buffer (tests,
+// tools), the BufferChain a service receives, or a Reader mid-stream.
+// docs/WIRE_FORMAT.md records the byte-level layouts.
 #pragma once
 
 #include <cstddef>
@@ -203,7 +203,7 @@ struct SizeCounter {
 
 // Reads `v` from `r`, mirror of put().
 template <typename T>
-void get(serial::ChainReader& r, T& v) {
+void get(serial::Reader& r, T& v) {
   if constexpr (std::is_same_v<T, std::string>) {
     v = r.read_string();
   } else if constexpr (std::is_same_v<T, bool> || std::is_enum_v<T>) {
@@ -272,16 +272,17 @@ auto encode(const M& m) {
 }
 
 template <typename M>
-M decode(serial::ChainReader& r) {
+M decode(serial::Reader& r) {
   M m;
   wire::get(r, m);
   return m;
 }
 
-// `bytes` is a serial::Buffer or a serial::BufferChain.
-template <typename M, typename Bytes>
-M decode(const Bytes& bytes) {
-  serial::ChainReader r(bytes);
+// `bytes` is a serial::BufferChain, or a serial::Buffer as its one
+// fragment.
+template <typename M>
+M decode(serial::BufferChain bytes) {
+  serial::Reader r(std::move(bytes));
   return decode<M>(r);
 }
 

@@ -26,7 +26,7 @@
 // point into the handle itself, so such a view lives only as long as that
 // handle and does not survive a move of it (a moved-from Buffer is empty).
 // A holder that must outlive its argument keeps its own copy of the handle
-// and views that copy (serial::Reader, serial::ChainReader).
+// and views that copy: serial::Reader reads its own copy of the chain.
 //
 // Deep copies (Buffer::copy) are the only way bytes are ever duplicated on
 // purpose, and they are counted: bench builds assert the hot path performs

@@ -1,6 +1,5 @@
 #include "serial/chain.hpp"
 
-#include <bit>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -11,15 +10,10 @@ namespace mage::serial {
 
 // --- BufferChain ------------------------------------------------------------
 
-void BufferChain::append(Buffer fragment) {
-  if (count_ >= kMaxFragments) {
-    throw common::SerializationError(
-        "body chain exceeds " + std::to_string(kMaxFragments) +
-        " fragments");
-  }
-  total_ += fragment.size();
-  ::new (static_cast<void*>(slot(count_))) Buffer(std::move(fragment));
-  ++count_;
+void BufferChain::throw_full() {
+  throw common::SerializationError("body chain exceeds " +
+                                   std::to_string(kMaxFragments) +
+                                   " fragments");
 }
 
 Buffer BufferChain::flatten() const {
@@ -122,135 +116,6 @@ void ChainWriter::append_payload(const Buffer& payload) {
 BufferChain ChainWriter::take() {
   seal();
   return std::move(chain_);
-}
-
-// --- ChainReader ------------------------------------------------------------
-
-void ChainReader::require(std::size_t n) const {
-  if (remaining_ < n) {
-    throw common::SerializationError(
-        "truncated payload: need " + std::to_string(n) + " bytes, have " +
-        std::to_string(remaining_));
-  }
-}
-
-void ChainReader::normalize() {
-  while (offset_ >= chain_.fragment(frag_).size()) {
-    ++frag_;
-    offset_ = 0;
-  }
-}
-
-void ChainReader::read_raw(void* out, std::size_t size) {
-  require(size);
-  auto* dst = static_cast<std::uint8_t*>(out);
-  while (size > 0) {
-    normalize();
-    const Buffer& f = chain_.fragment(frag_);
-    const std::size_t n = size < fragment_remaining() ? size
-                                                      : fragment_remaining();
-    std::memcpy(dst, f.data() + offset_, n);
-    offset_ += n;
-    remaining_ -= n;
-    dst += n;
-    size -= n;
-  }
-}
-
-template <typename T>
-T ChainReader::read_le() {
-  std::uint8_t raw[sizeof(T)];
-  read_raw(raw, sizeof(T));
-  T v;
-  if constexpr (std::endian::native == std::endian::big) {
-    std::uint8_t swapped[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      swapped[i] = raw[sizeof(T) - 1 - i];
-    }
-    std::memcpy(&v, swapped, sizeof(T));
-  } else {
-    std::memcpy(&v, raw, sizeof(T));
-  }
-  return v;
-}
-
-std::uint8_t ChainReader::read_u8() {
-  require(1);
-  normalize();
-  --remaining_;
-  return chain_.fragment(frag_)[offset_++];
-}
-
-std::uint16_t ChainReader::read_u16() { return read_le<std::uint16_t>(); }
-std::uint32_t ChainReader::read_u32() { return read_le<std::uint32_t>(); }
-std::uint64_t ChainReader::read_u64() { return read_le<std::uint64_t>(); }
-
-std::int32_t ChainReader::read_i32() {
-  return static_cast<std::int32_t>(read_u32());
-}
-
-std::int64_t ChainReader::read_i64() {
-  return static_cast<std::int64_t>(read_u64());
-}
-
-bool ChainReader::read_bool() { return read_u8() != 0; }
-
-double ChainReader::read_f64() {
-  const std::uint64_t bits = read_u64();
-  double v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-std::string ChainReader::read_string() {
-  const std::uint32_t size = read_u32();
-  require(size);
-  std::string out(size, '\0');
-  if (size > 0) read_raw(out.data(), size);
-  return out;
-}
-
-Buffer ChainReader::gather(std::size_t size) {
-  Writer w(size);
-  std::size_t left = size;
-  while (left > 0) {
-    normalize();
-    const Buffer& f = chain_.fragment(frag_);
-    const std::size_t n = left < fragment_remaining() ? left
-                                                      : fragment_remaining();
-    w.write_raw(f.data() + offset_, n);
-    offset_ += n;
-    remaining_ -= n;
-    left -= n;
-  }
-  Buffer::note_deep_copy(size);
-  return w.take();
-}
-
-void ChainReader::skip(std::size_t size) {
-  require(size);
-  while (size > 0) {
-    normalize();
-    const std::size_t n = size < fragment_remaining() ? size
-                                                      : fragment_remaining();
-    offset_ += n;
-    remaining_ -= n;
-    size -= n;
-  }
-}
-
-Buffer ChainReader::read_bytes() {
-  const std::uint32_t size = read_u32();
-  require(size);
-  if (size == 0) return {};
-  normalize();
-  if (size <= fragment_remaining()) {
-    Buffer out = chain_.fragment(frag_).slice(offset_, size);
-    offset_ += size;
-    remaining_ -= size;
-    return out;
-  }
-  return gather(size);
 }
 
 }  // namespace mage::serial

@@ -14,10 +14,10 @@
 //
 // The logical stream a ChainWriter produces is byte-identical to what a
 // plain Writer with write_bytes() would have produced — fragmentation is
-// framing, not encoding.  ChainReader reads the logical stream back across
-// fragment boundaries; reads that fall inside one fragment (every read, for
-// writer-produced chains) are zero-copy, a read straddling a boundary
-// gathers through the counted deep-copy path.
+// framing, not encoding.  serial::Reader (serial/reader.hpp) reads the
+// logical stream back across fragment boundaries; reads that fall inside
+// one fragment (every read, for writer-produced chains) are zero-copy, a
+// read straddling a boundary gathers through the counted deep-copy path.
 //
 // Fragment count is capped at kMaxFragments so a chain lives inline (no
 // heap node list) and rides in event captures; docs/WIRE_FORMAT.md is the
@@ -27,6 +27,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <new>
+#include <utility>
 #include <vector>
 
 #include "serial/buffer.hpp"
@@ -74,8 +75,14 @@ class BufferChain {
 
   // Appends a fragment (a handle copy, never a deep copy).  Empty
   // fragments are legal (the wire carries a zero size).  Throws
-  // SerializationError past kMaxFragments.
-  void append(Buffer fragment);
+  // SerializationError past kMaxFragments.  Inline: every decoded message
+  // builds a serial::Reader through it.
+  void append(Buffer fragment) {
+    if (count_ >= kMaxFragments) throw_full();
+    total_ += fragment.size();
+    ::new (static_cast<void*>(slot(count_))) Buffer(std::move(fragment));
+    ++count_;
+  }
 
   [[nodiscard]] std::size_t fragments() const { return count_; }
   [[nodiscard]] const Buffer& fragment(std::size_t i) const {
@@ -115,6 +122,8 @@ class BufferChain {
   [[nodiscard]] const Buffer* slot(std::size_t i) const {
     return std::launder(reinterpret_cast<const Buffer*>(storage_) + i);
   }
+
+  [[noreturn]] static void throw_full();
 
   void clear() noexcept {
     for (std::uint8_t i = 0; i < count_; ++i) slot(i)->~Buffer();
@@ -158,7 +167,6 @@ class ChainWriter {
   explicit ChainWriter(std::size_t reserve_bytes) : writer_(reserve_bytes) {}
 
   void write_u8(std::uint8_t v) { writer_.write_u8(v); }
-  void write_u16(std::uint16_t v) { writer_.write_u16(v); }
   void write_u32(std::uint32_t v) { writer_.write_u32(v); }
   void write_u64(std::uint64_t v) { writer_.write_u64(v); }
   void write_i32(std::int32_t v) { writer_.write_i32(v); }
@@ -189,60 +197,10 @@ class ChainWriter {
   BufferChain chain_;
 };
 
-// Bounds-checked reader over a BufferChain's logical stream, mirror of
-// ChainWriter (and byte-compatible with Writer/Reader).  read_bytes() is a
-// zero-copy sub-slice whenever the block lies within one fragment — always
-// true for chains a ChainWriter produced, since append_payload aligns
-// fragment boundaries with block boundaries.
-class ChainReader {
- public:
-  // Both constructors keep their own chain and read only through it (the
-  // bytes of inline fragments live in its handles), so a moved reader
-  // reads on and sub-slices returned by read_bytes() outlive the reader.
-  explicit ChainReader(BufferChain chain)
-      : chain_(std::move(chain)), remaining_(chain_.size()) {}
-  explicit ChainReader(const Buffer& buffer)
-      : chain_(buffer), remaining_(buffer.size()) {}
+class Reader;  // serial/reader.hpp reads a chain's logical stream.
 
-  std::uint8_t read_u8();
-  std::uint16_t read_u16();
-  std::uint32_t read_u32();
-  std::uint64_t read_u64();
-  std::int32_t read_i32();
-  std::int64_t read_i64();
-  bool read_bool();
-  double read_f64();
-  std::string read_string();
-  // Length-prefixed byte block: zero-copy slice when contiguous, counted
-  // gather otherwise.
-  Buffer read_bytes();
-  void read_raw(void* out, std::size_t size);
-  // Advances past `size` bytes without materialising them (bounds-checked
-  // up front, so a wire-declared size is validated before anything is
-  // allocated).
-  void skip(std::size_t size);
-
-  [[nodiscard]] std::size_t remaining() const { return remaining_; }
-  [[nodiscard]] bool at_end() const { return remaining_ == 0; }
-
- private:
-  void require(std::size_t n) const;
-  // Positions the cursor on a fragment with unread bytes (skips exhausted
-  // and empty fragments).  Only valid when remaining_ > 0.
-  void normalize();
-  // Unread bytes left in the current fragment after normalize().
-  [[nodiscard]] std::size_t fragment_remaining() const {
-    return chain_.fragment(frag_).size() - offset_;
-  }
-  template <typename T>
-  T read_le();
-  // Cross-fragment block read through the counted deep-copy path.
-  Buffer gather(std::size_t size);
-
-  BufferChain chain_;
-  std::size_t frag_ = 0;       // current fragment index
-  std::size_t offset_ = 0;     // read offset within the current fragment
-  std::size_t remaining_ = 0;  // logical bytes left
-};
+// The chain reader's former name, kept while bench/e2e still spells it;
+// it goes at that tree's next change.
+using ChainReader = Reader;
 
 }  // namespace mage::serial

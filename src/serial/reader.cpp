@@ -1,29 +1,12 @@
 #include "serial/reader.hpp"
 
+#include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "common/error.hpp"
+#include "serial/writer.hpp"
 
 namespace mage::serial {
-namespace {
-
-template <typename T>
-T read_le(std::span<const std::uint8_t> bytes, std::size_t offset) {
-  T v;
-  if constexpr (std::endian::native == std::endian::big) {
-    std::uint8_t raw[sizeof(T)];
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      raw[i] = bytes[offset + sizeof(T) - 1 - i];
-    }
-    std::memcpy(&v, raw, sizeof(T));
-  } else {
-    std::memcpy(&v, bytes.data() + offset, sizeof(T));
-  }
-  return v;
-}
-
-}  // namespace
 
 void Reader::require(std::size_t n) const {
   if (remaining() < n) {
@@ -33,31 +16,41 @@ void Reader::require(std::size_t n) const {
   }
 }
 
-std::uint8_t Reader::read_u8() {
-  require(1);
-  return bytes_[offset_++];
+template <typename Sink>
+void Reader::consume(std::size_t size, Sink sink) {
+  while (size > 0) {
+    if (cur_ == end_) enter(frag_ + 1);
+    const std::size_t n = std::min(size, left());
+    sink(cur_, n);
+    cur_ += n;
+    size -= n;
+  }
 }
 
-std::uint16_t Reader::read_u16() {
-  require(2);
-  auto v = read_le<std::uint16_t>(bytes_, offset_);
-  offset_ += 2;
+void Reader::gather(void* out, std::size_t size) {
+  require(size);
+  auto* dst = static_cast<std::uint8_t*>(out);
+  consume(size, [&dst](const std::uint8_t* piece, std::size_t n) {
+    std::memcpy(dst, piece, n);
+    dst += n;
+  });
+}
+
+template <typename T>
+T Reader::read_le() {
+  std::uint8_t raw[sizeof(T)];
+  read_raw(raw, sizeof(T));
+  if constexpr (std::endian::native == std::endian::big) {
+    std::reverse(raw, raw + sizeof(T));
+  }
+  T v;
+  std::memcpy(&v, raw, sizeof(T));
   return v;
 }
 
-std::uint32_t Reader::read_u32() {
-  require(4);
-  auto v = read_le<std::uint32_t>(bytes_, offset_);
-  offset_ += 4;
-  return v;
-}
-
-std::uint64_t Reader::read_u64() {
-  require(8);
-  auto v = read_le<std::uint64_t>(bytes_, offset_);
-  offset_ += 8;
-  return v;
-}
+std::uint8_t Reader::read_u8() { return read_le<std::uint8_t>(); }
+std::uint32_t Reader::read_u32() { return read_le<std::uint32_t>(); }
+std::uint64_t Reader::read_u64() { return read_le<std::uint64_t>(); }
 
 std::int32_t Reader::read_i32() {
   return static_cast<std::int32_t>(read_u32());
@@ -78,48 +71,40 @@ double Reader::read_f64() {
 
 std::string Reader::read_string() {
   const std::uint32_t size = read_u32();
-  require(size);
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + offset_),
-                  size);
-  offset_ += size;
-  return out;
-}
-
-std::string_view Reader::read_view() {
-  const std::uint32_t size = read_u32();
-  require(size);
-  std::string_view out(reinterpret_cast<const char*>(bytes_.data() + offset_),
-                       size);
-  offset_ += size;
-  return out;
-}
-
-Buffer Reader::read_bytes() {
-  const std::uint32_t size = read_u32();
-  require(size);
-  Buffer out;
-  if (size > 0) {
-    if (!owner_.empty()) {
-      out = owner_.slice(offset_, size);
-    } else {
-      out = Buffer::copy(bytes_.subspan(offset_, size));
-    }
+  if (size <= left()) {
+    std::string out(reinterpret_cast<const char*>(cur_), size);
+    cur_ += size;
+    return out;
   }
-  offset_ += size;
+  require(size);  // before sizing the string
+  std::string out(size, '\0');
+  gather(out.data(), size);
   return out;
 }
 
-std::span<const std::uint8_t> Reader::read_span(std::size_t size) {
+Buffer Reader::read_bytes() { return read_slice(read_u32()); }
+
+Buffer Reader::read_slice(std::size_t size) {
   require(size);
-  auto out = bytes_.subspan(offset_, size);
-  offset_ += size;
-  return out;
+  if (size == 0) return {};
+  while (cur_ == end_) enter(frag_ + 1);
+  if (size <= left()) {
+    const Buffer& f = chain_.fragment(frag_);
+    Buffer out = f.slice(static_cast<std::size_t>(cur_ - f.data()), size);
+    cur_ += size;
+    return out;
+  }
+  Writer w(size);
+  consume(size, [&w](const std::uint8_t* piece, std::size_t n) {
+    w.write_raw(piece, n);
+  });
+  Buffer::note_deep_copy(size);
+  return w.take();
 }
 
-void Reader::read_raw(void* out, std::size_t size) {
+void Reader::skip(std::size_t size) {
   require(size);
-  std::memcpy(out, bytes_.data() + offset_, size);
-  offset_ += size;
+  consume(size, [](const std::uint8_t*, std::size_t) {});
 }
 
 }  // namespace mage::serial

@@ -1,48 +1,56 @@
-// Byte-oriented serialization reader, mirror of Writer.
+// Byte-oriented serialization reader, mirror of Writer and ChainWriter.
 //
-// All reads are bounds-checked; a truncated or corrupt payload raises
-// common::SerializationError rather than reading past the end, so a mangled
-// network message can never corrupt a namespace.
+// A Reader reads the logical byte stream of a BufferChain (serial/chain.hpp);
+// a Buffer is the one-fragment chain.  All reads are bounds-checked: a
+// truncated or corrupt payload raises common::SerializationError rather than
+// reading past the end, so a mangled network message can never corrupt a
+// namespace.
 //
-// Constructed over a serial::Buffer, the reader also offers zero-copy
-// accessors: read_view() returns a string_view into the buffer, and
-// read_bytes() returns a sub-Buffer sharing the parent's storage — nested
-// payloads (invocation args, migrated state) decode without duplicating a
-// byte.  The Buffer-constructed reader keeps its own copy of the handle and
-// reads that copy, so its views stay valid for the reader's lifetime even
-// when the argument was a temporary: an inline buffer's bytes live in the
-// handle (serial/buffer.hpp), which is also why a Reader is neither copied
-// nor moved.
+// The cursor is a fragment and a position in it.  A read that lies inside
+// that fragment takes the contiguous fast path, and read_slice()/
+// read_bytes() then return a zero-copy slice of the fragment (sharing its
+// block, or inline when it is inline): nested payloads (invocation args,
+// migrated state, an envelope's fragments) decode without duplicating a
+// byte.  Every read of a Writer's output, and of a ChainWriter's, is such a
+// read, since append_payload() aligns fragment boundaries with block
+// boundaries.  A read that straddles fragments gathers across them; a
+// straddling slice is a counted deep copy.
+//
+// Ownership: every reader reads its own copy of the chain (handles, never
+// bytes; pass an rvalue to move them in).  The bytes of an inline fragment
+// live in its handle (serial/buffer.hpp), so reading a copy is what keeps a
+// reader valid after its argument dies and lets the slices it returns
+// outlive it — and why the cursor, which may point into those handles,
+// makes a Reader neither copyable nor movable.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <span>
+#include <cstring>
 #include <string>
-#include <string_view>
-#include <vector>
+#include <utility>
 
 #include "serial/buffer.hpp"
+#include "serial/chain.hpp"
 
 namespace mage::serial {
 
 class Reader {
  public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-  // Reads its own copy of `buffer`, so a view returned by read_view() stays
-  // valid for the reader's lifetime (for a shared buffer, as long as its
-  // block lives), and read_bytes() slices stand alone.
-  explicit Reader(const Buffer& buffer)
-      : owner_(buffer), bytes_(owner_.span()) {}
-  explicit Reader(const std::vector<std::uint8_t>& bytes)
-      : bytes_(bytes.data(), bytes.size()) {}
+  explicit Reader(BufferChain chain)
+      : chain_(std::move(chain)), rest_(chain_.size()) {
+    if (chain_.fragments() == 0) chain_.append({});
+    enter(0);
+  }
+  explicit Reader(Buffer buffer) : rest_(buffer.size()) {  // one fragment
+    chain_.append(std::move(buffer));
+    enter(0);
+  }
 
-  // bytes_ may point into owner_.
   Reader(const Reader&) = delete;
   Reader& operator=(const Reader&) = delete;
 
   std::uint8_t read_u8();
-  std::uint16_t read_u16();
   std::uint32_t read_u32();
   std::uint64_t read_u64();
   std::int32_t read_i32();
@@ -50,29 +58,54 @@ class Reader {
   bool read_bool();
   double read_f64();
   std::string read_string();
-  // Zero-copy mirror of read_string: a view into the bytes being read.
-  std::string_view read_view();
-  // Length-prefixed byte block (mirror of Writer::write_bytes).  A slice
-  // when this reader was constructed over a Buffer (sharing its block, or
-  // inline when it is inline); a counted deep copy otherwise.
+  // Length-prefixed byte block, mirror of Writer::write_bytes: a u32 size,
+  // then read_slice(size).
   Buffer read_bytes();
-  // The next `size` raw bytes as a view, advancing the cursor (lifetime as
-  // read_view's).
-  std::span<const std::uint8_t> read_span(std::size_t size);
-  void read_raw(void* out, std::size_t size);
-
-  [[nodiscard]] std::size_t remaining() const {
-    return bytes_.size() - offset_;
+  // The next `size` bytes: a slice of their fragment when they lie in one,
+  // a counted gather when they straddle fragments.
+  Buffer read_slice(std::size_t size);
+  void read_raw(void* out, std::size_t size) {
+    if (size > left()) return gather(out, size);
+    std::memcpy(out, cur_, size);
+    cur_ += size;
   }
+  // Advances past `size` bytes without materialising them (bounds-checked
+  // up front, so a wire-declared size is validated before anything is
+  // allocated).
+  void skip(std::size_t size);
+
+  [[nodiscard]] std::size_t remaining() const { return left() + rest_; }
   [[nodiscard]] bool at_end() const { return remaining() == 0; }
-  [[nodiscard]] std::size_t offset() const { return offset_; }
 
  private:
+  // Unread bytes in the fragment under the cursor.
+  [[nodiscard]] std::size_t left() const {
+    return static_cast<std::size_t>(end_ - cur_);
+  }
+  // Moves the cursor to the start of fragment `i`.
+  void enter(std::size_t i) {
+    const Buffer& f = chain_.fragment(i);
+    frag_ = i;
+    cur_ = f.data();
+    end_ = cur_ + f.size();
+    rest_ -= f.size();
+  }
+  // Throws SerializationError unless `n` bytes remain.
   void require(std::size_t n) const;
+  // Hands the next `size` bytes, which must remain, to `sink(data, n)` one
+  // fragment's piece at a time.
+  template <typename Sink>
+  void consume(std::size_t size, Sink sink);
+  // read_raw() across fragments, or the throw for too few bytes.
+  void gather(void* out, std::size_t size);
+  template <typename T>
+  T read_le();
 
-  Buffer owner_;  // empty unless constructed from a Buffer
-  std::span<const std::uint8_t> bytes_;
-  std::size_t offset_ = 0;
+  BufferChain chain_;  // never empty: at least one, possibly empty, fragment
+  std::size_t frag_ = 0;               // fragment under the cursor
+  const std::uint8_t* cur_ = nullptr;  // next unread byte in it
+  const std::uint8_t* end_ = nullptr;  // its end
+  std::size_t rest_ = 0;               // bytes in the fragments after it
 };
 
 }  // namespace mage::serial

@@ -232,7 +232,8 @@ struct Codec<std::map<K, V>> {
   }
 };
 
-// Marker for invocations with no result ("void methods").
+// Marker for invocations with no result ("void methods"); rts::Unit names
+// it for the futures of calls that have none.
 struct Unit {
   friend bool operator==(Unit, Unit) = default;
 };

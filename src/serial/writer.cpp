@@ -69,11 +69,6 @@ void Writer::write_u8(std::uint8_t v) {
   ++size_;
 }
 
-void Writer::write_u16(std::uint16_t v) {
-  store_le(make_room(2), v);
-  size_ += 2;
-}
-
 void Writer::write_u32(std::uint32_t v) {
   store_le(make_room(4), v);
   size_ += 4;

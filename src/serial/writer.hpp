@@ -56,7 +56,6 @@ class Writer {
   }
 
   void write_u8(std::uint8_t v);
-  void write_u16(std::uint16_t v);
   void write_u32(std::uint32_t v);
   void write_u64(std::uint64_t v);
   void write_i32(std::int32_t v);

@@ -38,6 +38,7 @@
 #include "rmi/transport.hpp"
 #include "serial/buffer.hpp"
 #include "serial/chain.hpp"
+#include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "sim/simulation.hpp"
 #include "support/chaos_harness.hpp"
@@ -280,7 +281,7 @@ TEST(BatchTransport, WindowOfInvokesRidesOneFrameEachWay) {
                         [&executed](common::NodeId,
                                     const serial::BufferChain& body,
                                     rmi::Replier replier) {
-                          serial::ChainReader r(body);
+                          serial::Reader r(body);
                           executed.push_back(r.read_u64());
                           replier.ok(body);
                         });
@@ -394,7 +395,7 @@ void expect_early_flush(std::size_t calls, std::size_t body_bytes,
                         [&executions](common::NodeId,
                                       const serial::BufferChain& body,
                                       rmi::Replier replier) {
-                          serial::ChainReader r(body);
+                          serial::Reader r(body);
                           ++executions.at(r.read_u64());
                           replier.ok(body);
                         });

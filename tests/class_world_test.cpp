@@ -54,7 +54,7 @@ TEST_F(WorldFixture, DeserializeRestoresState) {
   original.set(99);
   serial::Writer w;
   original.serialize(w);
-  serial::Reader r(w.bytes());
+  serial::Reader r(w.take());
   auto restored = world.deserialize("Counter", r);
   EXPECT_EQ(dynamic_cast<Counter&>(*restored).get(), 99);
 }

@@ -329,6 +329,48 @@ TEST(HaDirectory, ClientFailsOverAcrossALeaderCrash) {
   EXPECT_EQ(sim.stats().counter("rmi.directory_failover_time_us"), 6'500);
 }
 
+// A quorum the client cannot reach: every attempt of the member sweep
+// times out, so the sweep gives up after its eight rounds.  A round tries
+// the three members for two 2ms transmissions each, and a 4ms pause
+// separates the rounds: 8 x 3 x 4,000us + 7 x 4,000us = 124,000us per
+// call, and one failover per failed attempt.
+TEST(HaDirectory, SweepGivesUpAfterEightRounds) {
+  sim::Simulation sim(0xD1CE);
+  net::Network net(sim, chaos_model());
+
+  std::vector<common::NodeId> ids;
+  for (int i = 0; i < 4; ++i) {
+    ids.push_back(net.add_node("n" + std::to_string(i)));
+  }
+  const std::vector<common::NodeId> members{ids[0], ids[1], ids[2]};
+  std::vector<std::unique_ptr<rmi::Transport>> transports;
+  for (int i = 0; i < 4; ++i) {
+    transports.push_back(std::make_unique<rmi::Transport>(net, ids[i]));
+  }
+  std::vector<std::unique_ptr<rts::Director>> directors;
+  for (int i = 0; i < 3; ++i) {
+    directors.push_back(
+        std::make_unique<rts::Director>(*transports[i], members));
+  }
+  for (auto& d : directors) d->start();
+  for (const common::NodeId member : members) {
+    net.set_partitioned(ids[3], member, true);
+  }
+
+  rts::DirectoryClient dclient(*transports[3], members);
+  ASSERT_EQ(sim.now(), 0);
+  EXPECT_FALSE(dclient.resolve_sync("obj").has_value());
+  EXPECT_EQ(sim.now(), 124'000);
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failovers"), 24);
+
+  EXPECT_FALSE(dclient.announce_sync(
+      proto::PlacementRecord{"obj", "Session", ids[3], true, 1}));
+  EXPECT_EQ(sim.now(), 248'000);
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failovers"), 48);
+  // Only a sweep that some member answers records its failover time.
+  EXPECT_EQ(sim.stats().counter("rmi.directory_failover_time_us"), 0);
+}
+
 // The sync calls are driver-side waits, and the driver thread would run
 // only the client's shard: on a network with more than one shard they
 // refuse with the named error instead of answering from a partial run.

@@ -407,7 +407,7 @@ TEST(Protocol, DecodesMessagesInSequenceFromOneReader) {
   serial::BufferChain chain;
   chain.append(LookupRequest{"a", 1, 2}.encode());
   chain.append(MoveRequest{"b", common::NodeId{7}}.encode());
-  serial::ChainReader r(chain);
+  serial::Reader r(chain);
   EXPECT_EQ(LookupRequest::decode(r).min_epoch, 2u);
   EXPECT_EQ(MoveRequest::decode(r).to, common::NodeId{7});
   EXPECT_TRUE(r.at_end());

@@ -27,6 +27,7 @@
 #include "net/cost_model.hpp"
 #include "net/network.hpp"
 #include "rmi/transport.hpp"
+#include "serial/reader.hpp"
 #include "serial/writer.hpp"
 #include "sim/sharded.hpp"
 #include "support/chaos_harness.hpp"
@@ -81,7 +82,7 @@ MeshRun run_echo_mesh(int nodes, int calls_per_link, int threads,
         echo, [log, &sim](common::NodeId caller,
                           const serial::BufferChain& body,
                           rmi::Replier replier) {
-          serial::ChainReader r(body);
+          serial::Reader r(body);
           log->emplace_back(caller.value(), r.read_u64(), sim.now());
           replier.ok(body);
         });
@@ -407,7 +408,7 @@ WanTestResult run_wan_mesh(const WanTestParams& p) {
         echo, [log, &sim](common::NodeId caller,
                           const serial::BufferChain& body,
                           rmi::Replier replier) {
-          serial::ChainReader r(body);
+          serial::Reader r(body);
           log->emplace_back(caller.value(), r.read_u64(), sim.now());
           replier.ok(body);
         });
